@@ -9,7 +9,6 @@ loss with verified gradients (:mod:`.loss`), a synthetic scene simulator
 ``polarview`` CLI (:mod:`.cli`) ties them into reproducible experiments.
 """
 
-from ._kernels import backend
 from .geometry import (
     BoxEncoding,
     CartesianBox,
@@ -30,7 +29,6 @@ from .geometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "BoxEncoding",
     "CartesianBox",
     "CartesianVelocity",

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import _kernels
 from .geometry import CartesianBox, PolarBox
 
 __all__ = [
@@ -126,7 +125,10 @@ def build_cost_matrix(
         return np.zeros((m, n))
     gt_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in gts])
     pred_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in preds])
-    costs = _kernels.polar_cost_matrix(gt_rsc, pred_rsc, k_scaling)
+    dr = np.abs(gt_rsc[:, 0:1] - pred_rsc[None, :, 0])
+    ds = np.abs(gt_rsc[:, 1:2] - pred_rsc[None, :, 1])
+    dc = np.abs(gt_rsc[:, 2:3] - pred_rsc[None, :, 2])
+    costs = dr + k_scaling * (ds + dc)
     cls = np.empty((m, n))
     for j, (_, label) in enumerate(gts):
         for i, (_, probs) in enumerate(preds):

@@ -214,16 +214,12 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
         if region is not None:
             objects = [o for o in objects if region.contains(o.box.x, o.box.y)]
         gt_centers = [np.array([o.box.x, o.box.y]) for o in objects]
-        preds = [
-            (np.array(d.box.center_xy()), d.score)
-            for d in frame_det.detections
-            if region is None or region.contains(*d.box.center_xy())
-        ]
         kept_dets = [
             d
             for d in frame_det.detections
             if region is None or region.contains(*d.box.center_xy())
         ]
+        preds = [(np.array(d.box.center_xy()), d.score) for d in kept_dets]
         frame_preds.append(preds)
         frame_gts.append(gt_centers)
         if preds and gt_centers:

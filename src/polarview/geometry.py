@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "RangeError",
     "RangeConfig",
@@ -56,6 +54,8 @@ ENCODING_FIELDS = tuple("b_" + f for f in POLAR_FIELDS)
 SIGMOID_CLAMP = 15.0
 
 _PAIR_TOL = 1e-9
+
+_SIZE_ERROR = "decode: exp of a size channel must be positive and finite"
 
 
 class RangeError(ValueError):
@@ -266,34 +266,69 @@ def decode_box_encoding(enc: BoxEncoding, range_config: RangeConfig) -> PolarBox
 
     r = sigmoid(b_r) * r_max, z = sigmoid(b_z) * (z_max - z_min) + z_min,
     sizes are exp of their channels and both angle pairs are
-    L2-normalized.
+    L2-normalized.  A size channel whose exp overflows or underflows to
+    zero raises ValueError (the latter from :class:`PolarBox`).
     """
     rc = range_config
     na = math.hypot(enc.b_sin_a, enc.b_cos_a)
     nt = math.hypot(enc.b_sin_t, enc.b_cos_t)
+    try:
+        l, w, h = math.exp(enc.b_l), math.exp(enc.b_w), math.exp(enc.b_h)
+    except OverflowError:
+        raise ValueError(_SIZE_ERROR) from None
     return PolarBox(
         r=_sigmoid(enc.b_r) * rc.r_max,
         sin_a=enc.b_sin_a / na,
         cos_a=enc.b_cos_a / na,
         z=_sigmoid(enc.b_z) * (rc.z_max - rc.z_min) + rc.z_min,
-        l=math.exp(enc.b_l),
-        w=math.exp(enc.b_w),
-        h=math.exp(enc.b_h),
+        l=l,
+        w=w,
+        h=h,
         sin_t=enc.b_sin_t / nt,
         cos_t=enc.b_cos_t / nt,
     )
 
 
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_sigmoid`: the same split form, overflow-free."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray:
-    """Vectorized decode of an (N, 9) encoding array (hot kernel)."""
-    encodings = np.asarray(encodings, dtype=np.float64)
-    if encodings.ndim != 2 or encodings.shape[1] != 9:
+    """Vectorized :func:`decode_box_encoding` of an (N, 9) encoding array.
+
+    Rejects the inputs the scalar path rejects, with ValueError: non-finite
+    channels, a (0, 0) azimuth or yaw pair, and size channels whose exp
+    overflows or underflows to zero.
+    """
+    enc = np.asarray(encodings, dtype=np.float64)
+    if enc.ndim != 2 or enc.shape[1] != 9:
         raise ValueError("encodings must have shape (N, 9)")
-    if not np.isfinite(encodings).all():
+    if not np.isfinite(enc).all():
         raise ValueError("encodings must be finite")
-    return _kernels.decode_boxes(
-        encodings, range_config.r_max, range_config.z_min, range_config.z_max
-    )
+    na = np.hypot(enc[:, 1], enc[:, 2])
+    nt = np.hypot(enc[:, 7], enc[:, 8])
+    if not (na > 0.0).all() or not (nt > 0.0).all():
+        raise ValueError("encodings: azimuth and yaw pairs must not be (0, 0)")
+    rc = range_config
+    out = np.empty_like(enc)
+    out[:, 0] = _sigmoid_array(enc[:, 0]) * rc.r_max
+    out[:, 3] = _sigmoid_array(enc[:, 3]) * (rc.z_max - rc.z_min) + rc.z_min
+    out[:, 1] = enc[:, 1] / na
+    out[:, 2] = enc[:, 2] / na
+    with np.errstate(over="ignore"):
+        sizes = np.exp(enc[:, 4:7])
+    if not (np.isfinite(sizes) & (sizes > 0.0)).all():
+        raise ValueError(_SIZE_ERROR)
+    out[:, 4:7] = sizes
+    out[:, 7] = enc[:, 7] / nt
+    out[:, 8] = enc[:, 8] / nt
+    return out
 
 
 def _pre_image(value: float, lo: float, hi: float, name: str, lenient: bool) -> float:

@@ -23,6 +23,7 @@ from .geometry import (
     PolarBox,
     PolarVelocity,
     RangeConfig,
+    _sigmoid,
     decode_box_encoding,
 )
 
@@ -230,7 +231,7 @@ def loss_gradient(
     k = rc.k_scaling
     grad = np.empty(11)
 
-    s_r = 1.0 / (1.0 + math.exp(-enc.b_r)) if enc.b_r >= 0 else math.exp(enc.b_r) / (1.0 + math.exp(enc.b_r))
+    s_r = _sigmoid(enc.b_r)
     grad[0] = _sign(deltas[0]) * s_r * (1.0 - s_r) * rc.r_max
 
     # normalized-pair Jacobian: d(u/n)/du = w^2/n^3, d(u/n)/dw = -u*w/n^3
@@ -240,7 +241,7 @@ def loss_gradient(
     grad[1] = k * (sgn_s * w * w - sgn_c * u * w) / n3
     grad[2] = k * (-sgn_s * u * w + sgn_c * u * u) / n3
 
-    s_z = 1.0 / (1.0 + math.exp(-enc.b_z)) if enc.b_z >= 0 else math.exp(enc.b_z) / (1.0 + math.exp(enc.b_z))
+    s_z = _sigmoid(enc.b_z)
     grad[3] = _sign(deltas[3]) * s_z * (1.0 - s_z) * (rc.z_max - rc.z_min)
 
     grad[4] = _sign(deltas[4]) * math.exp(enc.b_l)

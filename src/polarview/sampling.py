@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .camera import PixelPoint, Rig, project_to_view
 
 __all__ = [
@@ -78,15 +77,41 @@ def bilinear_sample(fmap: FeatureMap, u: float, v: float) -> FeatureSample:
     Out-of-grid points (after stride division) yield a zero, invalid
     sample; non-finite coordinates are treated as out of grid.
     """
-    pts = np.array([[u / fmap.stride, v / fmap.stride]], dtype=np.float64)
-    vals, valid = _kernels.bilinear_many(fmap.data, pts)
+    vals, valid = bilinear_sample_many(fmap, np.array([[u, v]]))
     return FeatureSample(values=vals[0], valid=bool(valid[0]))
 
 
 def bilinear_sample_many(fmap: FeatureMap, uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch :func:`bilinear_sample` over (N, 2) pixel coordinates (hot kernel)."""
-    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    return _kernels.bilinear_many(fmap.data, uv / fmap.stride)
+    """Batch :func:`bilinear_sample` over (N, 2) pixel coordinates.
+
+    Returns (N, channels) values and an (N,) validity mask.  Points outside
+    the cell-center hull [0, W-1] x [0, H-1], or non-finite, come back zero
+    and invalid.
+    """
+    cells = np.asarray(uv, dtype=np.float64).reshape(-1, 2) / fmap.stride
+    grid = fmap.data
+    h, w, _ = grid.shape
+    x = cells[:, 0]
+    y = cells[:, 1]
+    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+
+    xs = np.where(valid, x, 0.0)
+    ys = np.where(valid, y, 0.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[:, None]
+    fy = (ys - y0)[:, None]
+
+    vals = (
+        grid[y0, x0] * (1.0 - fx) * (1.0 - fy)
+        + grid[y0, x1] * fx * (1.0 - fy)
+        + grid[y1, x0] * (1.0 - fx) * fy
+        + grid[y1, x1] * fx * fy
+    )
+    vals[~valid] = 0.0
+    return vals, valid
 
 
 def sample_center_features(center3d, rig: Rig, maps: list[FeatureMap]) -> list[FeatureSample]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .assignment import hungarian
 from .geometry import PolarBox, PolarVelocity, velocity_polar_to_cartesian
 from .simulator import Detection, DetectionSet, Scene
@@ -35,6 +34,32 @@ __all__ = [
     "run_tracker",
     "count_id_switches",
 ]
+
+
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``."""
+    return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
+
+
+def _greedy_match(dist: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
+    """Claim (row, column) pairs greedily in ascending (distance, row, column) order.
+
+    Only cells where ``allowed`` is true are candidates; a pair is claimed
+    when neither its row nor its column is taken.  Pairs come back in
+    claim order.
+    """
+    rows, cols = np.nonzero(allowed)
+    order = np.lexsort((cols, rows, dist[rows, cols]))
+    used_r: set[int] = set()
+    used_c: set[int] = set()
+    pairs = []
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+        if r in used_r or c in used_c:
+            continue
+        used_r.add(r)
+        used_c.add(c)
+        pairs.append((r, c))
+    return pairs
 
 
 def back_project(box: PolarBox, velocity: PolarVelocity, dt: float) -> np.ndarray:
@@ -97,37 +122,21 @@ def match_tracks(
 
     det_centers = np.array([back_project(d.box, d.velocity, dt) for d in detections])
     trk_centers = np.array([t.center() for t in state.tracks])
-    dist = _kernels.pairwise_distances(det_centers, trk_centers)
-    gate = np.array(
-        [[d.label == t.label for t in state.tracks] for d in detections], dtype=bool
-    )
+    dist = _pairwise_distances(det_centers, trk_centers)
+    det_labels = np.array([d.label for d in detections])
+    trk_labels = np.array([t.label for t in state.tracks])
     threshold = state.config.distance_threshold
+    allowed = (det_labels[:, None] == trk_labels[None, :]) & (dist <= threshold)
 
-    matches: list[tuple[int, int]] = []
     if state.config.matching == "hungarian":
         big = max(threshold, float(dist.max())) * (min(n_det, n_trk) + 1) + 1.0
-        gated = np.where(gate & (dist <= threshold), dist, big)
-        for di, ti in hungarian(gated).pairs:
-            if gated[di, ti] < big:
-                matches.append((di, ti))
-        matches.sort()
+        gated = np.where(allowed, dist, big)
+        matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
     else:
-        candidates = [
-            (float(dist[di, ti]), di, state.tracks[ti].track_id, ti)
-            for di in range(n_det)
-            for ti in range(n_trk)
-            if gate[di, ti] and dist[di, ti] <= threshold
-        ]
-        candidates.sort()
-        used_d: set[int] = set()
-        used_t: set[int] = set()
-        for _, di, _, ti in candidates:
-            if di in used_d or ti in used_t:
-                continue
-            used_d.add(di)
-            used_t.add(ti)
-            matches.append((di, ti))
-        matches.sort()
+        # state.tracks is in ascending track_id order, so the column order is
+        # the track-id tie-break
+        matches = _greedy_match(dist, allowed)
+    matches.sort()
 
     matched_d = {di for di, _ in matches}
     matched_t = {ti for _, ti in matches}
@@ -151,9 +160,10 @@ def step(state: TrackerState, detections: tuple[Detection, ...], dt: float) -> l
         track.misses = 0
         assigned[di] = track.track_id
 
+    matched_t = {ti for _, ti in matches}
     survivors = []
     for ti, track in enumerate(state.tracks):
-        if ti in {t for _, t in matches}:
+        if ti in matched_t:
             survivors.append(track)
             continue
         track.age += 1
@@ -214,23 +224,13 @@ def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: 
     for frame_out, frame_gt in zip(result.frames, scene.frames):
         if not frame_out or not frame_gt.objects:
             continue
-        det_centers = np.array([np.array(det.box.center_xy()) for _, det in frame_out])
+        det_centers = np.array([det.box.center_xy() for _, det in frame_out])
         gt_centers = np.array([[o.box.x, o.box.y] for o in frame_gt.objects])
-        dist = _kernels.pairwise_distances(det_centers, gt_centers)
-        candidates = sorted(
-            (float(dist[di, gi]), di, gi)
-            for di in range(len(frame_out))
-            for gi in range(len(frame_gt.objects))
-            if dist[di, gi] <= max_match_distance
-            and frame_out[di][1].label == frame_gt.objects[gi].label
-        )
-        used_d: set[int] = set()
-        used_g: set[int] = set()
-        for _, di, gi in candidates:
-            if di in used_d or gi in used_g:
-                continue
-            used_d.add(di)
-            used_g.add(gi)
+        dist = _pairwise_distances(det_centers, gt_centers)
+        det_labels = np.array([det.label for _, det in frame_out])
+        gt_labels = np.array([o.label for o in frame_gt.objects])
+        allowed = (dist <= max_match_distance) & (det_labels[:, None] == gt_labels[None, :])
+        for di, gi in _greedy_match(dist, allowed):
             gt_id = frame_gt.objects[gi].object_id
             track_id = frame_out[di][0]
             if gt_id in last_track_of_gt and last_track_of_gt[gt_id] != track_id:

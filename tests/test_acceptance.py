@@ -2,8 +2,7 @@
 
 Run with  pytest tests/test_acceptance.py -s  to see the per-criterion
 lines (they are also captured in the normal run).  Each criterion carries
-the runtime budget it must meet on a commodity machine, measured after
-JIT warmup.
+the runtime budget it must meet on a commodity machine.
 """
 
 import math
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from _published import TEST_ROWS, VAL_ROWS
-from polarview import _kernels
 from polarview.assignment import (
     brute_force_assign,
     build_cost_matrix,
@@ -53,11 +51,6 @@ from polarview.camera import EgoPose
 from polarview.tracker import TrackerConfig, count_id_switches, run_tracker
 
 RC = RangeConfig()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()  # JIT compile outside the timed budgets
 
 
 @contextmanager

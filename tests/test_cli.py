@@ -166,6 +166,33 @@ class TestPipeline:
         assert "bogus_key" in err
 
 
+class TestEvalRegionFilter:
+    def test_detection_outside_rectangle_changes_nothing(self, capsys, tmp_path):
+        scene_path = str(tmp_path / "scene.json")
+        dets_path = tmp_path / "dets.json"
+        extra_path = tmp_path / "extra.json"
+        run(capsys, "simulate", "--objects", "12", "--frames", "3", "--seed", "4", "--out", scene_path)
+        run(capsys, "render", "--scene", scene_path, "--radial-std", "0.2", "--seed", "2",
+            "--out", str(dets_path))
+        dets = json.loads(dets_path.read_text())
+        # 45 m straight ahead is inside the default 50 m circle but outside the
+        # 30 x 40 rectangle; listed first, it shifts every kept detection's index
+        outside = dict(dets["frames"][0]["detections"][0])
+        outside["box"] = [45.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]
+        dets["frames"][0]["detections"].insert(0, outside)
+        extra_path.write_text(json.dumps(dets))
+
+        def report(path, *mode):
+            code, out, _ = run(capsys, "eval", "--scene", scene_path, "--detections", str(path), *mode)
+            assert code == 0
+            return out
+
+        rect = ("--range-mode", "rectangular", "--x-max", "30", "--y-max", "40")
+        assert json.loads(report(dets_path, *rect))["matched_pairs"] > 0
+        assert report(extra_path, *rect) == report(dets_path, *rect)
+        assert report(extra_path) != report(dets_path)  # the circle keeps it, and it counts
+
+
 class TestEvalOnTracks:
     def test_track_output_is_valid_eval_input(self, capsys, tmp_path):
         scene_path = str(tmp_path / "scene.json")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,32 @@ class TestDecode:
             enc = BoxEncoding.from_array(rng.normal(0, 3, size=9))
             box = decode_box_encoding(enc, RC)  # PolarBox validates on construction
             assert box.r >= 0.0 and min(box.l, box.w, box.h) > 0.0
+
+    def test_batch_output_always_valid(self):
+        out = decode_boxes(np.random.default_rng(71).normal(0, 3, size=(500, 9)), RC)
+        assert ((out[:, 0] >= 0.0) & (out[:, 0] <= RC.r_max)).all()
+        np.testing.assert_allclose(out[:, 1] ** 2 + out[:, 2] ** 2, 1.0, atol=1e-12)
+        np.testing.assert_allclose(out[:, 7] ** 2 + out[:, 8] ** 2, 1.0, atol=1e-12)
+        assert (out[:, 4:7] > 0.0).all()
+
+    @pytest.mark.parametrize(
+        "enc",
+        [
+            [0, 0, 1, 0, 1000, 0, 0, 0, 1],
+            [0, 0, 1, 0, -1000, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 1, 0, 0, 0, 0, 0, 0],
+        ],
+        ids=["exp-overflow", "exp-underflow", "zero-azimuth-pair", "zero-yaw-pair"],
+    )
+    def test_scalar_and_batch_fail_alike(self, enc):
+        with pytest.raises(ValueError):
+            decode_box_encoding(BoxEncoding.from_array(enc), RC)
+        batch = np.array([[0, 0, 1, 0, 0, 0, 0, 0, 1], enc], dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
+            with pytest.raises(ValueError):
+                decode_boxes(batch, RC)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,14 @@ class TestBilinear:
             sample = bilinear_sample(fmap, u, v)
             assert sample.valid == bool(np.any(sample.values != 0.0))
 
+    def test_batch_invalid_rows_are_zero(self):
+        rng = np.random.default_rng(71)
+        fmap = FeatureMap(data=rng.uniform(-2, 2, size=(9, 13, 4)))
+        uv = np.column_stack([rng.uniform(-3, 15, 300), rng.uniform(-3, 11, 300)])
+        vals, valid = bilinear_sample_many(fmap, uv)
+        assert valid.any() and not valid.all()
+        assert np.all(vals[~valid] == 0.0)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(24)
         data = rng.uniform(0, 1, size=(5, 5, 4))

@@ -17,6 +17,8 @@ from polarview.simulator import (
 )
 from polarview.tracker import (
     TrackerConfig,
+    _greedy_match,
+    _pairwise_distances,
     TrackerState,
     back_project,
     count_id_switches,
@@ -79,6 +81,47 @@ class TestBackProject:
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
             back_project(polar_at(10.0, 0.0), PolarVelocity(0.0, 0.0), 0.0)
+
+
+def reference_greedy(dist, allowed):
+    # plain sort-then-claim over (distance, row, column) tuples
+    candidates = sorted(
+        (float(dist[r, c]), r, c)
+        for r in range(dist.shape[0])
+        for c in range(dist.shape[1])
+        if allowed[r, c]
+    )
+    used_r, used_c, pairs = set(), set(), []
+    for _, r, c in candidates:
+        if r in used_r or c in used_c:
+            continue
+        used_r.add(r)
+        used_c.add(c)
+        pairs.append((r, c))
+    return pairs
+
+
+class TestDistancesAndGreedy:
+    def test_pairwise_distances_are_hypot(self):
+        rng = np.random.default_rng(71)
+        a = rng.normal(0, 10, size=(40, 2))
+        b = rng.normal(0, 10, size=(31, 2))
+        out = _pairwise_distances(a, b)
+        ref = [[math.hypot(p[0] - q[0], p[1] - q[1]) for q in b] for p in a]
+        assert out.shape == (40, 31) and out.min() >= 0.0
+        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
+
+    def test_greedy_matches_reference_loop_under_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m, n = rng.integers(1, 8, size=2)
+            dist = rng.integers(0, 4, size=(m, n)).astype(np.float64)  # few values: exact ties
+            allowed = rng.random((m, n)) < 0.7
+            assert _greedy_match(dist, allowed) == reference_greedy(dist, allowed)
+
+    def test_greedy_empty_and_all_gated(self):
+        assert _greedy_match(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)) == []
+        assert _greedy_match(np.ones((3, 4)), np.zeros((3, 4), dtype=bool)) == []
 
 
 class TestMatching:
