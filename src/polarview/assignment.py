@@ -102,6 +102,8 @@ def class_cost(
     probs = np.asarray(pred_class_probs, dtype=np.float64)
     if ((probs < 0.0) | (probs > 1.0)).any() or not np.isfinite(probs).all():
         raise ValueError("class_cost: probabilities must lie in [0, 1]")
+    if not 0 <= gt_class < len(probs):
+        raise ValueError(f"class_cost: class {gt_class} outside the {len(probs)} probabilities")
     p = float(probs[gt_class])
     if form == "negative_prob":
         return -p

@@ -178,28 +178,12 @@ def _cmd_track(args) -> int:
     if args.scene:
         scene = serialization.load_scene(args.scene)
         summary["id_switches"] = tracker.count_id_switches(result, scene)
-    frames_out = []
-    for n, (frame, out) in enumerate(zip(dets.frames, result.frames)):
-        frames_out.append(
-            {
-                "frame": n,
-                "t": frame.t,
-                "detections": [
-                    {
-                        "track_id": tid,
-                        "box": [float(v) for v in det.box.as_array()],
-                        "score": det.score,
-                        "velocity": [det.velocity.v_rad, det.velocity.v_tan],
-                    }
-                    for tid, det in out
-                ],
-            }
-        )
-    report = {
-        "schema_version": serialization.SCHEMA_VERSION,
-        "frames": frames_out,
-        "summary": summary,
-    }
+    report = serialization.detections_to_dict(dets)
+    for frame, out in zip(report["frames"], result.frames):
+        frame["detections"] = [
+            {"track_id": tid, **record} for (tid, _), record in zip(out, frame["detections"])
+        ]
+    report["summary"] = summary
     _write_text(args.out, serialization.dumps_json(report) + "\n")
     return 0
 
@@ -267,38 +251,9 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
     return report
 
 
-def _load_detections_or_tracks(path: str):
-    """Accept a detections JSON or the `track` subcommand's output."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = [d for f in data.get("frames", []) for d in f.get("detections", [])]
-    if not any("track_id" in d for d in entries):
-        return serialization.detections_from_dict(data)
-    from .geometry import PolarBox, PolarVelocity
-    from .simulator import Detection, DetectionFrame, DetectionSet
-
-    frames = []
-    for fd in data["frames"]:
-        frames.append(
-            DetectionFrame(
-                t=float(fd["t"]),
-                detections=tuple(
-                    Detection(
-                        box=PolarBox.from_array(dd["box"]),
-                        probs=np.array([1.0]),
-                        velocity=PolarVelocity(*[float(v) for v in dd["velocity"]]),
-                        score=float(dd["score"]),
-                    )
-                    for dd in fd["detections"]
-                ),
-            )
-        )
-    return DetectionSet(frames=tuple(frames))
-
-
 def _cmd_eval(args) -> int:
     scene = serialization.load_scene(args.scene)
-    dets = _load_detections_or_tracks(args.detections)
+    dets = serialization.load_detections(args.detections)
     if len(scene.frames) != len(dets.frames):
         raise ValueError("eval: scene and detections disagree on frame count")
     report = _eval_metrics(scene, dets, args)

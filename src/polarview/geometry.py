@@ -291,12 +291,8 @@ def decode_box_encoding(enc: BoxEncoding, range_config: RangeConfig) -> PolarBox
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Elementwise :func:`_sigmoid`: the same split form, overflow-free."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray:

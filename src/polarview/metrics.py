@@ -26,7 +26,6 @@ __all__ = [
     "tp_errors",
     "aligned_iou",
     "match_by_center_distance",
-    "average_precision_center_distance",
     "average_precision_frames",
     "mean_average_precision",
     "nds",
@@ -131,26 +130,6 @@ def _ap_from_flags(scores: np.ndarray, is_tp: np.ndarray, n_gt: int) -> float:
     r = np.concatenate([[0.0], recall])
     p = np.concatenate([[envelope[0]], envelope])
     return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
-
-
-def average_precision_center_distance(
-    preds: Sequence[tuple[np.ndarray, float]],
-    gts: Sequence[np.ndarray],
-    threshold: float,
-) -> float | None:
-    """AP of scored planar centers against ground-truth centers.
-
-    Returns None when there are no ground truths (AP undefined) and 0.0
-    when there are ground truths but no predictions.
-    """
-    if len(gts) == 0:
-        return None
-    if len(preds) == 0:
-        return 0.0
-    centers = np.array([c for c, _ in preds], dtype=np.float64)
-    scores = np.array([s for _, s in preds], dtype=np.float64)
-    _, is_tp = match_by_center_distance(centers, scores, np.array(gts), threshold)
-    return _ap_from_flags(scores, is_tp, len(gts))
 
 
 def average_precision_frames(

@@ -16,6 +16,10 @@ Detections mirror it with polar boxes [r, sin_a, cos_a, z, l, w, h,
 sin_t, cos_t], a score, a class-probability vector and velocity
 [v_rad, v_tan].  Floats are emitted with 17 significant digits, which
 round-trips float64 exactly and keeps outputs byte-stable.
+
+A track file (``polarview track --out``) is a detections file whose
+records also carry ``"track_id"`` and which has a top-level ``"summary"``
+object; the loaders ignore both keys, so it loads as detections.
 """
 
 from __future__ import annotations
@@ -166,7 +170,9 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _check_version(d: dict) -> None:
+def _check_version(d: Any) -> None:
+    if not isinstance(d, dict):
+        raise ValueError("expected a JSON object at the top level")
     version = d.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")

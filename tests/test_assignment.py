@@ -80,6 +80,11 @@ class TestClassCost:
         with pytest.raises(ValueError):
             class_cost(np.array([1.5, 0.0]), 0)
 
+    @pytest.mark.parametrize("gt_class", [-1, 3])
+    def test_rejects_class_outside_probs(self, gt_class):
+        with pytest.raises(ValueError):
+            class_cost(np.array([0.2, 0.3, 0.5]), gt_class)
+
     def test_focal_form_prefers_confident_correct(self):
         confident = class_cost(np.array([0.9, 0.1]), 0, form="focal")
         unsure = class_cost(np.array([0.2, 0.8]), 0, form="focal")

@@ -193,20 +193,97 @@ class TestEvalRegionFilter:
         assert report(extra_path) != report(dets_path)  # the circle keeps it, and it counts
 
 
+@pytest.fixture
+def tracked(capsys, tmp_path):
+    """A noisy scene, its detections and the track file made from them."""
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("scene", "dets", "tracks")}
+    run(capsys, "simulate", "--objects", "6", "--frames", "5", "--seed", "4",
+        "--speed-max", "2.0", "--out", paths["scene"])
+    run(capsys, "render", "--scene", paths["scene"], "--radial-std", "0.3", "--drop-prob", "0.2",
+        "--fp-rate", "2", "--seed", "3", "--out", paths["dets"])
+    code, _, _ = run(capsys, "track", "--detections", paths["dets"], "--scene", paths["scene"],
+                     "--out", paths["tracks"])
+    assert code == 0
+    return paths
+
+
 class TestEvalOnTracks:
-    def test_track_output_is_valid_eval_input(self, capsys, tmp_path):
-        scene_path = str(tmp_path / "scene.json")
-        dets_path = str(tmp_path / "dets.json")
-        tracks_path = str(tmp_path / "tracks.json")
-        run(capsys, "simulate", "--objects", "3", "--frames", "5", "--seed", "4",
-            "--speed-max", "2.0", "--out", scene_path)
-        run(capsys, "render", "--scene", scene_path, "--out", dets_path)
-        run(capsys, "track", "--detections", dets_path, "--out", tracks_path)
-        code, out, _ = run(capsys, "eval", "--scene", scene_path, "--detections", tracks_path)
+    def test_track_output_is_valid_eval_input(self, capsys, tracked):
+        def report(path, *flags):
+            code, out, _ = run(capsys, "eval", "--scene", tracked["scene"], "--detections", path, *flags)
+            assert code == 0
+            return out
+
+        assert report(tracked["tracks"]) == report(tracked["dets"])
+        csv_rect = ("--format", "csv", "--range-mode", "rectangular")
+        assert report(tracked["tracks"], *csv_rect) == report(tracked["dets"], *csv_rect)
+
+    def test_rejects_unknown_schema_version(self, capsys, tracked, tmp_path):
+        with open(tracked["tracks"]) as fh:
+            tracks = json.load(fh)
+        tracks["schema_version"] = 99
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(tracks))
+        code, _, err = run(capsys, "eval", "--scene", tracked["scene"], "--detections", str(bad))
+        assert code == 1
+        assert "schema_version" in err
+
+
+class TestTrackFileIsDetections:
+    def test_records_are_source_records_plus_track_id(self, tracked):
+        with open(tracked["dets"]) as fh:
+            dets = json.load(fh)
+        with open(tracked["tracks"]) as fh:
+            tracks = json.load(fh)
+        stripped = [
+            {"t": f["t"], "detections": [{k: v for k, v in d.items() if k != "track_id"}
+                                         for d in f["detections"]]}
+            for f in tracks["frames"]
+        ]
+        assert stripped == dets["frames"]
+
+    def test_track_on_own_output_is_byte_identical(self, capsys, tracked, tmp_path):
+        again = str(tmp_path / "again.json")
+        code, _, _ = run(capsys, "track", "--detections", tracked["tracks"], "--scene",
+                         tracked["scene"], "--out", again)
         assert code == 0
-        report = json.loads(out)
-        assert report["map"] == pytest.approx(1.0)
-        assert report["tp_errors"]["ate"] == pytest.approx(0.0, abs=1e-12)
+        assert open(again, "rb").read() == open(tracked["tracks"], "rb").read()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("document", ["[]", '"x"'], ids=["list", "string"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("assign", "--scene", "{bad}", "--detections", "{dets}"),
+            ("assign", "--scene", "{scene}", "--detections", "{bad}"),
+            ("track", "--detections", "{bad}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+        ],
+        ids=["render-scene", "assign-scene", "assign-detections", "track-detections",
+             "eval-detections"],
+    )
+    def test_non_object_document_exits_one(self, capsys, tracked, tmp_path, argv, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("past_last", [False, True], ids=["negative", "past-last"])
+    def test_assign_rejects_class_outside_probs(self, capsys, tracked, tmp_path, past_last):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        with open(tracked["dets"]) as fh:
+            n_classes = len(json.load(fh)["frames"][0]["detections"][0]["probs"])
+        scene["frames"][0]["objects"][0]["class"] = n_classes if past_last else -1
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(scene))
+        code, _, err = run(capsys, "assign", "--scene", str(bad), "--detections", tracked["dets"])
+        assert code == 1
+        assert len(err.splitlines()) == 1
 
 
 class TestTrackHungarianFlag:

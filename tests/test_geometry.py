@@ -75,6 +75,18 @@ class TestDecode:
         np.testing.assert_allclose(out[:, 7] ** 2 + out[:, 8] ** 2, 1.0, atol=1e-12)
         assert (out[:, 4:7] > 0.0).all()
 
+    def test_batch_sigmoid_saturates_exactly(self):
+        grid = [-800.0, -0.0, 0.0, 800.0]
+        enc = np.array([[b_r, 0, 1, b_z, 0, 0, 0, 0, 1] for b_r in grid for b_z in grid])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_boxes(enc, RC)
+        r = [0.0, RC.r_max / 2, RC.r_max / 2, RC.r_max]
+        mid_z = (RC.z_min + RC.z_max) / 2
+        z = [RC.z_min, mid_z, mid_z, RC.z_max]
+        assert out[:, 0].tolist() == [v for v in r for _ in grid]  # b_r varies slowest
+        assert out[:, 3].tolist() == z * len(grid)
+
     @pytest.mark.parametrize(
         "enc",
         [

@@ -7,7 +7,6 @@ from _published import TEST_ROWS, VAL_ROWS
 from polarview.geometry import PolarBox, PolarVelocity
 from polarview.metrics import (
     aligned_iou,
-    average_precision_center_distance,
     average_precision_frames,
     match_by_center_distance,
     mean_average_precision,
@@ -72,14 +71,14 @@ class TestAveragePrecision:
     def test_perfect_detections(self):
         gts = [np.array([0.0, 0.0]), np.array([10.0, 0.0])]
         preds = [(np.array([0.1, 0.0]), 1.0), (np.array([10.1, 0.0]), 1.0)]
-        assert average_precision_center_distance(preds, gts, 2.0) == pytest.approx(1.0)
+        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(1.0)
 
     def test_no_detections(self):
         gts = [np.array([0.0, 0.0])]
-        assert average_precision_center_distance([], gts, 2.0) == 0.0
+        assert average_precision_frames([[]], [gts], 2.0) == 0.0
 
     def test_no_ground_truth_undefined(self):
-        assert average_precision_center_distance([(np.array([0.0, 0.0]), 1.0)], [], 2.0) is None
+        assert average_precision_frames([[(np.array([0.0, 0.0]), 1.0)]], [[]], 2.0) is None
 
     def test_top_score_false_positive_hand_enumeration(self):
         # FP at rank 1, then two TPs: precisions (0, 1/2, 2/3), recalls (0, 1/2, 1);
@@ -90,7 +89,7 @@ class TestAveragePrecision:
             (np.array([0.1, 0.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_center_distance(preds, gts, 2.0) == pytest.approx(2.0 / 3.0)
+        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_mid_rank_false_positive_hand_enumeration(self):
         # TP, FP, TP: precisions (1, 1/2, 2/3), recalls (1/2, 1/2, 1);
@@ -101,7 +100,7 @@ class TestAveragePrecision:
             (np.array([50.0, 50.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_center_distance(preds, gts, 2.0) == pytest.approx(5.0 / 6.0)
+        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(5.0 / 6.0)
 
     def test_each_gt_matched_at_most_once(self):
         gts = [np.array([0.0, 0.0])]
@@ -119,9 +118,9 @@ class TestAveragePrecision:
         rng = np.random.default_rng(62)
         gts = [np.array(c) for c in rng.uniform(-20, 20, size=(6, 2))]
         preds = [(np.array(c), float(s)) for c, s in zip(rng.uniform(-20, 20, size=(10, 2)), rng.uniform(0.1, 1.0, 10))]
-        base = average_precision_center_distance(preds, gts, 3.0)
+        base = average_precision_frames([preds], [gts], 3.0)
         squashed = [(c, s**3 / 2) for c, s in preds]
-        assert average_precision_center_distance(squashed, gts, 3.0) == pytest.approx(base)
+        assert average_precision_frames([squashed], [gts], 3.0) == pytest.approx(base)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(63)
@@ -134,7 +133,7 @@ class TestAveragePrecision:
                     rng.uniform(0, 1, 8),
                 )
             ]
-            ap = average_precision_center_distance(preds, gts, 2.0)
+            ap = average_precision_frames([preds], [gts], 2.0)
             assert 0.0 <= ap <= 1.0
 
     def test_multi_frame_pooling(self):
