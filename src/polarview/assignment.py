@@ -79,40 +79,49 @@ def filter_perception_range(
     return kept, dropped
 
 
-def box_cost(pred: PolarBox, gt: PolarBox, k_scaling: float) -> float:
-    """Radial + scaled-azimuth L1 distance between two polar boxes."""
-    return abs(pred.r - gt.r) + k_scaling * (
-        abs(pred.sin_a - gt.sin_a) + abs(pred.cos_a - gt.cos_a)
-    )
+def box_cost(pred: np.ndarray, gt: np.ndarray, k_scaling: float) -> np.ndarray:
+    """Radial + scaled-azimuth L1 distance between polar boxes.
+
+    The last axis holds boxes in ``geometry.POLAR_FIELDS`` order (only r,
+    sin_a and cos_a are read); leading axes broadcast, so (N, 9)
+    predictions against (M, 1, 9) ground truths give the (M, N) matrix.
+    """
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    d = np.abs(pred[..., :3] - gt[..., :3])
+    return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
 
 
 def class_cost(
     pred_class_probs: np.ndarray,
-    gt_class: int,
+    gt_class,
     form: str = "negative_prob",
     gamma: float = 2.0,
     alpha_f: float = 0.25,
-) -> float:
+) -> np.ndarray:
     """Class term of the matching cost.
 
+    Probabilities lie along the last axis; their leading axes broadcast
+    with the integer ``gt_class`` ids like :func:`box_cost`'s, so (N, C)
+    probabilities against (M, 1) classes give the (M, N) matrix.
     ``negative_prob`` (default) is -p_hat(gt_class); ``focal`` is the
     focal-style variant (positive minus negative focal weight at the
     predicted probability).
     """
-    probs = np.asarray(pred_class_probs, dtype=np.float64)
-    if ((probs < 0.0) | (probs > 1.0)).any() or not np.isfinite(probs).all():
+    probs, classes = np.asarray(pred_class_probs, dtype=np.float64), np.asarray(gt_class)
+    if form not in ("negative_prob", "focal"):
+        raise ValueError(f"class_cost: unknown form {form!r}")
+    if not np.isfinite(probs).all() or ((probs < 0.0) | (probs > 1.0)).any():
         raise ValueError("class_cost: probabilities must lie in [0, 1]")
-    if not 0 <= gt_class < len(probs):
-        raise ValueError(f"class_cost: class {gt_class} outside the {len(probs)} probabilities")
-    p = float(probs[gt_class])
+    c = probs.shape[-1] if probs.ndim else 0  # a scalar holds no class axis
+    if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= c)).any():
+        raise ValueError(f"class_cost: class ids must be integers in [0, {c})")
+    p = np.where(np.arange(c) == classes[..., None], probs, 0.0).sum(axis=-1)  # p_hat(gt_class)
     if form == "negative_prob":
-        return -p
-    if form == "focal":
-        eps = 1e-8
-        pos = alpha_f * (1.0 - p) ** gamma * (-math.log(p + eps))
-        neg = (1.0 - alpha_f) * p**gamma * (-math.log(1.0 - p + eps))
-        return pos - neg
-    raise ValueError(f"class_cost: unknown form {form!r}")
+        return (-p)[()]
+    eps = 1e-8
+    pos = alpha_f * (1.0 - p) ** gamma * -np.log(p + eps)
+    neg = (1.0 - alpha_f) * p**gamma * -np.log(1.0 - p + eps)
+    return (pos - neg)[()]
 
 
 def build_cost_matrix(
@@ -127,15 +136,11 @@ def build_cost_matrix(
         return np.zeros((m, n))
     gt_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in gts])
     pred_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in preds])
-    dr = np.abs(gt_rsc[:, 0:1] - pred_rsc[None, :, 0])
-    ds = np.abs(gt_rsc[:, 1:2] - pred_rsc[None, :, 1])
-    dc = np.abs(gt_rsc[:, 2:3] - pred_rsc[None, :, 2])
-    costs = dr + k_scaling * (ds + dc)
-    cls = np.empty((m, n))
-    for j, (_, label) in enumerate(gts):
-        for i, (_, probs) in enumerate(preds):
-            cls[j, i] = class_cost(probs, label, form=class_cost_form)
-    return costs + cls
+    probs = np.array([p for _, p in preds], dtype=np.float64)
+    labels = np.array([label for _, label in gts])
+    return box_cost(pred_rsc, gt_rsc[:, None], k_scaling) + class_cost(
+        probs, labels[:, None], form=class_cost_form
+    )
 
 
 @dataclass(frozen=True)

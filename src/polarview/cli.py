@@ -8,7 +8,7 @@ floats are serialized at fixed precision.
 
 Each subcommand accepts ``--config FILE`` with a JSON object whose keys
 mirror the flag names (dashes or underscores); config values override
-flags.
+flags and pass the same type and choice checks.
 """
 
 from __future__ import annotations
@@ -51,19 +51,24 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, then again with the ``--config`` values appended as flags."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
+    extra = []
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in ("config", "func"):
+        if not hasattr(args, attr) or attr in ("command", "config", "func"):
             raise ValueError(f"--config: unknown key {key!r}")
-        setattr(args, attr, value)
-    return args
+        if value is None:
+            raise ValueError(f"--config: key {key!r} is null")
+        extra.append(f"--{attr.replace('_', '-')}={value}")
+    return parser.parse_args(argv + extra)  # a flag's last value wins, so config overrides
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +90,7 @@ def _cmd_simulate(args) -> int:
         ego_yaw_rate=args.ego_yaw_rate,
         seed=args.seed,
     )
-    rig = make_symmetric_rig(args.cameras) if args.cameras >= 2 else None
-    scene = generate_scene(config, rig=rig)
+    scene = generate_scene(config, rig=make_symmetric_rig(args.cameras))
     serialization.save_scene(scene, args.out)
     return 0
 
@@ -126,9 +130,7 @@ def _cmd_assign(args) -> int:
     region = _region_from_args(args)
     frames_out = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        objects = list(frame_gt.objects)
-        if region is not None:
-            objects = [o for o in objects if region.contains(o.box.x, o.box.y)]
+        objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
         gts = [(cartesian_to_polar(o.box), o.label) for o in objects]
         preds = [(d.box, d.probs) for d in frame_det.detections]
         costs = assignment.build_cost_matrix(
@@ -146,7 +148,9 @@ def _cmd_assign(args) -> int:
                     "class_cost": assignment.class_cost(
                         preds[i][1], gts[j][1], form=args.class_cost
                     ),
-                    "box_cost": assignment.box_cost(preds[i][0], gts[j][0], args.k_scaling),
+                    "box_cost": assignment.box_cost(
+                        preds[i][0].as_array(), gts[j][0].as_array(), args.k_scaling
+                    ),
                 }
             )
         frames_out.append(
@@ -194,9 +198,7 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
     frame_gts = []
     tp_pairs = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        objects = list(frame_gt.objects)
-        if region is not None:
-            objects = [o for o in objects if region.contains(o.box.x, o.box.y)]
+        objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
         gt_centers = [np.array([o.box.x, o.box.y]) for o in objects]
         kept_dets = [
             d
@@ -447,9 +449,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -37,6 +37,7 @@ __all__ = [
     "decode_boxes",
     "encode_polar_box",
     "encode_boxes",
+    "planar_distances",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "velocity_cartesian_to_polar",
@@ -49,9 +50,6 @@ __all__ = [
 #: Field order shared by array representations of boxes and encodings.
 POLAR_FIELDS = ("r", "sin_a", "cos_a", "z", "l", "w", "h", "sin_t", "cos_t")
 ENCODING_FIELDS = tuple("b_" + f for f in POLAR_FIELDS)
-
-#: Bound on sigmoid pre-images in lenient encoding mode.
-SIGMOID_CLAMP = 15.0
 
 _PAIR_TOL = 1e-9
 
@@ -67,10 +65,6 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -315,49 +309,14 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
     out = np.empty_like(enc)
     out[:, 0] = _sigmoid_array(enc[:, 0]) * rc.r_max
     out[:, 3] = _sigmoid_array(enc[:, 3]) * (rc.z_max - rc.z_min) + rc.z_min
-    out[:, 1] = enc[:, 1] / na
-    out[:, 2] = enc[:, 2] / na
+    out[:, 1:3] = enc[:, 1:3] / na[:, None]
     with np.errstate(over="ignore"):
         sizes = np.exp(enc[:, 4:7])
     if not (np.isfinite(sizes) & (sizes > 0.0)).all():
         raise ValueError(_SIZE_ERROR)
     out[:, 4:7] = sizes
-    out[:, 7] = enc[:, 7] / nt
-    out[:, 8] = enc[:, 8] / nt
+    out[:, 7:9] = enc[:, 7:9] / nt[:, None]
     return out
-
-
-def _pre_image(value: float, lo: float, hi: float, name: str, lenient: bool) -> float:
-    if lenient:
-        if value <= lo:
-            return -SIGMOID_CLAMP
-        if value >= hi:
-            return SIGMOID_CLAMP
-        return min(max(_logit((value - lo) / (hi - lo)), -SIGMOID_CLAMP), SIGMOID_CLAMP)
-    if not (lo < value < hi):
-        raise RangeError(f"{name}={value} outside open interval ({lo}, {hi})")
-    return _logit((value - lo) / (hi - lo))
-
-
-def encode_polar_box(box: PolarBox, range_config: RangeConfig, lenient: bool = False) -> BoxEncoding:
-    """Invert :func:`decode_box_encoding` on the open range interior.
-
-    Boundary or exterior r/z raise :class:`RangeError`; with
-    ``lenient=True`` the sigmoid pre-images are clamped to +-15 instead
-    (fixture generation only — clamping silently hides range errors).
-    """
-    rc = range_config
-    return BoxEncoding(
-        b_r=_pre_image(box.r, 0.0, rc.r_max, "r", lenient),
-        b_sin_a=box.sin_a,
-        b_cos_a=box.cos_a,
-        b_z=_pre_image(box.z, rc.z_min, rc.z_max, "z", lenient),
-        b_l=math.log(box.l),
-        b_w=math.log(box.w),
-        b_h=math.log(box.h),
-        b_sin_t=box.sin_t,
-        b_cos_t=box.cos_t,
-    )
 
 
 def encode_boxes(boxes: np.ndarray, range_config: RangeConfig) -> np.ndarray:
@@ -370,15 +329,24 @@ def encode_boxes(boxes: np.ndarray, range_config: RangeConfig) -> np.ndarray:
     p_z = (boxes[:, 3] - rc.z_min) / (rc.z_max - rc.z_min)
     if ((p_r <= 0.0) | (p_r >= 1.0)).any() or ((p_z <= 0.0) | (p_z >= 1.0)).any():
         raise RangeError("r or z on/outside the open perception range")
-    out = np.empty_like(boxes)
+    out = boxes.copy()  # the angle pairs pass through
     out[:, 0] = np.log(p_r / (1.0 - p_r))
     out[:, 3] = np.log(p_z / (1.0 - p_z))
-    out[:, 1] = boxes[:, 1]
-    out[:, 2] = boxes[:, 2]
     out[:, 4:7] = np.log(boxes[:, 4:7])
-    out[:, 7] = boxes[:, 7]
-    out[:, 8] = boxes[:, 8]
     return out
+
+
+def encode_polar_box(box: PolarBox, range_config: RangeConfig) -> BoxEncoding:
+    """Invert :func:`decode_box_encoding`: one row of :func:`encode_boxes`.
+
+    Boundary or exterior r/z raise :class:`RangeError`.
+    """
+    return BoxEncoding.from_array(encode_boxes(box.as_array()[None], range_config)[0])
+
+
+def planar_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``."""
+    return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
 
 
 def cartesian_to_polar(box: CartesianBox) -> PolarBox:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PolarBox, PolarVelocity, velocity_polar_to_cartesian, wrap_angle
+from .geometry import PolarBox, PolarVelocity, planar_distances, velocity_polar_to_cartesian, wrap_angle
 
 __all__ = [
     "TPErrors",
@@ -100,22 +100,19 @@ def match_by_center_distance(
     """
     pred_centers = np.asarray(pred_centers, dtype=np.float64).reshape(-1, 2)
     gt_centers = np.asarray(gt_centers, dtype=np.float64).reshape(-1, 2)
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    taken = np.zeros(len(gt_centers), dtype=bool)
     is_tp = np.zeros(len(pred_centers), dtype=bool)
     matches = []
-    for pi in order:
-        if not len(gt_centers):
-            break
-        d = np.hypot(
-            gt_centers[:, 0] - pred_centers[pi, 0], gt_centers[:, 1] - pred_centers[pi, 1]
-        )
-        d[taken] = np.inf
+    if not len(gt_centers):
+        return matches, is_tp
+    dist = planar_distances(pred_centers, gt_centers)
+    taken = np.zeros(len(gt_centers), dtype=bool)
+    for pi in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist():
+        d = np.where(taken, np.inf, dist[pi])
         gi = int(np.argmin(d))
         if d[gi] <= threshold:
             taken[gi] = True
             is_tp[pi] = True
-            matches.append((int(pi), gi))
+            matches.append((pi, gi))
     return matches, is_tp
 
 

@@ -178,6 +178,12 @@ def _check_version(d: Any) -> None:
         raise ValueError(f"unsupported schema_version {version!r}")
 
 
+def _json_int(value: Any, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def scene_from_dict(d: dict) -> Scene:
     _check_version(d)
     rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
@@ -185,8 +191,8 @@ def scene_from_dict(d: dict) -> Scene:
     for fd in d["frames"]:
         objects = tuple(
             SceneObject(
-                object_id=int(od["id"]),
-                label=int(od["class"]),
+                object_id=_json_int(od["id"], "object id"),
+                label=_json_int(od["class"], "object class"),
                 box=CartesianBox(*[float(v) for v in od["box"]]),
                 velocity=CartesianVelocity(*[float(v) for v in od["velocity"]]),
             )

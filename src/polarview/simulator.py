@@ -88,7 +88,9 @@ class Detection:
     score: float
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or not probs.size:
+            raise ValueError("Detection: probs must be a non-empty 1-D vector")
         if not np.isfinite(probs).all() or ((probs < 0.0) | (probs > 1.0)).any():
             raise ValueError("Detection: probs must lie in [0, 1]")
         if not (np.isfinite(self.score) and 0.0 <= self.score <= 1.0):
@@ -110,6 +112,11 @@ class DetectionFrame:
 @dataclass(frozen=True)
 class DetectionSet:
     frames: tuple[DetectionFrame, ...]
+
+    def __post_init__(self) -> None:
+        sizes = {d.probs.size for f in self.frames for d in f.detections}
+        if len(sizes) > 1:
+            raise ValueError(f"DetectionSet: probs lengths differ: {sorted(sizes)}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import hungarian
-from .geometry import PolarBox, PolarVelocity, velocity_polar_to_cartesian
+from .geometry import PolarBox, PolarVelocity, planar_distances, velocity_polar_to_cartesian
 from .simulator import Detection, DetectionSet, Scene
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
     "run_tracker",
     "count_id_switches",
 ]
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``."""
-    return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
 
 
 def _greedy_match(dist: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
@@ -104,8 +99,7 @@ class TrackerConfig:
 class TrackerState:
     config: TrackerConfig = field(default_factory=TrackerConfig)
     tracks: list[Track] = field(default_factory=list)
-    next_id: int = 0
-    created: int = 0
+    created: int = 0  # tracks spawned so far; also the next track id
 
 
 def match_tracks(
@@ -122,7 +116,7 @@ def match_tracks(
 
     det_centers = np.array([back_project(d.box, d.velocity, dt) for d in detections])
     trk_centers = np.array([t.center() for t in state.tracks])
-    dist = _pairwise_distances(det_centers, trk_centers)
+    dist = planar_distances(det_centers, trk_centers)
     det_labels = np.array([d.label for d in detections])
     trk_labels = np.array([t.label for t in state.tracks])
     threshold = state.config.distance_threshold
@@ -175,13 +169,12 @@ def step(state: TrackerState, detections: tuple[Detection, ...], dt: float) -> l
     for di in unmatched_d:
         det = detections[di]
         track = Track(
-            track_id=state.next_id,
+            track_id=state.created,
             box=det.box,
             velocity=det.velocity,
             label=det.label,
             score=det.score,
         )
-        state.next_id += 1
         state.created += 1
         state.tracks.append(track)
         assigned[di] = track.track_id
@@ -226,7 +219,7 @@ def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: 
             continue
         det_centers = np.array([det.box.center_xy() for _, det in frame_out])
         gt_centers = np.array([[o.box.x, o.box.y] for o in frame_gt.objects])
-        dist = _pairwise_distances(det_centers, gt_centers)
+        dist = planar_distances(det_centers, gt_centers)
         det_labels = np.array([det.label for _, det in frame_out])
         gt_labels = np.array([o.label for o in frame_gt.objects])
         allowed = (dist <= max_match_distance) & (det_labels[:, None] == gt_labels[None, :])

@@ -26,18 +26,22 @@ def polar(r, azimuth):
     )
 
 
+def random_box(rng):
+    return polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi)).as_array()
+
+
 class TestBoxCost:
     def test_identical_boxes_cost_zero(self):
-        b = polar(10.0, 0.3)
+        b = polar(10.0, 0.3).as_array()
         assert box_cost(b, b, 20.0) == 0.0
 
     def test_hand_evaluation(self):
         # pred r=10 at azimuth 0; gt r=12 with sin=0.1 (cos = sqrt(0.99))
-        pred = polar(10.0, 0.0)
+        pred = polar(10.0, 0.0).as_array()
         gt = PolarBox(
             r=12.0, sin_a=0.1, cos_a=math.sqrt(0.99),
             z=0.0, l=4.0, w=2.0, h=1.5, sin_t=0.0, cos_t=1.0,
-        )
+        ).as_array()
         expected = 2.0 + 20.0 * (0.1 + (1.0 - math.sqrt(0.99)))
         assert box_cost(pred, gt, 20.0) == pytest.approx(expected, abs=1e-12)
         assert box_cost(pred, gt, 20.0) == pytest.approx(4.100, abs=1e-3)
@@ -46,24 +50,33 @@ class TestBoxCost:
         pred = polar(10.0, 0.0)
         gt = polar(12.0, 0.2)
         azimuth_l1 = abs(pred.sin_a - gt.sin_a) + abs(pred.cos_a - gt.cos_a)
-        c1 = box_cost(pred, gt, 1.0)
-        c20 = box_cost(pred, gt, 20.0)
+        c1 = box_cost(pred.as_array(), gt.as_array(), 1.0)
+        c20 = box_cost(pred.as_array(), gt.as_array(), 20.0)
         assert c20 - c1 == pytest.approx(19.0 * azimuth_l1, abs=1e-12)
         assert c1 - azimuth_l1 == pytest.approx(2.0)  # radial term unchanged
 
     def test_pseudometric_properties(self):
         rng = np.random.default_rng(31)
-        boxes = [polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi)) for _ in range(20)]
+        boxes = [random_box(rng) for _ in range(20)]
         for a in boxes:
             assert box_cost(a, a, 20.0) == 0.0
         for a in boxes[:8]:
             for b in boxes[8:16]:
                 assert box_cost(a, b, 20.0) == pytest.approx(box_cost(b, a, 20.0))
                 for c in boxes[16:]:
-                    assert (
-                        box_cost(a, c, 20.0)
-                        <= box_cost(a, b, 20.0) + box_cost(b, c, 20.0) + 1e-12
-                    )
+                    assert box_cost(a, c, 20.0) <= box_cost(a, b, 20.0) + box_cost(b, c, 20.0) + 1e-12
+
+    def test_broadcast_matrix_equals_pair_loop(self):
+        rng = np.random.default_rng(37)
+        preds = np.stack([random_box(rng) for _ in range(7)])
+        gts = np.stack([random_box(rng) for _ in range(4)])
+        matrix = box_cost(preds, gts[:, None], 20.0)
+        assert matrix.shape == (4, 7)
+        for j, gt in enumerate(gts):
+            for i, pred in enumerate(preds):
+                one = box_cost(pred, gt, 20.0)
+                assert np.shape(one) == ()
+                assert matrix[j, i] == one
 
 
 class TestClassCost:
@@ -84,6 +97,28 @@ class TestClassCost:
     def test_rejects_class_outside_probs(self, gt_class):
         with pytest.raises(ValueError):
             class_cost(np.array([0.2, 0.3, 0.5]), gt_class)
+
+    @pytest.mark.parametrize("gt_class", [1.0, 1.5, True, "1"])
+    def test_rejects_non_integer_class(self, gt_class):
+        with pytest.raises(ValueError):
+            class_cost(np.array([0.2, 0.3, 0.5]), gt_class)
+
+    def test_rejects_scalar_probs(self):
+        with pytest.raises(ValueError):
+            class_cost(0.5, 0)
+
+    @pytest.mark.parametrize("form", ["negative_prob", "focal"])
+    def test_broadcast_matrix_equals_pair_loop(self, form):
+        rng = np.random.default_rng(38)
+        probs = rng.dirichlet(np.ones(5), size=6)
+        labels = rng.integers(0, 5, size=3)
+        matrix = class_cost(probs, labels[:, None], form=form)
+        assert matrix.shape == (3, 6)
+        for j, label in enumerate(labels.tolist()):
+            for i, p in enumerate(probs):
+                one = class_cost(p, label, form=form)
+                assert np.shape(one) == ()
+                assert matrix[j, i] == one
 
     def test_focal_form_prefers_confident_correct(self):
         confident = class_cost(np.array([0.9, 0.1]), 0, form="focal")
@@ -136,17 +171,21 @@ class TestCostMatrix:
 
     def test_entries_match_independent_recomputation(self):
         rng = np.random.default_rng(33)
-        preds = []
-        gts = []
-        for _ in range(3):
-            probs = rng.dirichlet(np.ones(4))
-            preds.append((polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi)), probs))
-            gts.append((polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi)), int(rng.integers(0, 4))))
-        costs = build_cost_matrix(preds, gts, 20.0)
-        for j, (gt_box, gt_label) in enumerate(gts):
-            for i, (pred_box, probs) in enumerate(preds):
-                expected = -probs[gt_label] + box_cost(pred_box, gt_box, 20.0)
-                assert costs[j, i] == pytest.approx(expected, rel=1e-14)
+        preds = [(PolarBox.from_array(random_box(rng)), rng.dirichlet(np.ones(4))) for _ in range(5)]
+        gts = [(PolarBox.from_array(random_box(rng)), int(rng.integers(0, 4))) for _ in range(3)]
+        for form in ("negative_prob", "focal"):
+            costs = build_cost_matrix(preds, gts, 20.0, class_cost_form=form)
+            assert costs.shape == (3, 5)
+            for j, (g, label) in enumerate(gts):
+                for i, (b, probs) in enumerate(preds):
+                    p = float(probs[label])
+                    cls = -p
+                    if form == "focal":
+                        cls = 0.25 * (1 - p) ** 2 * -math.log(p + 1e-8) - 0.75 * p**2 * -math.log(
+                            1 - p + 1e-8
+                        )
+                    box = abs(b.r - g.r) + 20.0 * (abs(b.sin_a - g.sin_a) + abs(b.cos_a - g.cos_a))
+                    assert costs[j, i] == pytest.approx(cls + box, rel=1e-14)
 
 
 class TestHungarian:

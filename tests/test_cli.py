@@ -165,6 +165,34 @@ class TestPipeline:
         assert code == 1
         assert "bogus_key" in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"format": "xml"}, {"range_mode": "square"}, {"thresholds": [0.5, 1]}, {"out": None}],
+        ids=["format-choice", "range-mode-choice", "thresholds-list", "null"],
+    )
+    def test_config_values_are_checked_like_flags(self, capsys, tmp_path, overrides):
+        scene_path = str(tmp_path / "scene.json")
+        dets_path = str(tmp_path / "dets.json")
+        run(capsys, "simulate", "--objects", "2", "--frames", "2", "--seed", "1", "--out", scene_path)
+        run(capsys, "render", "--scene", scene_path, "--out", dets_path)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(overrides))
+        code, out, err = run(
+            capsys, "eval", "--scene", scene_path, "--detections", dets_path,
+            "--config", str(config_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cameras", ["1", "0", "-4"])
+    def test_simulate_rejects_fewer_than_two_cameras(self, capsys, tmp_path, cameras):
+        out = tmp_path / "scene.json"
+        code, _, err = run(capsys, "simulate", "--cameras", cameras, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestEvalRegionFilter:
     def test_detection_outside_rectangle_changes_nothing(self, capsys, tmp_path):
@@ -282,6 +310,52 @@ class TestMalformedInput:
         bad = tmp_path / "scene.json"
         bad.write_text(json.dumps(scene))
         code, _, err = run(capsys, "assign", "--scene", str(bad), "--detections", tracked["dets"])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("assign", "--scene", "{scene}", "--detections", "{bad}"),
+            ("track", "--detections", "{bad}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+        ],
+        ids=["assign", "track", "eval"],
+    )
+    @pytest.mark.parametrize("probs", ["empty", "nested", "ragged"])
+    def test_rejects_malformed_probs(self, capsys, tracked, tmp_path, argv, probs):
+        with open(tracked["dets"]) as fh:
+            dets = json.load(fh)
+        record = dets["frames"][-1]["detections"][-1]
+        record["probs"] = {"empty": [], "nested": [record["probs"]],
+                           "ragged": record["probs"] + [0.0]}[probs]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dets))
+        code, _, err = run(capsys, *[a.format(bad=str(bad), **tracked) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("assign", "--scene", "{bad}", "--detections", "{dets}"),
+            ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+        ],
+        ids=["render", "assign", "eval"],
+    )
+    @pytest.mark.parametrize(
+        "key, value", [("class", 1.7), ("id", 0.5), ("class", "2")],
+        ids=["float-class", "float-id", "string-class"],
+    )
+    def test_rejects_non_integer_scene_ids(self, capsys, tracked, tmp_path, argv, key, value):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        scene["frames"][0]["objects"][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
         assert code == 1
         assert len(err.splitlines()) == 1
 

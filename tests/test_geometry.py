@@ -17,6 +17,7 @@ from polarview.geometry import (
     decode_boxes,
     encode_boxes,
     encode_polar_box,
+    planar_distances,
     polar_to_cartesian,
     velocity_cartesian_to_polar,
     velocity_polar_to_cartesian,
@@ -135,12 +136,6 @@ class TestEncode:
         with pytest.raises(RangeError):
             encode_polar_box(box, RC)
 
-    def test_lenient_clamps_to_pm15(self):
-        box = PolarBox(RC.r_max, 0.0, 1.0, RC.z_min, 1.0, 1.0, 1.0, 0.0, 1.0)
-        enc = encode_polar_box(box, RC, lenient=True)
-        assert enc.b_r == 15.0
-        assert enc.b_z == -15.0
-
     def test_roundtrip_is_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -164,6 +159,21 @@ class TestEncode:
         rec = decode_boxes(encode_boxes(boxes, RC), RC)
         rel = np.abs(rec - boxes) / np.maximum(np.abs(boxes), 1e-300)
         assert rel.max() < 1e-9
+
+
+class TestPlanarDistances:
+    def test_planar_distances_are_hypot(self):
+        rng = np.random.default_rng(71)
+        a = rng.normal(0, 10, size=(40, 2))
+        b = rng.normal(0, 10, size=(31, 2))
+        out = planar_distances(a, b)
+        ref = [[math.hypot(p[0] - q[0], p[1] - q[1]) for q in b] for p in a]
+        assert out.shape == (40, 31) and out.min() >= 0.0
+        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
+
+    def test_empty_sides(self):
+        assert planar_distances(np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
+        assert planar_distances(np.ones((2, 2)), np.zeros((0, 2))).shape == (2, 0)
 
 
 class TestCartesianPolar:

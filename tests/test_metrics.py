@@ -151,6 +151,43 @@ class TestAveragePrecision:
         assert m == pytest.approx(3.0 / 4.0)
 
 
+def reference_center_matching(pred_centers, scores, gt_centers, threshold):
+    """The per-prediction loop: each prediction measures every ground truth anew."""
+    order = np.argsort(-scores, kind="stable")
+    taken = np.zeros(len(gt_centers), dtype=bool)
+    is_tp = np.zeros(len(pred_centers), dtype=bool)
+    matches = []
+    for pi in order:
+        d = np.hypot(gt_centers[:, 0] - pred_centers[pi, 0], gt_centers[:, 1] - pred_centers[pi, 1])
+        d[taken] = np.inf
+        gi = int(np.argmin(d))
+        if d[gi] <= threshold:
+            taken[gi] = True
+            is_tp[pi] = True
+            matches.append((int(pi), gi))
+    return matches, is_tp
+
+
+class TestCenterDistanceMatching:
+    def test_matches_reference_loop_under_ties(self):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            n_pred, n_gt = rng.integers(1, 9, size=2)
+            # integer grids and few score values: exact distance and score ties
+            preds = rng.integers(-3, 4, size=(n_pred, 2)).astype(np.float64)
+            gts = rng.integers(-3, 4, size=(n_gt, 2)).astype(np.float64)
+            scores = rng.integers(1, 4, size=n_pred) / 4.0
+            threshold = float(rng.choice([0.0, 1.0, 1.5, 3.0]))
+            matches, is_tp = match_by_center_distance(preds, scores, gts, threshold)
+            ref_matches, ref_tp = reference_center_matching(preds, scores, gts, threshold)
+            assert matches == ref_matches
+            assert is_tp.tolist() == ref_tp.tolist()
+
+    def test_no_ground_truth(self):
+        matches, is_tp = match_by_center_distance(np.ones((3, 2)), np.ones(3), np.zeros((0, 2)), 2.0)
+        assert matches == [] and is_tp.tolist() == [False] * 3
+
+
 class TestNds:
     def test_published_rows_reproduce(self):
         for row in VAL_ROWS + TEST_ROWS:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from polarview.camera import make_symmetric_rig, project_rig
-from polarview.geometry import cartesian_to_polar, velocity_cartesian_to_polar
+from polarview.geometry import (
+    PolarBox,
+    PolarVelocity,
+    cartesian_to_polar,
+    velocity_cartesian_to_polar,
+)
 from polarview.serialization import dumps_json, scene_to_dict
 from polarview.simulator import (
+    Detection,
+    DetectionFrame,
+    DetectionSet,
     NoiseModel,
     SceneConfig,
     generate_scene,
@@ -187,3 +195,29 @@ class TestRendering:
             NoiseModel(drop_prob=1.5)
         with pytest.raises(ValueError):
             NoiseModel(mode="spherical")
+
+
+class TestDetectionProbs:
+    @staticmethod
+    def detection(probs):
+        box = PolarBox(10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0)
+        return Detection(box=box, probs=probs, velocity=PolarVelocity(0.0, 0.0), score=0.5)
+
+    @pytest.mark.parametrize("probs", [[], [[0.2, 0.8]], 0.5], ids=["empty", "nested", "scalar"])
+    def test_rejects_probs_that_are_not_a_non_empty_vector(self, probs):
+        with pytest.raises(ValueError):
+            self.detection(probs)
+
+    def test_keeps_callers_array_writable(self):
+        probs = np.array([0.2, 0.8])
+        det = self.detection(probs)
+        assert probs.flags.writeable and not det.probs.flags.writeable
+
+    def test_set_rejects_mixed_class_counts(self):
+        frames = (
+            DetectionFrame(t=0.0, detections=(self.detection([0.2, 0.8]),)),
+            DetectionFrame(t=1.0, detections=(self.detection([0.2, 0.3, 0.5]),)),
+        )
+        with pytest.raises(ValueError):
+            DetectionSet(frames=frames)
+        assert len(DetectionSet(frames=frames[:1]).frames) == 1

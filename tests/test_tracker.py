@@ -18,7 +18,6 @@ from polarview.simulator import (
 from polarview.tracker import (
     TrackerConfig,
     _greedy_match,
-    _pairwise_distances,
     TrackerState,
     back_project,
     count_id_switches,
@@ -102,15 +101,6 @@ def reference_greedy(dist, allowed):
 
 
 class TestDistancesAndGreedy:
-    def test_pairwise_distances_are_hypot(self):
-        rng = np.random.default_rng(71)
-        a = rng.normal(0, 10, size=(40, 2))
-        b = rng.normal(0, 10, size=(31, 2))
-        out = _pairwise_distances(a, b)
-        ref = [[math.hypot(p[0] - q[0], p[1] - q[1]) for q in b] for p in a]
-        assert out.shape == (40, 31) and out.min() >= 0.0
-        np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
-
     def test_greedy_matches_reference_loop_under_ties(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
