@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 
@@ -56,8 +55,7 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+    overrides = serialization.read_json(args.config)
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
     extra = []
@@ -138,21 +136,28 @@ def _cmd_assign(args) -> int:
         )
         result = assignment.hungarian(costs)
         pairs = []
-        for j, i in result.pairs:
-            pairs.append(
+        if result.pairs:
+            box_costs = assignment.box_cost(
+                np.array([b.as_array() for b, _ in preds]),
+                np.array([b.as_array() for b, _ in gts])[:, None],
+                args.k_scaling,
+            )
+            class_costs = assignment.class_cost(
+                np.array([p for _, p in preds]),
+                np.array([c for _, c in gts])[:, None],
+                form=args.class_cost,
+            )
+            pairs = [
                 {
                     "gt": j,
                     "gt_id": objects[j].object_id,
                     "pred": i,
                     "cost": float(costs[j, i]),
-                    "class_cost": assignment.class_cost(
-                        preds[i][1], gts[j][1], form=args.class_cost
-                    ),
-                    "box_cost": assignment.box_cost(
-                        preds[i][0].as_array(), gts[j][0].as_array(), args.k_scaling
-                    ),
+                    "class_cost": float(class_costs[j, i]),
+                    "box_cost": float(box_costs[j, i]),
                 }
-            )
+                for j, i in result.pairs
+            ]
         frames_out.append(
             {
                 "t": frame_gt.t,

@@ -25,6 +25,7 @@ object; the loaders ignore both keys, so it loads as detections.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -51,60 +52,105 @@ __all__ = [
     "load_scene",
     "save_detections",
     "load_detections",
+    "read_json",
 ]
 
 SCHEMA_VERSION = 1
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps does for a str
+_CONTAINERS = (dict, list, tuple)
+
+
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
-    x = float(x) + 0.0  # canonicalize -0.0
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # + 0.0 canonicalizes -0.0
+
+
+def _scalar(x: Any) -> str:
+    t = type(x)
+    if t is float:
+        return _format_float(x)
+    if t is int:
+        return str(x)
+    if t is str:
+        return _encode_str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    # numpy scalars and subclasses; np.bool_ is none of these and is refused
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _format_float(float(x))
+    if isinstance(x, str):
+        return _encode_str(x)
+    raise TypeError(f"unsupported JSON value of type {type(x)!r}")
+
+
+def _write(obj: Any, pad: str, out: list[str]) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            out.append(sep)
+            out.append(_encode_str(str(k)))
+            out.append(": ")
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        types = set(map(type, obj))
+        if types == {float}:
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("cannot serialize non-finite float")
+            out.append("[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]")
+        elif not any(issubclass(t, _CONTAINERS) for t in types):
+            out.append("[" + ", ".join(map(_scalar, obj)) + "]")
+        else:
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in obj:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar(obj))
 
 
 def dumps_json(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with floats at 17 significant digits.
 
     The stdlib encoder offers no hook for float formatting, so this is a
-    small recursive writer over the plain dict/list/scalar values used by
-    the schemas here.
+    small writer over the plain dict/list/scalar values used by the
+    schemas here.  It visits each value once, appending to one list that
+    is joined at the end: exact ``float``/``int``/``str``/``bool``/``None``
+    values dispatch on ``type()``, numpy scalars and subclasses go through
+    ``isinstance``, and a list holding no dict, list or tuple is written
+    on one line with a single join.  A non-finite float raises
+    ``ValueError`` and any other type (``np.bool_``, ``set``, ``bytes``,
+    ...) raises ``TypeError``.
     """
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 2)}" for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps_json(v, indent) for v in obj]
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join(pad + "  " + dumps_json(v, indent + 2) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"unsupported JSON value of type {type(obj)!r}")
+    out: list[str] = []
+    _write(obj, " " * indent, out)
+    return "".join(out)
 
 
 def _camera_to_dict(cam: CameraModel) -> dict:
     return {
         "intrinsics": [cam.fx, cam.fy, cam.cx, cam.cy],
         "extrinsics": {
-            "rotation": [float(v) for v in cam.rotation.reshape(-1)],
-            "translation": [float(v) for v in cam.translation],
+            "rotation": cam.rotation.reshape(-1).tolist(),
+            "translation": cam.translation.tolist(),
         },
         "image_size": [cam.width, cam.height],
     }
@@ -126,8 +172,8 @@ def _camera_from_dict(d: dict) -> CameraModel:
 
 def _pose_to_dict(pose: EgoPose) -> dict:
     return {
-        "rotation": [float(v) for v in pose.rotation.reshape(-1)],
-        "translation": [float(v) for v in pose.translation],
+        "rotation": pose.rotation.reshape(-1).tolist(),
+        "translation": pose.translation.tolist(),
     }
 
 
@@ -216,9 +262,9 @@ def detections_to_dict(dets: DetectionSet) -> dict:
                 "t": frame.t,
                 "detections": [
                     {
-                        "box": [float(v) for v in det.box.as_array()],
+                        "box": det.box.as_array().tolist(),
                         "score": det.score,
-                        "probs": [float(p) for p in det.probs],
+                        "probs": det.probs.tolist(),
                         "velocity": [det.velocity.v_rad, det.velocity.v_tan],
                     }
                     for det in frame.detections
@@ -246,14 +292,26 @@ def detections_from_dict(d: dict) -> DetectionSet:
     return DetectionSet(frames=tuple(frames))
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"JSON input holds {name}; numbers must be finite")
+
+
+def read_json(path: str) -> Any:
+    """Parse a JSON file, refusing ``NaN``/``Infinity`` and nesting too deep to parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+
+
 def save_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_json(scene_to_dict(scene)) + "\n")
 
 
 def load_scene(path: str) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_json(path))
 
 
 def save_detections(dets: DetectionSet, path: str) -> None:
@@ -262,5 +320,4 @@ def save_detections(dets: DetectionSet, path: str) -> None:
 
 
 def load_detections(path: str) -> DetectionSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return detections_from_dict(json.load(fh))
+    return detections_from_dict(read_json(path))

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+def _check_times(frames, owner: str) -> None:
+    times = [f.t for f in frames]
+    if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"{owner}: timestamps must be finite and strictly increase")
+
+
 @dataclass(frozen=True)
 class SceneObject:
     """Ground-truth object in one frame's ego coordinates."""
@@ -69,9 +75,7 @@ class Scene:
     frames: tuple[SceneFrame, ...]
 
     def __post_init__(self) -> None:
-        times = [f.t for f in self.frames]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("Scene: timestamps must strictly increase")
+        _check_times(self.frames, "Scene")
         for frame in self.frames:
             ids = [o.object_id for o in frame.objects]
             if len(set(ids)) != len(ids):
@@ -114,6 +118,7 @@ class DetectionSet:
     frames: tuple[DetectionFrame, ...]
 
     def __post_init__(self) -> None:
+        _check_times(self.frames, "DetectionSet")
         sizes = {d.probs.size for f in self.frames for d in f.detections}
         if len(sizes) > 1:
             raise ValueError(f"DetectionSet: probs lengths differ: {sorted(sizes)}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -360,6 +361,54 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad_scene}", "--out", "{out}"),
+            ("assign", "--scene", "{bad_scene}", "--detections", "{dets}"),
+            ("assign", "--scene", "{scene}", "--detections", "{bad_dets}"),
+            ("track", "--detections", "{bad_dets}"),
+            ("track", "--detections", "{dets}", "--scene", "{bad_scene}"),
+            ("eval", "--scene", "{bad_scene}", "--detections", "{dets}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad_dets}"),
+        ],
+        ids=["render-scene", "assign-scene", "assign-detections", "track-detections",
+             "track-scene", "eval-scene", "eval-detections"],
+    )
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity", "1e400", "repeated"])
+    def test_rejects_bad_frame_time(self, capsys, tracked, tmp_path, argv, t):
+        names = dict(tracked, out=str(tmp_path / "out.json"))
+        for kind in ("scene", "dets"):
+            with open(tracked[kind]) as fh:
+                doc = json.load(fh)
+            frames = doc["frames"]
+            frames[1]["t"] = frames[0]["t"] if t == "repeated" else "@"
+            names[f"bad_{kind}"] = str(tmp_path / f"bad_{kind}.json")
+            with open(names[f"bad_{kind}"], "w") as fh:
+                fh.write(json.dumps(doc).replace('"@"', t))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+            ("simulate", "--config", "{bad}", "--out", "{out}"),
+        ],
+        ids=["scene", "detections", "config"],
+    )
+    def test_rejects_deep_nesting(self, capsys, tracked, tmp_path, argv):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "nesting" in err
+
+
 class TestTrackHungarianFlag:
     def test_matching_choice_accepted(self, capsys, tmp_path):
         scene_path = str(tmp_path / "scene.json")
@@ -372,3 +421,49 @@ class TestTrackHungarianFlag:
         )
         assert code == 0
         assert json.loads(out)["summary"]["tracks_created"] == 3
+
+
+# One small fixed workload through every byte-stable command, pinned by
+# sha256: float formatting, key order and layout must not change. The ego is
+# static, whose outputs are meant to keep their bytes across tracker work.
+GOLDEN_RUNS = [
+    ("scene", "simulate", "--objects", "6", "--frames", "8", "--speed-max", "3", "--seed", "11"),
+    ("dets", "render", "--scene", "{scene}", "--radial-std", "0.3", "--tangential-std", "0.005",
+     "--velocity-std", "0.2", "--drop-prob", "0.1", "--fp-rate", "2", "--seed", "2"),
+    ("assign", "assign", "--scene", "{scene}", "--detections", "{dets}"),
+    ("assign-focal-rect", "assign", "--scene", "{scene}", "--detections", "{dets}",
+     "--class-cost", "focal", "--range-mode", "rectangular", "--x-max", "30", "--y-max", "20"),
+    ("track", "track", "--detections", "{dets}", "--scene", "{scene}"),
+    ("track-hungarian", "track", "--detections", "{dets}", "--matching", "hungarian"),
+    ("eval", "eval", "--scene", "{scene}", "--detections", "{dets}"),
+    ("eval-csv", "eval", "--scene", "{scene}", "--detections", "{dets}", "--format", "csv"),
+    ("gradcheck", "gradcheck", "--fixtures", "20", "--seed", "3"),
+    ("symmetry-check", "symmetry-check", "--points", "50", "--seed", "4"),
+    ("range-demo", "range-demo"),
+]
+
+GOLDEN_SHA256 = {
+    "scene": "9f8d69519607a678ad0f4ee14eabeb1aeefdb85d1470a2c08963a7de7fc78fd5",
+    "dets": "5725d7b5176b847597008c1489de2bdbb71db3d1cf3c35c40dde003022946806",
+    "assign": "de90aa896c138e18210e0612ff9b44d1631eb7532daa4863943bb0f63ce24dd3",
+    "assign-focal-rect": "ce8c50eb288cc71f33fc66b327e3555e7cd117e44785a0595996f1e78b9ddcbf",
+    "track": "a68ef02851b95936acd032d7098818380693a45020b033641fb313b3b0abd878",
+    "track-hungarian": "1ca2981566b2f0e648068b73e13e5c42dbc95a1edb2712b3788e04ef629158cb",
+    "eval": "af96015a7e2b57d0e79f10535c6ff95067467d1cc3f5760b914b7ecdf7bfd1f5",
+    "eval-csv": "bf09617f8f060381a429608ddaa32101805d99f46206e9a129c08c63afcf172c",
+    "gradcheck": "467e68b869158df31426bd71025c90751f13a3f6a90e2348e80033787c8a3c85",
+    "symmetry-check": "7197f3aab44346ede4517f2f16064f354e9dc82e7653b73d0d4ea1ae683bb1ec",
+    "range-demo": "3c332713414eed243ce501c26ed6e9642f8ed94acdae5523a78daefefc8c2827",
+}
+
+
+class TestGoldenBytes:
+    def test_outputs_match_pinned_digests(self, capsys, tmp_path):
+        paths = {name: str(tmp_path / f"{name}.out") for name, *_ in GOLDEN_RUNS}
+        digests = {}
+        for name, *argv in GOLDEN_RUNS:
+            code, _, err = run(capsys, *[a.format(**paths) for a in argv], "--out", paths[name])
+            assert code == 0, err
+            with open(paths[name], "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == GOLDEN_SHA256

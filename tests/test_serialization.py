@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polarview.serialization import (
     SCHEMA_VERSION,
@@ -47,6 +50,128 @@ class TestJsonWriter:
     def test_nested_structures_parse(self):
         obj = {"xs": [1.5, {"y": [True, None, "s"]}], "empty": [], "none": {}}
         assert json.loads(dumps_json(obj)) == obj
+
+
+def reference_dumps(obj, indent=0):
+    """The recursive writer ``dumps_json`` replaced, kept as its byte oracle."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {reference_dumps(v, indent + 2)}" for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_dumps(v, indent) for v in obj]
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(items) + "]"
+        inner = ",\n".join(pad + "  " + reference_dumps(v, indent + 2) for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError("cannot serialize non-finite float")
+        return format(float(obj) + 0.0, ".17g")
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"unsupported JSON value of type {type(obj)!r}")
+
+
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+)
+TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', '\\"q\\"', "\\", "é", "日本", "\n\t", "\x00"]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FINITE_FLOATS,
+    FINITE_FLOATS.map(np.float64),
+    TEXT,
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(TEXT, children, max_size=6),
+    )
+
+
+# flat number lists take the writer's own paths, so they are drawn as leaves too
+VALUES = st.recursive(
+    st.one_of(
+        SCALARS,
+        st.lists(FINITE_FLOATS, max_size=9),
+        st.lists(st.one_of(FINITE_FLOATS, st.integers()), max_size=9),
+    ),
+    containers,
+    max_leaves=40,
+)
+
+
+def planted(bad):
+    """Values holding ``bad`` somewhere, with only valid values written before it."""
+    return st.recursive(
+        bad,
+        lambda inner: st.one_of(
+            st.builds(lambda a, x, b: a + [x] + b, st.lists(VALUES, max_size=3), inner,
+                      st.lists(VALUES, max_size=3)),
+            st.builds(lambda a, x: tuple(a) + (x,), st.lists(SCALARS, max_size=3), inner),
+            st.builds(lambda d, k, x: {**d, k: x}, st.dictionaries(TEXT, VALUES, max_size=3), TEXT,
+                      inner),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestWriterMatchesRecursiveWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES, st.integers(0, 4))
+    @example([-0.0, 5e-324, sys.float_info.max], 0)
+    def test_same_bytes(self, obj, indent):
+        assert dumps_json(obj, indent) == reference_dumps(obj, indent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"),
+                                    np.float64("-inf"), np.float32("inf")])))
+    def test_non_finite_at_any_depth_raises_value_error(self, obj):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json(obj)
+        with pytest.raises(ValueError, match="non-finite"):
+            reference_dumps(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted(st.sampled_from([np.bool_(True), np.bool_(False), {1, 2}, set(), b"x",
+                                    frozenset(), object()])))
+    def test_unknown_type_at_any_depth_raises_type_error(self, obj):
+        with pytest.raises(TypeError, match="unsupported JSON value"):
+            dumps_json(obj)
+        with pytest.raises(TypeError, match="unsupported JSON value"):
+            reference_dumps(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[1.0, 2.0, np.bool_(True)], [np.bool_(False)], [1, "a", None, b"x"], (0.5, set())],
+        ids=["after-floats", "alone", "mixed", "tuple"],
+    )
+    def test_unknown_type_in_flat_list(self, obj):
+        with pytest.raises(TypeError, match="unsupported JSON value"):
+            dumps_json(obj)
 
 
 class TestSceneRoundtrip:
