@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import CartesianBox, PolarBox
+from .geometry import CartesianBox
 
 __all__ = [
     "CircularRange",
@@ -125,21 +125,22 @@ def class_cost(
 
 
 def build_cost_matrix(
-    preds: Sequence[tuple[PolarBox, np.ndarray]],
-    gts: Sequence[tuple[PolarBox, int]],
+    preds: tuple[np.ndarray, np.ndarray],
+    gts: tuple[np.ndarray, np.ndarray],
     k_scaling: float,
     class_cost_form: str = "negative_prob",
 ) -> np.ndarray:
-    """(M, N) cost matrix: rows are ground truths, columns predictions."""
-    m, n = len(gts), len(preds)
+    """(M, N) cost matrix: rows are ground truths, columns predictions.
+
+    ``preds`` is (boxes (N, 9), probs (N, C)) and ``gts`` is (boxes
+    (M, 9), integer classes (M,)), boxes in ``geometry.POLAR_FIELDS`` order.
+    """
+    (pred_boxes, probs), (gt_boxes, classes) = preds, gts
+    m, n = len(gt_boxes), len(pred_boxes)
     if m == 0 or n == 0:
         return np.zeros((m, n))
-    gt_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in gts])
-    pred_rsc = np.array([[b.r, b.sin_a, b.cos_a] for b, _ in preds])
-    probs = np.array([p for _, p in preds], dtype=np.float64)
-    labels = np.array([label for _, label in gts])
-    return box_cost(pred_rsc, gt_rsc[:, None], k_scaling) + class_cost(
-        probs, labels[:, None], form=class_cost_form
+    return box_cost(pred_boxes, np.asarray(gt_boxes)[:, None], k_scaling) + class_cost(
+        probs, np.asarray(classes)[:, None], form=class_cost_form
     )
 
 
@@ -215,21 +216,11 @@ def brute_force_assign(costs: np.ndarray) -> Assignment:
     return Assignment(best_pairs)
 
 
-def _polar(r: float, azimuth: float) -> PolarBox:
-    return PolarBox(
-        r=r,
-        sin_a=math.sin(azimuth),
-        cos_a=math.cos(azimuth),
-        z=0.0,
-        l=4.0,
-        w=2.0,
-        h=1.5,
-        sin_t=0.0,
-        cos_t=1.0,
-    )
+def _polar_row(r: float, azimuth: float) -> list[float]:
+    return [r, math.sin(azimuth), math.cos(azimuth), 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]
 
 
-def scaling_ambiguity_fixture() -> tuple[list[tuple[PolarBox, int]], list[tuple[PolarBox, np.ndarray]]]:
+def scaling_ambiguity_fixture() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Deterministic 2-GT / 2-prediction case where k_scaling flips the argmin.
 
     Two ground truths sit 10 degrees apart in azimuth at nearly equal
@@ -239,14 +230,13 @@ def scaling_ambiguity_fixture() -> tuple[list[tuple[PolarBox, int]], list[tuple[
     dominates and both predictions match the azimuth-far ground truth;
     at k_scaling=20 both match their azimuth-near one.
 
-    Returns (gts, preds) in the shapes :func:`build_cost_matrix` takes;
+    Returns (gts, preds) as the array pairs :func:`build_cost_matrix` takes;
     all classes identical so only the box term discriminates.
     """
     a1 = 0.0
     a2 = math.radians(10.0)
-    gts = [(_polar(30.0, a1), 0), (_polar(31.0, a2), 0)]
-    probs = np.array([1.0])
-    preds = [(_polar(31.0, a1), probs), (_polar(30.0, a2), probs)]
+    gts = (np.array([_polar_row(30.0, a1), _polar_row(31.0, a2)]), np.array([0, 0]))
+    preds = (np.array([_polar_row(31.0, a1), _polar_row(30.0, a2)]), np.ones((2, 1)))
     return gts, preds
 
 

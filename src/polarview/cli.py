@@ -24,8 +24,12 @@ import numpy as np
 from . import assignment, loss, metrics, serialization, tracker
 from .camera import make_symmetric_rig, max_rotation_discrepancy
 from .geometry import (
+    PolarBox,
+    PolarVelocity,
     RangeConfig,
     cartesian_to_polar,
+    polar_centers,
+    polar_fields,
     velocity_cartesian_to_polar,
 )
 from .simulator import NoiseModel, Scene, SceneConfig, generate_scene, render_detections
@@ -129,24 +133,17 @@ def _cmd_assign(args) -> int:
     frames_out = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
         objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
-        gts = [(cartesian_to_polar(o.box), o.label) for o in objects]
-        preds = [(d.box, d.probs) for d in frame_det.detections]
+        gt_boxes = np.array([polar_fields(o.box) for o in objects]).reshape(-1, 9)
+        gt_classes = np.array([o.label for o in objects])
         costs = assignment.build_cost_matrix(
-            preds, gts, args.k_scaling, class_cost_form=args.class_cost
+            (frame_det.boxes, frame_det.probs), (gt_boxes, gt_classes), args.k_scaling,
+            class_cost_form=args.class_cost,
         )
         result = assignment.hungarian(costs)
         pairs = []
         if result.pairs:
-            box_costs = assignment.box_cost(
-                np.array([b.as_array() for b, _ in preds]),
-                np.array([b.as_array() for b, _ in gts])[:, None],
-                args.k_scaling,
-            )
-            class_costs = assignment.class_cost(
-                np.array([p for _, p in preds]),
-                np.array([c for _, c in gts])[:, None],
-                form=args.class_cost,
-            )
+            box_costs = assignment.box_cost(frame_det.boxes, gt_boxes[:, None], args.k_scaling)
+            class_costs = assignment.class_cost(frame_det.probs, gt_classes[:, None], form=args.class_cost)
             pairs = [
                 {
                     "gt": j,
@@ -162,8 +159,8 @@ def _cmd_assign(args) -> int:
             {
                 "t": frame_gt.t,
                 "pairs": pairs,
-                "unmatched_gts": sorted(set(range(len(gts))) - result.matched_gts()),
-                "unmatched_preds": sorted(set(range(len(preds))) - result.matched_preds()),
+                "unmatched_gts": sorted(set(range(len(objects))) - result.matched_gts()),
+                "unmatched_preds": sorted(set(range(len(frame_det))) - result.matched_preds()),
             }
         )
     report = {
@@ -188,9 +185,9 @@ def _cmd_track(args) -> int:
         scene = serialization.load_scene(args.scene)
         summary["id_switches"] = tracker.count_id_switches(result, scene)
     report = serialization.detections_to_dict(dets)
-    for frame, out in zip(report["frames"], result.frames):
+    for frame, ids in zip(report["frames"], result.track_ids):
         frame["detections"] = [
-            {"track_id": tid, **record} for (tid, _), record in zip(out, frame["detections"])
+            {"track_id": tid, **record} for tid, record in zip(ids.tolist(), frame["detections"])
         ]
     report["summary"] = summary
     _write_text(args.out, serialization.dumps_json(report) + "\n")
@@ -198,38 +195,33 @@ def _cmd_track(args) -> int:
 
 
 def _eval_metrics(scene: Scene, dets, args) -> dict:
+    thresholds = [float(t) for t in args.thresholds.split(",")]
+    if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
+        raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
     region = _region_from_args(args)
     frame_preds = []
     frame_gts = []
     tp_pairs = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
         objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
-        gt_centers = [np.array([o.box.x, o.box.y]) for o in objects]
-        kept_dets = [
-            d
-            for d in frame_det.detections
-            if region is None or region.contains(*d.box.center_xy())
-        ]
-        preds = [(np.array(d.box.center_xy()), d.score) for d in kept_dets]
+        gt_centers = np.array([[o.box.x, o.box.y] for o in objects]).reshape(-1, 2)
+        centers = polar_centers(frame_det.boxes)
+        kept = [i for i, (x, y) in enumerate(centers.tolist()) if region is None or region.contains(x, y)]
+        preds = (centers[kept], frame_det.scores[kept])
         frame_preds.append(preds)
         frame_gts.append(gt_centers)
-        if preds and gt_centers:
-            matches, _ = metrics.match_by_center_distance(
-                np.array([c for c, _ in preds]),
-                np.array([s for _, s in preds]),
-                np.array(gt_centers),
-                args.tp_threshold,
-            )
+        if kept and objects:
+            matches, _ = metrics.match_by_center_distance(*preds, gt_centers, args.tp_threshold)
             for pi, gi in matches:
-                det = kept_dets[pi]
+                di = kept[pi]
                 obj = objects[gi]
                 gt_polar = cartesian_to_polar(obj.box)
                 gt_vel = velocity_cartesian_to_polar(
                     obj.velocity, gt_polar.sin_a, gt_polar.cos_a
                 )
-                tp_pairs.append(((det.box, det.velocity), (gt_polar, gt_vel)))
+                det_vel = PolarVelocity(*frame_det.velocities[di].tolist())
+                tp_pairs.append(((PolarBox.from_array(frame_det.boxes[di]), det_vel), (gt_polar, gt_vel)))
 
-    thresholds = [float(t) for t in args.thresholds.split(",")]
     ap = {
         f"{th:g}": metrics.average_precision_frames(frame_preds, frame_gts, th)
         for th in thresholds

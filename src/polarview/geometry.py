@@ -38,6 +38,9 @@ __all__ = [
     "encode_polar_box",
     "encode_boxes",
     "planar_distances",
+    "polar_centers",
+    "rotate_planar",
+    "polar_fields",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "velocity_cartesian_to_polar",
@@ -349,26 +352,28 @@ def planar_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
 
 
-def cartesian_to_polar(box: CartesianBox) -> PolarBox:
-    """Transform a cartesian box into the polar parametrization.
+def polar_centers(boxes: np.ndarray) -> np.ndarray:
+    """Planar centers (r cos_a, r sin_a) of boxes in ``POLAR_FIELDS`` order, shape (..., 2)."""
+    r, sin_a, cos_a = boxes[..., 0], boxes[..., 1], boxes[..., 2]
+    return np.stack([r * cos_a, r * sin_a], axis=-1)
 
-    Raises ValueError for a center on the ego vertical axis, where the
-    azimuth is degenerate.
-    """
+
+def rotate_planar(u, v, sin_a, cos_a):
+    """Rotate planar vectors (u, v), floats or broadcasting arrays, by the angle (sin_a, cos_a)."""
+    return u * cos_a - v * sin_a, u * sin_a + v * cos_a
+
+
+def polar_fields(box: CartesianBox) -> tuple[float, ...]:
+    """``POLAR_FIELDS`` values of a cartesian box; ValueError on the ego z axis (degenerate azimuth)."""
     r = math.hypot(box.x, box.y)
     if r == 0.0:
         raise ValueError("cartesian_to_polar: degenerate azimuth at (x, y) = (0, 0)")
-    return PolarBox(
-        r=r,
-        sin_a=box.y / r,
-        cos_a=box.x / r,
-        z=box.z,
-        l=box.l,
-        w=box.w,
-        h=box.h,
-        sin_t=math.sin(box.yaw),
-        cos_t=math.cos(box.yaw),
-    )
+    return (r, box.y / r, box.x / r, box.z, box.l, box.w, box.h, math.sin(box.yaw), math.cos(box.yaw))
+
+
+def cartesian_to_polar(box: CartesianBox) -> PolarBox:
+    """Transform a cartesian box into the polar parametrization (see :func:`polar_fields`)."""
+    return PolarBox(*polar_fields(box))
 
 
 def polar_to_cartesian(box: PolarBox) -> CartesianBox:
@@ -387,19 +392,13 @@ def polar_to_cartesian(box: PolarBox) -> CartesianBox:
 def velocity_cartesian_to_polar(v: CartesianVelocity, sin_a: float, cos_a: float) -> PolarVelocity:
     """Rotate a planar velocity into radial/tangential components at azimuth (sin_a, cos_a)."""
     _require_unit_pair("velocity azimuth", sin_a, cos_a)
-    return PolarVelocity(
-        v_rad=v.v_x * cos_a + v.v_y * sin_a,
-        v_tan=-v.v_x * sin_a + v.v_y * cos_a,
-    )
+    return PolarVelocity(*rotate_planar(v.v_x, v.v_y, -sin_a, cos_a))
 
 
 def velocity_polar_to_cartesian(v: PolarVelocity, sin_a: float, cos_a: float) -> CartesianVelocity:
     """Inverse of :func:`velocity_cartesian_to_polar` (same azimuth pair)."""
     _require_unit_pair("velocity azimuth", sin_a, cos_a)
-    return CartesianVelocity(
-        v_x=v.v_rad * cos_a - v.v_tan * sin_a,
-        v_y=v.v_rad * sin_a + v.v_tan * cos_a,
-    )
+    return CartesianVelocity(*rotate_planar(v.v_rad, v.v_tan, sin_a, cos_a))
 
 
 def wrap_angle(a: float) -> float:

@@ -27,13 +27,8 @@ __all__ = [
     "aligned_iou",
     "match_by_center_distance",
     "average_precision_frames",
-    "mean_average_precision",
     "nds",
-    "MAP_THRESHOLDS",
 ]
-
-#: Center-distance thresholds (meters) averaged by :func:`mean_average_precision`.
-MAP_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -130,11 +125,15 @@ def _ap_from_flags(scores: np.ndarray, is_tp: np.ndarray, n_gt: int) -> float:
 
 
 def average_precision_frames(
-    frame_preds: Sequence[Sequence[tuple[np.ndarray, float]]],
-    frame_gts: Sequence[Sequence[np.ndarray]],
+    frame_preds: Sequence[tuple[np.ndarray, np.ndarray]],
+    frame_gts: Sequence[np.ndarray],
     threshold: float,
 ) -> float | None:
-    """AP pooled over frames: global score ranking, within-frame matching."""
+    """AP pooled over frames: global score ranking, within-frame matching.
+
+    Each frame gives its predictions as (centers (N, 2), scores (N,)) and
+    its ground truths as (M, 2) centers.
+    """
     if len(frame_preds) != len(frame_gts):
         raise ValueError("average_precision_frames: frame counts differ")
     n_gt = sum(len(g) for g in frame_gts)
@@ -142,30 +141,18 @@ def average_precision_frames(
         return None
     all_scores = []
     all_tp = []
-    for preds, gts in zip(frame_preds, frame_gts):
-        if not preds:
+    for (centers, scores), gts in zip(frame_preds, frame_gts):
+        if not len(scores):
             continue
-        centers = np.array([c for c, _ in preds], dtype=np.float64)
-        scores = np.array([s for _, s in preds], dtype=np.float64)
         if len(gts):
-            _, is_tp = match_by_center_distance(centers, scores, np.array(gts), threshold)
+            _, is_tp = match_by_center_distance(centers, scores, gts, threshold)
         else:
-            is_tp = np.zeros(len(preds), dtype=bool)
-        all_scores.append(scores)
+            is_tp = np.zeros(len(scores), dtype=bool)
+        all_scores.append(np.asarray(scores, dtype=np.float64))
         all_tp.append(is_tp)
     if not all_scores:
         return 0.0
     return _ap_from_flags(np.concatenate(all_scores), np.concatenate(all_tp), n_gt)
-
-
-def mean_average_precision(
-    frame_preds, frame_gts, thresholds: Sequence[float] = MAP_THRESHOLDS
-) -> float | None:
-    """Mean AP over the center-distance thresholds (None without ground truth)."""
-    aps = [average_precision_frames(frame_preds, frame_gts, th) for th in thresholds]
-    if any(ap is None for ap in aps):
-        return None
-    return float(np.mean(aps))
 
 
 def nds(m_ap: float, m_tps: Sequence[float]) -> float:

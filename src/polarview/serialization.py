@@ -17,6 +17,11 @@ sin_t, cos_t], a score, a class-probability vector and velocity
 [v_rad, v_tan].  Floats are emitted with 17 significant digits, which
 round-trips float64 exactly and keeps outputs byte-stable.
 
+Each detections frame loads as one ``simulator.DetectionFrame``: boxes
+(N, 9), probs (N, C), velocities (N, 2) and scores (N,) arrays, one
+``np.array`` call per key, with no per-record object.  Where the schema
+holds a number, both loaders refuse JSON strings and ``null``.
+
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``
 object; the loaders ignore both keys, so it loads as detections.
@@ -31,9 +36,8 @@ from typing import Any
 import numpy as np
 
 from .camera import CameraModel, EgoPose, Rig
-from .geometry import CartesianBox, CartesianVelocity, PolarBox, PolarVelocity
+from .geometry import CartesianBox, CartesianVelocity
 from .simulator import (
-    Detection,
     DetectionFrame,
     DetectionSet,
     Scene,
@@ -158,6 +162,10 @@ def _camera_to_dict(cam: CameraModel) -> dict:
 
 def _camera_from_dict(d: dict) -> CameraModel:
     fx, fy, cx, cy = d["intrinsics"]
+    size = d["image_size"]
+    if type(size) is not list or len(size) != 2:
+        raise ValueError(f"camera image_size must be two JSON integers, got {size!r}")
+    width, height = (_json_int(v, "camera image_size") for v in size)
     return CameraModel(
         fx=fx,
         fy=fy,
@@ -165,8 +173,8 @@ def _camera_from_dict(d: dict) -> CameraModel:
         cy=cy,
         rotation=np.array(d["extrinsics"]["rotation"], dtype=np.float64).reshape(3, 3),
         translation=np.array(d["extrinsics"]["translation"], dtype=np.float64),
-        width=int(d["image_size"][0]),
-        height=int(d["image_size"][1]),
+        width=width,
+        height=height,
     )
 
 
@@ -230,6 +238,12 @@ def _json_int(value: Any, name: str) -> int:
     return value
 
 
+def _json_float(value: Any, name: str) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def scene_from_dict(d: dict) -> Scene:
     _check_version(d)
     rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
@@ -239,18 +253,13 @@ def scene_from_dict(d: dict) -> Scene:
             SceneObject(
                 object_id=_json_int(od["id"], "object id"),
                 label=_json_int(od["class"], "object class"),
-                box=CartesianBox(*[float(v) for v in od["box"]]),
-                velocity=CartesianVelocity(*[float(v) for v in od["velocity"]]),
+                box=CartesianBox(*[_json_float(v, "object box") for v in od["box"]]),
+                velocity=CartesianVelocity(*[_json_float(v, "object velocity") for v in od["velocity"]]),
             )
             for od in fd["objects"]
         )
-        frames.append(
-            SceneFrame(
-                t=float(fd["t"]),
-                ego_pose=_pose_from_dict(fd["ego_pose"], dt=float(fd["t"])),
-                objects=objects,
-            )
-        )
+        t = _json_float(fd["t"], "frame t")
+        frames.append(SceneFrame(t=t, ego_pose=_pose_from_dict(fd["ego_pose"], dt=t), objects=objects))
     return Scene(rig=rig, frames=tuple(frames))
 
 
@@ -261,13 +270,13 @@ def detections_to_dict(dets: DetectionSet) -> dict:
             {
                 "t": frame.t,
                 "detections": [
-                    {
-                        "box": det.box.as_array().tolist(),
-                        "score": det.score,
-                        "probs": det.probs.tolist(),
-                        "velocity": [det.velocity.v_rad, det.velocity.v_tan],
-                    }
-                    for det in frame.detections
+                    {"box": box, "score": score, "probs": probs, "velocity": velocity}
+                    for box, score, probs, velocity in zip(
+                        frame.boxes.tolist(),
+                        frame.scores.tolist(),
+                        frame.probs.tolist(),
+                        frame.velocities.tolist(),
+                    )
                 ],
             }
             for frame in dets.frames
@@ -275,21 +284,20 @@ def detections_to_dict(dets: DetectionSet) -> dict:
     }
 
 
+def _detection_frame(fd: dict) -> DetectionFrame:
+    t = _json_float(fd["t"], "detections frame t")
+    records = fd["detections"]
+    if not records:
+        return DetectionFrame(t)
+    columns = [np.array([rec[key] for rec in records]) for key in ("box", "probs", "velocity", "score")]
+    if any(column.dtype.kind not in "fiu" for column in columns):
+        raise ValueError("detection box, probs, velocity and score values must be JSON numbers")
+    return DetectionFrame.from_arrays(t, *columns)
+
+
 def detections_from_dict(d: dict) -> DetectionSet:
     _check_version(d)
-    frames = []
-    for fd in d["frames"]:
-        detections = tuple(
-            Detection(
-                box=PolarBox.from_array(dd["box"]),
-                probs=np.array(dd["probs"], dtype=np.float64),
-                velocity=PolarVelocity(*[float(v) for v in dd["velocity"]]),
-                score=float(dd["score"]),
-            )
-            for dd in fd["detections"]
-        )
-        frames.append(DetectionFrame(t=float(fd["t"]), detections=detections))
-    return DetectionSet(frames=tuple(frames))
+    return DetectionSet(frames=tuple(_detection_frame(fd) for fd in d["frames"]))
 
 
 def _reject_constant(name: str) -> None:

@@ -21,13 +21,14 @@ import numpy as np
 
 from .camera import EgoPose, Rig, make_symmetric_rig, rotation_about_z
 from .geometry import (
+    _PAIR_TOL,
     CartesianBox,
     CartesianVelocity,
     PolarBox,
     PolarVelocity,
     RangeConfig,
-    cartesian_to_polar,
-    velocity_cartesian_to_polar,
+    polar_fields,
+    rotate_planar,
     wrap_angle,
 )
 
@@ -102,15 +103,75 @@ class Detection:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def label(self) -> int:
-        return int(np.argmax(self.probs))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DetectionFrame:
+    """One frame of detections as four read-only arrays.
+
+    ``boxes`` (N, 9) in ``geometry.POLAR_FIELDS`` order, class ``probs``
+    (N, C), ``velocities`` (N, 2) as (v_rad, v_tan) and ``scores`` (N,).
+    :meth:`from_arrays` checks all rows in one pass as :class:`PolarBox`,
+    :class:`PolarVelocity` and :class:`Detection` check one record, each
+    failure a ValueError.  ``DetectionFrame(t, detections)`` stacks
+    :class:`Detection` objects; :attr:`detections` rebuilds them.
+    """
+
     t: float
-    detections: tuple[Detection, ...]
+    boxes: np.ndarray
+    probs: np.ndarray
+    velocities: np.ndarray
+    scores: np.ndarray
+
+    def __init__(self, t: float, detections: tuple[Detection, ...] = ()) -> None:
+        dets = tuple(detections)
+        probs = [d.probs for d in dets] if dets else np.empty((0, 0))
+        boxes = np.reshape([d.box.as_array() for d in dets], (-1, 9))
+        velocities = np.reshape([(d.velocity.v_rad, d.velocity.v_tan) for d in dets], (-1, 2))
+        self._set(t, boxes, probs, velocities, [d.score for d in dets])
+
+    @classmethod
+    def from_arrays(cls, t: float, boxes, probs, velocities, scores) -> "DetectionFrame":
+        frame = cls.__new__(cls)
+        frame._set(t, boxes, probs, velocities, scores)
+        return frame
+
+    def _set(self, t, *arrays) -> None:
+        boxes, probs, velocities, scores = arrays = [np.array(a, dtype=np.float64) for a in arrays]
+        n = scores.size
+        if (scores.ndim, boxes.shape, velocities.shape, probs.shape[:1]) != (1, (n, 9), (n, 2), (n,)):
+            raise ValueError("DetectionFrame: arrays must have shapes (N, 9), (N, C), (N, 2) and (N,)")
+        with np.errstate(all="ignore"):  # the finiteness fault is reported first
+            pairs = boxes[:, [1, 7]] ** 2 + boxes[:, [2, 8]] ** 2
+            faults = {
+                "values must be finite": not all(np.isfinite(a).all() for a in arrays),
+                "r must be >= 0": (boxes[:, 0] < 0.0).any(),
+                "azimuth and yaw must be unit (sin, cos) pairs": (np.abs(pairs - 1.0) > _PAIR_TOL).any(),
+                "sizes must be positive": (boxes[:, 4:7] <= 0.0).any(),
+                "probs must be non-empty rows": probs.ndim != 2 or n and not probs.shape[1],
+                "probs must lie in [0, 1]": ((probs < 0.0) | (probs > 1.0)).any(),
+                "scores must lie in [0, 1]": ((scores < 0.0) | (scores > 1.0)).any(),
+            }
+        for message, fault in faults.items():
+            if fault:
+                raise ValueError(f"DetectionFrame: {message}")
+        object.__setattr__(self, "t", float(t))
+        for name, a in zip(("boxes", "probs", "velocities", "scores"), arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Most probable class per detection (first on ties), shape (N,)."""
+        return self.probs.argmax(axis=1) if len(self) else np.zeros(0, dtype=np.intp)
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        """The rows as validated :class:`Detection` objects (API edge; built on each access)."""
+        rows = zip(self.boxes.tolist(), self.probs, self.velocities.tolist(), self.scores.tolist())
+        return tuple(Detection(PolarBox.from_array(b), p, PolarVelocity(*v), s) for b, p, v, s in rows)
 
 
 @dataclass(frozen=True)
@@ -119,7 +180,7 @@ class DetectionSet:
 
     def __post_init__(self) -> None:
         _check_times(self.frames, "DetectionSet")
-        sizes = {d.probs.size for f in self.frames for d in f.detections}
+        sizes = {f.probs.shape[1] for f in self.frames if len(f)}
         if len(sizes) > 1:
             raise ValueError(f"DetectionSet: probs lengths differ: {sorted(sizes)}")
 
@@ -183,6 +244,9 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.n_objects < 0 or self.n_frames < 1 or self.n_classes < 1:
             raise ValueError("SceneConfig: counts out of range")
+        finite = (self.dt, self.r_max, self.speed_min, self.speed_max, self.ego_speed, self.ego_yaw_rate)
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("SceneConfig: dt, r_max, speeds and ego motion must be finite")
         if self.dt <= 0.0:
             raise ValueError("SceneConfig: dt must be positive")
         if self.r_max <= 2.0:
@@ -312,12 +376,6 @@ def rotate_scene(scene: Scene, phi: float) -> Scene:
     return Scene(rig=scene.rig, frames=tuple(frames))
 
 
-def _one_hot(label: int, n_classes: int) -> np.ndarray:
-    probs = np.zeros(n_classes)
-    probs[label] = 1.0
-    return probs
-
-
 def render_detections(
     scene: Scene,
     noise: NoiseModel,
@@ -336,69 +394,47 @@ def render_detections(
         labels = [o.label for f in scene.frames for o in f.objects]
         n_classes = max(labels) + 1 if labels else 1
     rng = np.random.default_rng(noise.seed)
+    one_hot = np.eye(n_classes)
     frames = []
     for frame in scene.frames:
-        detections = []
+        boxes, labels, velocities, scores = [], [], [], []
         for obj in frame.objects:
             # keep RNG consumption independent of the drop outcome
             dropped = rng.uniform() < noise.drop_prob
             draws = rng.normal(0.0, 1.0, size=9)
             if dropped:
                 continue
-            polar = cartesian_to_polar(obj.box)
+            r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_fields(obj.box)
             if noise.mode == "polar":
-                r = max(polar.r + draws[0] * noise.radial_std, 1e-6)
-                a = math.atan2(polar.sin_a, polar.cos_a) + draws[1] * noise.tangential_std
+                a = math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std
+                r = max(r + draws[0] * noise.radial_std, 1e-6)
             else:
                 x = obj.box.x + draws[0] * noise.radial_std
                 y = obj.box.y + draws[1] * noise.radial_std
                 r = max(math.hypot(x, y), 1e-6)
                 a = math.atan2(y, x)
-            yaw = wrap_angle(obj.box.yaw + draws[6] * noise.yaw_std)
-            sin_a, cos_a = math.sin(a), math.cos(a)
-            if noise.tangential_std == 0.0 and noise.mode == "polar":
-                sin_a, cos_a = polar.sin_a, polar.cos_a  # exact passthrough, no trig roundoff
-            v_polar = velocity_cartesian_to_polar(obj.velocity, sin_a, cos_a)
-            box = PolarBox(
-                r=r,
-                sin_a=sin_a,
-                cos_a=cos_a,
-                z=polar.z + draws[2] * noise.z_std,
-                l=polar.l * math.exp(draws[3] * noise.size_rel_std),
-                w=polar.w * math.exp(draws[4] * noise.size_rel_std),
-                h=polar.h * math.exp(draws[5] * noise.size_rel_std),
-                sin_t=math.sin(yaw) if noise.yaw_std > 0.0 else polar.sin_t,
-                cos_t=math.cos(yaw) if noise.yaw_std > 0.0 else polar.cos_t,
-            )
-            velocity = PolarVelocity(
-                v_rad=v_polar.v_rad + draws[7] * noise.velocity_std,
-                v_tan=v_polar.v_tan + draws[8] * noise.velocity_std,
-            )
-            detections.append(
-                Detection(box=box, probs=_one_hot(obj.label, n_classes), velocity=velocity, score=1.0)
-            )
+            if noise.tangential_std != 0.0 or noise.mode != "polar":  # else exact passthrough, no trig roundoff
+                sin_a, cos_a = math.sin(a), math.cos(a)
+            if noise.yaw_std > 0.0:
+                yaw = wrap_angle(obj.box.yaw + draws[6] * noise.yaw_std)
+                sin_t, cos_t = math.sin(yaw), math.cos(yaw)
+            v_rad, v_tan = rotate_planar(obj.velocity.v_x, obj.velocity.v_y, -sin_a, cos_a)
+            l, w, h = (s * math.exp(d * noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
+            boxes.append((r, sin_a, cos_a, z + draws[2] * noise.z_std, l, w, h, sin_t, cos_t))
+            labels.append(obj.label)
+            v_std = noise.velocity_std
+            velocities.append((v_rad + draws[7] * v_std, v_tan + draws[8] * v_std))
+            scores.append(1.0)
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
             r = rng.uniform(2.0, range_config.r_max)
             a = rng.uniform(-math.pi, math.pi)
             yaw = rng.uniform(-math.pi, math.pi)
-            box = PolarBox(
-                r=float(r),
-                sin_a=math.sin(a),
-                cos_a=math.cos(a),
-                z=float(rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)),
-                l=float(rng.uniform(3.0, 5.0)),
-                w=float(rng.uniform(1.5, 2.2)),
-                h=float(rng.uniform(1.3, 2.0)),
-                sin_t=math.sin(yaw),
-                cos_t=math.cos(yaw),
-            )
-            detections.append(
-                Detection(
-                    box=box,
-                    probs=_one_hot(int(rng.integers(0, n_classes)), n_classes),
-                    velocity=PolarVelocity(v_rad=0.0, v_tan=0.0),
-                    score=float(rng.uniform(0.1, 0.9)),
-                )
-            )
-        frames.append(DetectionFrame(t=frame.t, detections=tuple(detections)))
+            z = rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)
+            l, w, h = rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.2), rng.uniform(1.3, 2.0)
+            boxes.append((r, math.sin(a), math.cos(a), z, l, w, h, math.sin(yaw), math.cos(yaw)))
+            labels.append(int(rng.integers(0, n_classes)))
+            velocities.append((0.0, 0.0))
+            scores.append(rng.uniform(0.1, 0.9))
+        boxes, velocities = np.reshape(boxes, (-1, 9)), np.reshape(velocities, (-1, 2))
+        frames.append(DetectionFrame.from_arrays(frame.t, boxes, one_hot[labels], velocities, scores))
     return DetectionSet(frames=tuple(frames))

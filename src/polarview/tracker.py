@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import hungarian
-from .geometry import PolarBox, PolarVelocity, planar_distances, velocity_polar_to_cartesian
-from .simulator import Detection, DetectionSet, Scene
+from .geometry import planar_distances, polar_centers, rotate_planar
+from .simulator import Detection, DetectionFrame, DetectionSet, Scene
 
 __all__ = [
     "Track",
@@ -57,29 +57,28 @@ def _greedy_match(dist: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]
     return pairs
 
 
-def back_project(box: PolarBox, velocity: PolarVelocity, dt: float) -> np.ndarray:
-    """Planar center moved back by dt seconds along the predicted velocity."""
+def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
+    """Planar centers (..., 2) of boxes (..., 9) moved back by dt along velocities (..., 2)."""
     if dt <= 0.0:
         raise ValueError("back_project: dt must be positive")
-    x, y = box.center_xy()
-    v = velocity_polar_to_cartesian(velocity, box.sin_a, box.cos_a)
-    return np.array([x - dt * v.v_x, y - dt * v.v_y])
+    v_x, v_y = rotate_planar(velocities[..., 0], velocities[..., 1], boxes[..., 1], boxes[..., 2])
+    return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
 
 
 @dataclass
 class Track:
-    """Persistent identity carrying the last matched detection's state."""
+    """Persistent identity carrying the last matched detection's rows."""
 
     track_id: int
-    box: PolarBox
-    velocity: PolarVelocity
+    box: np.ndarray
+    velocity: np.ndarray
     label: int
     score: float
     age: int = 1
     misses: int = 0
 
     def center(self) -> np.ndarray:
-        return np.array(self.box.center_xy())
+        return polar_centers(self.box)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class TrackerConfig:
     matching: str = "greedy"  # greedy | hungarian
 
     def __post_init__(self) -> None:
-        if self.distance_threshold <= 0.0 or self.max_misses < 0:
+        if not 0.0 < self.distance_threshold < np.inf or self.max_misses < 0:
             raise ValueError("TrackerConfig: invalid thresholds")
         if self.matching not in ("greedy", "hungarian"):
             raise ValueError("TrackerConfig: matching must be 'greedy' or 'hungarian'")
@@ -103,21 +102,21 @@ class TrackerState:
 
 
 def match_tracks(
-    state: TrackerState, detections: tuple[Detection, ...], dt: float
+    state: TrackerState, frame: DetectionFrame, dt: float
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Associate detections with active tracks.
+    """Associate a frame's detections with active tracks.
 
     Returns (matches as (detection index, track list position) pairs,
     unmatched detection indices, unmatched track list positions).
     """
-    n_det, n_trk = len(detections), len(state.tracks)
+    n_det, n_trk = len(frame), len(state.tracks)
     if n_det == 0 or n_trk == 0:
         return [], list(range(n_det)), list(range(n_trk))
 
-    det_centers = np.array([back_project(d.box, d.velocity, dt) for d in detections])
+    det_centers = back_project(frame.boxes, frame.velocities, dt)
     trk_centers = np.array([t.center() for t in state.tracks])
     dist = planar_distances(det_centers, trk_centers)
-    det_labels = np.array([d.label for d in detections])
+    det_labels = frame.labels
     trk_labels = np.array([t.label for t in state.tracks])
     threshold = state.config.distance_threshold
     allowed = (det_labels[:, None] == trk_labels[None, :]) & (dist <= threshold)
@@ -139,17 +138,17 @@ def match_tracks(
     return matches, unmatched_d, unmatched_t
 
 
-def step(state: TrackerState, detections: tuple[Detection, ...], dt: float) -> list[int]:
+def step(state: TrackerState, frame: DetectionFrame, dt: float) -> list[int]:
     """Advance the tracker one frame; returns the track id per detection."""
-    matches, unmatched_d, unmatched_t = match_tracks(state, detections, dt)
+    matches, unmatched_d, unmatched_t = match_tracks(state, frame, dt)
+    scores = frame.scores.tolist()
 
-    assigned = [-1] * len(detections)
+    assigned = [-1] * len(frame)
     for di, ti in matches:
         track = state.tracks[ti]
-        det = detections[di]
-        track.box = det.box
-        track.velocity = det.velocity
-        track.score = det.score
+        track.box = frame.boxes[di]
+        track.velocity = frame.velocities[di]
+        track.score = scores[di]
         track.age += 1
         track.misses = 0
         assigned[di] = track.track_id
@@ -166,14 +165,14 @@ def step(state: TrackerState, detections: tuple[Detection, ...], dt: float) -> l
             survivors.append(track)
     state.tracks = survivors
 
+    labels = frame.labels.tolist()
     for di in unmatched_d:
-        det = detections[di]
         track = Track(
             track_id=state.created,
-            box=det.box,
-            velocity=det.velocity,
-            label=det.label,
-            score=det.score,
+            box=frame.boxes[di],
+            velocity=frame.velocities[di],
+            label=labels[di],
+            score=scores[di],
         )
         state.created += 1
         state.tracks.append(track)
@@ -183,23 +182,29 @@ def step(state: TrackerState, detections: tuple[Detection, ...], dt: float) -> l
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Per-frame (track id, detection) pairs plus the spawn count."""
+    """The tracked detections, one track-id array per frame, and the spawn count."""
 
-    frames: tuple[tuple[tuple[int, Detection], ...], ...]
+    detections: DetectionSet
+    track_ids: tuple[np.ndarray, ...]
     tracks_created: int
+
+    @property
+    def frames(self) -> tuple[tuple[tuple[int, Detection], ...], ...]:
+        """Per-frame (track id, detection) pairs (API edge; built on each access)."""
+        pairs = zip(self.track_ids, self.detections.frames)
+        return tuple(tuple(zip(ids.tolist(), frame.detections)) for ids, frame in pairs)
 
 
 def run_tracker(detections: DetectionSet, config: TrackerConfig = TrackerConfig()) -> TrackingResult:
     """Run tracking-by-detection over a whole detection set."""
     state = TrackerState(config=config)
-    out_frames = []
+    track_ids = []
     prev_t = None
     for frame in detections.frames:
         dt = frame.t - prev_t if prev_t is not None else 1.0
         prev_t = frame.t
-        ids = step(state, frame.detections, dt)
-        out_frames.append(tuple(zip(ids, frame.detections)))
-    return TrackingResult(frames=tuple(out_frames), tracks_created=state.created)
+        track_ids.append(np.array(step(state, frame, dt), dtype=np.int64))
+    return TrackingResult(detections=detections, track_ids=tuple(track_ids), tracks_created=state.created)
 
 
 def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: float = 2.0) -> int:
@@ -210,22 +215,20 @@ def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: 
     ``max_match_distance``).  A switch is a frame where a ground-truth
     object's matched track id differs from its previous matched frame's.
     """
-    if len(result.frames) != len(scene.frames):
+    if len(result.track_ids) != len(scene.frames):
         raise ValueError("count_id_switches: frame counts differ")
     last_track_of_gt: dict[int, int] = {}
     switches = 0
-    for frame_out, frame_gt in zip(result.frames, scene.frames):
-        if not frame_out or not frame_gt.objects:
+    for ids, frame, frame_gt in zip(result.track_ids, result.detections.frames, scene.frames):
+        if not len(ids) or not frame_gt.objects:
             continue
-        det_centers = np.array([det.box.center_xy() for _, det in frame_out])
         gt_centers = np.array([[o.box.x, o.box.y] for o in frame_gt.objects])
-        dist = planar_distances(det_centers, gt_centers)
-        det_labels = np.array([det.label for _, det in frame_out])
+        dist = planar_distances(polar_centers(frame.boxes), gt_centers)
         gt_labels = np.array([o.label for o in frame_gt.objects])
-        allowed = (dist <= max_match_distance) & (det_labels[:, None] == gt_labels[None, :])
+        allowed = (dist <= max_match_distance) & (frame.labels[:, None] == gt_labels[None, :])
         for di, gi in _greedy_match(dist, allowed):
             gt_id = frame_gt.objects[gi].object_id
-            track_id = frame_out[di][0]
+            track_id = int(ids[di])
             if gt_id in last_track_of_gt and last_track_of_gt[gt_id] != track_id:
                 switches += 1
             last_track_of_gt[gt_id] = track_id

@@ -159,13 +159,13 @@ class TestPerceptionRange:
 class TestCostMatrix:
     def test_single_perfect_pair(self):
         box = polar(10.0, 0.2)
-        costs = build_cost_matrix([(box, np.array([1.0]))], [(box, 0)], 20.0)
+        costs = build_cost_matrix((box.as_array()[None], np.array([[1.0]])), (box.as_array()[None], np.array([0])), 20.0)
         assert costs.shape == (1, 1)
         assert costs[0, 0] == -1.0
 
     def test_empty_gts_give_empty_matrix(self):
         box = polar(10.0, 0.2)
-        costs = build_cost_matrix([(box, np.array([1.0]))], [], 20.0)
+        costs = build_cost_matrix((box.as_array()[None], np.array([[1.0]])), (np.empty((0, 9)), np.array([], dtype=int)), 20.0)
         assert costs.shape == (0, 1)
         assert len(hungarian(costs)) == 0
 
@@ -174,7 +174,12 @@ class TestCostMatrix:
         preds = [(PolarBox.from_array(random_box(rng)), rng.dirichlet(np.ones(4))) for _ in range(5)]
         gts = [(PolarBox.from_array(random_box(rng)), int(rng.integers(0, 4))) for _ in range(3)]
         for form in ("negative_prob", "focal"):
-            costs = build_cost_matrix(preds, gts, 20.0, class_cost_form=form)
+            costs = build_cost_matrix(
+                (np.array([b.as_array() for b, _ in preds]), np.array([p for _, p in preds])),
+                (np.array([g.as_array() for g, _ in gts]), np.array([label for _, label in gts])),
+                20.0,
+                class_cost_form=form,
+            )
             assert costs.shape == (3, 5)
             for j, (g, label) in enumerate(gts):
                 for i, (b, probs) in enumerate(preds):
@@ -269,10 +274,10 @@ class TestScalingFixture:
     def test_fixture_geometry(self):
         gts, preds = scaling_ambiguity_fixture()
         # each prediction is 1 m off its azimuth-near gt radially
-        assert abs(preds[0][0].r - gts[0][0].r) == 1.0
-        assert abs(preds[1][0].r - gts[1][0].r) == 1.0
+        assert abs(preds[0][0, 0] - gts[0][0, 0]) == 1.0
+        assert abs(preds[0][1, 0] - gts[0][1, 0]) == 1.0
         # 10 degrees apart in azimuth
-        da = math.degrees(gts[1][0].azimuth() - gts[0][0].azimuth())
+        da = math.degrees(PolarBox.from_array(gts[0][1]).azimuth() - PolarBox.from_array(gts[0][0]).azimuth())
         assert da == pytest.approx(10.0)
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from polarview import simulator
 from polarview.cli import main
 
 
@@ -408,6 +409,110 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
         assert "nesting" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("assign", "--scene", "{scene}", "--detections", "{bad}"),
+            ("track", "--detections", "{bad}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+        ],
+        ids=["assign", "track", "eval"],
+    )
+    @pytest.mark.parametrize("value", ["0.5", None], ids=["string", "null"])
+    @pytest.mark.parametrize("field", ["score", "t", "box"])
+    def test_rejects_detection_numbers_that_are_not_numbers(self, capsys, tracked, tmp_path, argv, value, field):
+        with open(tracked["dets"]) as fh:
+            dets = json.load(fh)
+        frame = dets["frames"][1]
+        if field == "t":
+            frame["t"] = value
+        elif field == "score":
+            frame["detections"][0]["score"] = value
+        else:
+            frame["detections"][0]["box"][3] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dets))
+        code, _, err = run(capsys, *[a.format(bad=str(bad), **tracked) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+        ],
+        ids=["render", "eval"],
+    )
+    @pytest.mark.parametrize("value", ["0.5", None], ids=["string", "null"])
+    @pytest.mark.parametrize("field", ["t", "box", "velocity"])
+    def test_rejects_scene_numbers_that_are_not_numbers(self, capsys, tracked, tmp_path, argv, value, field):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        frame = scene["frames"][1]
+        if field == "t":
+            frame["t"] = value
+        else:
+            frame["objects"][0][field][1] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "size", [[], [1600], [1600, 900, 3], [1600.0, 900], ["1600", 900], "1600x900", None],
+        ids=["empty", "one", "three", "float", "string", "not-a-list", "null"],
+    )
+    def test_rejects_bad_image_size(self, capsys, tracked, tmp_path, size):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        scene["rig"][2]["image_size"] = size
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "render", "--scene", str(bad), "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestNonFiniteAndNegativeSettings:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--r-max", "nan"), ("--r-max", "inf"), ("--dt", "inf"), ("--dt", "nan"), ("--speed-max", "inf"),
+         ("--speed-max", "nan"), ("--speed-min", "nan"), ("--ego-speed", "nan"), ("--ego-yaw-rate", "inf")],
+    )
+    def test_simulate_rejects_non_finite(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "scene.json"
+        code, _, err = run(capsys, "simulate", "--ego", "arc", flag, value, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_track_rejects_threshold(self, capsys, tracked, tmp_path, threshold):
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "track", "--detections", tracked["dets"], "--threshold", threshold,
+                           "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--thresholds", "nan,-1", "--tp-threshold", "-1"), ("--thresholds", "nan"), ("--thresholds", "1,inf"),
+         ("--thresholds", "0.5,-1"), ("--thresholds", "0"), ("--tp-threshold", "-1"), ("--tp-threshold", "nan"),
+         ("--tp-threshold", "inf")],
+        ids=["issue-case", "nan", "inf", "negative", "zero", "tp-negative", "tp-nan", "tp-inf"],
+    )
+    def test_eval_rejects_thresholds(self, capsys, tracked, flags):
+        code, out, err = run(capsys, "eval", "--scene", tracked["scene"], "--detections", tracked["dets"], *flags)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestTrackHungarianFlag:
     def test_matching_choice_accepted(self, capsys, tmp_path):
@@ -457,13 +562,59 @@ GOLDEN_SHA256 = {
 }
 
 
+# A second workload for the detection paths: cartesian noise on every box
+# channel, false positives (so rectangular cost matrices), focal class cost
+# and a rectangular region, Hungarian tracking with id switches counted, and
+# eval on the track file. Digests taken with the code before detection frames
+# became arrays.
+GOLDEN_RUNS_NOISY = [
+    ("scene", "simulate", "--objects", "10", "--frames", "8", "--speed-max", "1", "--seed", "21"),
+    ("dets", "render", "--scene", "{scene}", "--radial-std", "0.3", "--z-std", "0.1", "--size-std", "0.05",
+     "--yaw-std", "0.1", "--velocity-std", "0.2", "--drop-prob", "0.15", "--fp-rate", "3",
+     "--noise-frame", "cartesian", "--seed", "5"),
+    ("assign_focal_rect", "assign", "--scene", "{scene}", "--detections", "{dets}", "--class-cost", "focal",
+     "--range-mode", "rectangular", "--x-max", "30", "--y-max", "25"),
+    ("tracks", "track", "--detections", "{dets}", "--scene", "{scene}", "--matching", "hungarian"),
+    ("eval_csv_rect", "eval", "--scene", "{scene}", "--detections", "{dets}", "--format", "csv",
+     "--range-mode", "rectangular", "--x-max", "30", "--y-max", "25"),
+    ("eval_tracks", "eval", "--scene", "{scene}", "--detections", "{tracks}"),
+]
+
+GOLDEN_SHA256_NOISY = {
+    "scene": "58e1cb5f300ce6163690df61cfd94248f63a266d13ef6cfa104d001eb115ea64",
+    "dets": "15ae39440fc23b293d55ca66ab722c8cebce7e7f65a657e940c59b1cfc6fa4f6",
+    "assign_focal_rect": "3e05079240e9da01dea23d8f81b7c58d40d3979b19d929807de6cb200e0d5a8a",
+    "tracks": "ba292afedcac6111d4bff8ed3c30ee6394ad94b9ecd29e2dda9c05667064b59b",
+    "eval_csv_rect": "88c2a3a57b1623f67c3584549f818d04e57f155eb589ea201dbf1f4eb875f763",
+    "eval_tracks": "dc3ccee58f5ff141615973ae8d7e0104d7dc8c504d4e23f9496f74a1f29e6a39",
+}
+
+
+def golden_digests(capsys, tmp_path, runs):
+    paths = {name: str(tmp_path / f"{name}.out") for name, *_ in runs}
+    digests = {}
+    for name, *argv in runs:
+        code, _, err = run(capsys, *[a.format(**paths) for a in argv], "--out", paths[name])
+        assert code == 0, err
+        with open(paths[name], "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 class TestGoldenBytes:
     def test_outputs_match_pinned_digests(self, capsys, tmp_path):
-        paths = {name: str(tmp_path / f"{name}.out") for name, *_ in GOLDEN_RUNS}
-        digests = {}
-        for name, *argv in GOLDEN_RUNS:
-            code, _, err = run(capsys, *[a.format(**paths) for a in argv], "--out", paths[name])
-            assert code == 0, err
-            with open(paths[name], "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert digests == GOLDEN_SHA256
+        assert golden_digests(capsys, tmp_path, GOLDEN_RUNS) == GOLDEN_SHA256
+
+    def test_noisy_workload_matches_pinned_digests(self, capsys, tmp_path):
+        assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_NOISY) == GOLDEN_SHA256_NOISY
+
+
+class TestPipelineBuildsNoDetectionObjects:
+    def test_same_bytes_with_detection_construction_broken(self, capsys, tmp_path, monkeypatch):
+        # render, assign, track and eval hold detection frames as arrays, so a
+        # Detection that cannot be built must not change their output
+        def refuse(self):
+            raise RuntimeError("a Detection was built")
+
+        monkeypatch.setattr(simulator.Detection, "__post_init__", refuse)
+        assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_NOISY) == GOLDEN_SHA256_NOISY

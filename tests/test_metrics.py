@@ -9,7 +9,6 @@ from polarview.metrics import (
     aligned_iou,
     average_precision_frames,
     match_by_center_distance,
-    mean_average_precision,
     nds,
     tp_errors,
 )
@@ -24,6 +23,15 @@ def polar(x, y, l=4.0, w=2.0, h=1.5, yaw=0.0):
 
 
 V0 = PolarVelocity(0.0, 0.0)
+
+
+def as_arrays(frame_preds, frame_gts):
+    """Per-frame (center, score) lists and center lists as the arrays AP takes."""
+    preds = [
+        (np.array([c for c, _ in p], dtype=np.float64).reshape(-1, 2), np.array([s for _, s in p], dtype=np.float64))
+        for p in frame_preds
+    ]
+    return preds, [np.array(g, dtype=np.float64).reshape(-1, 2) for g in frame_gts]
 
 
 class TestTpErrors:
@@ -71,14 +79,14 @@ class TestAveragePrecision:
     def test_perfect_detections(self):
         gts = [np.array([0.0, 0.0]), np.array([10.0, 0.0])]
         preds = [(np.array([0.1, 0.0]), 1.0), (np.array([10.1, 0.0]), 1.0)]
-        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(1.0)
+        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(1.0)
 
     def test_no_detections(self):
         gts = [np.array([0.0, 0.0])]
-        assert average_precision_frames([[]], [gts], 2.0) == 0.0
+        assert average_precision_frames(*as_arrays([[]], [gts]), 2.0) == 0.0
 
     def test_no_ground_truth_undefined(self):
-        assert average_precision_frames([[(np.array([0.0, 0.0]), 1.0)]], [[]], 2.0) is None
+        assert average_precision_frames(*as_arrays([[(np.array([0.0, 0.0]), 1.0)]], [[]]), 2.0) is None
 
     def test_top_score_false_positive_hand_enumeration(self):
         # FP at rank 1, then two TPs: precisions (0, 1/2, 2/3), recalls (0, 1/2, 1);
@@ -89,7 +97,7 @@ class TestAveragePrecision:
             (np.array([0.1, 0.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(2.0 / 3.0)
+        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_mid_rank_false_positive_hand_enumeration(self):
         # TP, FP, TP: precisions (1, 1/2, 2/3), recalls (1/2, 1/2, 1);
@@ -100,7 +108,7 @@ class TestAveragePrecision:
             (np.array([50.0, 50.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_frames([preds], [gts], 2.0) == pytest.approx(5.0 / 6.0)
+        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(5.0 / 6.0)
 
     def test_each_gt_matched_at_most_once(self):
         gts = [np.array([0.0, 0.0])]
@@ -118,9 +126,9 @@ class TestAveragePrecision:
         rng = np.random.default_rng(62)
         gts = [np.array(c) for c in rng.uniform(-20, 20, size=(6, 2))]
         preds = [(np.array(c), float(s)) for c, s in zip(rng.uniform(-20, 20, size=(10, 2)), rng.uniform(0.1, 1.0, 10))]
-        base = average_precision_frames([preds], [gts], 3.0)
+        base = average_precision_frames(*as_arrays([preds], [gts]), 3.0)
         squashed = [(c, s**3 / 2) for c, s in preds]
-        assert average_precision_frames([squashed], [gts], 3.0) == pytest.approx(base)
+        assert average_precision_frames(*as_arrays([squashed], [gts]), 3.0) == pytest.approx(base)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(63)
@@ -133,22 +141,15 @@ class TestAveragePrecision:
                     rng.uniform(0, 1, 8),
                 )
             ]
-            ap = average_precision_frames([preds], [gts], 2.0)
+            ap = average_precision_frames(*as_arrays([preds], [gts]), 2.0)
             assert 0.0 <= ap <= 1.0
 
     def test_multi_frame_pooling(self):
         # one perfect frame, one empty-prediction frame: global ranking
         frame_preds = [[(np.array([0.0, 0.0]), 1.0)], []]
         frame_gts = [[np.array([0.0, 0.0])], [np.array([5.0, 5.0])]]
-        ap = average_precision_frames(frame_preds, frame_gts, 2.0)
+        ap = average_precision_frames(*as_arrays(frame_preds, frame_gts), 2.0)
         assert ap == pytest.approx(0.5)  # recall saturates at 1/2
-
-    def test_map_averages_thresholds(self):
-        frame_preds = [[(np.array([0.0, 0.6]), 1.0)]]  # 0.6 m off
-        frame_gts = [[np.array([0.0, 0.0])]]
-        m = mean_average_precision(frame_preds, frame_gts)
-        # misses the 0.5 m threshold, hits 1, 2 and 4 m
-        assert m == pytest.approx(3.0 / 4.0)
 
 
 def reference_center_matching(pred_centers, scores, gt_centers, threshold):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarview.camera import make_symmetric_rig, project_rig
 from polarview.geometry import (
@@ -221,3 +223,121 @@ class TestDetectionProbs:
         with pytest.raises(ValueError):
             DetectionSet(frames=frames)
         assert len(DetectionSet(frames=frames[:1]).frames) == 1
+
+
+# Values at and across every boundary the record checks draw: sign of r and
+# sizes, the [0, 1] ends of probabilities and scores, non-finite values, and
+# numbers whose square overflows.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0000000000000002, -1.0, 1e200, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def records(draw, n_classes):
+    """A valid detection as plain floats with up to two values swapped for edge values.
+
+    Unit pairs are stretched by factors that straddle the 1e-9 tolerance.
+    """
+    stretches = st.sampled_from([0.0, 0.0, 0.0, 4.9e-10, 5.1e-10, -5.1e-10, 1e-3])
+    pairs = []
+    for _ in range(2):
+        angle, stretch = draw(st.floats(-math.pi, math.pi)), draw(stretches)
+        pairs.append([math.sin(angle) * (1.0 + stretch), math.cos(angle) * (1.0 + stretch)])
+    r, z = draw(st.floats(0.0, 60.0)), draw(st.floats(-5.0, 5.0))
+    sizes = draw(st.lists(st.floats(1e-3, 6.0), min_size=3, max_size=3))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n_classes, max_size=n_classes))
+    velocity = draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2))
+    values = [r, *pairs[0], z, *sizes, *pairs[1], *probs, *velocity, draw(st.floats(0.0, 1.0))]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(EDGES))
+    return values[:9], values[9:-3], values[-3:-1], values[-1]
+
+
+def record_fails(box, probs, velocity, score):
+    try:
+        Detection(box=PolarBox(*box), probs=probs, velocity=PolarVelocity(*velocity), score=score)
+    except ValueError:
+        return True
+    return False
+
+
+def frame_fails(rows):
+    columns = [[row[k] for row in rows] for k in range(4)]
+    try:
+        DetectionFrame.from_arrays(0.0, *columns)
+    except ValueError:
+        return True
+    return False
+
+
+class TestDetectionFrameChecks:
+    def test_each_edge_value_at_each_position_fails_alike(self):
+        base = [10.0, 0.6, 0.8, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0, 0.2, 0.8, 1.0, -1.0, 0.5]
+        cases = []
+        for k in range(len(base)):
+            for value in EDGES:
+                values = list(base)
+                values[k] = value
+                cases.append(values)
+        for first in (1, 7):  # azimuth and yaw pairs stretched across the tolerance
+            for stretch in (4.9e-10, 5e-10, 5.1e-10, -5.1e-10):
+                values = list(base)
+                values[first : first + 2] = [v * (1.0 + stretch) for v in base[first : first + 2]]
+                cases.append(values)
+        outcomes = set()
+        for values in cases:
+            record = (values[:9], values[9:11], values[11:13], values[13])
+            assert frame_fails([record]) == record_fails(*record), values
+            outcomes.add(record_fails(*record))
+        assert outcomes == {True, False}
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from([0, 1, 1, 2, 3]).flatmap(records))
+    def test_one_row_fails_exactly_when_the_record_does(self, record):
+        assert frame_fails([record]) == record_fails(*record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda c: st.lists(records(c), min_size=1, max_size=4)))
+    def test_frame_fails_exactly_when_some_record_does(self, rows):
+        assert frame_fails(rows) == any(record_fails(*row) for row in rows)
+
+    def test_arrays_are_read_only_copies(self):
+        boxes = np.array([[10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]])
+        frame = DetectionFrame.from_arrays(0.5, boxes, [[0.2, 0.8]], [[0.0, 0.0]], [0.5])
+        assert boxes.flags.writeable
+        assert not any(a.flags.writeable for a in (frame.boxes, frame.probs, frame.velocities, frame.scores))
+        assert len(frame) == 1 and frame.labels.tolist() == [1]
+
+    def test_detections_round_trip(self):
+        scene = generate_scene(SceneConfig(n_objects=6, n_frames=2, seed=3))
+        dets = render_detections(scene, NoiseModel(radial_std=0.2, false_positive_rate=2.0, seed=4))
+        for frame in dets.frames:
+            again = DetectionFrame(frame.t, frame.detections)
+            for name in ("boxes", "probs", "velocities", "scores"):
+                np.testing.assert_array_equal(getattr(again, name), getattr(frame, name))
+
+    def test_empty_frame(self):
+        frame = DetectionFrame(1.0)
+        assert len(frame) == 0 and frame.detections == () and frame.labels.shape == (0,)
+        assert frame.boxes.shape == (0, 9) and frame.velocities.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "change", [(0, lambda a: a[:, :8]), (1, lambda a: a[0]), (2, lambda a: np.zeros((1, 3))),
+                   (0, lambda a: np.repeat(a, 2, axis=0)), (3, lambda a: a[:, None])],
+        ids=["box-width", "probs-1d", "velocity-width", "row-count", "scores-2d"],
+    )
+    def test_rejects_bad_shapes(self, change):
+        arrays = [np.array([[10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]]), np.array([[0.2, 0.8]]),
+                  np.zeros((1, 2)), np.array([0.5])]
+        DetectionFrame.from_arrays(0.0, *arrays)
+        k, reshape = change
+        arrays[k] = reshape(arrays[k])
+        with pytest.raises(ValueError):
+            DetectionFrame.from_arrays(0.0, *arrays)
+
+
+class TestSceneConfigFinite:
+    @pytest.mark.parametrize("field", ["dt", "r_max", "speed_min", "speed_max", "ego_speed", "ego_yaw_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            SceneConfig(**{field: value})

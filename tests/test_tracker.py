@@ -44,6 +44,10 @@ def detection_at(x, y, label=0, score=1.0, v_rad=0.0, v_tan=0.0, n_classes=2):
     )
 
 
+def frame(*detections):
+    return DetectionFrame(t=0.0, detections=detections)
+
+
 def manual_scene(trajectories, n_frames, dt=0.5, labels=None):
     """trajectories: list of ((x0, y0), (vx, vy)) in a static ego frame."""
     labels = labels or [0] * len(trajectories)
@@ -65,21 +69,21 @@ def manual_scene(trajectories, n_frames, dt=0.5, labels=None):
 
 class TestBackProject:
     def test_zero_velocity_unchanged(self):
-        center = back_project(polar_at(10.0, 0.0), PolarVelocity(0.0, 0.0), 0.5)
+        center = back_project(polar_at(10.0, 0.0).as_array(), np.array([0.0, 0.0]), 0.5)
         np.testing.assert_allclose(center, [10.0, 0.0])
 
     def test_radial_motion(self):
         # cartesian velocity (2, 0) at azimuth 0 is purely radial
-        center = back_project(polar_at(10.0, 0.0), PolarVelocity(2.0, 0.0), 0.5)
+        center = back_project(polar_at(10.0, 0.0).as_array(), np.array([2.0, 0.0]), 0.5)
         np.testing.assert_allclose(center, [9.0, 0.0])
 
     def test_pure_tangential(self):
-        center = back_project(polar_at(10.0, 0.0), PolarVelocity(0.0, 2.0), 0.5)
+        center = back_project(polar_at(10.0, 0.0).as_array(), np.array([0.0, 2.0]), 0.5)
         np.testing.assert_allclose(center, [10.0, -1.0])
 
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
-            back_project(polar_at(10.0, 0.0), PolarVelocity(0.0, 0.0), 0.0)
+            back_project(polar_at(10.0, 0.0).as_array(), np.array([0.0, 0.0]), 0.0)
 
 
 def reference_greedy(dist, allowed):
@@ -114,50 +118,57 @@ class TestDistancesAndGreedy:
         assert _greedy_match(np.ones((3, 4)), np.zeros((3, 4), dtype=bool)) == []
 
 
+class TestConfig:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_threshold(self, threshold):
+        with pytest.raises(ValueError):
+            TrackerConfig(distance_threshold=threshold)
+
+
 class TestMatching:
     def test_exact_overlap_matches(self):
         state = TrackerState()
-        step(state, (detection_at(10.0, 0.0),), 0.5)
-        matches, unmatched_d, unmatched_t = match_tracks(state, (detection_at(10.0, 0.0),), 0.5)
+        step(state, frame(detection_at(10.0, 0.0)), 0.5)
+        matches, unmatched_d, unmatched_t = match_tracks(state, frame(detection_at(10.0, 0.0)), 0.5)
         assert matches == [(0, 0)]
         assert not unmatched_d and not unmatched_t
 
     def test_threshold_boundary(self):
         config = TrackerConfig(distance_threshold=2.0)
         state = TrackerState(config=config)
-        step(state, (detection_at(10.0, 0.0),), 0.5)
-        inside, _, _ = match_tracks(state, (detection_at(12.0, 0.0),), 0.5)
+        step(state, frame(detection_at(10.0, 0.0)), 0.5)
+        inside, _, _ = match_tracks(state, frame(detection_at(12.0, 0.0)), 0.5)
         assert inside == [(0, 0)]  # exactly at threshold counts
-        outside, ud, ut = match_tracks(state, (detection_at(12.0 + 1e-6, 0.0),), 0.5)
+        outside, ud, ut = match_tracks(state, frame(detection_at(12.0 + 1e-6, 0.0)), 0.5)
         assert outside == [] and ud == [0] and ut == [0]
 
     def test_class_gate(self):
         state = TrackerState()
-        step(state, (detection_at(10.0, 0.0, label=0),), 0.5)
-        matches, ud, _ = match_tracks(state, (detection_at(10.0, 0.0, label=1),), 0.5)
+        step(state, frame(detection_at(10.0, 0.0, label=0)), 0.5)
+        matches, ud, _ = match_tracks(state, frame(detection_at(10.0, 0.0, label=1)), 0.5)
         assert matches == [] and ud == [0]
 
     def test_no_crossing_when_well_separated(self):
         state = TrackerState()
-        step(state, (detection_at(10.0, 0.0), detection_at(20.0, 0.0)), 0.5)
-        dets = (detection_at(20.3, 0.0), detection_at(10.3, 0.0))  # swapped order
+        step(state, frame(detection_at(10.0, 0.0), detection_at(20.0, 0.0)), 0.5)
+        dets = frame(detection_at(20.3, 0.0), detection_at(10.3, 0.0))  # swapped order
         matches, _, _ = match_tracks(state, dets, 0.5)
         assert sorted(matches) == [(0, 1), (1, 0)]
 
     def test_greedy_prefers_closest_pair(self):
         state = TrackerState()
-        step(state, (detection_at(10.0, 0.0), detection_at(11.0, 0.0)), 0.5)
+        step(state, frame(detection_at(10.0, 0.0), detection_at(11.0, 0.0)), 0.5)
         # one detection between both tracks, nearer the second
-        matches, _, _ = match_tracks(state, (detection_at(10.9, 0.0),), 0.5)
+        matches, _, _ = match_tracks(state, frame(detection_at(10.9, 0.0)), 0.5)
         assert matches == [(0, 1)]
 
     def test_hungarian_alternative_minimizes_total(self):
         config = TrackerConfig(distance_threshold=5.0, matching="hungarian")
         state = TrackerState(config=config)
-        step(state, (detection_at(10.0, 0.0), detection_at(13.0, 0.0)), 0.5)
+        step(state, frame(detection_at(10.0, 0.0), detection_at(13.0, 0.0)), 0.5)
         # greedy would grab (det0, track1) at 1.4 and strand det1 at 4.4 total;
         # optimal pairing is det0-track0 (2.4) + det1-track1 (1.6)
-        dets = (detection_at(12.4, 0.0), detection_at(14.6, 0.0))
+        dets = frame(detection_at(12.4, 0.0), detection_at(14.6, 0.0))
         matches, _, _ = match_tracks(state, dets, 0.5)
         assert sorted(matches) == [(0, 0), (1, 1)]
 
@@ -165,31 +176,31 @@ class TestMatching:
 class TestStep:
     def test_fresh_state_spawns_tracks(self):
         state = TrackerState()
-        ids = step(state, tuple(detection_at(10.0 + 5 * i, 0.0) for i in range(4)), 0.5)
+        ids = step(state, frame(*(detection_at(10.0 + 5 * i, 0.0) for i in range(4))), 0.5)
         assert ids == [0, 1, 2, 3]
         assert state.created == 4
         assert all(t.age == 1 and t.misses == 0 for t in state.tracks)
 
     def test_ids_never_reused(self):
         state = TrackerState(config=TrackerConfig(max_misses=0))
-        step(state, (detection_at(10.0, 0.0),), 0.5)
-        step(state, (), 0.5)  # track retires
-        ids = step(state, (detection_at(10.0, 0.0),), 0.5)
+        step(state, frame(detection_at(10.0, 0.0)), 0.5)
+        step(state, frame(), 0.5)  # track retires
+        ids = step(state, frame(detection_at(10.0, 0.0)), 0.5)
         assert ids == [1]
 
     def test_retirement_after_max_misses(self):
         state = TrackerState(config=TrackerConfig(max_misses=2))
-        step(state, (detection_at(10.0, 0.0),), 0.5)
-        step(state, (), 0.5)
-        step(state, (), 0.5)
+        step(state, frame(detection_at(10.0, 0.0)), 0.5)
+        step(state, frame(), 0.5)
+        step(state, frame(), 0.5)
         assert len(state.tracks) == 1  # still within the miss budget
-        step(state, (), 0.5)
+        step(state, frame(), 0.5)
         assert len(state.tracks) == 0
 
     def test_matched_track_updates_state(self):
         state = TrackerState()
-        step(state, (detection_at(10.0, 0.0, score=0.9),), 0.5)
-        step(state, (detection_at(10.5, 0.0, score=0.7),), 0.5)
+        step(state, frame(detection_at(10.0, 0.0, score=0.9)), 0.5)
+        step(state, frame(detection_at(10.5, 0.0, score=0.7)), 0.5)
         track = state.tracks[0]
         assert track.age == 2 and track.misses == 0
         assert track.score == 0.7
