@@ -46,22 +46,33 @@ def rotation_about_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _check_rotation(rot: np.ndarray, name: str) -> np.ndarray:
-    rot = np.asarray(rot, dtype=np.float64)
-    if rot.shape != (3, 3):
-        raise ValueError(f"{name}: rotation must be 3x3")
-    if not np.isfinite(rot).all():
+def _check_poses(rots: np.ndarray, translations: np.ndarray, name: str) -> None:
+    """ValueError unless all (3, 3) ``rots`` are finite proper rotations and all ``translations`` finite."""
+    if not np.isfinite(rots).all():
         raise ValueError(f"{name}: rotation must be finite")
-    if np.abs(rot @ rot.T - np.eye(3)).max() > _ORTHO_TOL:
-        raise ValueError(f"{name}: rotation is not orthonormal")
-    if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
-        raise ValueError(f"{name}: rotation must have determinant +1")
-    return rot
+    with np.errstate(over="ignore"):  # a huge entry overflows to inf and fails the check
+        if rots.size and np.abs(rots @ np.swapaxes(rots, -1, -2) - np.eye(3)).max() > _ORTHO_TOL:
+            raise ValueError(f"{name}: rotation is not orthonormal")
+        if (np.abs(np.linalg.det(rots) - 1.0) > _ORTHO_TOL).any():
+            raise ValueError(f"{name}: rotation must have determinant +1")
+    if not np.isfinite(translations).all():
+        raise ValueError(f"{name}: translation must be finite")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _freeze_pose(obj, name: str) -> None:
+    """Check ``obj.rotation`` (3, 3) and ``obj.translation`` (3,) and store them as read-only float arrays."""
+    rot = np.asarray(obj.rotation, dtype=np.float64)
+    if rot.shape != (3, 3):
+        raise ValueError(f"{name}: rotation must be 3x3")
+    t = np.asarray(obj.translation, dtype=np.float64).reshape(3)
+    _check_poses(rot[None], t, name)
+    object.__setattr__(obj, "rotation", _frozen(rot))
+    object.__setattr__(obj, "translation", _frozen(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +93,7 @@ class CameraModel:
             raise ValueError("CameraModel: focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("CameraModel: image size must be positive")
-        rot = _check_rotation(self.rotation, "CameraModel")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.isfinite(t).all():
-            raise ValueError("CameraModel: translation must be finite")
-        object.__setattr__(self, "rotation", _frozen(rot))
-        object.__setattr__(self, "translation", _frozen(t))
+        _freeze_pose(self, "CameraModel")
 
     @property
     def intrinsic_matrix(self) -> np.ndarray:
@@ -134,12 +140,7 @@ class EgoPose:
     dt: float = 0.0
 
     def __post_init__(self) -> None:
-        rot = _check_rotation(self.rotation, "EgoPose")
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.isfinite(t).all():
-            raise ValueError("EgoPose: translation must be finite")
-        object.__setattr__(self, "rotation", _frozen(rot))
-        object.__setattr__(self, "translation", _frozen(t))
+        _freeze_pose(self, "EgoPose")
 
     @classmethod
     def identity(cls, dt: float = 0.0) -> "EgoPose":

@@ -23,15 +23,7 @@ import numpy as np
 
 from . import assignment, loss, metrics, serialization, tracker
 from .camera import make_symmetric_rig, max_rotation_discrepancy
-from .geometry import (
-    PolarBox,
-    PolarVelocity,
-    RangeConfig,
-    cartesian_to_polar,
-    polar_centers,
-    polar_fields,
-    velocity_cartesian_to_polar,
-)
+from .geometry import PolarBox, PolarVelocity, RangeConfig, polar_centers, polar_fields, rotate_planar
 from .simulator import NoiseModel, Scene, SceneConfig, generate_scene, render_detections
 
 __all__ = ["main", "build_parser"]
@@ -124,17 +116,26 @@ def _region_from_args(args):
     return None
 
 
+def _in_region(region, rows: list) -> list[int]:
+    """Indices of the rows whose first two values (x, y) lie in the region (all rows for None)."""
+    return [i for i, (x, y, *_) in enumerate(rows) if region is None or region.contains(x, y)]
+
+
 def _cmd_assign(args) -> int:
     scene = serialization.load_scene(args.scene)
     dets = serialization.load_detections(args.detections)
     if len(scene.frames) != len(dets.frames):
         raise ValueError("assign: scene and detections disagree on frame count")
+    if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
+        raise ValueError("assign: --k-scaling must be finite and >= 1")
     region = _region_from_args(args)
     frames_out = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
-        gt_boxes = np.array([polar_fields(o.box) for o in objects]).reshape(-1, 9)
-        gt_classes = np.array([o.label for o in objects])
+        gt_rows = frame_gt.boxes.tolist()
+        kept = _in_region(region, gt_rows)
+        gt_boxes = np.array([polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
+        gt_classes = frame_gt.classes[kept]
+        gt_ids = frame_gt.ids[kept].tolist()
         costs = assignment.build_cost_matrix(
             (frame_det.boxes, frame_det.probs), (gt_boxes, gt_classes), args.k_scaling,
             class_cost_form=args.class_cost,
@@ -147,7 +148,7 @@ def _cmd_assign(args) -> int:
             pairs = [
                 {
                     "gt": j,
-                    "gt_id": objects[j].object_id,
+                    "gt_id": gt_ids[j],
                     "pred": i,
                     "cost": float(costs[j, i]),
                     "class_cost": float(class_costs[j, i]),
@@ -159,7 +160,7 @@ def _cmd_assign(args) -> int:
             {
                 "t": frame_gt.t,
                 "pairs": pairs,
-                "unmatched_gts": sorted(set(range(len(objects))) - result.matched_gts()),
+                "unmatched_gts": sorted(set(range(len(kept))) - result.matched_gts()),
                 "unmatched_preds": sorted(set(range(len(frame_det))) - result.matched_preds()),
             }
         )
@@ -203,22 +204,21 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
     frame_gts = []
     tp_pairs = []
     for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        objects = [o for o in frame_gt.objects if region is None or region.contains(o.box.x, o.box.y)]
-        gt_centers = np.array([[o.box.x, o.box.y] for o in objects]).reshape(-1, 2)
+        gt_rows = frame_gt.boxes.tolist()
+        kept_gt = _in_region(region, gt_rows)
+        gt_centers = frame_gt.boxes[kept_gt, :2]
         centers = polar_centers(frame_det.boxes)
-        kept = [i for i, (x, y) in enumerate(centers.tolist()) if region is None or region.contains(x, y)]
+        kept = _in_region(region, centers.tolist())
         preds = (centers[kept], frame_det.scores[kept])
         frame_preds.append(preds)
         frame_gts.append(gt_centers)
-        if kept and objects:
+        if kept and kept_gt:
             matches, _ = metrics.match_by_center_distance(*preds, gt_centers, args.tp_threshold)
             for pi, gi in matches:
-                di = kept[pi]
-                obj = objects[gi]
-                gt_polar = cartesian_to_polar(obj.box)
-                gt_vel = velocity_cartesian_to_polar(
-                    obj.velocity, gt_polar.sin_a, gt_polar.cos_a
-                )
+                di, gj = kept[pi], kept_gt[gi]
+                gt_polar = PolarBox(*polar_fields(*gt_rows[gj]))
+                v_x, v_y = frame_gt.velocities[gj].tolist()
+                gt_vel = PolarVelocity(*rotate_planar(v_x, v_y, -gt_polar.sin_a, gt_polar.cos_a))
                 det_vel = PolarVelocity(*frame_det.velocities[di].tolist())
                 tp_pairs.append(((PolarBox.from_array(frame_det.boxes[di]), det_vel), (gt_polar, gt_vel)))
 
@@ -276,6 +276,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_symmetry_check(args) -> int:
+    if args.points < 0:
+        raise ValueError("symmetry-check: --points must be >= 0")
     rig = make_symmetric_rig(args.cameras)
     rng = np.random.default_rng(args.seed)
     r = rng.uniform(5.0, 40.0, size=args.points)
@@ -316,6 +318,8 @@ def _cmd_range_demo(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.fixtures < 0:
+        raise ValueError("gradcheck: --fixtures must be >= 0")
     rng = np.random.default_rng(args.seed)
     rc = RangeConfig()
     buf = io.StringIO()

@@ -363,17 +363,17 @@ def rotate_planar(u, v, sin_a, cos_a):
     return u * cos_a - v * sin_a, u * sin_a + v * cos_a
 
 
-def polar_fields(box: CartesianBox) -> tuple[float, ...]:
-    """``POLAR_FIELDS`` values of a cartesian box; ValueError on the ego z axis (degenerate azimuth)."""
-    r = math.hypot(box.x, box.y)
+def polar_fields(x: float, y: float, z: float, l: float, w: float, h: float, yaw: float) -> tuple[float, ...]:
+    """``POLAR_FIELDS`` values of a cartesian box row; ValueError on the ego z axis (degenerate azimuth)."""
+    r = math.hypot(x, y)
     if r == 0.0:
         raise ValueError("cartesian_to_polar: degenerate azimuth at (x, y) = (0, 0)")
-    return (r, box.y / r, box.x / r, box.z, box.l, box.w, box.h, math.sin(box.yaw), math.cos(box.yaw))
+    return (r, y / r, x / r, z, l, w, h, math.sin(yaw), math.cos(yaw))
 
 
 def cartesian_to_polar(box: CartesianBox) -> PolarBox:
     """Transform a cartesian box into the polar parametrization (see :func:`polar_fields`)."""
-    return PolarBox(*polar_fields(box))
+    return PolarBox(*polar_fields(box.x, box.y, box.z, box.l, box.w, box.h, box.yaw))
 
 
 def polar_to_cartesian(box: PolarBox) -> CartesianBox:

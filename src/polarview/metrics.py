@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PolarBox, PolarVelocity, planar_distances, velocity_polar_to_cartesian, wrap_angle
+from .geometry import PolarBox, PolarVelocity, planar_distances, rotate_planar, wrap_angle
 
 __all__ = [
     "TPErrors",
@@ -73,9 +73,9 @@ def tp_errors(
         ate += math.hypot(px - gx, py - gy)
         ase += 1.0 - aligned_iou(pred_box, gt_box)
         aoe += abs(wrap_angle(pred_box.yaw() - gt_box.yaw()))
-        pv = velocity_polar_to_cartesian(pred_vel, pred_box.sin_a, pred_box.cos_a)
-        gv = velocity_polar_to_cartesian(gt_vel, gt_box.sin_a, gt_box.cos_a)
-        ave += math.hypot(pv.v_x - gv.v_x, pv.v_y - gv.v_y)
+        pv_x, pv_y = rotate_planar(pred_vel.v_rad, pred_vel.v_tan, pred_box.sin_a, pred_box.cos_a)
+        gv_x, gv_y = rotate_planar(gt_vel.v_rad, gt_vel.v_tan, gt_box.sin_a, gt_box.cos_a)
+        ave += math.hypot(pv_x - gv_x, pv_y - gv_y)
     n = len(pairs)
     return TPErrors(ate=ate / n, ase=ase / n, aoe=min(aoe / n, math.pi), ave=ave / n)
 

@@ -17,10 +17,17 @@ sin_t, cos_t], a score, a class-probability vector and velocity
 [v_rad, v_tan].  Floats are emitted with 17 significant digits, which
 round-trips float64 exactly and keeps outputs byte-stable.
 
-Each detections frame loads as one ``simulator.DetectionFrame``: boxes
-(N, 9), probs (N, C), velocities (N, 2) and scores (N,) arrays, one
-``np.array`` call per key, with no per-record object.  Where the schema
-holds a number, both loaders refuse JSON strings and ``null``.
+Both loaders read a whole file into one array per key and check it once,
+with no per-object record: a scene becomes frame times, per-frame object
+counts, ego rotations (F, 3, 3) and translations (F, 3), and object ids
+(M,), classes (M,), boxes (M, 7) and velocities (M, 2) over all frames,
+checked by ``simulator.Scene.from_arrays``; detections become times,
+counts, boxes (N, 9), probs (N, C), velocities (N, 2) and scores (N,),
+checked by ``simulator.DetectionSet.from_arrays``.  Each frame is a
+read-only slice of those arrays.  Where the schema holds a number, the
+loaders accept only a JSON number that is a finite float64 (no string,
+``null``, boolean, nested list or integer beyond the float range), and
+ids, classes and image sizes must be JSON integers that fit in 64 bits.
 
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``
@@ -31,19 +38,13 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .camera import CameraModel, EgoPose, Rig
-from .geometry import CartesianBox, CartesianVelocity
-from .simulator import (
-    DetectionFrame,
-    DetectionSet,
-    Scene,
-    SceneFrame,
-    SceneObject,
-)
+from .camera import CameraModel, Rig
+from .simulator import DetectionSet, Scene
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -161,35 +162,20 @@ def _camera_to_dict(cam: CameraModel) -> dict:
 
 
 def _camera_from_dict(d: dict) -> CameraModel:
-    fx, fy, cx, cy = d["intrinsics"]
+    fx, fy, cx, cy = _numbers(d["intrinsics"], "camera intrinsics").tolist()
     size = d["image_size"]
     if type(size) is not list or len(size) != 2:
         raise ValueError(f"camera image_size must be two JSON integers, got {size!r}")
-    width, height = (_json_int(v, "camera image_size") for v in size)
+    width, height = _integers(size, "camera image_size").tolist()
     return CameraModel(
         fx=fx,
         fy=fy,
         cx=cx,
         cy=cy,
-        rotation=np.array(d["extrinsics"]["rotation"], dtype=np.float64).reshape(3, 3),
-        translation=np.array(d["extrinsics"]["translation"], dtype=np.float64),
+        rotation=_numbers(d["extrinsics"]["rotation"], "camera rotation").reshape(3, 3),
+        translation=_numbers(d["extrinsics"]["translation"], "camera translation"),
         width=width,
         height=height,
-    )
-
-
-def _pose_to_dict(pose: EgoPose) -> dict:
-    return {
-        "rotation": pose.rotation.reshape(-1).tolist(),
-        "translation": pose.translation.tolist(),
-    }
-
-
-def _pose_from_dict(d: dict, dt: float) -> EgoPose:
-    return EgoPose(
-        rotation=np.array(d["rotation"], dtype=np.float64).reshape(3, 3),
-        translation=np.array(d["translation"], dtype=np.float64),
-        dt=dt,
     )
 
 
@@ -200,23 +186,18 @@ def scene_to_dict(scene: Scene) -> dict:
         "frames": [
             {
                 "t": frame.t,
-                "ego_pose": _pose_to_dict(frame.ego_pose),
+                "ego_pose": {
+                    "rotation": frame.pose_rotation.reshape(-1).tolist(),
+                    "translation": frame.pose_translation.tolist(),
+                },
                 "objects": [
-                    {
-                        "id": obj.object_id,
-                        "class": obj.label,
-                        "box": [
-                            obj.box.x,
-                            obj.box.y,
-                            obj.box.z,
-                            obj.box.l,
-                            obj.box.w,
-                            obj.box.h,
-                            obj.box.yaw,
-                        ],
-                        "velocity": [obj.velocity.v_x, obj.velocity.v_y],
-                    }
-                    for obj in frame.objects
+                    {"id": i, "class": c, "box": box, "velocity": velocity}
+                    for i, c, box, velocity in zip(
+                        frame.ids.tolist(),
+                        frame.classes.tolist(),
+                        frame.boxes.tolist(),
+                        frame.velocities.tolist(),
+                    )
                 ],
             }
             for frame in scene.frames
@@ -232,35 +213,58 @@ def _check_version(d: Any) -> None:
         raise ValueError(f"unsupported schema_version {version!r}")
 
 
-def _json_int(value: Any, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-    return value
+def _numbers(values: list, name: str) -> np.ndarray:
+    """float64 array of a list of JSON numbers, each finite as a float64."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{name} values must be JSON numbers")
+    try:
+        a = np.array(values, dtype=np.float64)
+        if np.isfinite(a).all():
+            return a
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} values must be finite float64 numbers")
 
 
-def _json_float(value: Any, name: str) -> float:
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
+def _number_rows(rows: list, name: str, width: int | None = None) -> np.ndarray:
+    """(len(rows), width) float64 array of lists of ``width`` JSON numbers (default: the first row's length)."""
+    if not set(map(type, rows)) <= {list}:
+        raise ValueError(f"{name} must be lists of JSON numbers")
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError(f"{name} lists must all hold {width} values")
+    return _numbers(list(chain.from_iterable(rows)), name).reshape(len(rows), width)
+
+
+def _integers(values: list, name: str) -> np.ndarray:
+    """int64 array of a list of JSON integers."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{name} must be JSON integers")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in 64 bits") from None
 
 
 def scene_from_dict(d: dict) -> Scene:
     _check_version(d)
     rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
-    frames = []
-    for fd in d["frames"]:
-        objects = tuple(
-            SceneObject(
-                object_id=_json_int(od["id"], "object id"),
-                label=_json_int(od["class"], "object class"),
-                box=CartesianBox(*[_json_float(v, "object box") for v in od["box"]]),
-                velocity=CartesianVelocity(*[_json_float(v, "object velocity") for v in od["velocity"]]),
-            )
-            for od in fd["objects"]
-        )
-        t = _json_float(fd["t"], "frame t")
-        frames.append(SceneFrame(t=t, ego_pose=_pose_from_dict(fd["ego_pose"], dt=t), objects=objects))
-    return Scene(rig=rig, frames=tuple(frames))
+    frames = d["frames"]
+    poses = [fd["ego_pose"] for fd in frames]
+    objects = [fd["objects"] for fd in frames]
+    rows = list(chain.from_iterable(objects))
+    return Scene.from_arrays(
+        rig,
+        _numbers([fd["t"] for fd in frames], "frame t"),
+        list(map(len, objects)),
+        _number_rows([p["rotation"] for p in poses], "ego_pose rotation", 9).reshape(-1, 3, 3),
+        _number_rows([p["translation"] for p in poses], "ego_pose translation", 3),
+        _integers([od["id"] for od in rows], "object id"),
+        _integers([od["class"] for od in rows], "object class"),
+        _number_rows([od["box"] for od in rows], "object box", 7),
+        _number_rows([od["velocity"] for od in rows], "object velocity", 2),
+    )
 
 
 def detections_to_dict(dets: DetectionSet) -> dict:
@@ -284,20 +288,19 @@ def detections_to_dict(dets: DetectionSet) -> dict:
     }
 
 
-def _detection_frame(fd: dict) -> DetectionFrame:
-    t = _json_float(fd["t"], "detections frame t")
-    records = fd["detections"]
-    if not records:
-        return DetectionFrame(t)
-    columns = [np.array([rec[key] for rec in records]) for key in ("box", "probs", "velocity", "score")]
-    if any(column.dtype.kind not in "fiu" for column in columns):
-        raise ValueError("detection box, probs, velocity and score values must be JSON numbers")
-    return DetectionFrame.from_arrays(t, *columns)
-
-
 def detections_from_dict(d: dict) -> DetectionSet:
     _check_version(d)
-    return DetectionSet(frames=tuple(_detection_frame(fd) for fd in d["frames"]))
+    frames = d["frames"]
+    records = [fd["detections"] for fd in frames]
+    rows = list(chain.from_iterable(records))
+    return DetectionSet.from_arrays(
+        _numbers([fd["t"] for fd in frames], "detections frame t"),
+        list(map(len, records)),
+        _number_rows([rec["box"] for rec in rows], "detection box", 9),
+        _number_rows([rec["probs"] for rec in rows], "detection probs"),
+        _number_rows([rec["velocity"] for rec in rows], "detection velocity", 2),
+        _numbers([rec["score"] for rec in rows], "detection score"),
+    )
 
 
 def _reject_constant(name: str) -> None:

@@ -14,12 +14,13 @@ contrast experiments.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import EgoPose, Rig, make_symmetric_rig, rotation_about_z
+from .camera import EgoPose, Rig, _check_poses, make_symmetric_rig, rotation_about_z
 from .geometry import (
     _PAIR_TOL,
     CartesianBox,
@@ -47,27 +48,121 @@ __all__ = [
 ]
 
 
-def _check_times(frames, owner: str) -> None:
-    times = [f.t for f in frames]
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_times(times: list[float], owner: str) -> None:
     if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"{owner}: timestamps must be finite and strictly increase")
 
 
+def _fill(frame, t: float, *arrays: np.ndarray):
+    """Set a frozen frame's ``t`` and its array fields in declaration order; the caller checked the rows."""
+    for name, value in zip(frame.__dataclass_fields__, (float(t), *arrays)):
+        object.__setattr__(frame, name, value)
+    return frame
+
+
+def _frames(cls, times, counts, rows: list[np.ndarray], *per_frame) -> tuple:
+    """Frames of ``cls`` holding ``times[f]``, each ``per_frame[k][f]`` and the next ``counts[f]`` checked rows."""
+    times = [float(t) for t in times]
+    bounds = [0, *itertools.accumulate(counts)]
+    if len(counts) != len(times) or any(c < 0 for c in counts) or bounds[-1] != len(rows[0]):
+        raise ValueError(f"{cls.__name__}: need one nonnegative row count per frame, adding up to the rows")
+    return tuple(
+        _fill(cls.__new__(cls), t, *(p[f] for p in per_frame), *(a[lo:hi] for a in rows))
+        for f, (t, lo, hi) in enumerate(zip(times, bounds, bounds[1:]))
+    )
+
+
+def _scene_rows(frames: int, rotations, translations, ids, classes, boxes, velocities) -> list[np.ndarray]:
+    """Read-only copies of ``frames`` ego poses and of object rows, checked in one pass.
+
+    The checks are those :class:`EgoPose`, :class:`SceneObject`,
+    :class:`CartesianBox` and :class:`CartesianVelocity` make for one pose
+    or object, each failure a ValueError.
+    """
+    ids, classes = np.asarray(ids), np.asarray(classes)
+    if any(a.size and a.dtype.kind != "i" for a in (ids, classes)):
+        raise ValueError("Scene: object ids and classes must be 64-bit integers")
+    arrays = [np.array(a, dtype=np.float64) for a in (rotations, translations, boxes, velocities)]
+    rotations, translations, boxes, velocities = arrays
+    m = ids.size
+    shapes = (rotations.shape, translations.shape, ids.shape, classes.shape, boxes.shape, velocities.shape)
+    if shapes != ((frames, 3, 3), (frames, 3), (m,), (m,), (m, 7), (m, 2)):
+        raise ValueError("Scene: arrays must have shapes (F, 3, 3), (F, 3), (M,), (M,), (M, 7) and (M, 2)")
+    _check_poses(rotations, translations, "EgoPose")
+    faults = {
+        "Scene: object boxes and velocities must be finite": not all(np.isfinite(a).all() for a in arrays[2:]),
+        "Scene: object sizes must be positive": (boxes[:, 3:6] <= 0.0).any(),
+        "Scene: object yaw must lie in (-pi, pi]": ((boxes[:, 6] <= -math.pi) | (boxes[:, 6] > math.pi)).any(),
+    }
+    for message, fault in faults.items():
+        if fault:
+            raise ValueError(message)
+    arrays = [rotations, translations, ids.astype(np.int64), classes.astype(np.int64), boxes, velocities]
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class SceneObject:
-    """Ground-truth object in one frame's ego coordinates."""
+    """Ground-truth object in one frame's ego coordinates (API edge)."""
 
     object_id: int
     label: int
     box: CartesianBox
     velocity: CartesianVelocity
 
+    def __post_init__(self) -> None:
+        for v in (self.object_id, self.label):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not _INT64.min <= v <= _INT64.max:
+                raise ValueError("SceneObject: object_id and label must be 64-bit integers")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class SceneFrame:
+    """One frame of ground truth as read-only arrays.
+
+    The ego pose is ``pose_rotation`` (3, 3) and ``pose_translation`` (3,);
+    objects are int64 ``ids`` (M,) and ``classes`` (M,), ``boxes`` (M, 7)
+    as (x, y, z, l, w, h, yaw) and ``velocities`` (M, 2) as (v_x, v_y).
+    Loaded and generated frames are slices of whole-scene arrays that
+    :meth:`Scene.from_arrays` checked once.  ``SceneFrame(t, ego_pose,
+    objects)`` stacks objects; :attr:`objects` and :attr:`ego_pose` rebuild them.
+    """
+
     t: float
-    ego_pose: EgoPose
-    objects: tuple[SceneObject, ...]
+    pose_rotation: np.ndarray
+    pose_translation: np.ndarray
+    ids: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray
+    velocities: np.ndarray
+
+    def __init__(self, t: float, ego_pose: EgoPose, objects: tuple[SceneObject, ...]) -> None:
+        objs = tuple(objects)
+        rotation, translation, *rows = _scene_rows(
+            1, [ego_pose.rotation], [ego_pose.translation], [o.object_id for o in objs], [o.label for o in objs],
+            np.reshape([(o.box.x, o.box.y, o.box.z, o.box.l, o.box.w, o.box.h, o.box.yaw) for o in objs], (-1, 7)),
+            np.reshape([(o.velocity.v_x, o.velocity.v_y) for o in objs], (-1, 2)),
+        )
+        _fill(self, t, rotation[0], translation[0], *rows)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def ego_pose(self) -> EgoPose:
+        """The pose as a validated :class:`EgoPose` with ``dt = t`` (API edge; built on each access)."""
+        return EgoPose(self.pose_rotation, self.pose_translation, self.t)
+
+    @property
+    def objects(self) -> tuple[SceneObject, ...]:
+        """The rows as validated :class:`SceneObject` objects (API edge; built on each access)."""
+        rows = zip(self.ids.tolist(), self.classes.tolist(), self.boxes.tolist(), self.velocities.tolist())
+        return tuple(SceneObject(i, c, CartesianBox(*b), CartesianVelocity(*v)) for i, c, b, v in rows)
 
 
 @dataclass(frozen=True)
@@ -76,11 +171,20 @@ class Scene:
     frames: tuple[SceneFrame, ...]
 
     def __post_init__(self) -> None:
-        _check_times(self.frames, "Scene")
-        for frame in self.frames:
-            ids = [o.object_id for o in frame.objects]
-            if len(set(ids)) != len(ids):
-                raise ValueError("Scene: object ids must be unique within a frame")
+        _check_times([f.t for f in self.frames], "Scene")
+        if any(len(set(f.ids.tolist())) != len(f) for f in self.frames):
+            raise ValueError("Scene: object ids must be unique within a frame")
+
+    @classmethod
+    def from_arrays(cls, rig: Rig, times, counts, rotations, translations, ids, classes, boxes, velocities):
+        """A scene from whole-scene arrays, each check run once over all rows, sliced into frames.
+
+        Frame f holds ``times[f]``, pose ``rotations[f]`` (3, 3) and
+        ``translations[f]`` (3,), and the next ``counts[f]`` object rows.
+        """
+        arrays = rotations, translations, ids, classes, boxes, velocities
+        rotations, translations, *rows = _scene_rows(len(times), *arrays)
+        return cls(rig=rig, frames=_frames(SceneFrame, times, counts, rows, rotations, translations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +208,36 @@ class Detection:
         object.__setattr__(self, "probs", probs)
 
 
+def _detection_rows(boxes, probs, velocities, scores) -> list[np.ndarray]:
+    """Read-only float64 copies of detection rows, checked in one pass.
+
+    The checks are those :class:`PolarBox`, :class:`PolarVelocity` and
+    :class:`Detection` make for one record, each failure a ValueError.
+    """
+    arrays = [np.array(a, dtype=np.float64) for a in (boxes, probs, velocities, scores)]
+    boxes, probs, velocities, scores = arrays
+    n = scores.size
+    if (scores.ndim, boxes.shape, velocities.shape, probs.shape[:1]) != (1, (n, 9), (n, 2), (n,)):
+        raise ValueError("DetectionFrame: arrays must have shapes (N, 9), (N, C), (N, 2) and (N,)")
+    with np.errstate(all="ignore"):  # the finiteness fault is reported first
+        pairs = boxes[:, [1, 7]] ** 2 + boxes[:, [2, 8]] ** 2
+        faults = {
+            "values must be finite": not all(np.isfinite(a).all() for a in arrays),
+            "r must be >= 0": (boxes[:, 0] < 0.0).any(),
+            "azimuth and yaw must be unit (sin, cos) pairs": (np.abs(pairs - 1.0) > _PAIR_TOL).any(),
+            "sizes must be positive": (boxes[:, 4:7] <= 0.0).any(),
+            "probs must be non-empty rows": probs.ndim != 2 or n and not probs.shape[1],
+            "probs must lie in [0, 1]": ((probs < 0.0) | (probs > 1.0)).any(),
+            "scores must lie in [0, 1]": ((scores < 0.0) | (scores > 1.0)).any(),
+        }
+    for message, fault in faults.items():
+        if fault:
+            raise ValueError(f"DetectionFrame: {message}")
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class DetectionFrame:
     """One frame of detections as four read-only arrays.
@@ -112,7 +246,8 @@ class DetectionFrame:
     (N, C), ``velocities`` (N, 2) as (v_rad, v_tan) and ``scores`` (N,).
     :meth:`from_arrays` checks all rows in one pass as :class:`PolarBox`,
     :class:`PolarVelocity` and :class:`Detection` check one record, each
-    failure a ValueError.  ``DetectionFrame(t, detections)`` stacks
+    failure a ValueError; :meth:`DetectionSet.from_arrays` runs the same
+    check once for a whole file.  ``DetectionFrame(t, detections)`` stacks
     :class:`Detection` objects; :attr:`detections` rebuilds them.
     """
 
@@ -127,37 +262,11 @@ class DetectionFrame:
         probs = [d.probs for d in dets] if dets else np.empty((0, 0))
         boxes = np.reshape([d.box.as_array() for d in dets], (-1, 9))
         velocities = np.reshape([(d.velocity.v_rad, d.velocity.v_tan) for d in dets], (-1, 2))
-        self._set(t, boxes, probs, velocities, [d.score for d in dets])
+        _fill(self, t, *_detection_rows(boxes, probs, velocities, [d.score for d in dets]))
 
     @classmethod
     def from_arrays(cls, t: float, boxes, probs, velocities, scores) -> "DetectionFrame":
-        frame = cls.__new__(cls)
-        frame._set(t, boxes, probs, velocities, scores)
-        return frame
-
-    def _set(self, t, *arrays) -> None:
-        boxes, probs, velocities, scores = arrays = [np.array(a, dtype=np.float64) for a in arrays]
-        n = scores.size
-        if (scores.ndim, boxes.shape, velocities.shape, probs.shape[:1]) != (1, (n, 9), (n, 2), (n,)):
-            raise ValueError("DetectionFrame: arrays must have shapes (N, 9), (N, C), (N, 2) and (N,)")
-        with np.errstate(all="ignore"):  # the finiteness fault is reported first
-            pairs = boxes[:, [1, 7]] ** 2 + boxes[:, [2, 8]] ** 2
-            faults = {
-                "values must be finite": not all(np.isfinite(a).all() for a in arrays),
-                "r must be >= 0": (boxes[:, 0] < 0.0).any(),
-                "azimuth and yaw must be unit (sin, cos) pairs": (np.abs(pairs - 1.0) > _PAIR_TOL).any(),
-                "sizes must be positive": (boxes[:, 4:7] <= 0.0).any(),
-                "probs must be non-empty rows": probs.ndim != 2 or n and not probs.shape[1],
-                "probs must lie in [0, 1]": ((probs < 0.0) | (probs > 1.0)).any(),
-                "scores must lie in [0, 1]": ((scores < 0.0) | (scores > 1.0)).any(),
-            }
-        for message, fault in faults.items():
-            if fault:
-                raise ValueError(f"DetectionFrame: {message}")
-        object.__setattr__(self, "t", float(t))
-        for name, a in zip(("boxes", "probs", "velocities", "scores"), arrays):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        return _fill(cls.__new__(cls), t, *_detection_rows(boxes, probs, velocities, scores))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -179,10 +288,19 @@ class DetectionSet:
     frames: tuple[DetectionFrame, ...]
 
     def __post_init__(self) -> None:
-        _check_times(self.frames, "DetectionSet")
+        _check_times([f.t for f in self.frames], "DetectionSet")
         sizes = {f.probs.shape[1] for f in self.frames if len(f)}
         if len(sizes) > 1:
             raise ValueError(f"DetectionSet: probs lengths differ: {sorted(sizes)}")
+
+    @classmethod
+    def from_arrays(cls, times, counts, boxes, probs, velocities, scores) -> "DetectionSet":
+        """A detection set from whole-file arrays, sliced into frames after one check of all rows.
+
+        Frame f holds ``times[f]`` and the next ``counts[f]`` rows; the check
+        is the one :meth:`DetectionFrame.from_arrays` makes for a frame.
+        """
+        return cls(_frames(DetectionFrame, times, counts, _detection_rows(boxes, probs, velocities, scores)))
 
 
 @dataclass(frozen=True)
@@ -283,8 +401,8 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
     if rig is None:
         rig = make_symmetric_rig(6)
 
-    objects0 = []
-    for oid in range(config.n_objects):
+    labels, objects0 = [], []
+    for _ in range(config.n_objects):
         r = rng.uniform(2.0, config.r_max)
         a = rng.uniform(-math.pi, math.pi)
         z = rng.uniform(-1.0, 1.0)
@@ -294,48 +412,26 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
         yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
         speed = rng.uniform(config.speed_min, config.speed_max)
         v_dir = rng.uniform(-math.pi, math.pi)
-        label = int(rng.integers(0, config.n_classes))
-        objects0.append(
-            (
-                oid,
-                label,
-                np.array([r * math.cos(a), r * math.sin(a), z]),
-                (l, w, h),
-                yaw,
-                np.array([speed * math.cos(v_dir), speed * math.sin(v_dir)]),
-            )
-        )
+        labels.append(int(rng.integers(0, config.n_classes)))
+        v_x, v_y = speed * math.cos(v_dir), speed * math.sin(v_dir)
+        objects0.append((r * math.cos(a), r * math.sin(a), z, l, w, h, yaw, v_x, v_y))
+    x0, y0, z0, l, w, h, yaw0, vx0, vy0 = np.reshape(objects0, (-1, 9)).T
 
-    frames = []
-    for n in range(config.n_frames):
-        t = n * config.dt
-        psi, ego_pos = _ego_state(config, t)
-        rz = rotation_about_z(psi)
-        pose = EgoPose(rotation=rz, translation=ego_pos, dt=t)
-        rz_inv = rz.T
-        frame_objects = []
-        for oid, label, p0, (l, w, h), yaw, v_world in objects0:
-            p_world = p0 + np.array([v_world[0] * t, v_world[1] * t, 0.0])
-            p_ego = rz_inv @ (p_world - ego_pos)
-            v_ego = rz_inv[:2, :2] @ v_world
-            frame_objects.append(
-                SceneObject(
-                    object_id=oid,
-                    label=label,
-                    box=CartesianBox(
-                        x=float(p_ego[0]),
-                        y=float(p_ego[1]),
-                        z=float(p_ego[2]),
-                        l=l,
-                        w=w,
-                        h=h,
-                        yaw=wrap_angle(yaw - psi),
-                    ),
-                    velocity=CartesianVelocity(v_x=float(v_ego[0]), v_y=float(v_ego[1])),
-                )
-            )
-        frames.append(SceneFrame(t=t, ego_pose=pose, objects=tuple(frame_objects)))
-    return Scene(rig=rig, frames=tuple(frames))
+    m, n_frames = config.n_objects, config.n_frames
+    times = [n * config.dt for n in range(n_frames)]
+    psis, ego_pos = zip(*[_ego_state(config, t) for t in times])
+    rz = np.array([rotation_about_z(psi) for psi in psis])
+    rz_inv = rz.transpose(0, 2, 1)
+    # (F, M, ...) arrays; matmul still makes one (3, 3) @ (3,) product per object, so the bytes match it
+    t = np.array(times)[:, None]
+    p_world = np.stack(np.broadcast_arrays(x0 + vx0 * t, y0 + vy0 * t, z0 + 0.0 * t), axis=-1)
+    p_ego = np.matmul(rz_inv[:, None], (p_world - np.array(ego_pos)[:, None])[..., None])[..., 0]
+    v_ego = np.matmul(rz_inv[:, None, :2, :2], np.stack([vx0, vy0], axis=-1)[:, :, None])[..., 0]
+    yaws = [wrap_angle(a) for a in (yaw0 - np.array(psis)[:, None]).reshape(-1).tolist()]
+    sizes = np.broadcast_to(np.stack([l, w, h], axis=-1), (n_frames, m, 3))
+    boxes = np.concatenate([p_ego, sizes, np.reshape(yaws, (n_frames, m, 1))], axis=-1)
+    return Scene.from_arrays(rig, times, [m] * n_frames, rz, ego_pos, np.tile(np.arange(m), n_frames),
+                             np.tile(labels, n_frames), boxes.reshape(-1, 7), v_ego.reshape(-1, 2))
 
 
 def rotate_scene(scene: Scene, phi: float) -> Scene:
@@ -346,34 +442,20 @@ def rotate_scene(scene: Scene, phi: float) -> Scene:
     conjugated (a no-op for planar yaw-only motion).  The rig is
     unchanged, so the rotated scene probes view symmetry.
     """
+    frames = scene.frames
+    if not frames:
+        return scene
     rz = rotation_about_z(phi)
-    rz2 = rz[:2, :2]
-    frames = []
-    for frame in scene.frames:
-        pose = EgoPose(
-            rotation=rz @ frame.ego_pose.rotation @ rz.T,
-            translation=rz @ frame.ego_pose.translation,
-            dt=frame.ego_pose.dt,
-        )
-        objects = []
-        for obj in frame.objects:
-            p = rz @ np.array([obj.box.x, obj.box.y, obj.box.z])
-            v = rz2 @ np.array([obj.velocity.v_x, obj.velocity.v_y])
-            objects.append(
-                replace(
-                    obj,
-                    box=replace(
-                        obj.box,
-                        x=float(p[0]),
-                        y=float(p[1]),
-                        z=float(p[2]),
-                        yaw=wrap_angle(obj.box.yaw + phi),
-                    ),
-                    velocity=CartesianVelocity(v_x=float(v[0]), v_y=float(v[1])),
-                )
-            )
-        frames.append(SceneFrame(t=frame.t, ego_pose=pose, objects=tuple(objects)))
-    return Scene(rig=scene.rig, frames=tuple(frames))
+    ids, classes, boxes, velocities = (
+        np.concatenate([getattr(f, name) for f in frames]) for name in ("ids", "classes", "boxes", "velocities")
+    )
+    return Scene.from_arrays(
+        scene.rig, [f.t for f in frames], [len(f) for f in frames],
+        [rz @ f.pose_rotation @ rz.T for f in frames], [rz @ f.pose_translation for f in frames], ids, classes,
+        np.column_stack([np.matmul(rz, boxes[:, :3, None])[..., 0], boxes[:, 3:6],
+                         [wrap_angle(a + phi) for a in boxes[:, 6].tolist()]]),
+        np.matmul(rz[:2, :2], velocities[..., None])[..., 0],
+    )
 
 
 def render_detections(
@@ -391,37 +473,37 @@ def render_detections(
     U(0.1, 0.9).
     """
     if n_classes is None:
-        labels = [o.label for f in scene.frames for o in f.objects]
+        labels = [int(f.classes.max()) for f in scene.frames if len(f)]
         n_classes = max(labels) + 1 if labels else 1
     rng = np.random.default_rng(noise.seed)
     one_hot = np.eye(n_classes)
     frames = []
     for frame in scene.frames:
         boxes, labels, velocities, scores = [], [], [], []
-        for obj in frame.objects:
+        for label, box, (v_x, v_y) in zip(frame.classes.tolist(), frame.boxes.tolist(), frame.velocities.tolist()):
             # keep RNG consumption independent of the drop outcome
             dropped = rng.uniform() < noise.drop_prob
             draws = rng.normal(0.0, 1.0, size=9)
             if dropped:
                 continue
-            r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_fields(obj.box)
+            r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_fields(*box)
             if noise.mode == "polar":
                 a = math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std
                 r = max(r + draws[0] * noise.radial_std, 1e-6)
             else:
-                x = obj.box.x + draws[0] * noise.radial_std
-                y = obj.box.y + draws[1] * noise.radial_std
+                x = box[0] + draws[0] * noise.radial_std
+                y = box[1] + draws[1] * noise.radial_std
                 r = max(math.hypot(x, y), 1e-6)
                 a = math.atan2(y, x)
             if noise.tangential_std != 0.0 or noise.mode != "polar":  # else exact passthrough, no trig roundoff
                 sin_a, cos_a = math.sin(a), math.cos(a)
             if noise.yaw_std > 0.0:
-                yaw = wrap_angle(obj.box.yaw + draws[6] * noise.yaw_std)
+                yaw = wrap_angle(box[6] + draws[6] * noise.yaw_std)
                 sin_t, cos_t = math.sin(yaw), math.cos(yaw)
-            v_rad, v_tan = rotate_planar(obj.velocity.v_x, obj.velocity.v_y, -sin_a, cos_a)
+            v_rad, v_tan = rotate_planar(v_x, v_y, -sin_a, cos_a)
             l, w, h = (s * math.exp(d * noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
             boxes.append((r, sin_a, cos_a, z + draws[2] * noise.z_std, l, w, h, sin_t, cos_t))
-            labels.append(obj.label)
+            labels.append(label)
             v_std = noise.velocity_std
             velocities.append((v_rad + draws[7] * v_std, v_tan + draws[8] * v_std))
             scores.append(1.0)

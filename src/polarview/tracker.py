@@ -220,14 +220,13 @@ def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: 
     last_track_of_gt: dict[int, int] = {}
     switches = 0
     for ids, frame, frame_gt in zip(result.track_ids, result.detections.frames, scene.frames):
-        if not len(ids) or not frame_gt.objects:
+        if not len(ids) or not len(frame_gt):
             continue
-        gt_centers = np.array([[o.box.x, o.box.y] for o in frame_gt.objects])
-        dist = planar_distances(polar_centers(frame.boxes), gt_centers)
-        gt_labels = np.array([o.label for o in frame_gt.objects])
-        allowed = (dist <= max_match_distance) & (frame.labels[:, None] == gt_labels[None, :])
+        dist = planar_distances(polar_centers(frame.boxes), frame_gt.boxes[:, :2])
+        allowed = (dist <= max_match_distance) & (frame.labels[:, None] == frame_gt.classes[None, :])
+        gt_ids = frame_gt.ids.tolist()
         for di, gi in _greedy_match(dist, allowed):
-            gt_id = frame_gt.objects[gi].object_id
+            gt_id = gt_ids[gi]
             track_id = int(ids[di])
             if gt_id in last_track_of_gt and last_track_of_gt[gt_id] != track_id:
                 switches += 1

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polarview import simulator
+from polarview import camera, geometry, simulator
 from polarview.cli import main
 
 
@@ -462,6 +462,83 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("assign", "--scene", "{scene}", "--detections", "{bad}"),
+            ("track", "--detections", "{bad}"),
+            ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+        ],
+        ids=["assign", "track", "eval"],
+    )
+    @pytest.mark.parametrize("field, index", [("box", 4), ("score", None), ("probs", 0), ("velocity", 1), ("t", None)])
+    def test_rejects_boolean_detection_numbers(self, capsys, tracked, tmp_path, argv, field, index):
+        with open(tracked["dets"]) as fh:
+            dets = json.load(fh)
+        frame = dets["frames"][1]
+        if field == "t":
+            frame["t"] = True
+        elif index is None:
+            frame["detections"][0][field] = True
+        else:
+            frame["detections"][0][field][index] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dets))
+        code, _, err = run(capsys, *[a.format(bad=str(bad), **tracked) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+        ],
+        ids=["render", "eval"],
+    )
+    @pytest.mark.parametrize("value", ["0", True, 10**400], ids=["string", "true", "400-digits"])
+    @pytest.mark.parametrize(
+        "path",
+        [("frames", 1, "objects", 0, "box", 1), ("frames", 1, "objects", 0, "velocity", 1),
+         ("frames", 1, "ego_pose", "rotation", 2), ("frames", 1, "ego_pose", "translation", 0),
+         ("rig", 0, "intrinsics", 2), ("rig", 0, "extrinsics", "translation", 0)],
+        ids=["object-box", "object-velocity", "pose-rotation", "pose-translation", "rig-intrinsics",
+             "rig-extrinsics"],
+    )
+    def test_rejects_scene_numbers_outside_float64(self, capsys, tracked, tmp_path, argv, value, path):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        parent = scene
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+        ],
+        ids=["render", "eval"],
+    )
+    @pytest.mark.parametrize("key", ["id", "class"])
+    def test_rejects_scene_integers_beyond_64_bits(self, capsys, tracked, tmp_path, argv, key):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        scene["frames"][1]["objects"][0][key] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        names = dict(tracked, bad=str(bad), out=str(tmp_path / "out.json"))
+        code, _, err = run(capsys, *[a.format(**names) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "size", [[], [1600], [1600, 900, 3], [1600.0, 900], ["1600", 900], "1600x900", None],
         ids=["empty", "one", "three", "float", "string", "not-a-list", "null"],
     )
@@ -512,6 +589,30 @@ class TestNonFiniteAndNegativeSettings:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("k_scaling", ["-5", "0", "0.5", "nan", "inf"])
+    def test_assign_rejects_k_scaling_below_one(self, capsys, tracked, tmp_path, k_scaling):
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "assign", "--scene", tracked["scene"], "--detections", tracked["dets"],
+                           "--k-scaling", k_scaling, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "--k-scaling" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("gradcheck", "--fixtures", "-2"), "--fixtures"), (("symmetry-check", "--points", "-3"), "--points")],
+        ids=["gradcheck", "symmetry-check"],
+    )
+    def test_rejects_negative_counts(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert flag in err
+        assert not out.exists()
 
 
 class TestTrackHungarianFlag:
@@ -590,6 +691,41 @@ GOLDEN_SHA256_NOISY = {
 }
 
 
+# A third workload for the scene paths with a moving ego: a straight and an
+# arc scene, each rendered, assigned, tracked against its ground truth and
+# evaluated. Digests taken with the code before scene frames became arrays.
+GOLDEN_RUNS_MOVING = [
+    ("straight", "simulate", "--objects", "7", "--frames", "8", "--speed-max", "2", "--ego", "straight",
+     "--seed", "31"),
+    ("arc", "simulate", "--objects", "7", "--frames", "8", "--speed-max", "2", "--ego", "arc",
+     "--ego-yaw-rate", "0.4", "--seed", "32"),
+    ("straight_dets", "render", "--scene", "{straight}", "--radial-std", "0.2", "--tangential-std", "0.004",
+     "--velocity-std", "0.1", "--drop-prob", "0.1", "--fp-rate", "1", "--seed", "6"),
+    ("arc_dets", "render", "--scene", "{arc}", "--radial-std", "0.2", "--yaw-std", "0.05",
+     "--noise-frame", "cartesian", "--fp-rate", "1", "--seed", "7"),
+    ("straight_assign", "assign", "--scene", "{straight}", "--detections", "{straight_dets}"),
+    ("arc_assign", "assign", "--scene", "{arc}", "--detections", "{arc_dets}", "--range-mode", "rectangular",
+     "--x-max", "30", "--y-max", "30"),
+    ("straight_tracks", "track", "--detections", "{straight_dets}", "--scene", "{straight}"),
+    ("arc_tracks", "track", "--detections", "{arc_dets}", "--scene", "{arc}", "--matching", "hungarian"),
+    ("straight_eval", "eval", "--scene", "{straight}", "--detections", "{straight_dets}"),
+    ("arc_eval", "eval", "--scene", "{arc}", "--detections", "{arc_dets}", "--format", "csv"),
+]
+
+GOLDEN_SHA256_MOVING = {
+    "straight": "c71d051b8987a1f5746b0115cf302c72e80937a8c334b960c305a691a049d68d",
+    "arc": "d692c6845b5d9090a76bae6e66db1749dddcec3bcf28de04b53011645661fe02",
+    "straight_dets": "59462b11f088d4b5101a06a2eb97bc3549262d76ebd644c99accbd7fd17b0283",
+    "arc_dets": "360abcbb2c5b9b45d0cd58bf54048de2d090321b24843015e6ae82b7270f4f74",
+    "straight_assign": "cbc481f350e21908c94c3b2ceb6f339b260bf860fc390c2abd729f19f4339aee",
+    "arc_assign": "d670ea0a5fbd4cac870de146a6ea96bc9f86733e7f3745d6a8f0a9f659a478dd",
+    "straight_tracks": "5d11e55c7326d3e12f7849e0545a64fe800a3de47f6fc5dbd211573bb9b2b844",
+    "arc_tracks": "8fd0e927e32b59525c3ff280b8bbe610a97a4ec79af0e263e75a49f60d913b68",
+    "straight_eval": "4f47dd2a31650b9bae7afa05a104ce6963d608b368a9214757300fcb0043e506",
+    "arc_eval": "83ef3421dd9dd1845d98358a3203b67dcfeb06b6394df9580226c5ac0f5fd598",
+}
+
+
 def golden_digests(capsys, tmp_path, runs):
     paths = {name: str(tmp_path / f"{name}.out") for name, *_ in runs}
     digests = {}
@@ -608,6 +744,9 @@ class TestGoldenBytes:
     def test_noisy_workload_matches_pinned_digests(self, capsys, tmp_path):
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_NOISY) == GOLDEN_SHA256_NOISY
 
+    def test_moving_ego_workload_matches_pinned_digests(self, capsys, tmp_path):
+        assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_MOVING) == GOLDEN_SHA256_MOVING
+
 
 class TestPipelineBuildsNoDetectionObjects:
     def test_same_bytes_with_detection_construction_broken(self, capsys, tmp_path, monkeypatch):
@@ -618,3 +757,15 @@ class TestPipelineBuildsNoDetectionObjects:
 
         monkeypatch.setattr(simulator.Detection, "__post_init__", refuse)
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_NOISY) == GOLDEN_SHA256_NOISY
+
+
+class TestPipelineBuildsNoSceneObjects:
+    def test_same_bytes_with_scene_object_construction_broken(self, capsys, tmp_path, monkeypatch):
+        # simulate, render, assign, track and eval hold scene frames as arrays,
+        # so objects and poses that cannot be built must not change their output
+        def refuse(self):
+            raise RuntimeError(f"a {type(self).__name__} was built")
+
+        for cls in (simulator.SceneObject, geometry.CartesianBox, geometry.CartesianVelocity, camera.EgoPose):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_MOVING) == GOLDEN_SHA256_MOVING

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarview.camera import make_symmetric_rig, project_rig
+from polarview.camera import EgoPose, make_symmetric_rig, project_rig, rotation_about_z
 from polarview.geometry import (
+    CartesianBox,
+    CartesianVelocity,
     PolarBox,
     PolarVelocity,
     cartesian_to_polar,
@@ -18,7 +20,10 @@ from polarview.simulator import (
     DetectionFrame,
     DetectionSet,
     NoiseModel,
+    Scene,
     SceneConfig,
+    SceneFrame,
+    SceneObject,
     generate_scene,
     render_detections,
     rotate_scene,
@@ -333,6 +338,197 @@ class TestDetectionFrameChecks:
         arrays[k] = reshape(arrays[k])
         with pytest.raises(ValueError):
             DetectionFrame.from_arrays(0.0, *arrays)
+
+
+def fails(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+def set_fails(times, frames):
+    """Whether the one per-file check refuses frames of detection records."""
+    rows = [row for frame in frames for row in frame]
+    boxes, probs, velocities, scores = ([row[k] for row in rows] for k in range(4))
+    if not rows:
+        boxes, probs, velocities = np.empty((0, 9)), np.empty((0, 0)), np.empty((0, 2))
+    return fails(lambda: DetectionSet.from_arrays(times, [len(f) for f in frames], boxes, probs, velocities, scores))
+
+
+def frames_fail(times, frames):
+    """Whether per-frame checks plus the set's own checks refuse the same frames."""
+    if any(rows and frame_fails(rows) for rows in frames):
+        return True
+    built = tuple(
+        DetectionFrame.from_arrays(t, *[[row[k] for row in rows] for k in range(4)]) if rows else DetectionFrame(t)
+        for t, rows in zip(times, frames)
+    )
+    return fails(lambda: DetectionSet(frames=built))
+
+
+# Frame times at and across the order and finiteness checks.
+TIMES = [0.0, 0.5, 0.5, 1.0, -1.0, math.nan, math.inf, 5e-324]
+
+
+class TestDetectionSetChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda c: st.lists(st.lists(records(c), max_size=3), min_size=1, max_size=3)
+        ),
+        st.lists(st.sampled_from(TIMES), min_size=3, max_size=3),
+    )
+    def test_file_check_fails_exactly_when_frame_checks_do(self, frames, times):
+        times = times[: len(frames)]
+        assert set_fails(times, frames) == frames_fail(times, frames)
+
+    def test_frames_are_read_only_slices(self):
+        boxes = np.tile([10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0], (3, 1))
+        dets = DetectionSet.from_arrays([0.0, 0.5], [1, 2], boxes, [[0.2, 0.8]] * 3, np.zeros((3, 2)), [0.5] * 3)
+        assert [len(f) for f in dets.frames] == [1, 2] and [f.t for f in dets.frames] == [0.0, 0.5]
+        assert dets.frames[1].boxes.base is dets.frames[0].boxes.base
+        assert not any(a.flags.writeable for f in dets.frames for a in (f.boxes, f.probs, f.velocities, f.scores))
+
+    @pytest.mark.parametrize("counts", [[1, 0], [2, 1], [-1, 3], [2]], ids=["short", "long", "negative", "one-frame"])
+    def test_rejects_counts_that_do_not_add_up(self, counts):
+        boxes = np.tile([10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0], (2, 1))
+        with pytest.raises(ValueError):
+            DetectionSet.from_arrays([0.0, 0.5], counts, boxes, [[1.0]] * 2, np.zeros((2, 2)), [0.5] * 2)
+
+
+RIG = make_symmetric_rig(2)
+# Values at and across every boundary the object checks draw: signed zeros
+# and denormals for sizes, both yaw ends and their neighbours, non-finite
+# values and the largest floats.
+OBJECT_EDGES = [0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                math.nextafter(-math.pi, 0.0), 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+# Integers at and across the 64-bit range.
+ID_EDGES = [0, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]
+
+
+@st.composite
+def scene_objects(draw):
+    """A valid ground-truth object as plain values with up to two values swapped for edge values."""
+    box = [draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)), draw(st.floats(-3.0, 3.0)),
+           *draw(st.lists(st.floats(1e-3, 6.0), min_size=3, max_size=3)),
+           draw(st.floats(-math.pi, math.pi, exclude_min=True))]
+    values = box + draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(OBJECT_EDGES))
+    ids = [draw(st.one_of(st.integers(0, 9), st.sampled_from(ID_EDGES))) for _ in range(2)]
+    return ids[0], ids[1], values[:7], values[7:]
+
+
+def object_fails(object_id, label, box, velocity):
+    return fails(lambda: SceneObject(object_id, label, CartesianBox(*box), CartesianVelocity(*velocity)))
+
+
+def scene_arrays_fail(times, rows_per_frame, poses=None):
+    rows = [row for frame in rows_per_frame for row in frame]
+    poses = poses or [(np.eye(3), np.zeros(3))] * len(times)
+    return fails(lambda: Scene.from_arrays(
+        RIG, times, [len(f) for f in rows_per_frame], [p[0] for p in poses], [p[1] for p in poses],
+        [r[0] for r in rows], [r[1] for r in rows], np.reshape([r[2] for r in rows], (-1, 7)),
+        np.reshape([r[3] for r in rows], (-1, 2)),
+    ))
+
+
+@st.composite
+def ego_poses(draw):
+    """A rotation about z scaled across the orthonormality and determinant
+    tolerances, sometimes a reflection, and a translation with an edge value."""
+    stretch = draw(st.sampled_from([0.0, 0.0, 3.3e-10, 3.4e-10, 4.9e-10, 5.1e-10, -5.1e-10, 1e-3]))
+    rotation = rotation_about_z(draw(st.floats(-math.pi, math.pi))) * (1.0 + stretch)
+    if draw(st.booleans()) and draw(st.booleans()):
+        rotation[:, 2] *= -1.0
+    translation = draw(st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        values = rotation.reshape(-1) if draw(st.booleans()) else translation
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([math.nan, math.inf, 1e308]))
+    return rotation, np.array(translation)
+
+
+class TestSceneArrayChecks:
+    def test_each_edge_value_at_each_position_fails_alike(self):
+        base = (3, 1, [10.0, -4.0, 0.5, 4.0, 2.0, 1.5, 0.3], [1.0, -2.0])
+        cases = [(i, c, base[2], base[3]) for i in ID_EDGES for c in (1, i)]
+        for k in range(9):
+            for value in OBJECT_EDGES:
+                values = base[2] + base[3]
+                values[k] = value
+                cases.append((3, 1, values[:7], values[7:]))
+        outcomes = set()
+        for row in cases:
+            assert scene_arrays_fail([0.0], [[row]]) == object_fails(*row), row
+            outcomes.add(object_fails(*row))
+        assert outcomes == {True, False}
+
+    @settings(max_examples=1000, deadline=None)
+    @given(scene_objects())
+    def test_one_row_fails_exactly_when_the_object_does(self, row):
+        assert scene_arrays_fail([0.0], [[row]]) == object_fails(*row)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(ego_poses(), min_size=1, max_size=3))
+    def test_poses_fail_exactly_when_an_ego_pose_does(self, poses):
+        times = [0.5 * n for n in range(len(poses))]
+        expected = any(fails(lambda: EgoPose(rotation, translation)) for rotation, translation in poses)
+        assert scene_arrays_fail(times, [[]] * len(poses), poses) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), max_size=4), min_size=1, max_size=3),
+        st.lists(st.sampled_from(TIMES), min_size=3, max_size=3),
+    )
+    def test_scene_fails_exactly_when_the_object_path_does(self, ids_per_frame, times):
+        times = times[: len(ids_per_frame)]
+        box, velocity = [10.0, -4.0, 0.5, 4.0, 2.0, 1.5, 0.3], [1.0, -2.0]
+        rows = [[(i, 1, box, velocity) for i in ids] for ids in ids_per_frame]
+
+        def from_objects():
+            frames = tuple(
+                SceneFrame(t, EgoPose.identity(t), [SceneObject(i, c, CartesianBox(*b), CartesianVelocity(*v))
+                                                    for i, c, b, v in frame])
+                for t, frame in zip(times, rows)
+            )
+            return Scene(rig=RIG, frames=frames)
+
+        assert scene_arrays_fail(times, rows) == fails(from_objects)
+
+    def test_objects_and_pose_round_trip(self):
+        scene = generate_scene(SceneConfig(n_objects=5, n_frames=3, ego_motion="arc", seed=8))
+        for frame in scene.frames:
+            again = SceneFrame(frame.t, frame.ego_pose, frame.objects)
+            for name in ("pose_rotation", "pose_translation", "ids", "classes", "boxes", "velocities"):
+                np.testing.assert_array_equal(getattr(again, name), getattr(frame, name))
+            assert again.ids.dtype == again.classes.dtype == np.int64 and frame.ego_pose.dt == frame.t
+
+    def test_frames_are_read_only_slices(self):
+        scene = generate_scene(SceneConfig(n_objects=4, n_frames=3, seed=2))
+        first, second = scene.frames[:2]
+        assert second.boxes.base is first.boxes.base and len(second) == 4
+        names = ("pose_rotation", "pose_translation", "ids", "classes", "boxes", "velocities")
+        assert not any(getattr(f, name).flags.writeable for f in scene.frames for name in names)
+
+    @pytest.mark.parametrize(
+        "change",
+        [("counts", [1, 2]), ("counts", [2]), ("boxes", np.ones((2, 6))), ("velocities", np.zeros((2, 3))),
+         ("ids", [0]), ("classes", [0.0, 1.0]), ("ids", [True, False]), ("rotations", [np.eye(3)]),
+         ("translations", np.zeros((2, 2)))],
+        ids=["count-sum", "count-frames", "box-width", "velocity-width", "id-count", "float-class", "bool-id",
+             "pose-count", "translation-width"],
+    )
+    def test_rejects_bad_shapes_and_types(self, change):
+        arrays = dict(times=[0.0, 0.5], counts=[1, 1], rotations=[np.eye(3)] * 2, translations=np.zeros((2, 3)),
+                      ids=[0, 0], classes=[1, 1], boxes=[[10.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]] * 2,
+                      velocities=np.zeros((2, 2)))
+        Scene.from_arrays(RIG, **arrays)
+        name, value = change
+        arrays[name] = value
+        with pytest.raises(ValueError):
+            Scene.from_arrays(RIG, **arrays)
 
 
 class TestSceneConfigFinite:
