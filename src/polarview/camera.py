@@ -95,12 +95,6 @@ class CameraModel:
             raise ValueError("CameraModel: image size must be positive")
         _freeze_pose(self, "CameraModel")
 
-    @property
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def optical_center(self) -> np.ndarray:
         """Camera center in ego coordinates."""
         return -self.rotation.T @ self.translation

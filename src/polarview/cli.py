@@ -23,8 +23,8 @@ import numpy as np
 
 from . import assignment, loss, metrics, serialization, tracker
 from .camera import make_symmetric_rig, max_rotation_discrepancy
-from .geometry import PolarBox, PolarVelocity, RangeConfig, polar_centers, polar_fields, rotate_planar
-from .simulator import NoiseModel, Scene, SceneConfig, generate_scene, render_detections
+from .geometry import RangeConfig, polar_centers, polar_fields, rotate_planar
+from .simulator import NoiseModel, SceneConfig, generate_scene, render_detections
 
 __all__ = ["main", "build_parser"]
 
@@ -121,18 +121,27 @@ def _in_region(region, rows: list) -> list[int]:
     return [i for i, (x, y, *_) in enumerate(rows) if region is None or region.contains(x, y)]
 
 
-def _cmd_assign(args) -> int:
+def _ground_truth(args, command: str):
+    """Load ``--scene`` and ``--detections`` and check their frame counts agree.
+
+    Returns the region and, lazily per frame, (scene frame, detection frame,
+    ground-truth box rows, indices of the rows inside the region).
+    """
     scene = serialization.load_scene(args.scene)
     dets = serialization.load_detections(args.detections)
     if len(scene.frames) != len(dets.frames):
-        raise ValueError("assign: scene and detections disagree on frame count")
+        raise ValueError(f"{command}: scene and detections disagree on frame count")
+    region = _region_from_args(args)
+    rows = (f.boxes.tolist() for f in scene.frames)
+    return region, ((g, d, r, _in_region(region, r)) for g, d, r in zip(scene.frames, dets.frames, rows))
+
+
+def _cmd_assign(args) -> int:
+    _, frames = _ground_truth(args, "assign")
     if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
         raise ValueError("assign: --k-scaling must be finite and >= 1")
-    region = _region_from_args(args)
     frames_out = []
-    for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        gt_rows = frame_gt.boxes.tolist()
-        kept = _in_region(region, gt_rows)
+    for frame_gt, frame_det, gt_rows, kept in frames:
         gt_boxes = np.array([polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
         gt_classes = frame_gt.classes[kept]
         gt_ids = frame_gt.ids[kept].tolist()
@@ -141,21 +150,13 @@ def _cmd_assign(args) -> int:
             class_cost_form=args.class_cost,
         )
         result = assignment.hungarian(costs)
-        pairs = []
-        if result.pairs:
-            box_costs = assignment.box_cost(frame_det.boxes, gt_boxes[:, None], args.k_scaling)
-            class_costs = assignment.class_cost(frame_det.probs, gt_classes[:, None], form=args.class_cost)
-            pairs = [
-                {
-                    "gt": j,
-                    "gt_id": gt_ids[j],
-                    "pred": i,
-                    "cost": float(costs[j, i]),
-                    "class_cost": float(class_costs[j, i]),
-                    "box_cost": float(box_costs[j, i]),
-                }
-                for j, i in result.pairs
-            ]
+        gts, preds = np.array(result.pairs, dtype=np.intp).reshape(-1, 2).T
+        box_costs = assignment.box_cost(frame_det.boxes[preds], gt_boxes[gts], args.k_scaling)
+        class_costs = assignment.class_cost(frame_det.probs[preds], gt_classes[gts], form=args.class_cost)
+        pairs = [
+            {"gt": j, "gt_id": gt_ids[j], "pred": i, "cost": float(costs[j, i]), "class_cost": cc, "box_cost": bc}
+            for (j, i), cc, bc in zip(result.pairs, class_costs.tolist(), box_costs.tolist())
+        ]
         frames_out.append(
             {
                 "t": frame_gt.t,
@@ -195,17 +196,15 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _eval_metrics(scene: Scene, dets, args) -> dict:
+def _eval_metrics(args) -> dict:
+    region, frames = _ground_truth(args, "eval")
     thresholds = [float(t) for t in args.thresholds.split(",")]
     if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
         raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
-    region = _region_from_args(args)
     frame_preds = []
     frame_gts = []
-    tp_pairs = []
-    for frame_gt, frame_det in zip(scene.frames, dets.frames):
-        gt_rows = frame_gt.boxes.tolist()
-        kept_gt = _in_region(region, gt_rows)
+    matched = []  # per frame, the matched rows: pred boxes, pred velocities, gt boxes, gt velocities
+    for frame_gt, frame_det, gt_rows, kept_gt in frames:
         gt_centers = frame_gt.boxes[kept_gt, :2]
         centers = polar_centers(frame_det.boxes)
         kept = _in_region(region, centers.tolist())
@@ -214,13 +213,14 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
         frame_gts.append(gt_centers)
         if kept and kept_gt:
             matches, _ = metrics.match_by_center_distance(*preds, gt_centers, args.tp_threshold)
-            for pi, gi in matches:
-                di, gj = kept[pi], kept_gt[gi]
-                gt_polar = PolarBox(*polar_fields(*gt_rows[gj]))
-                v_x, v_y = frame_gt.velocities[gj].tolist()
-                gt_vel = PolarVelocity(*rotate_planar(v_x, v_y, -gt_polar.sin_a, gt_polar.cos_a))
-                det_vel = PolarVelocity(*frame_det.velocities[di].tolist())
-                tp_pairs.append(((PolarBox.from_array(frame_det.boxes[di]), det_vel), (gt_polar, gt_vel)))
+            di = [kept[pi] for pi, _ in matches]
+            gj = [kept_gt[gi] for _, gi in matches]
+            gt_boxes = np.reshape([polar_fields(*gt_rows[j]) for j in gj], (-1, 9))  # only matched ones need an azimuth
+            v = frame_gt.velocities[gj]
+            gt_velocities = np.column_stack(rotate_planar(v[:, 0], v[:, 1], -gt_boxes[:, 1], gt_boxes[:, 2]))
+            matched.append((frame_det.boxes[di], frame_det.velocities[di], gt_boxes, gt_velocities))
+    pairs = [np.concatenate(rows) for rows in zip(*matched)]
+    n_pairs = len(pairs[0]) if pairs else 0
 
     ap = {
         f"{th:g}": metrics.average_precision_frames(frame_preds, frame_gts, th)
@@ -232,10 +232,10 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
         "ap": ap,
         "map": m_ap,
         "tp_threshold": args.tp_threshold,
-        "matched_pairs": len(tp_pairs),
+        "matched_pairs": n_pairs,
     }
-    if tp_pairs:
-        errors = metrics.tp_errors(tp_pairs)
+    if n_pairs:
+        errors = metrics.tp_errors(*pairs)
         report["tp_errors"] = {
             "ate": errors.ate,
             "ase": errors.ase,
@@ -251,11 +251,7 @@ def _eval_metrics(scene: Scene, dets, args) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    scene = serialization.load_scene(args.scene)
-    dets = serialization.load_detections(args.detections)
-    if len(scene.frames) != len(dets.frames):
-        raise ValueError("eval: scene and detections disagree on frame count")
-    report = _eval_metrics(scene, dets, args)
+    report = _eval_metrics(args)
     if args.format == "json":
         _write_text(args.out, serialization.dumps_json(report) + "\n")
     else:

@@ -1,5 +1,9 @@
 """Desk-scale detection metrics: TP errors, center-distance AP, NDS.
 
+TP errors take the matched pairs as rows: (P, 9) boxes in
+``geometry.POLAR_FIELDS`` order and (P, 2) polar velocities per side.
+AP takes per-frame (centers, scores) arrays.
+
 These are single-pool surrogates of the nuScenes metric suite: no
 class-balanced averaging, no recall floor.  The composite score formula
 itself is exact:
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PolarBox, PolarVelocity, planar_distances, rotate_planar, wrap_angle
+from .geometry import planar_distances, rotate_planar, wrap_angle
 
 __all__ = [
     "TPErrors",
@@ -49,34 +53,40 @@ class TPErrors:
             raise ValueError("TPErrors: aoe must lie in [0, pi]")
 
 
-def aligned_iou(pred: PolarBox, gt: PolarBox) -> float:
-    """Volume IoU of the two boxes after aligning centers and yaws.
+def aligned_iou(pred, gt) -> float:
+    """Volume IoU of two boxes, rows in ``POLAR_FIELDS`` order, after aligning centers and yaws.
 
     Co-centered axis-aligned boxes intersect in the per-axis minimum
     extents, so the IoU is closed-form.
     """
-    inter = min(pred.l, gt.l) * min(pred.w, gt.w) * min(pred.h, gt.h)
-    union = pred.l * pred.w * pred.h + gt.l * gt.w * gt.h - inter
+    (pl, pw, ph), (gl, gw, gh) = pred[4:7], gt[4:7]
+    inter = min(pl, gl) * min(pw, gw) * min(ph, gh)
+    union = pl * pw * ph + gl * gw * gh - inter
     return inter / union
 
 
-def tp_errors(
-    pairs: Sequence[tuple[tuple[PolarBox, PolarVelocity], tuple[PolarBox, PolarVelocity]]],
-) -> TPErrors:
-    """Average translation / scale / orientation / velocity errors over pairs."""
-    if not pairs:
-        raise ValueError("tp_errors: at least one matched pair required")
+def tp_errors(pred_boxes, pred_velocities, gt_boxes, gt_velocities) -> TPErrors:
+    """Average translation / scale / orientation / velocity errors over matched pairs.
+
+    Row p of each argument belongs to pair p: boxes are (P, 9) rows in
+    ``POLAR_FIELDS`` order and velocities (P, 2) rows of (v_rad, v_tan).
+    Each pair's errors are scalar float arithmetic, summed in pair order.
+    """
+    rows = [np.asarray(a, dtype=np.float64) for a in (pred_boxes, pred_velocities, gt_boxes, gt_velocities)]
+    n = len(rows[0])
+    if not n or [a.shape for a in rows] != [(n, 9), (n, 2), (n, 9), (n, 2)]:
+        raise ValueError("tp_errors: need (P, 9) boxes and (P, 2) velocities per side, P >= 1")
     ate = ase = aoe = ave = 0.0
-    for (pred_box, pred_vel), (gt_box, gt_vel) in pairs:
-        px, py = pred_box.center_xy()
-        gx, gy = gt_box.center_xy()
-        ate += math.hypot(px - gx, py - gy)
-        ase += 1.0 - aligned_iou(pred_box, gt_box)
-        aoe += abs(wrap_angle(pred_box.yaw() - gt_box.yaw()))
-        pv_x, pv_y = rotate_planar(pred_vel.v_rad, pred_vel.v_tan, pred_box.sin_a, pred_box.cos_a)
-        gv_x, gv_y = rotate_planar(gt_vel.v_rad, gt_vel.v_tan, gt_box.sin_a, gt_box.cos_a)
+    for pred, (pv_rad, pv_tan), gt, (gv_rad, gv_tan) in zip(*(a.tolist() for a in rows)):
+        p_r, p_sin, p_cos, _, _, _, _, p_sin_t, p_cos_t = pred
+        g_r, g_sin, g_cos, _, _, _, _, g_sin_t, g_cos_t = gt
+        ate += math.hypot(p_r * p_cos - g_r * g_cos, p_r * p_sin - g_r * g_sin)
+        ase += 1.0 - aligned_iou(pred, gt)
+        # each yaw is wrapped first, as PolarBox.yaw() does: atan2(-0.0, -1.0) is -pi
+        aoe += abs(wrap_angle(wrap_angle(math.atan2(p_sin_t, p_cos_t)) - wrap_angle(math.atan2(g_sin_t, g_cos_t))))
+        pv_x, pv_y = rotate_planar(pv_rad, pv_tan, p_sin, p_cos)
+        gv_x, gv_y = rotate_planar(gv_rad, gv_tan, g_sin, g_cos)
         ave += math.hypot(pv_x - gv_x, pv_y - gv_y)
-    n = len(pairs)
     return TPErrors(ate=ate / n, ase=ase / n, aoe=min(aoe / n, math.pi), ave=ave / n)
 
 

@@ -27,7 +27,8 @@ checked by ``simulator.DetectionSet.from_arrays``.  Each frame is a
 read-only slice of those arrays.  Where the schema holds a number, the
 loaders accept only a JSON number that is a finite float64 (no string,
 ``null``, boolean, nested list or integer beyond the float range), and
-ids, classes and image sizes must be JSON integers that fit in 64 bits.
+ids, classes and image sizes must be JSON integers that fit in 64 bits;
+classes index class probabilities, so they must also be >= 0.
 
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``

@@ -93,6 +93,7 @@ def _scene_rows(frames: int, rotations, translations, ids, classes, boxes, veloc
         raise ValueError("Scene: arrays must have shapes (F, 3, 3), (F, 3), (M,), (M,), (M, 7) and (M, 2)")
     _check_poses(rotations, translations, "EgoPose")
     faults = {
+        "Scene: object classes must be >= 0": (classes < 0).any(),
         "Scene: object boxes and velocities must be finite": not all(np.isfinite(a).all() for a in arrays[2:]),
         "Scene: object sizes must be positive": (boxes[:, 3:6] <= 0.0).any(),
         "Scene: object yaw must lie in (-pi, pi]": ((boxes[:, 6] <= -math.pi) | (boxes[:, 6] > math.pi)).any(),
@@ -119,6 +120,8 @@ class SceneObject:
         for v in (self.object_id, self.label):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not _INT64.min <= v <= _INT64.max:
                 raise ValueError("SceneObject: object_id and label must be 64-bit integers")
+        if self.label < 0:
+            raise ValueError("SceneObject: label must be >= 0")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -326,17 +329,11 @@ class NoiseModel:
     mode: str = "polar"
 
     def __post_init__(self) -> None:
-        stds = (
-            self.radial_std,
-            self.tangential_std,
-            self.z_std,
-            self.size_rel_std,
-            self.yaw_std,
-            self.velocity_std,
-            self.false_positive_rate,
-        )
-        if any(s < 0.0 for s in stds):
-            raise ValueError("NoiseModel: stds and rates must be nonnegative")
+        for name in ("radial_std", "tangential_std", "z_std", "size_rel_std", "yaw_std", "velocity_std",
+                     "false_positive_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"NoiseModel: {name} must be finite and >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("NoiseModel: drop_prob must lie in [0, 1]")
         if self.mode not in ("polar", "cartesian"):
@@ -462,7 +459,6 @@ def render_detections(
     scene: Scene,
     noise: NoiseModel,
     range_config: RangeConfig = RangeConfig(),
-    n_classes: int | None = None,
 ) -> DetectionSet:
     """Render a detection set from ground truth under the noise model.
 
@@ -470,11 +466,11 @@ def render_detections(
     detections are the exact polar transforms of the ground truth with
     one-hot class probabilities and score 1.  False positives are placed
     uniformly inside the perception range with score drawn from
-    U(0.1, 0.9).
+    U(0.1, 0.9).  Class probabilities have one entry per class id up to
+    the largest in the scene (one entry for a scene without objects).
     """
-    if n_classes is None:
-        labels = [int(f.classes.max()) for f in scene.frames if len(f)]
-        n_classes = max(labels) + 1 if labels else 1
+    labels = [int(f.classes.max()) for f in scene.frames if len(f)]
+    n_classes = max(labels) + 1 if labels else 1
     rng = np.random.default_rng(noise.seed)
     one_hot = np.eye(n_classes)
     frames = []

@@ -222,6 +222,23 @@ class TestEvalRegionFilter:
         assert report(extra_path, *rect) == report(dets_path, *rect)
         assert report(extra_path) != report(dets_path)  # the circle keeps it, and it counts
 
+    def test_unmatched_ground_truth_on_the_ego_axis_evaluates(self, capsys, tmp_path):
+        # only matched ground truths are converted to polar rows, so an object
+        # at (0, 0) that no detection matches has no azimuth to fail on
+        scene_path, dets_path, axis_path = (str(tmp_path / f"{k}.json") for k in ("scene", "dets", "axis"))
+        run(capsys, "simulate", "--objects", "5", "--frames", "2", "--seed", "6", "--out", scene_path)
+        run(capsys, "render", "--scene", scene_path, "--out", dets_path)
+        with open(scene_path) as fh:
+            scene = json.load(fh)
+        scene["frames"][0]["objects"].append(
+            {"id": 99, "class": 0, "box": [0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0], "velocity": [0.0, 0.0]}
+        )
+        with open(axis_path, "w") as fh:
+            json.dump(scene, fh)
+        code, out, err = run(capsys, "eval", "--scene", axis_path, "--detections", dets_path)
+        assert code == 0, err
+        assert json.loads(out)["matched_pairs"] == 10
+
 
 @pytest.fixture
 def tracked(capsys, tmp_path):
@@ -539,6 +556,31 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--scene", "{bad}", "--out", "{out}"),
+            ("assign", "--scene", "{bad}", "--detections", "{dets}", "--out", "{out}"),
+            ("eval", "--scene", "{bad}", "--detections", "{dets}", "--out", "{out}"),
+            ("track", "--detections", "{dets}", "--scene", "{bad}", "--out", "{out}"),
+        ],
+        ids=["render", "assign", "eval", "track-scene"],
+    )
+    @pytest.mark.parametrize("every", [False, True], ids=["one", "all"])
+    def test_rejects_negative_class(self, capsys, tracked, tmp_path, argv, every):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        objects = [o for frame in scene["frames"] for o in frame["objects"]]
+        for o in objects if every else objects[1:2]:
+            o["class"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *[a.format(bad=str(bad), out=str(out), **tracked) for a in argv])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "size", [[], [1600], [1600, 900, 3], [1600.0, 900], ["1600", 900], "1600x900", None],
         ids=["empty", "one", "three", "float", "string", "not-a-list", "null"],
     )
@@ -566,6 +608,19 @@ class TestNonFiniteAndNegativeSettings:
         code, _, err = run(capsys, "simulate", "--ego", "arc", flag, value, "--out", str(out))
         assert code == 1
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--radial-std", "--tangential-std", "--z-std", "--size-std", "--yaw-std", "--velocity-std", "--fp-rate"],
+    )
+    def test_render_rejects_non_finite_noise(self, capsys, tracked, tmp_path, flag, value):
+        out = tmp_path / "noisy.json"
+        code, _, err = run(capsys, "render", "--scene", tracked["scene"], flag, value, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "NoiseModel" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
@@ -750,12 +805,14 @@ class TestGoldenBytes:
 
 class TestPipelineBuildsNoDetectionObjects:
     def test_same_bytes_with_detection_construction_broken(self, capsys, tmp_path, monkeypatch):
-        # render, assign, track and eval hold detection frames as arrays, so a
-        # Detection that cannot be built must not change their output
+        # render, assign, track and eval hold detection frames and matched
+        # pairs as arrays, so a Detection, PolarBox or PolarVelocity that
+        # cannot be built must not change their output
         def refuse(self):
-            raise RuntimeError("a Detection was built")
+            raise RuntimeError(f"a {type(self).__name__} was built")
 
-        monkeypatch.setattr(simulator.Detection, "__post_init__", refuse)
+        for cls in (simulator.Detection, geometry.PolarBox, geometry.PolarVelocity):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_NOISY) == GOLDEN_SHA256_NOISY
 
 

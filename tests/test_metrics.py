@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from _published import TEST_ROWS, VAL_ROWS
-from polarview.geometry import PolarBox, PolarVelocity
+from polarview.geometry import PolarBox, PolarVelocity, rotate_planar, wrap_angle
 from polarview.metrics import (
+    TPErrors,
     aligned_iou,
     average_precision_frames,
     match_by_center_distance,
@@ -25,6 +26,17 @@ def polar(x, y, l=4.0, w=2.0, h=1.5, yaw=0.0):
 V0 = PolarVelocity(0.0, 0.0)
 
 
+def as_rows(pairs):
+    """The (P, 9), (P, 2), (P, 9), (P, 2) rows tp_errors takes, from ((box, velocity), (box, velocity)) pairs."""
+    def boxes(side):
+        return np.reshape([pair[side][0].as_array() for pair in pairs], (-1, 9))
+
+    def velocities(side):
+        return np.reshape([(pair[side][1].v_rad, pair[side][1].v_tan) for pair in pairs], (-1, 2))
+
+    return boxes(0), velocities(0), boxes(1), velocities(1)
+
+
 def as_arrays(frame_preds, frame_gts):
     """Per-frame (center, score) lists and center lists as the arrays AP takes."""
     preds = [
@@ -37,32 +49,32 @@ def as_arrays(frame_preds, frame_gts):
 class TestTpErrors:
     def test_identical_pairs_zero(self):
         pair = ((polar(10.0, 5.0), PolarVelocity(2.0, 1.0)),) * 2
-        errors = tp_errors([pair])
+        errors = tp_errors(*as_rows([pair]))
         assert errors.ate == errors.ase == errors.aoe == errors.ave == 0.0
 
     def test_scale_error_co_centered_cubes(self):
         small = polar(10.0, 0.0, l=2.0, w=2.0, h=2.0)
         big = polar(10.0, 0.0, l=4.0, w=4.0, h=4.0)
-        assert aligned_iou(small, big) == pytest.approx(8.0 / 64.0)
-        errors = tp_errors([((small, V0), (big, V0))])
+        assert aligned_iou(small.as_array(), big.as_array()) == pytest.approx(8.0 / 64.0)
+        errors = tp_errors(*as_rows([((small, V0), (big, V0))]))
         assert errors.ase == pytest.approx(0.875)
 
     def test_orientation_error_quarter_turn(self):
         a = polar(10.0, 0.0, yaw=0.0)
         b = polar(10.0, 0.0, yaw=math.pi / 2)
-        errors = tp_errors([((a, V0), (b, V0))])
+        errors = tp_errors(*as_rows([((a, V0), (b, V0))]))
         assert errors.aoe == pytest.approx(math.pi / 2)
 
     def test_translation_and_velocity_error(self):
         pred = (polar(10.0, 0.0), PolarVelocity(1.0, 0.0))
         gt = (polar(13.0, 4.0), PolarVelocity(0.0, 0.0))
-        errors = tp_errors([(pred, gt)])
+        errors = tp_errors(*as_rows([(pred, gt)]))
         assert errors.ate == pytest.approx(5.0)
         assert errors.ave == pytest.approx(1.0)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
-            tp_errors([])
+            tp_errors(*as_rows([]))
 
     def test_self_evaluation_identically_zero(self):
         rng = np.random.default_rng(61)
@@ -71,8 +83,49 @@ class TestTpErrors:
             box = polar(rng.uniform(2, 40), rng.uniform(-20, 20), yaw=rng.uniform(-3, 3))
             vel = PolarVelocity(*rng.normal(0, 3, 2))
             pairs.append(((box, vel), (box, vel)))
-        errors = tp_errors(pairs)
+        errors = tp_errors(*as_rows(pairs))
         assert (errors.ate, errors.ase, errors.aoe, errors.ave) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_rows_match_the_per_object_arithmetic_bit_for_bit(self):
+        rng = np.random.default_rng(65)
+        pairs = []
+        for k in range(300):
+            boxes = []
+            for side in range(2):
+                x, y = rng.uniform(-50.0, 50.0, size=2)
+                l, w, h = rng.uniform(0.5, 6.0, size=3)
+                box = polar(x, y, l=l, w=w, h=h, yaw=rng.uniform(-math.pi, math.pi))
+                if k % 10 == 5 * side:  # a yaw of exactly -pi by atan2, which PolarBox.yaw() wraps to +pi
+                    box = PolarBox(*box.as_array()[:7], -0.0, -1.0)
+                boxes.append(box)
+            velocities = [PolarVelocity(*rng.normal(0, 3, 2)) for _ in range(2)]
+            pairs.append(((boxes[0], velocities[0]), (boxes[1], velocities[1])))
+        for chunk in [pairs, *([p] for p in pairs)]:
+            got, want = tp_errors(*as_rows(chunk)), reference_tp_errors(chunk)
+            assert (got.ate, got.ase, got.aoe, got.ave) == (want.ate, want.ase, want.aoe, want.ave)
+
+    @pytest.mark.parametrize("shapes", [((1, 9), (1, 2), (1, 9), (2, 2)), ((2, 9), (2, 2), (2, 7), (2, 2)),
+                                        ((3,), (1, 2), (1, 9), (1, 2))])
+    def test_rejects_rows_of_other_shapes(self, shapes):
+        with pytest.raises(ValueError):
+            tp_errors(*(np.ones(shape) for shape in shapes))
+
+
+def reference_tp_errors(pairs):
+    """The per-object arithmetic: center_xy, yaw() and the IoU read off PolarBox and PolarVelocity fields."""
+    ate = ase = aoe = ave = 0.0
+    for (pred_box, pred_vel), (gt_box, gt_vel) in pairs:
+        px, py = pred_box.center_xy()
+        gx, gy = gt_box.center_xy()
+        ate += math.hypot(px - gx, py - gy)
+        inter = min(pred_box.l, gt_box.l) * min(pred_box.w, gt_box.w) * min(pred_box.h, gt_box.h)
+        ase += 1.0 - inter / (pred_box.l * pred_box.w * pred_box.h + gt_box.l * gt_box.w * gt_box.h - inter)
+        aoe += abs(wrap_angle(pred_box.yaw() - gt_box.yaw()))
+        pv_x, pv_y = rotate_planar(pred_vel.v_rad, pred_vel.v_tan, pred_box.sin_a, pred_box.cos_a)
+        gv_x, gv_y = rotate_planar(gt_vel.v_rad, gt_vel.v_tan, gt_box.sin_a, gt_box.cos_a)
+        ave += math.hypot(pv_x - gv_x, pv_y - gv_y)
+    n = len(pairs)
+    return TPErrors(ate=ate / n, ase=ase / n, aoe=min(aoe / n, math.pi), ave=ave / n)
 
 
 class TestAveragePrecision:

@@ -417,7 +417,7 @@ def scene_objects(draw):
     values = box + draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2))
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
         values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(OBJECT_EDGES))
-    ids = [draw(st.one_of(st.integers(0, 9), st.sampled_from(ID_EDGES))) for _ in range(2)]
+    ids = [draw(st.one_of(st.integers(0, 9), st.integers(-9, -1), st.sampled_from(ID_EDGES))) for _ in range(2)]
     return ids[0], ids[1], values[:7], values[7:]
 
 
