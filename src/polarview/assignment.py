@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import CartesianBox
 
@@ -187,6 +186,8 @@ def hungarian(costs: np.ndarray) -> Assignment:
     costs = _validated_matrix(costs)
     if min(costs.shape) == 0:
         return Assignment(())
+    from scipy.optimize import linear_sum_assignment  # only here: its import outweighs most commands
+
     rows, cols = linear_sum_assignment(costs)
     return Assignment(tuple(zip(rows.tolist(), cols.tolist())))
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarview.assignment import (
     Assignment,
@@ -217,6 +219,21 @@ class TestHungarian:
             b = brute_force_assign(costs)
             assert len(h) == min(m, n)
             assert h.total_cost(costs) == b.total_cost(costs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 7), st.booleans(), st.data())
+    def test_matches_brute_force_on_tie_heavy_matrices(self, m, n, tenths, data):
+        # costs in {0, 1, 2}, or uniform values rounded to 0.1, so many
+        # assignments tie; totals are compared exactly in integer ticks
+        cell = st.floats(0.0, 1.0).map(lambda u: round(u * 10)) if tenths else st.integers(0, 2)
+        ticks = np.array(data.draw(st.lists(cell, min_size=m * n, max_size=m * n)), dtype=np.int64).reshape(m, n)
+        costs = ticks / 10.0 if tenths else ticks.astype(np.float64)
+        h, b = hungarian(costs), brute_force_assign(costs)
+        assert len(h) == min(m, n)
+        rows, cols = [j for j, _ in h.pairs], [i for _, i in h.pairs]
+        assert len(set(rows)) == len(rows) and all(0 <= j < m for j in rows)
+        assert len(set(cols)) == len(cols) and all(0 <= i < n for i in cols)
+        assert sum(ticks[j, i] for j, i in h.pairs) == sum(ticks[j, i] for j, i in b.pairs)
 
     def test_rectangular_sizes(self):
         rng = np.random.default_rng(36)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import polarview
 from polarview import camera, geometry, simulator
 from polarview.cli import main
 
@@ -596,6 +601,37 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    # Truncated input files: every prefix of a JSON object document is
+    # invalid JSON, so each cut must end in a one-line error, never a traceback
+    @pytest.mark.parametrize(
+        "cut, argvs",
+        [
+            ("dets", [
+                ("assign", "--scene", "{scene}", "--detections", "{bad}"),
+                ("track", "--detections", "{bad}"),
+                ("eval", "--scene", "{scene}", "--detections", "{bad}"),
+            ]),
+            ("scene", [
+                ("render", "--scene", "{bad}", "--out", "{out}"),
+                ("assign", "--scene", "{bad}", "--detections", "{dets}"),
+                ("track", "--detections", "{dets}", "--scene", "{bad}"),
+                ("eval", "--scene", "{bad}", "--detections", "{dets}"),
+            ]),
+        ],
+        ids=["detections", "scene"],
+    )
+    def test_truncated_file_exits_with_one_line(self, capsys, tracked, tmp_path, cut, argvs):
+        with open(tracked[cut], "rb") as fh:
+            data = fh.read().rstrip()
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        names = dict(tracked, bad=str(bad), out=str(out))
+        for end in sorted(random.Random(11).sample(range(len(data)), 120)):
+            bad.write_bytes(data[:end])
+            for argv in argvs:
+                code, _, err = run(capsys, *[a.format(**names) for a in argv])
+                assert code in (1, 2) and len(err.splitlines()) == 1, (end, argv, err)
+                assert not out.exists()
+
 
 class TestNonFiniteAndNegativeSettings:
     @pytest.mark.parametrize(
@@ -826,3 +862,82 @@ class TestPipelineBuildsNoSceneObjects:
         for cls in (simulator.SceneObject, geometry.CartesianBox, geometry.CartesianVelocity, camera.EgoPose):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_MOVING) == GOLDEN_SHA256_MOVING
+
+
+# Runs each argv list through cli.main in a fresh interpreter, then calls
+# hungarian on a (0, 3) matrix, and records which scipy modules are loaded
+# after the import and after each step.
+STARTUP_CHILD = """
+import json, sys
+from polarview.assignment import hungarian
+from polarview.cli import main
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+report = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], main(argv), scipy_modules()])
+report.append(["hungarian-0x3", len(hungarian(np.zeros((0, 3)))), scipy_modules()])
+with open(sys.argv[2], "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def startup_report(tmp_path, argvs):
+    """[step, exit code or pair count, loaded scipy modules] per step of STARTUP_CHILD."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polarview.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "report.json"
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, json.dumps(argvs), str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(path.read_text())
+
+
+class TestStartupLoadsScipyOnlyForHungarian:
+    def test_commands_without_hungarian_never_load_scipy(self, tmp_path):
+        names = {k: str(tmp_path / f"{k}.out") for k in ("scene", "dets", "tracks", "eval", "grad", "sym", "demo")}
+        argvs = [
+            ["simulate", "--objects", "4", "--frames", "3", "--seed", "1", "--out", names["scene"]],
+            ["render", "--scene", names["scene"], "--fp-rate", "1", "--out", names["dets"]],
+            ["track", "--detections", names["dets"], "--scene", names["scene"], "--out", names["tracks"]],
+            ["eval", "--scene", names["scene"], "--detections", names["dets"], "--out", names["eval"]],
+            ["gradcheck", "--fixtures", "5", "--out", names["grad"]],
+            ["symmetry-check", "--points", "20", "--out", names["sym"]],
+            ["range-demo", "--out", names["demo"]],
+            ["nds", "--map", "0.3", "--tps", "0.7,0.3,0.4,0.9,0.2"],
+        ]
+        report = startup_report(tmp_path, argvs)
+        assert [step for step, *_ in report] == ["import"] + [a[0] for a in argvs] + ["hungarian-0x3"]
+        assert report == [[step, 0, []] for step, *_ in report]
+
+    def test_hungarian_loads_scipy_and_keeps_the_bytes(self, capsys, tmp_path):
+        scene, dets = str(tmp_path / "scene.json"), str(tmp_path / "dets.json")
+        run(capsys, "simulate", "--objects", "5", "--frames", "4", "--seed", "3", "--out", scene)
+        run(capsys, "render", "--scene", scene, "--radial-std", "0.3", "--fp-rate", "2", "--seed", "4",
+            "--out", dets)
+        argvs = {
+            "assign": ["assign", "--scene", scene, "--detections", dets],
+            "track": ["track", "--detections", dets, "--matching", "hungarian"],
+        }
+        expected = {}
+        for name, argv in argvs.items():
+            out = str(tmp_path / f"{name}-in-process.json")
+            assert run(capsys, *argv, "--out", out)[0] == 0
+            expected[name] = open(out, "rb").read()
+
+        report = startup_report(
+            tmp_path, [argv + ["--out", str(tmp_path / f"{name}.json")] for name, argv in argvs.items()]
+        )
+        assert [(step, code) for step, code, _ in report] == [
+            ("import", 0), ("assign", 0), ("track", 0), ("hungarian-0x3", 0)
+        ]
+        assert report[0][2] == []
+        assert all("scipy.optimize" in modules for _, _, modules in report[1:])
+        for name in argvs:
+            assert open(tmp_path / f"{name}.json", "rb").read() == expected[name]

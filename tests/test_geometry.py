@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polarview.geometry import (
     BoxEncoding,
@@ -25,6 +27,14 @@ from polarview.geometry import (
 )
 
 RC = RangeConfig()
+
+
+# Planar coordinates of magnitude 1e-300 to 1e6, or exactly 0, and the
+# angles at the ends of (-pi, pi].
+planar_coordinates = st.just(0.0) | st.builds(
+    lambda sign, log10: sign * 10.0**log10, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 6.0)
+)
+EDGE_YAWS = [math.pi, math.nextafter(-math.pi, 0.0)]
 
 
 def random_polar_box(rng, rc=RC):
@@ -226,6 +236,22 @@ class TestCartesianPolar:
             )
         assert worst < 1e-12
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(planar_coordinates, planar_coordinates).filter(lambda xy: xy != (0.0, 0.0)),
+        st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from(EDGE_YAWS),
+    )
+    @example((1e-300, 0.0), math.pi)
+    @example((-1e-300, 1e-300), math.nextafter(-math.pi, 0.0))
+    @example((0.0, -1e-300), math.pi)
+    def test_roundtrip_property(self, xy, yaw):
+        box = CartesianBox(*xy, 0.5, 4.0, 2.0, 1.5, yaw)
+        back = polar_to_cartesian(cartesian_to_polar(box))
+        scale = max(1.0, math.hypot(*xy))
+        assert abs(back.x - box.x) <= 1e-12 * scale
+        assert abs(back.y - box.y) <= 1e-12 * scale
+        assert abs(wrap_angle(back.yaw - box.yaw)) <= 1e-12
+
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -277,6 +303,22 @@ class TestVelocity:
             back = velocity_polar_to_cartesian(pv, sin_a, cos_a)
             assert abs(back.v_x - v.v_x) < 1e-12
             assert abs(back.v_y - v.v_y) < 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(planar_coordinates, planar_coordinates),
+        st.floats(-math.pi, math.pi) | st.sampled_from(EDGE_YAWS),
+    )
+    @example((1e-300, -1e-300), math.pi)
+    @example((0.0, 1e-300), math.nextafter(-math.pi, 0.0))
+    def test_roundtrip_property(self, v, azimuth):
+        sin_a, cos_a = math.sin(azimuth), math.cos(azimuth)
+        back = velocity_polar_to_cartesian(
+            velocity_cartesian_to_polar(CartesianVelocity(*v), sin_a, cos_a), sin_a, cos_a
+        )
+        scale = max(1.0, math.hypot(*v))
+        assert abs(back.v_x - v[0]) <= 1e-12 * scale
+        assert abs(back.v_y - v[1]) <= 1e-12 * scale
 
 
 class TestWrapAngle:
