@@ -90,6 +90,9 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, k_scaling: float) -> np.ndarray:
     return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
 
 
+CLASS_COST_FORMS = ("negative_prob", "focal")  # the first is the default
+
+
 def class_cost(
     pred_class_probs: np.ndarray,
     gt_class,
@@ -107,7 +110,7 @@ def class_cost(
     predicted probability).
     """
     probs, classes = np.asarray(pred_class_probs, dtype=np.float64), np.asarray(gt_class)
-    if form not in ("negative_prob", "focal"):
+    if form not in CLASS_COST_FORMS:
         raise ValueError(f"class_cost: unknown form {form!r}")
     if not np.isfinite(probs).all() or ((probs < 0.0) | (probs > 1.0)).any():
         raise ValueError("class_cost: probabilities must lie in [0, 1]")

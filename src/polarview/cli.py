@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -71,39 +72,14 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
 
 
 def _cmd_simulate(args) -> int:
-    config = SceneConfig(
-        n_objects=args.objects,
-        n_frames=args.frames,
-        dt=args.dt,
-        r_max=args.r_max,
-        n_classes=args.classes,
-        speed_min=args.speed_min,
-        speed_max=args.speed_max,
-        ego_motion=args.ego,
-        ego_speed=args.ego_speed,
-        ego_yaw_rate=args.ego_yaw_rate,
-        seed=args.seed,
-    )
-    scene = generate_scene(config, rig=make_symmetric_rig(args.cameras))
+    scene = generate_scene(_settings(SceneConfig, args), rig=make_symmetric_rig(args.cameras))
     serialization.save_scene(scene, args.out)
     return 0
 
 
 def _cmd_render(args) -> int:
     scene = serialization.load_scene(args.scene)
-    noise = NoiseModel(
-        radial_std=args.radial_std,
-        tangential_std=args.tangential_std,
-        z_std=args.z_std,
-        size_rel_std=args.size_std,
-        yaw_std=args.yaw_std,
-        velocity_std=args.velocity_std,
-        drop_prob=args.drop_prob,
-        false_positive_rate=args.fp_rate,
-        seed=args.seed,
-        mode=args.noise_frame,
-    )
-    dets = render_detections(scene, noise, RangeConfig(r_max=args.r_max))
+    dets = render_detections(scene, _settings(NoiseModel, args), RangeConfig(r_max=args.r_max))
     serialization.save_detections(dets, args.out)
     return 0
 
@@ -176,12 +152,7 @@ def _cmd_assign(args) -> int:
 
 def _cmd_track(args) -> int:
     dets = serialization.load_detections(args.detections)
-    config = tracker.TrackerConfig(
-        distance_threshold=args.threshold,
-        max_misses=args.max_misses,
-        matching=args.matching,
-    )
-    result = tracker.run_tracker(dets, config)
+    result = tracker.run_tracker(dets, _settings(tracker.TrackerConfig, args))
     summary = {"tracks_created": result.tracks_created}
     if args.scene:
         scene = serialization.load_scene(args.scene)
@@ -201,6 +172,9 @@ def _eval_metrics(args) -> dict:
     thresholds = [float(t) for t in args.thresholds.split(",")]
     if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
         raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
+    keys = [f"{th:g}" for th in thresholds]  # the AP keys
+    if len(set(keys)) < len(keys):
+        raise ValueError("eval: --thresholds must differ in their first 6 significant digits")
     frame_preds = []
     frame_gts = []
     matched = []  # per frame, the matched rows: pred boxes, pred velocities, gt boxes, gt velocities
@@ -222,10 +196,7 @@ def _eval_metrics(args) -> dict:
     pairs = [np.concatenate(rows) for rows in zip(*matched)]
     n_pairs = len(pairs[0]) if pairs else 0
 
-    ap = {
-        f"{th:g}": metrics.average_precision_frames(frame_preds, frame_gts, th)
-        for th in thresholds
-    }
+    ap = {key: metrics.average_precision_frames(frame_preds, frame_gts, th) for key, th in zip(keys, thresholds)}
     values = list(ap.values())
     m_ap = None if any(v is None for v in values) else float(np.mean(values))
     report: dict = {
@@ -235,18 +206,10 @@ def _eval_metrics(args) -> dict:
         "matched_pairs": n_pairs,
     }
     if n_pairs:
-        errors = metrics.tp_errors(*pairs)
-        report["tp_errors"] = {
-            "ate": errors.ate,
-            "ase": errors.ase,
-            "aoe": errors.aoe,
-            "ave": errors.ave,
-        }
+        report["tp_errors"] = dataclasses.asdict(metrics.tp_errors(*pairs))  # ate, ase, aoe, ave
         if m_ap is not None:
             report["maae"] = args.maae
-            report["nds"] = metrics.nds(
-                m_ap, [errors.ate, errors.ase, errors.aoe, errors.ave, args.maae]
-            )
+            report["nds"] = metrics.nds(m_ap, [*report["tp_errors"].values(), args.maae])
     return report
 
 
@@ -344,6 +307,43 @@ def _cmd_nds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Per settings class, its command's flags in listing order, each mapped to the field it sets; None
+# marks a flag of the command's own, whose add_argument keywords the caller of _add_settings gives.
+_SETTINGS_FLAGS = {
+    SceneConfig: {
+        "--objects": "n_objects", "--frames": "n_frames", "--dt": "dt", "--cameras": None, "--r-max": "r_max",
+        "--classes": "n_classes", "--speed-min": "speed_min", "--speed-max": "speed_max", "--ego": "ego_motion",
+        "--ego-speed": "ego_speed", "--ego-yaw-rate": "ego_yaw_rate", "--seed": "seed",
+    },
+    NoiseModel: {
+        "--radial-std": "radial_std", "--tangential-std": "tangential_std", "--z-std": "z_std",
+        "--size-std": "size_rel_std", "--yaw-std": "yaw_std", "--velocity-std": "velocity_std",
+        "--drop-prob": "drop_prob", "--fp-rate": "false_positive_rate", "--noise-frame": "mode", "--r-max": None,
+        "--seed": "seed",
+    },
+    tracker.TrackerConfig: {"--threshold": "distance_threshold", "--max-misses": "max_misses", "--matching": "matching"},
+}
+
+
+def _settings(cls, args):
+    """``cls`` built from the parsed flags that set its fields."""
+    flags = _SETTINGS_FLAGS[cls].items()
+    return cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in flags if name})
+
+
+def _add_settings(p: _Parser, cls, own: dict | None = None) -> None:
+    """Add the flags of ``_SETTINGS_FLAGS[cls]`` in order, each with its field's default, and its choices or else
+    the default's type; ``own`` gives the add_argument keywords of each of the command's own flags."""
+    fields = cls.__dataclass_fields__
+    for flag, name in _SETTINGS_FLAGS[cls].items():
+        if name is None:
+            p.add_argument(flag, **own[flag])
+        elif "choices" in fields[name].metadata:
+            p.add_argument(flag, default=fields[name].default, choices=fields[name].metadata["choices"])
+        else:
+            p.add_argument(flag, default=fields[name].default, type=type(fields[name].default))
+
+
 def _add_range_flags(p: _Parser) -> None:
     p.add_argument("--range-mode", choices=["circular", "rectangular", "none"], default="circular")
     p.add_argument("--r-max", type=float, default=50.0)
@@ -356,34 +356,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="generate a synthetic scene JSON")
-    p.add_argument("--objects", type=int, default=5)
-    p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--dt", type=float, default=0.5)
-    p.add_argument("--cameras", type=int, default=6)
-    p.add_argument("--r-max", type=float, default=50.0)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--speed-min", type=float, default=0.0)
-    p.add_argument("--speed-max", type=float, default=8.0)
-    p.add_argument("--ego", choices=["static", "straight", "arc"], default="static")
-    p.add_argument("--ego-speed", type=float, default=5.0)
-    p.add_argument("--ego-yaw-rate", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, SceneConfig, {"--cameras": dict(type=int, default=6)})
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("render", help="render noisy detections from a scene")
     p.add_argument("--scene", required=True)
-    p.add_argument("--radial-std", type=float, default=0.0)
-    p.add_argument("--tangential-std", type=float, default=0.0)
-    p.add_argument("--z-std", type=float, default=0.0)
-    p.add_argument("--size-std", type=float, default=0.0)
-    p.add_argument("--yaw-std", type=float, default=0.0)
-    p.add_argument("--velocity-std", type=float, default=0.0)
-    p.add_argument("--drop-prob", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0)
-    p.add_argument("--noise-frame", choices=["polar", "cartesian"], default="polar")
-    p.add_argument("--r-max", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, NoiseModel, {"--r-max": dict(type=float, default=50.0)})
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 
@@ -391,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--k-scaling", type=float, default=20.0)
-    p.add_argument("--class-cost", choices=["negative_prob", "focal"], default="negative_prob")
+    p.add_argument("--class-cost", choices=assignment.CLASS_COST_FORMS, default=assignment.CLASS_COST_FORMS[0])
     _add_range_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_assign)
@@ -399,9 +378,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="tracking-by-detection over a detection set")
     p.add_argument("--detections", required=True)
     p.add_argument("--scene", default=None, help="optional ground truth for id-switch count")
-    p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--max-misses", type=int, default=2)
-    p.add_argument("--matching", choices=["greedy", "hungarian"], default="greedy")
+    _add_settings(p, tracker.TrackerConfig)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_track)
 
@@ -457,6 +434,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"polarview: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"polarview: out of memory: {exc}\n")
         return 1
 
 

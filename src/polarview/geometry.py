@@ -348,8 +348,9 @@ def encode_polar_box(box: PolarBox, range_config: RangeConfig) -> BoxEncoding:
 
 
 def planar_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``."""
-    return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
+    """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``; inf where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
 
 
 def polar_centers(boxes: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -306,6 +306,9 @@ class DetectionSet:
         return cls(_frames(DetectionFrame, times, counts, _detection_rows(boxes, probs, velocities, scores)))
 
 
+_NOISE_MODES = ("polar", "cartesian")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Perturbation model for rendering detections from ground truth.
@@ -326,7 +329,7 @@ class NoiseModel:
     drop_prob: float = 0.0
     false_positive_rate: float = 0.0
     seed: int = 0
-    mode: str = "polar"
+    mode: str = field(default="polar", metadata={"choices": _NOISE_MODES})
 
     def __post_init__(self) -> None:
         for name in ("radial_std", "tangential_std", "z_std", "size_rel_std", "yaw_std", "velocity_std",
@@ -336,8 +339,11 @@ class NoiseModel:
                 raise ValueError(f"NoiseModel: {name} must be finite and >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("NoiseModel: drop_prob must lie in [0, 1]")
-        if self.mode not in ("polar", "cartesian"):
+        if self.mode not in _NOISE_MODES:
             raise ValueError("NoiseModel: mode must be 'polar' or 'cartesian'")
+
+
+_EGO_MOTIONS = ("static", "straight", "arc")
 
 
 @dataclass(frozen=True)
@@ -351,7 +357,7 @@ class SceneConfig:
     n_classes: int = 4
     speed_min: float = 0.0
     speed_max: float = 8.0
-    ego_motion: str = "static"  # static | straight | arc
+    ego_motion: str = field(default="static", metadata={"choices": _EGO_MOTIONS})
     ego_speed: float = 5.0
     ego_yaw_rate: float = 0.3
     seed: int = 0
@@ -368,7 +374,7 @@ class SceneConfig:
             raise ValueError("SceneConfig: r_max must exceed the 2 m placement floor")
         if not 0.0 <= self.speed_min <= self.speed_max:
             raise ValueError("SceneConfig: need 0 <= speed_min <= speed_max")
-        if self.ego_motion not in ("static", "straight", "arc"):
+        if self.ego_motion not in _EGO_MOTIONS:
             raise ValueError("SceneConfig: unknown ego_motion")
 
 
@@ -421,8 +427,9 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
     rz_inv = rz.transpose(0, 2, 1)
     # (F, M, ...) arrays; matmul still makes one (3, 3) @ (3,) product per object, so the bytes match it
     t = np.array(times)[:, None]
-    p_world = np.stack(np.broadcast_arrays(x0 + vx0 * t, y0 + vy0 * t, z0 + 0.0 * t), axis=-1)
-    p_ego = np.matmul(rz_inv[:, None], (p_world - np.array(ego_pos)[:, None])[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # Scene.from_arrays reports the non-finite rows
+        p_world = np.stack(np.broadcast_arrays(x0 + vx0 * t, y0 + vy0 * t, z0 + 0.0 * t), axis=-1)
+        p_ego = np.matmul(rz_inv[:, None], (p_world - np.array(ego_pos)[:, None])[..., None])[..., 0]
     v_ego = np.matmul(rz_inv[:, None, :2, :2], np.stack([vx0, vy0], axis=-1)[:, :, None])[..., 0]
     yaws = [wrap_angle(a) for a in (yaw0 - np.array(psis)[:, None]).reshape(-1).tolist()]
     sizes = np.broadcast_to(np.stack([l, w, h], axis=-1), (n_frames, m, 3))

@@ -61,8 +61,9 @@ def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.nda
     """Planar centers (..., 2) of boxes (..., 9) moved back by dt along velocities (..., 2)."""
     if dt <= 0.0:
         raise ValueError("back_project: dt must be positive")
-    v_x, v_y = rotate_planar(velocities[..., 0], velocities[..., 1], boxes[..., 1], boxes[..., 2])
-    return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed center fails every distance gate
+        v_x, v_y = rotate_planar(velocities[..., 0], velocities[..., 1], boxes[..., 1], boxes[..., 2])
+        return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
 
 
 @dataclass
@@ -81,16 +82,19 @@ class Track:
         return polar_centers(self.box)
 
 
+_MATCHINGS = ("greedy", "hungarian")
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     distance_threshold: float = 2.0
     max_misses: int = 2
-    matching: str = "greedy"  # greedy | hungarian
+    matching: str = field(default="greedy", metadata={"choices": _MATCHINGS})
 
     def __post_init__(self) -> None:
         if not 0.0 < self.distance_threshold < np.inf or self.max_misses < 0:
             raise ValueError("TrackerConfig: invalid thresholds")
-        if self.matching not in ("greedy", "hungarian"):
+        if self.matching not in _MATCHINGS:
             raise ValueError("TrackerConfig: matching must be 'greedy' or 'hungarian'")
 
 
@@ -122,7 +126,7 @@ def match_tracks(
     allowed = (det_labels[:, None] == trk_labels[None, :]) & (dist <= threshold)
 
     if state.config.matching == "hungarian":
-        big = max(threshold, float(dist.max())) * (min(n_det, n_trk) + 1) + 1.0
+        big = threshold * (min(n_det, n_trk) + 1) + 1.0  # exceeds any sum of allowed distances
         gated = np.where(allowed, dist, big)
         matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
     else:

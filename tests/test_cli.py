@@ -1,14 +1,18 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import polarview
-from polarview import camera, geometry, simulator
+from polarview import assignment, camera, cli, geometry, simulator, tracker
 from polarview.cli import main
 
 
@@ -585,6 +589,20 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_class_id_too_large_to_render_exits_one(self, capsys, tracked, tmp_path):
+        # np.eye over 10**7 classes asks for 728 TiB, beyond the user address
+        # space, so the allocation fails at once and touches no memory
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        scene["frames"][0]["objects"][0]["class"] = 10_000_000
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "render", "--scene", str(bad), "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "out of memory" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "size", [[], [1600], [1600, 900, 3], [1600.0, 900], ["1600", 900], "1600x900", None],
         ids=["empty", "one", "three", "float", "string", "not-a-list", "null"],
@@ -682,6 +700,14 @@ class TestNonFiniteAndNegativeSettings:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("thresholds", ["2,2", "0.1,0.10000000001"])
+    def test_eval_rejects_thresholds_with_the_same_key(self, capsys, tracked, thresholds):
+        code, out, err = run(capsys, "eval", "--scene", tracked["scene"], "--detections", tracked["dets"],
+                             "--thresholds", thresholds)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--thresholds" in err
+
     @pytest.mark.parametrize("k_scaling", ["-5", "0", "0.5", "nan", "inf"])
     def test_assign_rejects_k_scaling_below_one(self, capsys, tracked, tmp_path, k_scaling):
         out = tmp_path / "out.json"
@@ -718,6 +744,160 @@ class TestTrackHungarianFlag:
         )
         assert code == 0
         assert json.loads(out)["summary"]["tracks_created"] == 3
+
+
+def run_strict(capsys, *argv):
+    """``run`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+class TestOverflowIsSilent:
+    # Values near the float64 maximum overflow to inf in back-projection and
+    # distances; an infinite distance fails every gate, with no numpy warning
+    def test_greedy_and_hungarian_agree_on_overflowing_velocities(self, capsys, tracked, tmp_path):
+        with open(tracked["dets"]) as fh:
+            dets = json.load(fh)
+        for frame in dets["frames"]:
+            for record in frame["detections"]:
+                record["velocity"] = [1.7e308, -1.7e308]
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(dets))
+        outputs = []
+        for matching in ("greedy", "hungarian"):
+            out = tmp_path / f"{matching}.json"
+            code, _, err = run_strict(capsys, "track", "--detections", str(path), "--matching", matching,
+                                      "--out", str(out))
+            assert (code, err) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_track_scene_near_float_max(self, capsys, tracked, tmp_path):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        for frame in scene["frames"]:
+            for obj in frame["objects"]:
+                obj["box"][:2] = [1.7e308, -1.7e308]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(scene))
+        code, out, err = run_strict(capsys, "track", "--detections", tracked["dets"], "--scene", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"]["id_switches"] == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--objects", "2", "--frames", "2", "--dt", "1e308"),
+         ("--frames", "3", "--dt", "1e307", "--ego", "straight", "--ego-speed", "1e300")],
+        ids=["objects", "ego"],
+    )
+    def test_simulate_overflow_gives_one_error_line(self, capsys, tmp_path, flags):
+        out = tmp_path / "scene.json"
+        code, _, err = run_strict(capsys, "simulate", *flags, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("polarview: ")
+        assert not out.exists()
+
+
+# The settings class, the required flags and the flags listed by --help (in
+# listing order, without -h and --help) of each command that builds settings
+SETTINGS_COMMANDS = {
+    "simulate": (simulator.SceneConfig, ("--out", "x"), [
+        "--objects", "--frames", "--dt", "--cameras", "--r-max", "--classes", "--speed-min", "--speed-max",
+        "--ego", "--ego-speed", "--ego-yaw-rate", "--seed", "--out", "--config"]),
+    "render": (simulator.NoiseModel, ("--scene", "s", "--out", "x"), [
+        "--scene", "--radial-std", "--tangential-std", "--z-std", "--size-std", "--yaw-std", "--velocity-std",
+        "--drop-prob", "--fp-rate", "--noise-frame", "--r-max", "--seed", "--out", "--config"]),
+    "track": (tracker.TrackerConfig, ("--detections", "d"), [
+        "--detections", "--scene", "--threshold", "--max-misses", "--matching", "--out", "--config"]),
+}
+
+
+def settings_flags(command):
+    """Each optional flag of ``command`` mapped to the fields it changes from the class defaults, and its action."""
+    cls, required, _ = SETTINGS_COMMANDS[command]
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    found = {}
+    for action in sub._actions:
+        if not action.option_strings or action.required or action.default in (None, argparse.SUPPRESS):
+            continue
+        if action.choices:
+            value = next(c for c in action.choices if c != action.default)
+        else:
+            value = action.default + (1 if isinstance(action.default, int) else 0.5)
+        settings = cli._settings(cls, parser.parse_args([command, *required, action.option_strings[0], str(value)]))
+        changed = [f.name for f in dataclasses.fields(cls) if getattr(settings, f.name) != getattr(cls(), f.name)]
+        found[action.option_strings[0]] = (changed, action)
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+class TestSettingsFlags:
+    def test_every_field_is_set_by_exactly_one_flag(self, command):
+        cls = SETTINGS_COMMANDS[command][0]
+        fields = [name for changed, _ in settings_flags(command).values() for name in changed]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(cls))
+
+    def test_flag_default_and_type_come_from_the_class(self, command):
+        cls = SETTINGS_COMMANDS[command][0]
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for flag, (changed, action) in settings_flags(command).items():
+            if not changed:
+                continue
+            (name,) = changed
+            assert action.default == fields[name].default, flag
+            if "choices" in fields[name].metadata:
+                assert action.choices is fields[name].metadata["choices"], flag
+            else:
+                assert action.choices is None and action.type is type(fields[name].default), flag
+
+    def test_required_flags_alone_give_the_class_defaults(self, command):
+        cls, required, _ = SETTINGS_COMMANDS[command]
+        assert cli._settings(cls, cli.build_parser().parse_args([command, *required])) == cls()
+
+    def test_help_lists_the_same_flags(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        flags = [f for f in dict.fromkeys(re.findall(r"--[a-z][a-z-]*", out)) if f != "--help"]
+        assert flags == SETTINGS_COMMANDS[command][2]
+
+
+class TestChoiceFlags:
+    def test_class_cost_lists_the_assignment_forms(self):
+        parser = cli.build_parser()
+        sub = parser._subparsers._group_actions[0].choices["assign"]
+        action = next(a for a in sub._actions if a.dest == "class_cost")
+        assert action.choices is assignment.CLASS_COST_FORMS
+        assert action.default == "negative_prob"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--out", "x", "--ego", "bad"),
+             "polarview simulate: error: argument --ego: invalid choice: 'bad' (choose from 'static', 'straight', "
+             "'arc')"),
+            (("render", "--scene", "s", "--out", "x", "--noise-frame", "bad"),
+             "polarview render: error: argument --noise-frame: invalid choice: 'bad' (choose from 'polar', "
+             "'cartesian')"),
+            (("track", "--detections", "d", "--matching", "bad"),
+             "polarview track: error: argument --matching: invalid choice: 'bad' (choose from 'greedy', "
+             "'hungarian')"),
+            (("assign", "--scene", "s", "--detections", "d", "--class-cost", "bad"),
+             "polarview assign: error: argument --class-cost: invalid choice: 'bad' (choose from 'negative_prob', "
+             "'focal')"),
+            (("simulate", "--out", "x", "--objects", "1.5"),
+             "polarview simulate: error: argument --objects: invalid int value: '1.5'"),
+            (("track", "--detections", "d", "--threshold", "x"),
+             "polarview track: error: argument --threshold: invalid float value: 'x'"),
+        ],
+        ids=["ego", "noise-frame", "matching", "class-cost", "int", "float"],
+    )
+    def test_bad_value_gives_the_argparse_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == message
 
 
 # One small fixed workload through every byte-stable command, pinned by
