@@ -1,4 +1,4 @@
-"""Polar matching cost, perception-range filtering and optimal assignment.
+"""Polar matching cost, perception-range filtering, optimal and greedy assignment.
 
 The pairwise cost between a prediction and a ground-truth box combines a
 class term with the polar box term
@@ -31,6 +31,7 @@ __all__ = [
     "class_cost",
     "build_cost_matrix",
     "hungarian",
+    "greedy_claim",
     "brute_force_assign",
     "scaling_ambiguity_fixture",
     "range_ambiguity_fixture",
@@ -193,6 +194,24 @@ def hungarian(costs: np.ndarray) -> Assignment:
 
     rows, cols = linear_sum_assignment(costs)
     return Assignment(tuple(zip(rows.tolist(), cols.tolist())))
+
+
+def greedy_claim(rows: list[int], cols: list[int]) -> list[tuple[int, int]]:
+    """Claim (row, column) cells in the given order: a cell is claimed when its row and column are both untaken.
+
+    The caller's order is the whole rule: the tracker sorts by distance,
+    eval by prediction score.  Pairs come back in claim order.
+    """
+    used_r: set[int] = set()
+    used_c: set[int] = set()
+    pairs = []
+    for r, c in zip(rows, cols):
+        if r in used_r or c in used_c:
+            continue
+        used_r.add(r)
+        used_c.add(c)
+        pairs.append((r, c))
+    return pairs
 
 
 def brute_force_assign(costs: np.ndarray) -> Assignment:

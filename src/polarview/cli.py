@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -175,18 +176,23 @@ def _eval_metrics(args) -> dict:
     keys = [f"{th:g}" for th in thresholds]  # the AP keys
     if len(set(keys)) < len(keys):
         raise ValueError("eval: --thresholds must differ in their first 6 significant digits")
-    frame_preds = []
-    frame_gts = []
+    frame_scores = []
+    frame_tp = [[] for _ in thresholds]  # per AP threshold, each frame's TP flags
+    n_gt = 0
     matched = []  # per frame, the matched rows: pred boxes, pred velocities, gt boxes, gt velocities
     for frame_gt, frame_det, gt_rows, kept_gt in frames:
         gt_centers = frame_gt.boxes[kept_gt, :2]
         centers = polar_centers(frame_det.boxes)
         kept = _in_region(region, centers.tolist())
-        preds = (centers[kept], frame_det.scores[kept])
-        frame_preds.append(preds)
-        frame_gts.append(gt_centers)
-        if kept and kept_gt:
-            matches, _ = metrics.match_by_center_distance(*preds, gt_centers, args.tp_threshold)
+        scores = frame_det.scores[kept]
+        *at_thresholds, (matches, _) = metrics.match_by_center_distance(
+            centers[kept], scores, gt_centers, [*thresholds, args.tp_threshold]
+        )
+        frame_scores.append(scores)
+        for flags, (_, is_tp) in zip(frame_tp, at_thresholds):
+            flags.append(is_tp)
+        n_gt += len(kept_gt)
+        if matches:
             di = [kept[pi] for pi, _ in matches]
             gj = [kept_gt[gi] for _, gi in matches]
             gt_boxes = np.reshape([polar_fields(*gt_rows[j]) for j in gj], (-1, 9))  # only matched ones need an azimuth
@@ -196,7 +202,7 @@ def _eval_metrics(args) -> dict:
     pairs = [np.concatenate(rows) for rows in zip(*matched)]
     n_pairs = len(pairs[0]) if pairs else 0
 
-    ap = {key: metrics.average_precision_frames(frame_preds, frame_gts, th) for key, th in zip(keys, thresholds)}
+    ap = {key: metrics.average_precision_frames(frame_scores, flags, n_gt) for key, flags in zip(keys, frame_tp)}
     values = list(ap.values())
     m_ap = None if any(v is None for v in values) else float(np.mean(values))
     report: dict = {
@@ -421,11 +427,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser: parsing leaves it as it was, so one serves every call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(_parser(), argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -2,7 +2,10 @@
 
 TP errors take the matched pairs as rows: (P, 9) boxes in
 ``geometry.POLAR_FIELDS`` order and (P, 2) polar velocities per side.
-AP takes per-frame (centers, scores) arrays.
+Matching runs once per frame for every threshold: one sort of the
+frame's cells by (score rank, distance, gt index), then the shared
+``assignment.greedy_claim`` loop per threshold.  AP takes each frame's
+scores and TP flags at one threshold.
 
 These are single-pool surrogates of the nuScenes metric suite: no
 class-balanced averaging, no recall floor.  The composite score formula
@@ -23,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .assignment import greedy_claim
 from .geometry import planar_distances, rotate_planar, wrap_angle
 
 __all__ = [
@@ -94,36 +98,58 @@ def match_by_center_distance(
     pred_centers: np.ndarray,
     scores: np.ndarray,
     gt_centers: np.ndarray,
-    threshold: float,
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Score-descending greedy matching of predictions to ground truths.
+    thresholds: Sequence[float],
+) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
+    """Score-descending greedy matching of one frame's predictions to its ground truths, at each threshold.
 
     Each prediction (best score first; ties keep input order) claims its
-    nearest still-unmatched ground truth if that lies within
-    ``threshold``.  Returns the (pred index, gt index) matches and the
-    per-prediction TP flags in score order position of the input arrays.
+    nearest still-unmatched ground truth (lowest index among equal
+    distances) if that lies within the threshold.  The cells within the
+    largest threshold are sorted once, by (score rank, distance, gt
+    index); each threshold claims the run of them within its reach.
+    Returns, per threshold, the (pred index, gt index) matches in claim
+    order and the per-prediction TP flags.
     """
     pred_centers = np.asarray(pred_centers, dtype=np.float64).reshape(-1, 2)
+    scores = np.asarray(scores, dtype=np.float64)
     gt_centers = np.asarray(gt_centers, dtype=np.float64).reshape(-1, 2)
-    is_tp = np.zeros(len(pred_centers), dtype=bool)
-    matches = []
-    if not len(gt_centers):
-        return matches, is_tp
+    if not all(np.isfinite(a).all() for a in (pred_centers, scores, gt_centers)) or np.isnan(thresholds).any():
+        raise ValueError("match_by_center_distance: centers and scores must be finite, thresholds not NaN")
+    rank = np.empty(len(scores), dtype=np.int64)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(len(scores))
     dist = planar_distances(pred_centers, gt_centers)
-    taken = np.zeros(len(gt_centers), dtype=bool)
-    for pi in np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist():
-        d = np.where(taken, np.inf, dist[pi])
-        gi = int(np.argmin(d))
-        if d[gi] <= threshold:
-            taken[gi] = True
-            is_tp[pi] = True
-            matches.append((pi, gi))
-    return matches, is_tp
+    rows, cols = np.nonzero(dist <= max(thresholds))
+    d = dist[rows, cols]
+    order = np.lexsort((cols, d, rank[rows]))
+    rows, cols, d = rows[order], cols[order], d[order]
+    results = []
+    for threshold in thresholds:
+        within = d <= threshold
+        matches = greedy_claim(rows[within].tolist(), cols[within].tolist())
+        is_tp = np.zeros(len(pred_centers), dtype=bool)
+        is_tp[[pi for pi, _ in matches]] = True
+        results.append((matches, is_tp))
+    return results
 
 
-def _ap_from_flags(scores: np.ndarray, is_tp: np.ndarray, n_gt: int) -> float:
+def average_precision_frames(
+    frame_scores: Sequence[np.ndarray], frame_tp: Sequence[np.ndarray], n_gt: int
+) -> float | None:
+    """AP pooled over frames: one global score ranking, TP flags from within-frame matching.
+
+    Frame f gives its prediction scores and, at one threshold, the TP
+    flags that ``match_by_center_distance`` returned for them; ``n_gt``
+    counts the ground truths of all frames.  None when there are none.
+    """
+    if len(frame_scores) != len(frame_tp):
+        raise ValueError("average_precision_frames: frame counts differ")
+    if n_gt == 0:
+        return None
+    scores = np.concatenate([np.zeros(0), *frame_scores])
+    if not len(scores):
+        return 0.0
     order = np.argsort(-scores, kind="stable")
-    tp_cum = np.cumsum(is_tp[order])
+    tp_cum = np.cumsum(np.concatenate([np.zeros(0, dtype=bool), *frame_tp])[order])
     ranks = np.arange(1, len(order) + 1)
     precision = tp_cum / ranks
     recall = tp_cum / n_gt
@@ -132,37 +158,6 @@ def _ap_from_flags(scores: np.ndarray, is_tp: np.ndarray, n_gt: int) -> float:
     r = np.concatenate([[0.0], recall])
     p = np.concatenate([[envelope[0]], envelope])
     return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
-
-
-def average_precision_frames(
-    frame_preds: Sequence[tuple[np.ndarray, np.ndarray]],
-    frame_gts: Sequence[np.ndarray],
-    threshold: float,
-) -> float | None:
-    """AP pooled over frames: global score ranking, within-frame matching.
-
-    Each frame gives its predictions as (centers (N, 2), scores (N,)) and
-    its ground truths as (M, 2) centers.
-    """
-    if len(frame_preds) != len(frame_gts):
-        raise ValueError("average_precision_frames: frame counts differ")
-    n_gt = sum(len(g) for g in frame_gts)
-    if n_gt == 0:
-        return None
-    all_scores = []
-    all_tp = []
-    for (centers, scores), gts in zip(frame_preds, frame_gts):
-        if not len(scores):
-            continue
-        if len(gts):
-            _, is_tp = match_by_center_distance(centers, scores, gts, threshold)
-        else:
-            is_tp = np.zeros(len(scores), dtype=bool)
-        all_scores.append(np.asarray(scores, dtype=np.float64))
-        all_tp.append(is_tp)
-    if not all_scores:
-        return 0.0
-    return _ap_from_flags(np.concatenate(all_scores), np.concatenate(all_tp), n_gt)
 
 
 def nds(m_ap: float, m_tps: Sequence[float]) -> float:

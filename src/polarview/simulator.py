@@ -382,12 +382,10 @@ def _ego_state(config: SceneConfig, t: float) -> tuple[float, np.ndarray]:
     """(heading, position) of the ego in frame-0 coordinates at time t."""
     if config.ego_motion == "static":
         return 0.0, np.zeros(3)
-    if config.ego_motion == "straight":
+    omega = config.ego_yaw_rate if config.ego_motion == "arc" else 0.0
+    radius = config.ego_speed / omega if omega else math.inf
+    if not math.isfinite(radius):  # straight, or an arc so slight that its radius overflows: straight is the limit
         return 0.0, np.array([config.ego_speed * t, 0.0, 0.0])
-    omega = config.ego_yaw_rate
-    if omega == 0.0:
-        return 0.0, np.array([config.ego_speed * t, 0.0, 0.0])
-    radius = config.ego_speed / omega
     psi = omega * t
     return psi, np.array([radius * math.sin(psi), radius * (1.0 - math.cos(psi)), 0.0])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import greedy_claim, hungarian
 from .geometry import planar_distances, polar_centers, rotate_planar
 from .simulator import Detection, DetectionFrame, DetectionSet, Scene
 
@@ -37,24 +37,10 @@ __all__ = [
 
 
 def _greedy_match(dist: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
-    """Claim (row, column) pairs greedily in ascending (distance, row, column) order.
-
-    Only cells where ``allowed`` is true are candidates; a pair is claimed
-    when neither its row nor its column is taken.  Pairs come back in
-    claim order.
-    """
+    """Claim the ``allowed`` (row, column) pairs in ascending (distance, row, column) order; see ``greedy_claim``."""
     rows, cols = np.nonzero(allowed)
     order = np.lexsort((cols, rows, dist[rows, cols]))
-    used_r: set[int] = set()
-    used_c: set[int] = set()
-    pairs = []
-    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
-        if r in used_r or c in used_c:
-            continue
-        used_r.add(r)
-        used_c.add(c)
-        pairs.append((r, c))
-    return pairs
+    return greedy_claim(rows[order].tolist(), cols[order].tolist())
 
 
 def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from polarview.assignment import (
     build_cost_matrix,
     class_cost,
     filter_perception_range,
+    greedy_claim,
     hungarian,
     range_ambiguity_fixture,
     scaling_ambiguity_fixture,
@@ -253,6 +254,17 @@ class TestHungarian:
         assert base.total_cost(costs) == pytest.approx(
             sum(costs[j, i] for j, i in mapped), abs=1e-12
         )
+
+
+class TestGreedyClaim:
+    def test_the_given_order_decides_and_pairs_come_in_claim_order(self):
+        rows, cols = [0, 0, 1, 1], [0, 1, 0, 1]
+        assert greedy_claim(rows, cols) == [(0, 0), (1, 1)]
+        assert greedy_claim(rows[::-1], cols[::-1]) == [(1, 1), (0, 0)]
+        assert greedy_claim([1, 0, 0], [0, 0, 1]) == [(1, 0), (0, 1)]
+
+    def test_no_cells(self):
+        assert greedy_claim([], []) == []
 
 
 class TestBruteForce:

@@ -798,6 +798,16 @@ class TestOverflowIsSilent:
         assert len(err.splitlines()) == 1 and err.startswith("polarview: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("yaw_rate", ["1e-320", "-1e-320"])
+    def test_arc_whose_radius_overflows_drives_straight(self, capsys, tmp_path, yaw_rate):
+        arc, straight = tmp_path / "arc.json", tmp_path / "straight.json"
+        flags = ("--objects", "3", "--frames", "3", "--seed", "2")
+        code, _, err = run_strict(capsys, "simulate", *flags, "--ego", "arc", f"--ego-yaw-rate={yaw_rate}",
+                                  "--out", str(arc))
+        assert (code, err) == (0, "")
+        assert run_strict(capsys, "simulate", *flags, "--ego", "straight", "--out", str(straight))[0] == 0
+        assert arc.read_bytes() == straight.read_bytes()
+
 
 # The settings class, the required flags and the flags listed by --help (in
 # listing order, without -h and --help) of each command that builds settings
@@ -861,6 +871,35 @@ class TestSettingsFlags:
         assert code == 0
         flags = [f for f in dict.fromkeys(re.findall(r"--[a-z][a-z-]*", out)) if f != "--help"]
         assert flags == SETTINGS_COMMANDS[command][2]
+
+
+class TestParserBuiltOnce:
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_config_values_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"objects": 7, "seed": 11}))
+        outs = [tmp_path / f"scene{i}.json" for i in range(3)]
+        plain = ("simulate", "--objects", "2", "--frames", "2")
+        assert run(capsys, *plain, "--out", str(outs[0]))[0] == 0
+        assert run(capsys, *plain, "--config", str(config_path), "--out", str(outs[1]))[0] == 0
+        assert run(capsys, *plain, "--out", str(outs[2]))[0] == 0
+        assert outs[2].read_bytes() == outs[0].read_bytes() != outs[1].read_bytes()
+
+    def test_failed_parse_leaves_the_parser_usable(self, capsys, tmp_path):
+        assert run(capsys, "simulate", "--objects", "x", "--out", str(tmp_path / "bad.json"))[0] == 1
+        code, out, err = run(capsys, "nds", "--map", "0.338", "--tps", "0.768,0.284,0.443,0.883,0.221")
+        assert (code, out.strip(), err) == (0, "0.409", "")
+
+    def test_help_follows_the_terminal_width_of_each_call(self, capsys, monkeypatch):
+        for columns in ("80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run(capsys, "--help")
+            assert code == 0
+            assert out == cli.build_parser().format_help()
+        assert max(len(line) for line in out.splitlines()) > 80
 
 
 class TestChoiceFlags:

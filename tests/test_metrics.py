@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _published import TEST_ROWS, VAL_ROWS
 from polarview.geometry import PolarBox, PolarVelocity, rotate_planar, wrap_angle
@@ -44,6 +46,17 @@ def as_arrays(frame_preds, frame_gts):
         for p in frame_preds
     ]
     return preds, [np.array(g, dtype=np.float64).reshape(-1, 2) for g in frame_gts]
+
+
+def grid_points(n):
+    """n points of the integer grid [-3, 3]^2, so that distances tie exactly."""
+    return st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)
+
+
+def pooled_ap(frame_preds, frame_gts, threshold):
+    """AP at one threshold as eval computes it: match each frame, then rank all frames' predictions together."""
+    flags = [match_by_center_distance(c, s, g, [threshold])[0][1] for (c, s), g in zip(frame_preds, frame_gts)]
+    return average_precision_frames([s for _, s in frame_preds], flags, sum(len(g) for g in frame_gts))
 
 
 class TestTpErrors:
@@ -132,14 +145,14 @@ class TestAveragePrecision:
     def test_perfect_detections(self):
         gts = [np.array([0.0, 0.0]), np.array([10.0, 0.0])]
         preds = [(np.array([0.1, 0.0]), 1.0), (np.array([10.1, 0.0]), 1.0)]
-        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(1.0)
+        assert pooled_ap(*as_arrays([preds], [gts]), 2.0) == pytest.approx(1.0)
 
     def test_no_detections(self):
         gts = [np.array([0.0, 0.0])]
-        assert average_precision_frames(*as_arrays([[]], [gts]), 2.0) == 0.0
+        assert pooled_ap(*as_arrays([[]], [gts]), 2.0) == 0.0
 
     def test_no_ground_truth_undefined(self):
-        assert average_precision_frames(*as_arrays([[(np.array([0.0, 0.0]), 1.0)]], [[]]), 2.0) is None
+        assert pooled_ap(*as_arrays([[(np.array([0.0, 0.0]), 1.0)]], [[]]), 2.0) is None
 
     def test_top_score_false_positive_hand_enumeration(self):
         # FP at rank 1, then two TPs: precisions (0, 1/2, 2/3), recalls (0, 1/2, 1);
@@ -150,7 +163,7 @@ class TestAveragePrecision:
             (np.array([0.1, 0.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(2.0 / 3.0)
+        assert pooled_ap(*as_arrays([preds], [gts]), 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_mid_rank_false_positive_hand_enumeration(self):
         # TP, FP, TP: precisions (1, 1/2, 2/3), recalls (1/2, 1/2, 1);
@@ -161,16 +174,16 @@ class TestAveragePrecision:
             (np.array([50.0, 50.0]), 0.8),
             (np.array([10.2, 0.0]), 0.7),
         ]
-        assert average_precision_frames(*as_arrays([preds], [gts]), 2.0) == pytest.approx(5.0 / 6.0)
+        assert pooled_ap(*as_arrays([preds], [gts]), 2.0) == pytest.approx(5.0 / 6.0)
 
     def test_each_gt_matched_at_most_once(self):
         gts = [np.array([0.0, 0.0])]
         preds = [(np.array([0.1, 0.0]), 0.9), (np.array([-0.1, 0.0]), 0.8)]
-        matches, is_tp = match_by_center_distance(
+        [(matches, is_tp)] = match_by_center_distance(
             np.array([c for c, _ in preds]),
             np.array([s for _, s in preds]),
             np.array(gts),
-            2.0,
+            [2.0],
         )
         assert len(matches) == 1
         assert is_tp.tolist() == [True, False]
@@ -179,9 +192,9 @@ class TestAveragePrecision:
         rng = np.random.default_rng(62)
         gts = [np.array(c) for c in rng.uniform(-20, 20, size=(6, 2))]
         preds = [(np.array(c), float(s)) for c, s in zip(rng.uniform(-20, 20, size=(10, 2)), rng.uniform(0.1, 1.0, 10))]
-        base = average_precision_frames(*as_arrays([preds], [gts]), 3.0)
+        base = pooled_ap(*as_arrays([preds], [gts]), 3.0)
         squashed = [(c, s**3 / 2) for c, s in preds]
-        assert average_precision_frames(*as_arrays([squashed], [gts]), 3.0) == pytest.approx(base)
+        assert pooled_ap(*as_arrays([squashed], [gts]), 3.0) == pytest.approx(base)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(63)
@@ -194,14 +207,29 @@ class TestAveragePrecision:
                     rng.uniform(0, 1, 8),
                 )
             ]
-            ap = average_precision_frames(*as_arrays([preds], [gts]), 2.0)
+            ap = pooled_ap(*as_arrays([preds], [gts]), 2.0)
             assert 0.0 <= ap <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=5), st.data())
+    def test_frame_order_does_not_change_ap_for_distinct_scores(self, sizes, data):
+        n_preds = sum(n for n, _ in sizes)
+        scores = iter(data.draw(st.lists(st.integers(1, 1000), min_size=n_preds, max_size=n_preds, unique=True)))
+        frame_preds = [
+            [(np.array(c, dtype=np.float64), next(scores) / 1000.0) for c in data.draw(grid_points(n))] for n, _ in sizes
+        ]
+        frame_gts = [[np.array(c, dtype=np.float64) for c in data.draw(grid_points(m))] for _, m in sizes]
+        threshold = data.draw(st.sampled_from([0.0, 1.0, 1.5, 3.0]))
+        order = data.draw(st.permutations(range(len(sizes))))
+        base = pooled_ap(*as_arrays(frame_preds, frame_gts), threshold)
+        reordered = pooled_ap(*as_arrays([frame_preds[i] for i in order], [frame_gts[i] for i in order]), threshold)
+        assert reordered == base
 
     def test_multi_frame_pooling(self):
         # one perfect frame, one empty-prediction frame: global ranking
         frame_preds = [[(np.array([0.0, 0.0]), 1.0)], []]
         frame_gts = [[np.array([0.0, 0.0])], [np.array([5.0, 5.0])]]
-        ap = average_precision_frames(*as_arrays(frame_preds, frame_gts), 2.0)
+        ap = pooled_ap(*as_arrays(frame_preds, frame_gts), 2.0)
         assert ap == pytest.approx(0.5)  # recall saturates at 1/2
 
 
@@ -232,14 +260,42 @@ class TestCenterDistanceMatching:
             gts = rng.integers(-3, 4, size=(n_gt, 2)).astype(np.float64)
             scores = rng.integers(1, 4, size=n_pred) / 4.0
             threshold = float(rng.choice([0.0, 1.0, 1.5, 3.0]))
-            matches, is_tp = match_by_center_distance(preds, scores, gts, threshold)
+            [(matches, is_tp)] = match_by_center_distance(preds, scores, gts, [threshold])
             ref_matches, ref_tp = reference_center_matching(preds, scores, gts, threshold)
             assert matches == ref_matches
             assert is_tp.tolist() == ref_tp.tolist()
 
     def test_no_ground_truth(self):
-        matches, is_tp = match_by_center_distance(np.ones((3, 2)), np.ones(3), np.zeros((0, 2)), 2.0)
+        [(matches, is_tp)] = match_by_center_distance(np.ones((3, 2)), np.ones(3), np.zeros((0, 2)), [2.0])
         assert matches == [] and is_tp.tolist() == [False] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 8), st.data())
+    def test_every_threshold_matches_reference_loop_on_tie_heavy_grids(self, n_pred, n_gt, data):
+        preds, gts = (np.array(data.draw(grid_points(n)), dtype=np.float64).reshape(-1, 2) for n in (n_pred, n_gt))
+        scores = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n_pred, max_size=n_pred))) / 4.0
+        # 0 and distances that occur on the grid, so cells lie exactly on a threshold
+        grid_distance = st.builds(lambda dx, dy: float(np.hypot(dx, dy)), st.integers(0, 6), st.integers(0, 6))
+        thresholds = data.draw(st.lists(st.just(0.0) | grid_distance, min_size=1, max_size=5))
+        results = match_by_center_distance(preds, scores, gts, thresholds)
+        assert len(results) == len(thresholds)
+        for threshold, (matches, is_tp) in zip(thresholds, results):
+            ref_matches, ref_tp = reference_center_matching(preds, scores, gts, threshold)
+            assert matches == ref_matches, threshold
+            assert is_tp.tolist() == ref_tp.tolist(), threshold
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["pred", "score", "gt"])
+    def test_non_finite_centers_or_scores_are_refused(self, where, value):
+        # a NaN distance would win argmin and drop a valid match; refuse it instead
+        args = {"pred": np.zeros((2, 2)), "score": np.ones(2), "gt": np.zeros((2, 2))}
+        args[where].flat[-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            match_by_center_distance(args["pred"], args["score"], args["gt"], [2.0])
+
+    def test_nan_threshold_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            match_by_center_distance(np.zeros((1, 2)), np.ones(1), np.zeros((1, 2)), [1.0, math.nan])
 
 
 class TestNds:
