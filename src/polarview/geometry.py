@@ -21,6 +21,7 @@ inverse on the open interior of the range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,31 @@ def _require_unit_pair(name: str, s: float, c: float, tol: float = _PAIR_TOL) ->
         raise ValueError(f"{name}: ({s}, {c}) is not a unit (sin, cos) pair")
 
 
+def _require_encoding(b) -> None:
+    """The checks of :class:`BoxEncoding` on its 9 fields."""
+    _require_finite("BoxEncoding", *b)
+    if b[1] == 0.0 and b[2] == 0.0:
+        raise ValueError("BoxEncoding: azimuth pair must not be (0, 0)")
+    if b[7] == 0.0 and b[8] == 0.0:
+        raise ValueError("BoxEncoding: yaw pair must not be (0, 0)")
+
+
+def _require_polar_box(p) -> None:
+    """The checks of :class:`PolarBox` on its 9 fields."""
+    _require_finite("PolarBox", *p)
+    if p[0] < 0.0:
+        raise ValueError("PolarBox: r must be >= 0")
+    _require_unit_pair("PolarBox azimuth", p[1], p[2])
+    _require_unit_pair("PolarBox yaw", p[7], p[8])
+    if min(p[4], p[5], p[6]) <= 0.0:
+        raise ValueError("PolarBox: sizes must be positive")
+
+
+#: The 9 fields of a :class:`BoxEncoding` / :class:`PolarBox` as a tuple, in array order.
+_encoding_fields = operator.attrgetter(*ENCODING_FIELDS)
+_box_fields = operator.attrgetter(*POLAR_FIELDS)
+
+
 @dataclass(frozen=True)
 class RangeConfig:
     """Perception-range bounds and the azimuth scaling factor.
@@ -122,26 +148,10 @@ class BoxEncoding:
     b_cos_t: float
 
     def __post_init__(self) -> None:
-        _require_finite("BoxEncoding", *self.as_array())
-        if self.b_sin_a == 0.0 and self.b_cos_a == 0.0:
-            raise ValueError("BoxEncoding: azimuth pair must not be (0, 0)")
-        if self.b_sin_t == 0.0 and self.b_cos_t == 0.0:
-            raise ValueError("BoxEncoding: yaw pair must not be (0, 0)")
+        _require_encoding(_encoding_fields(self))
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.b_r,
-                self.b_sin_a,
-                self.b_cos_a,
-                self.b_z,
-                self.b_l,
-                self.b_w,
-                self.b_h,
-                self.b_sin_t,
-                self.b_cos_t,
-            ]
-        )
+        return np.array(_encoding_fields(self))
 
     @classmethod
     def from_array(cls, values) -> "BoxEncoding":
@@ -163,28 +173,10 @@ class PolarBox:
     cos_t: float
 
     def __post_init__(self) -> None:
-        _require_finite("PolarBox", *self.as_array())
-        if self.r < 0.0:
-            raise ValueError("PolarBox: r must be >= 0")
-        _require_unit_pair("PolarBox azimuth", self.sin_a, self.cos_a)
-        _require_unit_pair("PolarBox yaw", self.sin_t, self.cos_t)
-        if min(self.l, self.w, self.h) <= 0.0:
-            raise ValueError("PolarBox: sizes must be positive")
+        _require_polar_box(_box_fields(self))
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.r,
-                self.sin_a,
-                self.cos_a,
-                self.z,
-                self.l,
-                self.w,
-                self.h,
-                self.sin_t,
-                self.cos_t,
-            ]
-        )
+        return np.array(_box_fields(self))
 
     @classmethod
     def from_array(cls, values) -> "PolarBox":
@@ -266,23 +258,33 @@ def decode_box_encoding(enc: BoxEncoding, range_config: RangeConfig) -> PolarBox
     L2-normalized.  A size channel whose exp overflows or underflows to
     zero raises ValueError (the latter from :class:`PolarBox`).
     """
+    return PolarBox(*_decode_fields(_encoding_fields(enc), range_config))
+
+
+def _decode_fields(b, range_config: RangeConfig) -> tuple[float, ...]:
+    """The arithmetic of :func:`decode_box_encoding` on 9 floats, unchecked.
+
+    Returns the decoded ``POLAR_FIELDS``; only an overflowing size channel
+    raises here (ValueError).  The caller runs :class:`PolarBox`'s checks.
+    """
+    b_r, b_sin_a, b_cos_a, b_z, b_l, b_w, b_h, b_sin_t, b_cos_t = b
     rc = range_config
-    na = math.hypot(enc.b_sin_a, enc.b_cos_a)
-    nt = math.hypot(enc.b_sin_t, enc.b_cos_t)
+    na = math.hypot(b_sin_a, b_cos_a)
+    nt = math.hypot(b_sin_t, b_cos_t)
     try:
-        l, w, h = math.exp(enc.b_l), math.exp(enc.b_w), math.exp(enc.b_h)
+        l, w, h = math.exp(b_l), math.exp(b_w), math.exp(b_h)
     except OverflowError:
         raise ValueError(_SIZE_ERROR) from None
-    return PolarBox(
-        r=_sigmoid(enc.b_r) * rc.r_max,
-        sin_a=enc.b_sin_a / na,
-        cos_a=enc.b_cos_a / na,
-        z=_sigmoid(enc.b_z) * (rc.z_max - rc.z_min) + rc.z_min,
-        l=l,
-        w=w,
-        h=h,
-        sin_t=enc.b_sin_t / nt,
-        cos_t=enc.b_cos_t / nt,
+    return (
+        _sigmoid(b_r) * rc.r_max,
+        b_sin_a / na,
+        b_cos_a / na,
+        _sigmoid(b_z) * (rc.z_max - rc.z_min) + rc.z_min,
+        l,
+        w,
+        h,
+        b_sin_t / nt,
+        b_cos_t / nt,
     )
 
 

@@ -7,6 +7,12 @@ components.  Unmatched predictions contribute only negative-class focal
 terms.  :func:`loss_gradient` differentiates the box and velocity terms
 through sigmoid / exp / pair normalization analytically; its partner
 :func:`finite_difference_gradient` is the independent numerical check.
+
+The pair loss is written once on Python floats (``_pair_loss``):
+:func:`matched_pair_loss` is one call to it, and the finite differences
+evaluate their 22 perturbed points with it, running the checks of
+``BoxEncoding``, ``PolarVelocity`` and the decoded ``PolarBox`` on the
+floats instead of building those objects.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ from .geometry import (
     PolarBox,
     PolarVelocity,
     RangeConfig,
+    _box_fields,
+    _decode_fields,
+    _encoding_fields,
+    _require_encoding,
+    _require_finite,
+    _require_polar_box,
     _sigmoid,
     decode_box_encoding,
 )
@@ -101,23 +113,54 @@ def focal_loss(prob: float, is_positive: bool, gamma: float = 2.0, alpha_f: floa
     return -(1.0 - alpha_f) * p**gamma * math.log(1.0 - p)
 
 
+def _box_l1(p, g, k_scaling: float) -> float:
+    """:func:`polar_box_l1` on ``POLAR_FIELDS`` sequences."""
+    return (
+        abs(p[0] - g[0])
+        + k_scaling * (abs(p[1] - g[1]) + abs(p[2] - g[2]))
+        + abs(p[3] - g[3])
+        + abs(p[4] - g[4])
+        + abs(p[5] - g[5])
+        + abs(p[6] - g[6])
+        + abs(p[7] - g[7])
+        + abs(p[8] - g[8])
+    )
+
+
 def polar_box_l1(pred: PolarBox, gt: PolarBox, k_scaling: float) -> float:
     """L1 over polar box parameters with the azimuth pair scaled by k_scaling."""
-    return (
-        abs(pred.r - gt.r)
-        + k_scaling * (abs(pred.sin_a - gt.sin_a) + abs(pred.cos_a - gt.cos_a))
-        + abs(pred.z - gt.z)
-        + abs(pred.l - gt.l)
-        + abs(pred.w - gt.w)
-        + abs(pred.h - gt.h)
-        + abs(pred.sin_t - gt.sin_t)
-        + abs(pred.cos_t - gt.cos_t)
-    )
+    return _box_l1(_box_fields(pred), _box_fields(gt), k_scaling)
 
 
 def velocity_l1(pred: PolarVelocity, gt: PolarVelocity) -> float:
     """L1 over the radial and tangential velocity components."""
     return abs(pred.v_rad - gt.v_rad) + abs(pred.v_tan - gt.v_tan)
+
+
+def _decode_checked(b, range_config: RangeConfig) -> tuple[float, ...]:
+    """The fields of ``decode_box_encoding(BoxEncoding(*b))``, with its checks, on floats."""
+    _require_encoding(b)
+    box = _decode_fields(b, range_config)
+    _require_polar_box(box)
+    return box
+
+
+def _pair_loss(x, gt, range_config: RangeConfig) -> float:
+    """:func:`matched_pair_loss` on floats, with every check its objects make.
+
+    ``x`` holds the 9 encoding channels then (v_rad, v_tan); ``gt`` holds
+    the 9 ground-truth box fields then (v_rad, v_tan).  The sum is
+    ``polar_box_l1 + velocity_l1`` in their order.
+    """
+    box = _decode_checked(x[:9], range_config)
+    _require_finite("PolarVelocity", x[9], x[10])
+    return _box_l1(box, gt, range_config.k_scaling) + (abs(x[9] - gt[9]) + abs(x[10] - gt[10]))
+
+
+def _pair_rows(enc, velocity, gt_box, gt_velocity) -> tuple[list, tuple]:
+    """The ``x`` and ``gt`` of :func:`_pair_loss` for one matched pair."""
+    x = [*_encoding_fields(enc), velocity.v_rad, velocity.v_tan]
+    return x, (*_box_fields(gt_box), gt_velocity.v_rad, gt_velocity.v_tan)
 
 
 def _class_loss_for_pred(
@@ -137,8 +180,7 @@ def matched_pair_loss(
     range_config: RangeConfig,
 ) -> float:
     """Box + velocity loss of one matched pair (decodes the encoding first)."""
-    pred = decode_box_encoding(enc, range_config)
-    return polar_box_l1(pred, gt_box, range_config.k_scaling) + velocity_l1(velocity, gt_velocity)
+    return _pair_loss(*_pair_rows(enc, velocity, gt_box, gt_velocity), range_config)
 
 
 def total_matching_loss(
@@ -218,8 +260,7 @@ def loss_gradient(
     The class term does not depend on these inputs and drops out.
     """
     rc = range_config
-    pred = decode_box_encoding(enc, rc)
-    deltas = pred.as_array() - gt_box.as_array()
+    deltas = np.array(_decode_checked(_encoding_fields(enc), rc)) - gt_box.as_array()
     residuals = np.concatenate(
         [deltas, [velocity.v_rad - gt_velocity.v_rad, velocity.v_tan - gt_velocity.v_tan]]
     )
@@ -267,25 +308,25 @@ def finite_difference_gradient(
     range_config: RangeConfig,
     step: float = 1e-6,
 ) -> np.ndarray:
-    """Central finite differences of :func:`matched_pair_loss` (the oracle)."""
-    x0 = np.concatenate([enc.as_array(), [velocity.v_rad, velocity.v_tan]])
+    """Central finite differences of :func:`matched_pair_loss` (the oracle).
 
-    def value(x: np.ndarray) -> float:
-        return matched_pair_loss(
-            BoxEncoding.from_array(x[:9]),
-            PolarVelocity(v_rad=float(x[9]), v_tan=float(x[10])),
-            gt_box,
-            gt_velocity,
-            range_config,
-        )
-
+    ``step`` must be finite and positive.  Each perturbed point must pass
+    the checks its ``BoxEncoding``, ``PolarVelocity`` and decoded
+    ``PolarBox`` would make, or ValueError is raised.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"finite_difference_gradient: step must be finite and positive, got {step!r}")
+    # doubles throughout, whatever scalar types the step and the objects hold
+    step = float(step)
+    x, gt = _pair_rows(enc, velocity, gt_box, gt_velocity)
+    x0 = [float(v) for v in x]
     grad = np.empty(11)
     for i in range(11):
         hi = x0.copy()
         lo = x0.copy()
         hi[i] += step
         lo[i] -= step
-        grad[i] = (value(hi) - value(lo)) / (2.0 * step)
+        grad[i] = (_pair_loss(hi, gt, range_config) - _pair_loss(lo, gt, range_config)) / (2.0 * step)
     return grad
 
 

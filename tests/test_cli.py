@@ -85,6 +85,16 @@ class TestGradcheck:
         errors = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(errors) < 1e-5
 
+    def test_300_fixtures_keep_their_bytes(self, capsys, tmp_path):
+        # digest taken when the finite differences built a BoxEncoding,
+        # PolarVelocity and PolarBox per loss evaluation
+        path = str(tmp_path / "grad.csv")
+        code, _, err = run(capsys, "gradcheck", "--fixtures", "300", "--seed", "5", "--out", path)
+        assert code == 0, err
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "4212a6fef3951d8ae7c8e28650cfe59cbe2c24bbe991294be9cd6d261ffa8998"
+
 
 class TestPipeline:
     def test_simulate_render_track_eval(self, capsys, tmp_path):

@@ -1,8 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polarview import loss
 from polarview.assignment import Assignment
 from polarview.geometry import (
     BoxEncoding,
@@ -13,6 +17,7 @@ from polarview.geometry import (
     velocity_polar_to_cartesian,
 )
 from polarview.loss import (
+    GRADIENT_FIELDS,
     KinkError,
     finite_difference_gradient,
     focal_loss,
@@ -240,3 +245,181 @@ class TestGradient:
         for _ in range(50):
             enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
             assert matched_pair_loss(enc, vel, gt_box, gt_vel, RC) >= 0.0
+
+
+# The reference for the float path: finite differences on objects. Every
+# perturbed point builds a BoxEncoding and a PolarVelocity, decodes a
+# PolarBox and sums polar_box_l1 + velocity_l1, all spelled out here.
+def sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0.0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def object_pair_loss(x, gt_box, gt_vel, rc):
+    enc = BoxEncoding.from_array(x[:9])
+    vel = PolarVelocity(v_rad=float(x[9]), v_tan=float(x[10]))
+    na = math.hypot(enc.b_sin_a, enc.b_cos_a)
+    nt = math.hypot(enc.b_sin_t, enc.b_cos_t)
+    try:
+        sizes = math.exp(enc.b_l), math.exp(enc.b_w), math.exp(enc.b_h)
+    except OverflowError:
+        raise ValueError("size overflow") from None
+    pred = PolarBox(
+        sigmoid(enc.b_r) * rc.r_max,
+        enc.b_sin_a / na,
+        enc.b_cos_a / na,
+        sigmoid(enc.b_z) * (rc.z_max - rc.z_min) + rc.z_min,
+        *sizes,
+        enc.b_sin_t / nt,
+        enc.b_cos_t / nt,
+    )
+    box = (
+        abs(pred.r - gt_box.r)
+        + rc.k_scaling * (abs(pred.sin_a - gt_box.sin_a) + abs(pred.cos_a - gt_box.cos_a))
+        + abs(pred.z - gt_box.z)
+        + abs(pred.l - gt_box.l)
+        + abs(pred.w - gt_box.w)
+        + abs(pred.h - gt_box.h)
+        + abs(pred.sin_t - gt_box.sin_t)
+        + abs(pred.cos_t - gt_box.cos_t)
+    )
+    return box + (abs(vel.v_rad - gt_vel.v_rad) + abs(vel.v_tan - gt_vel.v_tan))
+
+
+def object_finite_differences(enc, vel, gt_box, gt_vel, rc, step=1e-6):
+    x0 = np.concatenate([enc.as_array(), [vel.v_rad, vel.v_tan]])
+    grad = np.empty(11)
+    for i in range(11):
+        hi = x0.copy()
+        lo = x0.copy()
+        with np.errstate(over="ignore"):  # a channel stepped past the float range fails in BoxEncoding
+            hi[i] += step
+            lo[i] -= step
+        grad[i] = (object_pair_loss(hi, gt_box, gt_vel, rc) - object_pair_loss(lo, gt_box, gt_vel, rc)) / (2.0 * step)
+    return grad
+
+
+def outcome(compute):
+    """The bytes of a result, or "ValueError"; any other exception propagates."""
+    try:
+        return np.asarray(compute(), dtype=np.float64).tobytes()
+    except ValueError:
+        return "ValueError"
+
+
+GT_BOX = polar(12.0, 0.7, z=-0.5, l=4.0, w=1.8, h=1.6, sin_t=0.6, cos_t=0.8)
+GT_VEL = PolarVelocity(1.5, -0.5)
+# exp(EXP_TOP) is finite and exp(EXP_TOP + 1e-6) overflows; exp(EXP_BOTTOM) is
+# the smallest subnormal and exp(EXP_BOTTOM - 1e-6) underflows to 0
+EXP_TOP = 709.7827125
+EXP_BOTTOM = -745.13321910194
+BASE = [0.3, 0.6, 0.8, -0.2, 1.2, 0.5, 0.4, 0.0, 1.0, 0.7, -1.1]
+
+
+def at(step=1e-6, **fields):
+    """BASE with some encoding / velocity entries replaced, as (enc, velocity, step)."""
+    x = list(BASE)
+    for name, value in fields.items():
+        x[GRADIENT_FIELDS.index(name)] = value
+    return BoxEncoding.from_array(x[:9]), PolarVelocity(x[9], x[10]), step
+
+
+EDGE_POINTS = {
+    "azimuth pair stepped to (0, 0)": at(b_sin_a=1e-6, b_cos_a=0.0),
+    "yaw pair stepped to (0, 0)": at(b_sin_t=0.0, b_cos_t=-1e-6),
+    "size exp overflows at +step": at(b_l=EXP_TOP),
+    "size exp underflows to 0 at -step": at(b_w=EXP_BOTTOM),
+    "subnormal azimuth pair": at(b_sin_a=5e-324, b_cos_a=5e-324),
+    "subnormal yaw pair": at(b_sin_t=-5e-324, b_cos_t=5e-324),
+    "channel stepped past the float range": at(step=1e300, b_z=-sys.float_info.max),
+}
+
+
+class TestFiniteDifferencesOnFloats:
+    @pytest.mark.parametrize("name", sorted(EDGE_POINTS))
+    def test_edge_points_fail_as_the_objects_do(self, name):
+        enc, vel, step = EDGE_POINTS[name]
+        with pytest.raises(ValueError):
+            object_finite_differences(enc, vel, GT_BOX, GT_VEL, RC, step)
+        with pytest.raises(ValueError):
+            finite_difference_gradient(enc, vel, GT_BOX, GT_VEL, RC, step)
+
+    def test_edge_point_losses_keep_their_bits(self):
+        # the unperturbed point is valid except for the subnormal pairs
+        for name, (enc, vel, _) in EDGE_POINTS.items():
+            x = [*enc.as_array(), vel.v_rad, vel.v_tan]
+            expected = outcome(lambda: object_pair_loss(x, GT_BOX, GT_VEL, RC))
+            assert outcome(lambda: matched_pair_loss(enc, vel, GT_BOX, GT_VEL, RC)) == expected, name
+            assert (expected == "ValueError") == name.startswith("subnormal"), name
+
+    @pytest.mark.parametrize("v_rad, v_tan", [(math.inf, 0.0), (0.0, math.nan), (-math.inf, math.inf)])
+    def test_pair_loss_refuses_a_non_finite_velocity(self, v_rad, v_tan):
+        # no step reaches this through finite_difference_gradient: one that
+        # pushes a velocity past the float range first overflows exp(b_l)
+        x = [*BASE[:9], v_rad, v_tan]
+        with pytest.raises(ValueError):
+            object_pair_loss(x, GT_BOX, GT_VEL, RC)
+        with pytest.raises(ValueError, match="PolarVelocity"):
+            loss._pair_loss(x, (*GT_BOX.as_array(), GT_VEL.v_rad, GT_VEL.v_tan), RC)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        enc, vel, _ = at()
+        with pytest.raises(ValueError, match="step"):
+            finite_difference_gradient(enc, vel, GT_BOX, GT_VEL, RC, step=step)
+
+    def test_float32_inputs_are_taken_as_doubles(self):
+        rng = np.random.default_rng(55)
+        for _ in range(20):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            enc32 = BoxEncoding(*enc.as_array().astype(np.float32))
+            step = np.float32(1e-3)
+            expected = object_finite_differences(enc32, vel, gt_box, gt_vel, RC, float(step))
+            got = finite_difference_gradient(enc32, vel, gt_box, gt_vel, RC, step)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_fixtures_keep_their_bits(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            for step in (1e-6, 1e-3):
+                expected = object_finite_differences(enc, vel, gt_box, gt_vel, RC, step)
+                got = finite_difference_gradient(enc, vel, gt_box, gt_vel, RC, step)
+                assert got.tobytes() == expected.tobytes()
+            x = [*enc.as_array(), vel.v_rad, vel.v_tan]
+            assert matched_pair_loss(enc, vel, gt_box, gt_vel, RC) == object_pair_loss(x, gt_box, gt_vel, RC)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-4.0, 4.0),
+                st.sampled_from([0.0, 1e-6, -1e-6, 5e-324, -5e-324, EXP_TOP, EXP_BOTTOM, 1e308, -1e308]),
+            ),
+            min_size=11,
+            max_size=11,
+        )
+    )
+    @example([0.0, 1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    def test_any_point_agrees_with_the_objects(self, x):
+        try:
+            enc, vel = BoxEncoding.from_array(x[:9]), PolarVelocity(x[9], x[10])
+        except ValueError:
+            return
+        assert outcome(lambda: finite_difference_gradient(enc, vel, GT_BOX, GT_VEL, RC)) == outcome(
+            lambda: object_finite_differences(enc, vel, GT_BOX, GT_VEL, RC)
+        )
+        assert outcome(lambda: matched_pair_loss(enc, vel, GT_BOX, GT_VEL, RC)) == outcome(
+            lambda: object_pair_loss(x, GT_BOX, GT_VEL, RC)
+        )
+
+    def test_builds_no_box_objects(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        fixtures = [random_gradient_fixture(rng, RC) for _ in range(20)]
+        expected = [finite_difference_gradient(*f, RC).tobytes() for f in fixtures]
+
+        def refuse(self):
+            raise RuntimeError(f"a {type(self).__name__} was built")
+
+        for cls in (BoxEncoding, PolarBox, PolarVelocity):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert [finite_difference_gradient(*f, RC).tobytes() for f in fixtures] == expected

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polarview import sampling
 from polarview.camera import PixelPoint, make_symmetric_rig, project_rig, rotation_about_z
 from polarview.sampling import (
     FeatureMap,
@@ -173,3 +176,72 @@ class TestFeatureSampleInvariant:
             FeatureMap(data=np.full((2, 2, 1), math.nan))
         with pytest.raises(ValueError):
             FeatureMap(data=np.ones((2, 2, 1)), stride=0.0)
+
+    @pytest.mark.parametrize("stride", [math.inf, -math.inf, math.nan, -1.0])
+    def test_stride_must_be_finite_and_positive(self, stride):
+        # an infinite stride would send every pixel, (-3, 7) and (1e6, 5e5)
+        # alike, to cell (0, 0) and sample it as valid
+        with pytest.raises(ValueError, match="stride"):
+            FeatureMap(data=np.ones((2, 2, 1)), stride=stride)
+
+
+def one_shot_blend(fmap, uv):
+    """The four-corner blend over all rows at once: the oracle of the blocked sampler."""
+    cells = uv / fmap.stride
+    grid = fmap.data
+    h, w, _ = grid.shape
+    x, y = cells[:, 0], cells[:, 1]
+    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    xs = np.where(valid, x, 0.0)
+    ys = np.where(valid, y, 0.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0)[:, None]
+    fy = (ys - y0)[:, None]
+    vals = (
+        grid[y0, x0] * (1.0 - fx) * (1.0 - fy)
+        + grid[y0, x1] * fx * (1.0 - fy)
+        + grid[y1, x0] * (1.0 - fx) * fy
+        + grid[y1, x1] * fx * fy
+    )
+    vals[~valid] = 0.0
+    return vals, valid
+
+
+B = sampling._BLOCK_ROWS
+
+
+class TestBlockedSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 3]),
+        st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+        st.sampled_from([0.25, 1.0, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_one_shot_blend(self, n, shape, stride, seed):
+        rng = np.random.default_rng(seed)
+        fmap = FeatureMap(data=rng.uniform(-3.0, 3.0, size=shape), stride=stride)
+        h, w, _ = shape
+        uv = np.column_stack(
+            [rng.uniform(-2.0, stride * w + 2.0, n), rng.uniform(-2.0, stride * h + 2.0, n)]
+        )
+        special = [math.nan, math.inf, -math.inf, -1e-300, 0.0, stride * (w - 1), stride * (h - 1), 1e300]
+        picks = rng.random((n, 2)) < 0.2
+        uv[picks] = rng.choice(special, size=int(picks.sum()))
+        vals, valid = bilinear_sample_many(fmap, uv)
+        expected_vals, expected_valid = one_shot_blend(fmap, uv)
+        assert vals.shape == (n, shape[2])
+        assert vals.tobytes() == expected_vals.tobytes()
+        assert valid.tobytes() == expected_valid.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 1), (1, 2, 2), (4, 0)])
+    def test_refuses_shapes_other_than_n_by_2(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            bilinear_sample_many(grid_2x2(), np.zeros(shape))
+
+    def test_accepts_zero_points(self):
+        vals, valid = bilinear_sample_many(grid_2x2(), np.zeros((0, 2)))
+        assert vals.shape == (0, 1) and valid.shape == (0,)
