@@ -173,6 +173,8 @@ def _eval_metrics(args) -> dict:
     thresholds = [float(t) for t in args.thresholds.split(",")]
     if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
         raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
+    if not (math.isfinite(args.maae) and args.maae >= 0.0):
+        raise ValueError("eval: --maae must be finite and nonnegative")
     keys = [f"{th:g}" for th in thresholds]  # the AP keys
     if len(set(keys)) < len(keys):
         raise ValueError("eval: --thresholds must differ in their first 6 significant digits")

@@ -460,6 +460,22 @@ def rotate_scene(scene: Scene, phi: float) -> Scene:
     )
 
 
+def _noisy(value: float, name: str, low: float = -math.inf) -> float:
+    """``value`` if it lies in (``low``, inf), else a ValueError naming the ``NoiseModel`` std that moved it there."""
+    if not low < value < math.inf:
+        raise ValueError(f"NoiseModel: {name} is too large to render: a noisy value leaves the float range")
+    return value
+
+
+def _noisy_size(size: float, draw: float, std: float) -> float:
+    """``size * exp(draw * std)``, refused by ``_noisy`` unless finite and positive."""
+    try:
+        scale = math.exp(draw * std)
+    except OverflowError:
+        scale = math.inf
+    return _noisy(size * scale, "size_rel_std", low=0.0)
+
+
 def render_detections(
     scene: Scene,
     noise: NoiseModel,
@@ -484,29 +500,30 @@ def render_detections(
         for label, box, (v_x, v_y) in zip(frame.classes.tolist(), frame.boxes.tolist(), frame.velocities.tolist()):
             # keep RNG consumption independent of the drop outcome
             dropped = rng.uniform() < noise.drop_prob
-            draws = rng.normal(0.0, 1.0, size=9)
+            draws = rng.normal(0.0, 1.0, size=9).tolist()  # floats: an overflow is refused below, not warned
             if dropped:
                 continue
             r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_fields(*box)
             if noise.mode == "polar":
-                a = math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std
-                r = max(r + draws[0] * noise.radial_std, 1e-6)
+                a = _noisy(math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std, "tangential_std")
+                r = _noisy(max(r + draws[0] * noise.radial_std, 1e-6), "radial_std")
             else:
                 x = box[0] + draws[0] * noise.radial_std
                 y = box[1] + draws[1] * noise.radial_std
-                r = max(math.hypot(x, y), 1e-6)
+                r = _noisy(max(math.hypot(x, y), 1e-6), "radial_std")
                 a = math.atan2(y, x)
             if noise.tangential_std != 0.0 or noise.mode != "polar":  # else exact passthrough, no trig roundoff
                 sin_a, cos_a = math.sin(a), math.cos(a)
             if noise.yaw_std > 0.0:
-                yaw = wrap_angle(box[6] + draws[6] * noise.yaw_std)
+                yaw = wrap_angle(_noisy(box[6] + draws[6] * noise.yaw_std, "yaw_std"))
                 sin_t, cos_t = math.sin(yaw), math.cos(yaw)
             v_rad, v_tan = rotate_planar(v_x, v_y, -sin_a, cos_a)
-            l, w, h = (s * math.exp(d * noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
-            boxes.append((r, sin_a, cos_a, z + draws[2] * noise.z_std, l, w, h, sin_t, cos_t))
+            l, w, h = (_noisy_size(s, d, noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
+            boxes.append((r, sin_a, cos_a, _noisy(z + draws[2] * noise.z_std, "z_std"), l, w, h, sin_t, cos_t))
             labels.append(label)
             v_std = noise.velocity_std
-            velocities.append((v_rad + draws[7] * v_std, v_tan + draws[8] * v_std))
+            v_rad, v_tan = v_rad + draws[7] * v_std, v_tan + draws[8] * v_std
+            velocities.append((_noisy(v_rad, "velocity_std"), _noisy(v_tan, "velocity_std")))
             scores.append(1.0)
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
             r = rng.uniform(2.0, range_config.r_max)

@@ -6,7 +6,8 @@ ascending distance (ties: lower detection index, then lower track id),
 gated by class and by a distance threshold.  Matched tracks are updated,
 unmatched detections spawn new tracks, and tracks that miss too many
 consecutive frames retire.  Hungarian matching is available as a config
-alternative.
+alternative.  The tracker state holds the active tracks as rows: one array
+per field (id, last center, label, misses), in ascending id order.
 
 Back-projection compensates object motion only, so detection coordinates
 must share one frame across steps (static ego, or ego motion compensated
@@ -24,7 +25,6 @@ from .geometry import planar_distances, polar_centers, rotate_planar
 from .simulator import Detection, DetectionFrame, DetectionSet, Scene
 
 __all__ = [
-    "Track",
     "TrackerConfig",
     "TrackerState",
     "TrackingResult",
@@ -52,22 +52,6 @@ def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.nda
         return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
 
 
-@dataclass
-class Track:
-    """Persistent identity carrying the last matched detection's rows."""
-
-    track_id: int
-    box: np.ndarray
-    velocity: np.ndarray
-    label: int
-    score: float
-    age: int = 1
-    misses: int = 0
-
-    def center(self) -> np.ndarray:
-        return polar_centers(self.box)
-
-
 _MATCHINGS = ("greedy", "hungarian")
 
 
@@ -86,8 +70,14 @@ class TrackerConfig:
 
 @dataclass
 class TrackerState:
+    """The active tracks as rows in ascending id order: ``tracks`` (T,) ids, ``centers`` (T, 2) planar centers
+    of each track's last matched detection box, ``labels`` (T,) and ``misses`` (T,) consecutive unmatched frames."""
+
     config: TrackerConfig = field(default_factory=TrackerConfig)
-    tracks: list[Track] = field(default_factory=list)
+    tracks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    misses: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     created: int = 0  # tracks spawned so far; also the next track id
 
 
@@ -96,27 +86,24 @@ def match_tracks(
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Associate a frame's detections with active tracks.
 
-    Returns (matches as (detection index, track list position) pairs,
-    unmatched detection indices, unmatched track list positions).
+    Returns (matches as (detection index, track row) pairs, unmatched
+    detection indices, unmatched track rows).
     """
     n_det, n_trk = len(frame), len(state.tracks)
     if n_det == 0 or n_trk == 0:
         return [], list(range(n_det)), list(range(n_trk))
 
     det_centers = back_project(frame.boxes, frame.velocities, dt)
-    trk_centers = np.array([t.center() for t in state.tracks])
-    dist = planar_distances(det_centers, trk_centers)
-    det_labels = frame.labels
-    trk_labels = np.array([t.label for t in state.tracks])
+    dist = planar_distances(det_centers, state.centers)
     threshold = state.config.distance_threshold
-    allowed = (det_labels[:, None] == trk_labels[None, :]) & (dist <= threshold)
+    allowed = (frame.labels[:, None] == state.labels[None, :]) & (dist <= threshold)
 
     if state.config.matching == "hungarian":
         big = threshold * (min(n_det, n_trk) + 1) + 1.0  # exceeds any sum of allowed distances
         gated = np.where(allowed, dist, big)
         matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
     else:
-        # state.tracks is in ascending track_id order, so the column order is
+        # the rows are in ascending track id order, so the column order is
         # the track-id tie-break
         matches = _greedy_match(dist, allowed)
     matches.sort()
@@ -129,45 +116,31 @@ def match_tracks(
 
 
 def step(state: TrackerState, frame: DetectionFrame, dt: float) -> list[int]:
-    """Advance the tracker one frame; returns the track id per detection."""
-    matches, unmatched_d, unmatched_t = match_tracks(state, frame, dt)
-    scores = frame.scores.tolist()
+    """Advance the tracker one frame; returns the track id per detection.
 
-    assigned = [-1] * len(frame)
-    for di, ti in matches:
-        track = state.tracks[ti]
-        track.box = frame.boxes[di]
-        track.velocity = frame.velocities[di]
-        track.score = scores[di]
-        track.age += 1
-        track.misses = 0
-        assigned[di] = track.track_id
+    Matched rows take their detection's center and reset ``misses``, every
+    other row adds a miss, rows past ``max_misses`` retire, and unmatched
+    detections append rows with ids ``created, created + 1, ...`` in
+    detection order.
+    """
+    matches, new, _ = match_tracks(state, frame, dt)
+    det, trk = np.array(matches, dtype=np.intp).reshape(-1, 2).T
+    new_ids = np.arange(state.created, state.created + len(new), dtype=np.int64)
+    assigned = np.empty(len(frame), dtype=np.int64)
+    assigned[det] = state.tracks[trk]
+    assigned[new] = new_ids
 
-    matched_t = {ti for _, ti in matches}
-    survivors = []
-    for ti, track in enumerate(state.tracks):
-        if ti in matched_t:
-            survivors.append(track)
-            continue
-        track.age += 1
-        track.misses += 1
-        if track.misses <= state.config.max_misses:
-            survivors.append(track)
-    state.tracks = survivors
-
-    labels = frame.labels.tolist()
-    for di in unmatched_d:
-        track = Track(
-            track_id=state.created,
-            box=frame.boxes[di],
-            velocity=frame.velocities[di],
-            label=labels[di],
-            score=scores[di],
-        )
-        state.created += 1
-        state.tracks.append(track)
-        assigned[di] = track.track_id
-    return assigned
+    centers = polar_centers(frame.boxes)
+    state.centers[trk] = centers[det]
+    state.misses += 1
+    state.misses[trk] = 0
+    keep = state.misses <= state.config.max_misses
+    state.tracks = np.concatenate([state.tracks[keep], new_ids])
+    state.centers = np.concatenate([state.centers[keep], centers[new]])
+    state.labels = np.concatenate([state.labels[keep], frame.labels[new]])
+    state.misses = np.concatenate([state.misses[keep], np.zeros(len(new), dtype=np.int64)])
+    state.created += len(new)
+    return assigned.tolist()
 
 
 @dataclass(frozen=True)

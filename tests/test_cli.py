@@ -674,17 +674,23 @@ class TestNonFiniteAndNegativeSettings:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
-        "flag",
-        ["--radial-std", "--tangential-std", "--z-std", "--size-std", "--yaw-std", "--velocity-std", "--fp-rate"],
+        "argv",
+        [(flag, value)
+         for flag in ("--radial-std", "--tangential-std", "--z-std", "--size-std", "--yaw-std", "--velocity-std",
+                      "--fp-rate")
+         for value in ("nan", "inf")]
+        # finite stds whose noise overflows (or, for sizes, also underflows) a rendered value
+        + [("--size-std", "1000"), ("--velocity-std", "1e308"), ("--yaw-std", "1e308"), ("--tangential-std", "1e308"),
+           ("--radial-std", "1e308"), ("--z-std", "1.7e308"), ("--noise-frame", "cartesian", "--radial-std", "1e308")],
+        ids="-".join,
     )
-    def test_render_rejects_non_finite_noise(self, capsys, tracked, tmp_path, flag, value):
+    def test_render_rejects_non_finite_noise(self, capsys, tracked, tmp_path, argv):
         out = tmp_path / "noisy.json"
-        code, _, err = run(capsys, "render", "--scene", tracked["scene"], flag, value, "--out", str(out))
+        code, _, err = run(capsys, "render", "--scene", tracked["scene"], *argv, "--out", str(out))
         assert code == 1
         assert len(err.splitlines()) == 1
-        assert "NoiseModel" in err
+        assert f"NoiseModel: {cli._SETTINGS_FLAGS[simulator.NoiseModel][argv[-2]]} " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
@@ -709,6 +715,17 @@ class TestNonFiniteAndNegativeSettings:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+
+    @pytest.mark.parametrize("maae", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "region", [(), ("--range-mode", "rectangular", "--x-max", "0.001", "--y-max", "0.001")],
+        ids=["matched-pairs", "no-ground-truth-in-range"],
+    )
+    def test_eval_rejects_maae_whatever_the_data(self, capsys, tracked, maae, region):
+        code, out, err = run(capsys, "eval", "--scene", tracked["scene"], "--detections", tracked["dets"],
+                             "--maae", maae, *region)
+        assert (code, out) == (1, "")
+        assert err == "polarview: eval: --maae must be finite and nonnegative\n"
 
     @pytest.mark.parametrize("thresholds", ["2,2", "0.1,0.10000000001"])
     def test_eval_rejects_thresholds_with_the_same_key(self, capsys, tracked, thresholds):

@@ -24,6 +24,7 @@ from polarview.simulator import (
     SceneConfig,
     SceneFrame,
     SceneObject,
+    _noisy_size,
     generate_scene,
     render_detections,
     rotate_scene,
@@ -202,6 +203,19 @@ class TestRendering:
             NoiseModel(drop_prob=1.5)
         with pytest.raises(ValueError):
             NoiseModel(mode="spherical")
+
+    @pytest.mark.parametrize("draw", [1.0, -1.0], ids=["overflow", "underflow"])
+    def test_size_noise_out_of_float_range_names_size_rel_std(self, draw):
+        # exp(1000) overflows, exp(-1000) underflows to a zero size
+        with pytest.raises(ValueError, match=r"^NoiseModel: size_rel_std "):
+            _noisy_size(4.0, draw, 1000.0)
+        assert _noisy_size(4.0, draw, 0.5) == 4.0 * math.exp(draw * 0.5)
+
+    def test_radial_noise_that_overflows_below_zero_still_clamps(self):
+        # the one object's radial draw at seed 3 is -2.56: r - 2.56e308 overflows to -inf, which clamps to 1e-6
+        scene = generate_scene(SceneConfig(n_objects=1, n_frames=1))
+        dets = render_detections(scene, NoiseModel(radial_std=1e308, seed=3))
+        assert dets.frames[0].boxes[:, 0].tolist() == [1e-6]
 
 
 class TestDetectionProbs:

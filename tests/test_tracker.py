@@ -1,10 +1,21 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polarview.assignment import hungarian
 from polarview.camera import EgoPose, make_symmetric_rig
-from polarview.geometry import CartesianBox, CartesianVelocity, PolarBox, PolarVelocity
+from polarview.geometry import (
+    CartesianBox,
+    CartesianVelocity,
+    PolarBox,
+    PolarVelocity,
+    planar_distances,
+    polar_centers,
+)
 from polarview.simulator import (
     Detection,
     DetectionFrame,
@@ -179,7 +190,9 @@ class TestStep:
         ids = step(state, frame(*(detection_at(10.0 + 5 * i, 0.0) for i in range(4))), 0.5)
         assert ids == [0, 1, 2, 3]
         assert state.created == 4
-        assert all(t.age == 1 and t.misses == 0 for t in state.tracks)
+        assert state.tracks.tolist() == [0, 1, 2, 3]
+        assert state.misses.tolist() == [0, 0, 0, 0]
+        np.testing.assert_array_equal(state.centers, [[10.0 + 5 * i, 0.0] for i in range(4)])
 
     def test_ids_never_reused(self):
         state = TrackerState(config=TrackerConfig(max_misses=0))
@@ -201,10 +214,107 @@ class TestStep:
         state = TrackerState()
         step(state, frame(detection_at(10.0, 0.0, score=0.9)), 0.5)
         step(state, frame(detection_at(10.5, 0.0, score=0.7)), 0.5)
-        track = state.tracks[0]
-        assert track.age == 2 and track.misses == 0
-        assert track.score == 0.7
-        assert track.center()[0] == pytest.approx(10.5)
+        assert state.tracks.tolist() == [0] and state.misses.tolist() == [0]
+        assert state.centers[0, 0] == pytest.approx(10.5)
+
+    def test_unmatched_row_counts_misses(self):
+        state = TrackerState()
+        step(state, frame(detection_at(10.0, 0.0), detection_at(20.0, 0.0)), 0.5)
+        step(state, frame(detection_at(20.0, 0.0)), 0.5)
+        assert state.tracks.tolist() == [0, 1] and state.misses.tolist() == [1, 0]
+
+
+@dataclass
+class ReferenceTrack:
+    """One track as a Python record: the per-track reference that the row state must reproduce."""
+
+    track_id: int
+    box: np.ndarray
+    velocity: np.ndarray
+    label: int
+    score: float
+    age: int = 1
+    misses: int = 0
+
+    def center(self):
+        return polar_centers(self.box)
+
+
+def reference_step(config, tracks, created, frame, dt):
+    """One frame of the per-track loop; returns (ids per detection, surviving tracks, tracks created)."""
+    matches = []
+    if len(frame) and tracks:
+        det_centers = back_project(frame.boxes, frame.velocities, dt)
+        dist = planar_distances(det_centers, np.array([t.center() for t in tracks]))
+        trk_labels = np.array([t.label for t in tracks])
+        allowed = (frame.labels[:, None] == trk_labels[None, :]) & (dist <= config.distance_threshold)
+        if config.matching == "hungarian":
+            big = config.distance_threshold * (min(dist.shape) + 1) + 1.0
+            gated = np.where(allowed, dist, big)
+            matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
+        else:
+            matches = reference_greedy(dist, allowed)
+    assigned = [-1] * len(frame)
+    for di, ti in matches:
+        track = tracks[ti]
+        track.box, track.velocity = frame.boxes[di], frame.velocities[di]
+        track.score, track.age, track.misses = float(frame.scores[di]), track.age + 1, 0
+        assigned[di] = track.track_id
+    matched_t = {ti for _, ti in matches}
+    survivors = []
+    for ti, track in enumerate(tracks):
+        if ti not in matched_t:
+            track.age += 1
+            track.misses += 1
+        if track.misses <= config.max_misses:
+            survivors.append(track)
+    labels = frame.labels.tolist()
+    for di in range(len(frame)):
+        if assigned[di] == -1:
+            survivors.append(ReferenceTrack(created, frame.boxes[di], frame.velocities[di], labels[di],
+                                            float(frame.scores[di])))
+            assigned[di] = created
+            created += 1
+    return assigned, survivors, created
+
+
+# a detection on a 1 m grid (so distances tie, also at the 2 m gate): x offset, y, label, v_rad, v_tan
+grid_detection = st.tuples(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1), st.sampled_from([-2.0, 0.0, 2.0]),
+    st.sampled_from([-2.0, 0.0, 2.0]),
+)
+
+
+class TestRowsMatchPerTrackLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(grid_detection, max_size=6), min_size=1, max_size=8),
+        st.integers(0, 2),
+        st.sampled_from(["greedy", "hungarian"]),
+    )
+    def test_same_ids_and_rows(self, sequence, max_misses, matching):
+        config = TrackerConfig(max_misses=max_misses, matching=matching)
+        frames = tuple(
+            DetectionFrame(t=0.5 * n, detections=tuple(
+                detection_at(10.0 + x, float(y), label=label, v_rad=v_rad, v_tan=v_tan)
+                for x, y, label, v_rad, v_tan in dets
+            ))
+            for n, dets in enumerate(sequence)
+        )
+        state, tracks, created, expected = TrackerState(config=config), [], 0, []
+        for n, det_frame in enumerate(frames):
+            dt = 1.0 if n == 0 else 0.5  # as run_tracker steps
+            ids, tracks, created = reference_step(config, tracks, created, det_frame, dt)
+            assert step(state, det_frame, dt) == ids
+            assert state.tracks.tolist() == [t.track_id for t in tracks]
+            assert state.labels.tolist() == [t.label for t in tracks]
+            assert state.misses.tolist() == [t.misses for t in tracks]
+            assert state.centers.tobytes() == np.reshape([t.center() for t in tracks], (-1, 2)).tobytes()
+            assert state.created == created
+            expected.append(ids)
+        result = run_tracker(DetectionSet(frames=frames), config)
+        assert [ids.tolist() for ids in result.track_ids] == expected
+        assert result.tracks_created == created
 
 
 class TestSequences:
