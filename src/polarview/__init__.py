@@ -2,7 +2,7 @@
 
 Subpackages group by concern: box parametrization (:mod:`.geometry`),
 camera rigs and projection (:mod:`.camera`), feature sampling
-(:mod:`.sampling`), label assignment (:mod:`.assignment`), the matching
+(:mod:`.sampling`), label assignment (:mod:`.assignment`), the matched-pair
 loss with verified gradients (:mod:`.loss`), a synthetic scene simulator
 (:mod:`.simulator`, :mod:`.serialization`), tracking-by-detection
 (:mod:`.tracker`) and detection metrics (:mod:`.metrics`).  The

@@ -1,4 +1,4 @@
-"""Pinhole cameras, surround-view rigs, projection and pixel rays.
+"""Pinhole cameras, surround-view rigs and projection.
 
 Camera frame convention: +z along the optical axis, +x right, +y down.
 Extrinsics map ego coordinates into the camera frame
@@ -24,12 +24,9 @@ __all__ = [
     "Rig",
     "EgoPose",
     "PixelPoint",
-    "Ray",
     "project_to_view",
     "project_rig",
-    "pixel_ray",
     "make_symmetric_rig",
-    "temporal_project",
     "rotation_about_z",
     "max_rotation_discrepancy",
 ]
@@ -95,10 +92,6 @@ class CameraModel:
             raise ValueError("CameraModel: image size must be positive")
         _freeze_pose(self, "CameraModel")
 
-    def optical_center(self) -> np.ndarray:
-        """Camera center in ego coordinates."""
-        return -self.rotation.T @ self.translation
-
     def to_camera(self, point: np.ndarray) -> np.ndarray:
         return self.rotation @ point + self.translation
 
@@ -154,33 +147,6 @@ class PixelPoint:
     view: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class Ray:
-    """Half-line from a camera optical center through a pixel, in ego frame."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if not (np.isfinite(o).all() and np.isfinite(d).all()):
-            raise ValueError("Ray: components must be finite")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("Ray: direction must be a unit vector")
-        object.__setattr__(self, "origin", _frozen(o))
-        object.__setattr__(self, "direction", _frozen(d))
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
-    def distance_to_point(self, point: np.ndarray) -> float:
-        """Perpendicular distance from ``point`` to the ray's supporting line."""
-        rel = np.asarray(point, dtype=np.float64) - self.origin
-        along = float(rel @ self.direction)
-        return float(np.linalg.norm(rel - along * self.direction))
-
-
 def _as_point(point) -> np.ndarray:
     if isinstance(point, PolarBox):
         return point.center_xyz()
@@ -211,16 +177,6 @@ def project_to_view(point, cam: CameraModel, view: int = 0) -> PixelPoint | None
 def project_rig(point, rig: Rig) -> list[PixelPoint | None]:
     """Project a point into every view of the rig (None where invisible)."""
     return [project_to_view(point, cam, view=k) for k, cam in enumerate(rig.cameras)]
-
-
-def pixel_ray(u: float, v: float, cam: CameraModel) -> Ray:
-    """Ego-frame unit ray from the optical center through pixel (u, v)."""
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError("pixel_ray: non-finite pixel")
-    d_cam = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
-    d_ego = cam.rotation.T @ d_cam
-    d_ego /= np.linalg.norm(d_ego)
-    return Ray(origin=cam.optical_center(), direction=d_ego)
 
 
 # Orientation of a forward-looking camera (optical axis along ego +x):
@@ -266,14 +222,6 @@ def make_symmetric_rig(
             )
         )
     return Rig(tuple(cams))
-
-
-def temporal_project(point, cam: CameraModel, pose: EgoPose, view: int = 0) -> PixelPoint | None:
-    """Project a current-frame point into a past frame's view via the ego pose."""
-    p = _as_point(point)
-    if not np.isfinite(p).all():
-        raise ValueError("temporal_project: non-finite point")
-    return project_to_view(pose.apply(p), cam, view=view)
 
 
 def max_rotation_discrepancy(rig: Rig, points: np.ndarray) -> tuple[float, float]:

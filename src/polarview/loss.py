@@ -1,11 +1,11 @@
-"""Bipartite matching loss and analytic gradients through the decode chain.
+"""Matched-pair regression loss and analytic gradients through the decode chain.
 
-The loss of a matched (prediction, ground truth) pair is a focal class
-term plus L1 terms over the decoded polar box parameters — with the
-azimuth pair scaled by ``k_scaling`` — and over the polar velocity
-components.  Unmatched predictions contribute only negative-class focal
-terms.  :func:`loss_gradient` differentiates the box and velocity terms
-through sigmoid / exp / pair normalization analytically; its partner
+The loss of a matched (prediction, ground truth) pair is an L1 over the
+decoded polar box parameters — with the azimuth pair scaled by
+``k_scaling`` — plus an L1 over the polar velocity components.  The
+class term of the matching lives in :func:`polarview.assignment.class_cost`.
+:func:`loss_gradient` differentiates the pair loss through sigmoid / exp /
+pair normalization analytically; its partner
 :func:`finite_difference_gradient` is the independent numerical check.
 
 The pair loss is written once on Python floats (``_pair_loss``):
@@ -18,12 +18,9 @@ floats instead of building those objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .assignment import Assignment
 from .geometry import (
     BoxEncoding,
     PolarBox,
@@ -36,27 +33,16 @@ from .geometry import (
     _require_finite,
     _require_polar_box,
     _sigmoid,
-    decode_box_encoding,
 )
 
 __all__ = [
     "KinkError",
-    "PairLoss",
-    "LossBreakdown",
-    "PROB_CLAMP",
-    "focal_loss",
-    "polar_box_l1",
-    "velocity_l1",
     "matched_pair_loss",
-    "total_matching_loss",
     "loss_gradient",
     "finite_difference_gradient",
     "random_gradient_fixture",
     "GRADIENT_FIELDS",
 ]
-
-#: Probability clamp applied inside the focal loss.
-PROB_CLAMP = 1e-12
 
 #: Order of the partial derivatives returned by the gradient functions.
 GRADIENT_FIELDS = (
@@ -78,43 +64,8 @@ class KinkError(ValueError):
     """Gradient requested at (or too near) a non-differentiable L1 kink."""
 
 
-@dataclass(frozen=True)
-class PairLoss:
-    """Per-matched-pair loss contribution."""
-
-    gt_index: int
-    pred_index: int
-    class_term: float
-    box_term: float
-    velocity_term: float
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Loss terms plus the per-matched-ground-truth contributions."""
-
-    class_term: float
-    box_term: float
-    velocity_term: float
-    total: float
-    per_gt: tuple[PairLoss, ...] = ()
-
-    def __post_init__(self) -> None:
-        parts = self.class_term + self.box_term + self.velocity_term
-        if abs(self.total - parts) > 1e-12 * max(1.0, abs(parts)):
-            raise ValueError("LossBreakdown: total must equal the sum of its terms")
-
-
-def focal_loss(prob: float, is_positive: bool, gamma: float = 2.0, alpha_f: float = 0.25) -> float:
-    """Focal binary term at predicted probability ``prob`` (clamped to (0, 1))."""
-    p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    if is_positive:
-        return -alpha_f * (1.0 - p) ** gamma * math.log(p)
-    return -(1.0 - alpha_f) * p**gamma * math.log(1.0 - p)
-
-
 def _box_l1(p, g, k_scaling: float) -> float:
-    """:func:`polar_box_l1` on ``POLAR_FIELDS`` sequences."""
+    """L1 over ``POLAR_FIELDS`` sequences with the azimuth pair scaled by ``k_scaling``."""
     return (
         abs(p[0] - g[0])
         + k_scaling * (abs(p[1] - g[1]) + abs(p[2] - g[2]))
@@ -125,16 +76,6 @@ def _box_l1(p, g, k_scaling: float) -> float:
         + abs(p[7] - g[7])
         + abs(p[8] - g[8])
     )
-
-
-def polar_box_l1(pred: PolarBox, gt: PolarBox, k_scaling: float) -> float:
-    """L1 over polar box parameters with the azimuth pair scaled by k_scaling."""
-    return _box_l1(_box_fields(pred), _box_fields(gt), k_scaling)
-
-
-def velocity_l1(pred: PolarVelocity, gt: PolarVelocity) -> float:
-    """L1 over the radial and tangential velocity components."""
-    return abs(pred.v_rad - gt.v_rad) + abs(pred.v_tan - gt.v_tan)
 
 
 def _decode_checked(b, range_config: RangeConfig) -> tuple[float, ...]:
@@ -149,8 +90,8 @@ def _pair_loss(x, gt, range_config: RangeConfig) -> float:
     """:func:`matched_pair_loss` on floats, with every check its objects make.
 
     ``x`` holds the 9 encoding channels then (v_rad, v_tan); ``gt`` holds
-    the 9 ground-truth box fields then (v_rad, v_tan).  The sum is
-    ``polar_box_l1 + velocity_l1`` in their order.
+    the 9 ground-truth box fields then (v_rad, v_tan).  The sum is the
+    box L1 (:func:`_box_l1`) plus the velocity L1, in that order.
     """
     box = _decode_checked(x[:9], range_config)
     _require_finite("PolarVelocity", x[9], x[10])
@@ -163,15 +104,6 @@ def _pair_rows(enc, velocity, gt_box, gt_velocity) -> tuple[list, tuple]:
     return x, (*_box_fields(gt_box), gt_velocity.v_rad, gt_velocity.v_tan)
 
 
-def _class_loss_for_pred(
-    probs: np.ndarray, positive_class: int | None, gamma: float, alpha_f: float
-) -> float:
-    total = 0.0
-    for c, p in enumerate(np.asarray(probs, dtype=np.float64)):
-        total += focal_loss(float(p), is_positive=(c == positive_class), gamma=gamma, alpha_f=alpha_f)
-    return total
-
-
 def matched_pair_loss(
     enc: BoxEncoding,
     velocity: PolarVelocity,
@@ -181,63 +113,6 @@ def matched_pair_loss(
 ) -> float:
     """Box + velocity loss of one matched pair (decodes the encoding first)."""
     return _pair_loss(*_pair_rows(enc, velocity, gt_box, gt_velocity), range_config)
-
-
-def total_matching_loss(
-    preds: Sequence[tuple[BoxEncoding, np.ndarray, PolarVelocity]],
-    gts: Sequence[tuple[PolarBox, int, PolarVelocity]],
-    assignment: Assignment,
-    range_config: RangeConfig,
-    gamma: float = 2.0,
-    alpha_f: float = 0.25,
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> LossBreakdown:
-    """Sum the class / box / velocity terms over an assignment.
-
-    ``weights`` scales (class, box, velocity).  Matched predictions take
-    a positive focal term on the ground-truth class and negative terms on
-    the rest; unmatched predictions take negative terms on every class.
-    """
-    w_cls, w_box, w_vel = weights
-    matched_pred = {i: j for j, i in assignment.pairs}
-    for j, i in assignment.pairs:
-        if not (0 <= j < len(gts) and 0 <= i < len(preds)):
-            raise ValueError("total_matching_loss: assignment index out of range")
-
-    class_term = 0.0
-    box_term = 0.0
-    velocity_term = 0.0
-    per_gt = []
-    for i, (enc, probs, velocity) in enumerate(preds):
-        j = matched_pred.get(i)
-        if j is None:
-            class_term += w_cls * _class_loss_for_pred(probs, None, gamma, alpha_f)
-            continue
-        gt_box, gt_label, gt_velocity = gts[j]
-        pair_cls = w_cls * _class_loss_for_pred(probs, gt_label, gamma, alpha_f)
-        pred_box = decode_box_encoding(enc, range_config)
-        pair_box = w_box * polar_box_l1(pred_box, gt_box, range_config.k_scaling)
-        pair_vel = w_vel * velocity_l1(velocity, gt_velocity)
-        class_term += pair_cls
-        box_term += pair_box
-        velocity_term += pair_vel
-        per_gt.append(
-            PairLoss(
-                gt_index=j,
-                pred_index=i,
-                class_term=pair_cls,
-                box_term=pair_box,
-                velocity_term=pair_vel,
-            )
-        )
-    per_gt.sort(key=lambda pl: pl.gt_index)
-    return LossBreakdown(
-        class_term=class_term,
-        box_term=box_term,
-        velocity_term=velocity_term,
-        total=class_term + box_term + velocity_term,
-        per_gt=tuple(per_gt),
-    )
 
 
 def _sign(x: float) -> float:
@@ -257,7 +132,6 @@ def loss_gradient(
     Component order follows :data:`GRADIENT_FIELDS`.  Raises
     :class:`KinkError` when any matched coordinate sits within
     ``kink_tol`` of its target, where the L1 subgradient is ambiguous.
-    The class term does not depend on these inputs and drops out.
     """
     rc = range_config
     deltas = np.array(_decode_checked(_encoding_fields(enc), rc)) - gt_box.as_array()

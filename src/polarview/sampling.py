@@ -2,9 +2,9 @@
 
 Feature grids are (height, width, channels) arrays with cell centers at
 integer coordinates; an image pixel (u, v) maps to cell coordinates
-(u / stride, v / stride).  Points projecting outside a view, or sampling
-outside the grid's cell-center hull, produce an all-zero vector flagged
-invalid — invisible views contribute nothing.
+(u / stride, v / stride).  Points sampling outside the grid's
+cell-center hull, or non-finite, produce an all-zero vector flagged
+invalid, so a view that does not see a point contributes nothing.
 
 :func:`bilinear_sample_many` gathers the four corners from the grid's
 (height * width, channels) view and blends them in place one block of
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import PixelPoint, Rig, project_to_view
-
 # rows blended per block: a few (rows, channels) float64 blocks stay in cache
 _BLOCK_ROWS = 1024
 
@@ -29,8 +27,6 @@ __all__ = [
     "FeatureSample",
     "bilinear_sample",
     "bilinear_sample_many",
-    "sample_center_features",
-    "context_points",
 ]
 
 
@@ -141,34 +137,3 @@ def bilinear_sample_many(fmap: FeatureMap, uv: np.ndarray) -> tuple[np.ndarray, 
             out += tmp
     vals[~valid] = 0.0
     return vals, valid
-
-
-def sample_center_features(center3d, rig: Rig, maps: list[FeatureMap]) -> list[FeatureSample]:
-    """Project a 3D center into every view and sample its feature per view.
-
-    Views where the center is invisible produce zero, invalid samples.
-    """
-    if len(maps) != len(rig):
-        raise ValueError("sample_center_features: one feature map per view required")
-    out = []
-    for k, (cam, fmap) in enumerate(zip(rig.cameras, maps)):
-        pix = project_to_view(center3d, cam, view=k)
-        if pix is None:
-            out.append(FeatureSample(values=np.zeros(fmap.channels), valid=False))
-        else:
-            out.append(bilinear_sample(fmap, pix.u, pix.v))
-    return out
-
-
-def context_points(center: PixelPoint, offsets) -> list[PixelPoint]:
-    """Shift a projected center by pixel offsets (view and depth carry over)."""
-    pts = []
-    for du, dv in offsets:
-        du = float(du)
-        dv = float(dv)
-        if not (np.isfinite(du) and np.isfinite(dv)):
-            raise ValueError("context_points: offsets must be finite")
-        pts.append(
-            PixelPoint(u=center.u + du, v=center.v + dv, depth=center.depth, view=center.view)
-        )
-    return pts

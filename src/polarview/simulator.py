@@ -307,6 +307,8 @@ class DetectionSet:
 
 
 _NOISE_MODES = ("polar", "cartesian")
+# spurious detections are drawn one by one, so a larger mean only stalls the render
+_MAX_FALSE_POSITIVE_RATE = 1e4
 
 
 @dataclass(frozen=True)
@@ -316,8 +318,8 @@ class NoiseModel:
     Stds: radial (m), tangential angle (rad), z (m), size (relative,
     log-space), yaw (rad), velocity components (m/s).  ``drop_prob``
     removes true objects; ``false_positive_rate`` is the expected number
-    of spurious detections per frame (Poisson).  ``mode`` selects polar
-    (default) or cartesian position noise.
+    of spurious detections per frame (Poisson, at most 1e4).  ``mode``
+    selects polar (default) or cartesian position noise.
     """
 
     radial_std: float = 0.0
@@ -337,6 +339,8 @@ class NoiseModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"NoiseModel: {name} must be finite and >= 0")
+        if self.false_positive_rate > _MAX_FALSE_POSITIVE_RATE:
+            raise ValueError(f"NoiseModel: false_positive_rate must be <= {_MAX_FALSE_POSITIVE_RATE:g} per frame")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("NoiseModel: drop_prob must lie in [0, 1]")
         if self.mode not in _NOISE_MODES:

@@ -9,11 +9,9 @@ from polarview.camera import (
     Rig,
     make_symmetric_rig,
     max_rotation_discrepancy,
-    pixel_ray,
     project_rig,
     project_to_view,
     rotation_about_z,
-    temporal_project,
 )
 
 
@@ -24,6 +22,19 @@ def simple_camera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=640, height=480):
         rotation=np.eye(3), translation=np.zeros(3),
         width=width, height=height,
     )
+
+
+def back_project(u, v, depth, cam):
+    """Ego-frame point at camera-frame ``depth`` behind pixel (u, v): the pinhole inverted."""
+    p_cam = depth * np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
+    return cam.rotation.T @ (p_cam - cam.translation)
+
+
+def ring_point(rng):
+    """A point 5-40 m from the ego origin at any azimuth, within 1 m of the ground plane."""
+    r = rng.uniform(5, 40)
+    a = rng.uniform(-math.pi, math.pi)
+    return np.array([r * math.cos(a), r * math.sin(a), rng.uniform(-1, 1)])
 
 
 class TestProjection:
@@ -68,16 +79,7 @@ class TestProjection:
                 assert pix.depth > 0.0
 
 
-class TestPixelRay:
-    def test_principal_point_is_optical_axis(self):
-        ray = pixel_ray(0.0, 0.0, simple_camera())
-        np.testing.assert_allclose(ray.direction, [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_forty_five_degree_pixel(self):
-        cam = simple_camera(fx=2.0, fy=2.0)
-        ray = pixel_ray(2.0, 0.0, cam)  # u = fx -> direction ~ (1, 0, 1)
-        np.testing.assert_allclose(ray.direction, np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
-
+class TestBackProjection:
     def test_reprojection_consistency(self):
         rng = np.random.default_rng(5)
         rig = make_symmetric_rig(6)
@@ -87,14 +89,12 @@ class TestPixelRay:
             cam = rig[k]
             u = rng.uniform(0, cam.width)
             v = rng.uniform(0, cam.height)
-            ray = pixel_ray(u, v, cam)
-            for t in (1.0, 10.0, 50.0):
-                pix = project_to_view(ray.point_at(t), cam)
-                if pix is not None:
-                    worst = max(worst, abs(pix.u - u), abs(pix.v - v))
+            for depth in (1.0, 10.0, 50.0):
+                pix = project_to_view(back_project(u, v, depth, cam), cam)
+                worst = max(worst, abs(pix.u - u), abs(pix.v - v), abs(pix.depth - depth))
         assert worst < 1e-9
 
-    def test_ray_through_projected_point(self):
+    def test_projected_point_back_projects_to_itself(self):
         rng = np.random.default_rng(6)
         rig = make_symmetric_rig(6)
         worst = 0.0
@@ -105,8 +105,7 @@ class TestPixelRay:
             for k, pix in enumerate(project_rig(p, rig)):
                 if pix is None:
                     continue
-                ray = pixel_ray(pix.u, pix.v, rig[k])
-                worst = max(worst, ray.distance_to_point(p))
+                worst = max(worst, float(np.abs(back_project(pix.u, pix.v, pix.depth, rig[k]) - p).max()))
         assert worst < 1e-9
 
 
@@ -136,18 +135,29 @@ class TestSymmetricRig:
 
     def test_mount_offset_rotates(self):
         rig = make_symmetric_rig(4, mount=(2.0, 0.0, 1.0))
-        c1 = rig[1].optical_center()
+        c1 = -rig[1].rotation.T @ rig[1].translation  # camera center in ego coordinates
         np.testing.assert_allclose(c1, [0.0, 2.0, 1.0], atol=1e-12)
 
+    def test_straight_ahead_visible_in_view_0_only(self):
+        rig = make_symmetric_rig(6)
+        visible = [k for k, pix in enumerate(project_rig(np.array([20.0, 0.0, 0.0]), rig)) if pix is not None]
+        assert visible == [0]
 
-class TestTemporalProjection:
-    def test_identity_pose_matches_plain_projection(self):
-        cam = simple_camera(fx=100, fy=100, cx=320, cy=240)
-        p = np.array([1.0, 0.5, 4.0])
-        a = project_to_view(p, cam)
-        b = temporal_project(p, cam, EgoPose.identity())
-        assert (a.u, a.v, a.depth) == (b.u, b.v, b.depth)
+    def test_point_above_the_rig_invisible_everywhere(self):
+        assert project_rig(np.array([0.0, 0.0, 100.0]), make_symmetric_rig(6)) == [None] * 6
 
+    def test_rotation_permutes_visibility(self):
+        rig = make_symmetric_rig(6)
+        rng = np.random.default_rng(25)
+        rz = rotation_about_z(math.pi / 3)
+        for _ in range(50):
+            p = ring_point(rng)
+            base = [pix is not None for pix in project_rig(p, rig)]
+            rotated = [pix is not None for pix in project_rig(rz @ p, rig)]
+            assert rotated == base[-1:] + base[:-1]
+
+
+class TestEgoPose:
     def test_forward_translation(self):
         # ego moved +5 m along x; static object at x=10 now was at x=15 then
         pose = EgoPose(rotation=np.eye(3), translation=np.array([5.0, 0.0, 0.0]), dt=0.5)
@@ -160,11 +170,9 @@ class TestTemporalProjection:
         rng = np.random.default_rng(9)
         checked = 0
         for _ in range(200):
-            r = rng.uniform(5, 40)
-            a = rng.uniform(-math.pi, math.pi)
-            p = np.array([r * math.cos(a), r * math.sin(a), rng.uniform(-1, 1)])
+            p = ring_point(rng)
             for k in range(6):
-                past = temporal_project(p, rig[k], pose)
+                past = project_to_view(pose.apply(p), rig[k])
                 now_prev = project_to_view(p, rig[k - 1])
                 if past is None and now_prev is None:
                     continue

@@ -682,7 +682,9 @@ class TestNonFiniteAndNegativeSettings:
          for value in ("nan", "inf")]
         # finite stds whose noise overflows (or, for sizes, also underflows) a rendered value
         + [("--size-std", "1000"), ("--velocity-std", "1e308"), ("--yaw-std", "1e308"), ("--tangential-std", "1e308"),
-           ("--radial-std", "1e308"), ("--z-std", "1.7e308"), ("--noise-frame", "cartesian", "--radial-std", "1e308")],
+           ("--radial-std", "1e308"), ("--z-std", "1.7e308"), ("--noise-frame", "cartesian", "--radial-std", "1e308")]
+        # a false-positive mean past the per-frame bound
+        + [("--fp-rate", "1e308"), ("--fp-rate", "10001")],
         ids="-".join,
     )
     def test_render_rejects_non_finite_noise(self, capsys, tracked, tmp_path, argv):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarview import loss
-from polarview.assignment import Assignment
 from polarview.geometry import (
     BoxEncoding,
     PolarBox,
@@ -20,13 +19,9 @@ from polarview.loss import (
     GRADIENT_FIELDS,
     KinkError,
     finite_difference_gradient,
-    focal_loss,
     loss_gradient,
     matched_pair_loss,
-    polar_box_l1,
     random_gradient_fixture,
-    total_matching_loss,
-    velocity_l1,
 )
 
 RC = RangeConfig()
@@ -38,58 +33,48 @@ def polar(r, azimuth, **kw):
     return PolarBox(r=r, sin_a=math.sin(azimuth), cos_a=math.cos(azimuth), **fields)
 
 
-class TestFocalLoss:
-    def test_half_probability_positive(self):
-        # 0.25 * (1 - 0.5)^2 * ln 2
-        assert focal_loss(0.5, True) == pytest.approx(0.0625 * math.log(2.0), rel=1e-12)
-        assert focal_loss(0.5, True) == pytest.approx(0.04332, abs=1e-5)
+def box_l1(pred, gt, k_scaling):
+    """The box term of the pair loss on two boxes' ``POLAR_FIELDS`` rows."""
+    return loss._box_l1(pred.as_array(), gt.as_array(), k_scaling)
 
-    def test_perfect_positive_vanishes(self):
-        assert focal_loss(1.0, True) == pytest.approx(0.0, abs=1e-20)
 
-    def test_reduces_to_cross_entropy(self):
-        for p in (0.1, 0.5, 0.9):
-            assert focal_loss(p, True, gamma=0.0, alpha_f=1.0) == pytest.approx(-math.log(p))
-
-    def test_negative_branch(self):
-        p = 0.3
-        assert focal_loss(p, False) == pytest.approx(-0.75 * p**2 * math.log(1.0 - p))
-
-    def test_clamping_keeps_finite(self):
-        assert math.isfinite(focal_loss(0.0, True))
-        assert math.isfinite(focal_loss(1.0, False))
+def velocity_l1(pred, gt):
+    """The velocity term of :func:`matched_pair_loss`: the loss at ``pred`` minus the loss at ``gt``."""
+    box = polar(10.0, 0.4)
+    enc = encode_polar_box(box, RC)
+    return matched_pair_loss(enc, pred, box, gt, RC) - matched_pair_loss(enc, gt, box, gt, RC)
 
 
 class TestL1Terms:
     def test_identical_boxes(self):
         b = polar(10.0, 0.4)
-        assert polar_box_l1(b, b, 20.0) == 0.0
+        assert box_l1(b, b, 20.0) == 0.0
 
     def test_radial_term_ignores_k(self):
         a = polar(10.0, 0.0)
         b = polar(12.0, 0.0)
-        assert polar_box_l1(a, b, 1.0) == 2.0
-        assert polar_box_l1(a, b, 20.0) == 2.0
+        assert box_l1(a, b, 1.0) == 2.0
+        assert box_l1(a, b, 20.0) == 2.0
 
     def test_azimuth_only_difference(self):
         a = polar(10.0, 0.0)
         b = PolarBox(10.0, 0.1, math.sqrt(0.99), 0.0, 4.0, 2.0, 1.5, 0.0, 1.0)
         expected = 20.0 * (0.1 + (1.0 - math.sqrt(0.99)))
-        assert polar_box_l1(a, b, 20.0) == pytest.approx(expected, abs=1e-12)
-        assert polar_box_l1(a, b, 20.0) == pytest.approx(2.100, abs=1e-3)
+        assert box_l1(a, b, 20.0) == pytest.approx(expected, abs=1e-12)
+        assert box_l1(a, b, 20.0) == pytest.approx(2.100, abs=1e-3)
 
     def test_affine_in_k_scaling(self):
         rng = np.random.default_rng(41)
         a = polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi))
         b = polar(rng.uniform(1, 49), rng.uniform(-math.pi, math.pi))
         azimuth_l1 = abs(a.sin_a - b.sin_a) + abs(a.cos_a - b.cos_a)
-        base = polar_box_l1(a, b, 1.0)
+        base = box_l1(a, b, 1.0)
         for k in (5.0, 10.0, 20.0):
-            assert polar_box_l1(a, b, k) == pytest.approx(base + (k - 1) * azimuth_l1, rel=1e-12)
+            assert box_l1(a, b, k) == pytest.approx(base + (k - 1) * azimuth_l1, rel=1e-12)
 
     def test_velocity_l1(self):
         assert velocity_l1(PolarVelocity(1.0, -2.0), PolarVelocity(1.0, -2.0)) == 0.0
-        assert velocity_l1(PolarVelocity(2.0, 1.0), PolarVelocity(0.0, 0.0)) == 3.0
+        assert velocity_l1(PolarVelocity(2.0, 1.0), PolarVelocity(0.0, 0.0)) == pytest.approx(3.0, abs=1e-12)
 
     def test_velocity_l1_matches_cartesian_only_at_zero_azimuth(self):
         pv = PolarVelocity(2.0, 1.0)
@@ -104,91 +89,6 @@ class TestL1Terms:
         p1 = velocity_polar_to_cartesian(pv, s, c)
         g1 = velocity_polar_to_cartesian(gv, s, c)
         assert abs(p1.v_x - g1.v_x) + abs(p1.v_y - g1.v_y) != pytest.approx(polar_l1)
-
-
-def make_gt(rng):
-    box = polar(
-        rng.uniform(2, 48),
-        rng.uniform(-math.pi, math.pi),
-        z=rng.uniform(-3, 2),
-        l=rng.uniform(0.5, 6),
-        w=rng.uniform(0.5, 3),
-        h=rng.uniform(0.5, 3),
-        sin_t=math.sin(0.7),
-        cos_t=math.cos(0.7),
-    )
-    return box, int(rng.integers(0, 3)), PolarVelocity(*rng.normal(0, 3, 2))
-
-
-class TestTotalLoss:
-    def test_perfect_predictions_vanish(self):
-        rng = np.random.default_rng(43)
-        gts = [make_gt(rng) for _ in range(3)]
-        preds = []
-        for box, label, vel in gts:
-            probs = np.full(3, 1e-12 / 2)
-            probs[label] = 1.0 - 1e-12
-            preds.append((encode_polar_box(box, RC), probs, vel))
-        assignment = Assignment(tuple((j, j) for j in range(3)))
-        breakdown = total_matching_loss(preds, gts, assignment, RC)
-        assert breakdown.total < 1e-9
-
-    def test_no_predictions_degenerate(self):
-        rng = np.random.default_rng(44)
-        gts = [make_gt(rng) for _ in range(4)]
-        breakdown = total_matching_loss([], gts, Assignment(()), RC)
-        assert breakdown.total == 0.0
-        assert breakdown.class_term == breakdown.box_term == breakdown.velocity_term == 0.0
-
-    def test_breakdown_matches_recomputation(self):
-        rng = np.random.default_rng(45)
-        gts = [make_gt(rng) for _ in range(3)]
-        preds = []
-        for _ in range(4):
-            enc = BoxEncoding.from_array(rng.normal(0, 1.5, 9))
-            probs = rng.dirichlet(np.ones(3))
-            preds.append((enc, probs, PolarVelocity(*rng.normal(0, 3, 2))))
-        assignment = Assignment(((0, 2), (1, 0), (2, 3)))
-        breakdown = total_matching_loss(preds, gts, assignment, RC)
-
-        from polarview.geometry import decode_box_encoding
-        from polarview.loss import focal_loss as fl
-
-        exp_cls = exp_box = exp_vel = 0.0
-        matched = {i: j for j, i in assignment.pairs}
-        for i, (enc, probs, vel) in enumerate(preds):
-            j = matched.get(i)
-            for c, p in enumerate(probs):
-                exp_cls += fl(float(p), j is not None and c == gts[j][1])
-            if j is not None:
-                exp_box += polar_box_l1(decode_box_encoding(enc, RC), gts[j][0], RC.k_scaling)
-                exp_vel += velocity_l1(vel, gts[j][2])
-        assert breakdown.class_term == pytest.approx(exp_cls, rel=1e-12)
-        assert breakdown.box_term == pytest.approx(exp_box, rel=1e-12)
-        assert breakdown.velocity_term == pytest.approx(exp_vel, rel=1e-12)
-        assert breakdown.total == pytest.approx(exp_cls + exp_box + exp_vel, rel=1e-12)
-        assert len(breakdown.per_gt) == 3
-        assert [p.gt_index for p in breakdown.per_gt] == [0, 1, 2]
-
-    def test_weights_scale_terms(self):
-        rng = np.random.default_rng(46)
-        gts = [make_gt(rng)]
-        enc = BoxEncoding.from_array(rng.normal(0, 1, 9))
-        preds = [(enc, np.array([0.5, 0.3, 0.2]), PolarVelocity(1.0, 1.0))]
-        unit = total_matching_loss(preds, gts, Assignment(((0, 0),)), RC)
-        scaled = total_matching_loss(
-            preds, gts, Assignment(((0, 0),)), RC, weights=(2.0, 3.0, 4.0)
-        )
-        assert scaled.class_term == pytest.approx(2 * unit.class_term, rel=1e-12)
-        assert scaled.box_term == pytest.approx(3 * unit.box_term, rel=1e-12)
-        assert scaled.velocity_term == pytest.approx(4 * unit.velocity_term, rel=1e-12)
-
-    def test_invalid_assignment_rejected(self):
-        rng = np.random.default_rng(47)
-        gts = [make_gt(rng)]
-        preds = [(BoxEncoding.from_array(rng.normal(0, 1, 9)), np.array([1.0, 0, 0]), PolarVelocity(0, 0))]
-        with pytest.raises(ValueError):
-            total_matching_loss(preds, gts, Assignment(((0, 5),)), RC)
 
 
 class TestGradient:
@@ -249,7 +149,7 @@ class TestGradient:
 
 # The reference for the float path: finite differences on objects. Every
 # perturbed point builds a BoxEncoding and a PolarVelocity, decodes a
-# PolarBox and sums polar_box_l1 + velocity_l1, all spelled out here.
+# PolarBox and sums the box and velocity L1 terms, all spelled out here.
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x)) if x >= 0.0 else math.exp(x) / (1.0 + math.exp(x))
 

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarview import sampling
-from polarview.camera import PixelPoint, make_symmetric_rig, project_rig, rotation_about_z
 from polarview.sampling import (
     FeatureMap,
     FeatureSample,
     bilinear_sample,
     bilinear_sample_many,
-    context_points,
-    sample_center_features,
 )
 
 
@@ -100,68 +97,6 @@ class TestBilinear:
             one = bilinear_sample(fmap, u, v)
             assert one.valid == ok
             np.testing.assert_allclose(row, one.values, rtol=0, atol=1e-15)
-
-
-class TestCenterSampling:
-    def test_length_mismatch(self):
-        rig = make_symmetric_rig(6)
-        with pytest.raises(ValueError):
-            sample_center_features(np.zeros(3), rig, [grid_2x2()] * 5)
-
-    def test_visibility_pattern(self):
-        rig = make_symmetric_rig(6)
-        maps = [FeatureMap(data=np.full((90, 160, 1), 2.0), stride=10.0) for _ in range(6)]
-        point = np.array([20.0, 0.0, 0.0])  # straight ahead: camera 0 only
-        samples = sample_center_features(point, rig, maps)
-        visible = [k for k, pix in enumerate(project_rig(point, rig)) if pix is not None]
-        assert visible == [0]
-        assert [s.valid for s in samples] == [k in visible for k in range(6)]
-        for s in samples:
-            if not s.valid:
-                assert np.all(s.values == 0.0)
-
-    def test_point_below_everything_invalid_everywhere(self):
-        rig = make_symmetric_rig(6)
-        maps = [FeatureMap(data=np.ones((90, 160, 1)), stride=10.0) for _ in range(6)]
-        samples = sample_center_features(np.array([0.0, 0.0, 100.0]), rig, maps)
-        assert all(not s.valid for s in samples)
-        assert all(np.all(s.values == 0.0) for s in samples)
-
-    def test_rotation_permutes_validity_pattern(self):
-        rig = make_symmetric_rig(6)
-        maps = [FeatureMap(data=np.full((90, 160, 1), 1.0), stride=10.0) for _ in range(6)]
-        rng = np.random.default_rng(25)
-        rz = rotation_about_z(math.pi / 3)
-        for _ in range(50):
-            r = rng.uniform(5, 40)
-            a = rng.uniform(-math.pi, math.pi)
-            p = np.array([r * math.cos(a), r * math.sin(a), rng.uniform(-1, 1)])
-            base = [s.valid for s in sample_center_features(p, rig, maps)]
-            rotated = [s.valid for s in sample_center_features(rz @ p, rig, maps)]
-            assert rotated == base[-1:] + base[:-1]
-
-
-class TestContextPoints:
-    def test_offset_addition(self):
-        center = PixelPoint(u=100.0, v=100.0, depth=7.0, view=2)
-        (pt,) = context_points(center, [(3.0, -2.0)])
-        assert (pt.u, pt.v) == (103.0, 98.0)
-        assert pt.depth == 7.0 and pt.view == 2
-
-    def test_zero_offsets_identity(self):
-        center = PixelPoint(u=10.0, v=20.0, depth=1.0)
-        pts = context_points(center, [(0.0, 0.0)] * 3)
-        assert all((p.u, p.v) == (10.0, 20.0) for p in pts)
-
-    def test_default_context_count_is_four(self):
-        # four context points per view is the configuration default
-        center = PixelPoint(u=0.0, v=0.0, depth=1.0)
-        offsets = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-        assert len(context_points(center, offsets)) == 4
-
-    def test_nonfinite_offset_rejected(self):
-        with pytest.raises(ValueError):
-            context_points(PixelPoint(0, 0, 1.0), [(math.inf, 0.0)])
 
 
 class TestFeatureSampleInvariant:
