@@ -94,21 +94,23 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, k_scaling: float) -> np.ndarray:
 CLASS_COST_FORMS = ("negative_prob", "focal")  # the first is the default
 
 
-def class_cost(
-    pred_class_probs: np.ndarray,
-    gt_class,
-    form: str = "negative_prob",
-    gamma: float = 2.0,
-    alpha_f: float = 0.25,
-) -> np.ndarray:
+def _focal(p: float) -> float:
+    """Focal cost at probability ``p`` with gamma = 2 and alpha = 0.25, 1e-8 inside each log."""
+    return 0.25 * (1.0 - p) ** 2.0 * -math.log(p + 1e-8) - 0.75 * p**2.0 * -math.log(1.0 - p + 1e-8)
+
+
+def class_cost(pred_class_probs: np.ndarray, gt_class, form: str = "negative_prob") -> np.ndarray:
     """Class term of the matching cost.
 
     Probabilities lie along the last axis; their leading axes broadcast
     with the integer ``gt_class`` ids like :func:`box_cost`'s, so (N, C)
     probabilities against (M, 1) classes give the (M, N) matrix.
     ``negative_prob`` (default) is -p_hat(gt_class); ``focal`` is the
-    focal-style variant (positive minus negative focal weight at the
-    predicted probability).
+    focal-style variant of Lin et al. (2017) at gamma = 2 and alpha =
+    0.25: alpha (1-p)^gamma (-ln(p + 1e-8)) - (1-alpha) p^gamma
+    (-ln(1 - p + 1e-8)) at the predicted probability p.  It is computed
+    once per (prediction, class) with ``math.log`` and float ``**``, so
+    its bits do not depend on which SIMD kernels numpy dispatches.
     """
     probs, classes = np.asarray(pred_class_probs, dtype=np.float64), np.asarray(gt_class)
     if form not in CLASS_COST_FORMS:
@@ -118,13 +120,13 @@ def class_cost(
     c = probs.shape[-1] if probs.ndim else 0  # a scalar holds no class axis
     if not np.issubdtype(classes.dtype, np.integer) or ((classes < 0) | (classes >= c)).any():
         raise ValueError(f"class_cost: class ids must be integers in [0, {c})")
-    p = np.where(np.arange(c) == classes[..., None], probs, 0.0).sum(axis=-1)  # p_hat(gt_class)
     if form == "negative_prob":
-        return (-p)[()]
-    eps = 1e-8
-    pos = alpha_f * (1.0 - p) ** gamma * -np.log(p + eps)
-    neg = (1.0 - alpha_f) * p**gamma * -np.log(1.0 - p + eps)
-    return (pos - neg)[()]
+        table = -probs
+    else:
+        table = np.reshape([_focal(p) for p in probs.ravel().tolist()], probs.shape)
+    lead = probs.shape[:-1]
+    rows = np.arange(math.prod(lead)).reshape(lead)  # each prediction's row of the flattened table
+    return table.reshape(rows.size, c)[rows, classes][()]
 
 
 def build_cost_matrix(

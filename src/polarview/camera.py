@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolarBox
-
 __all__ = [
     "EPS_DEPTH",
     "CameraModel",
@@ -139,28 +137,20 @@ class EgoPose:
 
 @dataclass(frozen=True)
 class PixelPoint:
-    """Continuous pixel location with camera-frame depth in view ``view``."""
+    """Continuous pixel location with camera-frame depth."""
 
     u: float
     v: float
     depth: float
-    view: int = 0
 
 
-def _as_point(point) -> np.ndarray:
-    if isinstance(point, PolarBox):
-        return point.center_xyz()
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    return p
-
-
-def project_to_view(point, cam: CameraModel, view: int = 0) -> PixelPoint | None:
-    """Project an ego-frame 3D point (or a polar box center) into one view.
+def project_to_view(point, cam: CameraModel) -> PixelPoint | None:
+    """Project an ego-frame 3D point into one view.
 
     Returns None when the point is behind the camera or its pixel falls
     outside the image.
     """
-    p = _as_point(point)
+    p = np.asarray(point, dtype=np.float64).reshape(3)
     if not np.isfinite(p).all():
         raise ValueError("project_to_view: non-finite point")
     pc = cam.to_camera(p)
@@ -171,12 +161,12 @@ def project_to_view(point, cam: CameraModel, view: int = 0) -> PixelPoint | None
     v = cam.fy * pc[1] / depth + cam.cy
     if not (0.0 <= u < cam.width and 0.0 <= v < cam.height):
         return None
-    return PixelPoint(u=float(u), v=float(v), depth=depth, view=view)
+    return PixelPoint(u=float(u), v=float(v), depth=depth)
 
 
 def project_rig(point, rig: Rig) -> list[PixelPoint | None]:
-    """Project a point into every view of the rig (None where invisible)."""
-    return [project_to_view(point, cam, view=k) for k, cam in enumerate(rig.cameras)]
+    """Project a point into every view of the rig (None where invisible); list index k is view k."""
+    return [project_to_view(point, cam) for cam in rig.cameras]
 
 
 # Orientation of a forward-looking camera (optical axis along ego +x):
@@ -184,41 +174,26 @@ def project_rig(point, rig: Rig) -> list[PixelPoint | None]:
 _FORWARD_CAMERA = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
 
-def make_symmetric_rig(
-    count: int,
-    fx: float = 800.0,
-    fy: float = 800.0,
-    cx: float = 800.0,
-    cy: float = 450.0,
-    width: int = 1600,
-    height: int = 900,
-    mount: tuple[float, float, float] = (1.0, 0.0, 1.6),
-) -> Rig:
+def make_symmetric_rig(count: int) -> Rig:
     """Build a rig of ``count`` identical cameras spaced 2*pi/count in yaw.
 
-    Camera k looks along ego yaw 2*pi*k/count; the mount offset (camera
-    center in ego coordinates for camera 0) rotates with it.  Rotating a
-    scene point by 2*pi/count therefore maps its projection in view k to
-    the identical pixel in view k+1.
+    Every camera is the nuScenes-style 1600 x 900 pinhole with
+    fx = fy = 800 and its principal point at the image center (800, 450).
+    Camera k looks along ego yaw 2*pi*k/count; the mount offset (camera 0
+    centered at (1, 0, 1.6) m in ego coordinates) rotates with it.
+    Rotating a scene point by 2*pi/count therefore maps its projection in
+    view k to the identical pixel in view k+1.
     """
     if count < 2:
         raise ValueError("make_symmetric_rig: need at least 2 cameras")
-    mount_v = np.asarray(mount, dtype=np.float64).reshape(3)
     cams = []
     for k in range(count):
         rz = rotation_about_z(2.0 * math.pi * k / count)
         rotation = _FORWARD_CAMERA @ rz.T
-        center = rz @ mount_v
+        translation = -rotation @ (rz @ np.array([1.0, 0.0, 1.6]))  # camera center: the mount turned by rz
         cams.append(
             CameraModel(
-                fx=fx,
-                fy=fy,
-                cx=cx,
-                cy=cy,
-                rotation=rotation,
-                translation=-rotation @ center,
-                width=width,
-                height=height,
+                fx=800.0, fy=800.0, cx=800.0, cy=450.0, rotation=rotation, translation=translation, width=1600, height=900
             )
         )
     return Rig(tuple(cams))
@@ -239,10 +214,10 @@ def max_rotation_discrepancy(rig: Rig, points: np.ndarray) -> tuple[float, float
     for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
         rotated = delta @ p
         for k in range(k_count):
-            base = project_to_view(p, rig[k], view=k)
+            base = project_to_view(p, rig[k])
             if base is None:
                 continue
-            moved = project_to_view(rotated, rig[(k + 1) % k_count], view=(k + 1) % k_count)
+            moved = project_to_view(rotated, rig[(k + 1) % k_count])
             if moved is None:
                 return math.inf, math.inf
             max_px = max(max_px, abs(moved.u - base.u), abs(moved.v - base.v))

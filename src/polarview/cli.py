@@ -245,6 +245,8 @@ def _cmd_eval(args) -> int:
 def _cmd_symmetry_check(args) -> int:
     if args.points < 0:
         raise ValueError("symmetry-check: --points must be >= 0")
+    if args.seed < 0:
+        raise ValueError("symmetry-check: --seed must be >= 0")
     rig = make_symmetric_rig(args.cameras)
     rng = np.random.default_rng(args.seed)
     r = rng.uniform(5.0, 40.0, size=args.points)
@@ -287,6 +289,8 @@ def _cmd_range_demo(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.fixtures < 0:
         raise ValueError("gradcheck: --fixtures must be >= 0")
+    if args.seed < 0:
+        raise ValueError("gradcheck: --seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     rc = RangeConfig()
     buf = io.StringIO()

@@ -77,8 +77,8 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name}: non-finite component {v!r}")
 
 
-def _require_unit_pair(name: str, s: float, c: float, tol: float = _PAIR_TOL) -> None:
-    if abs(s * s + c * c - 1.0) > tol:
+def _require_unit_pair(name: str, s: float, c: float) -> None:
+    if abs(s * s + c * c - 1.0) > _PAIR_TOL:
         raise ValueError(f"{name}: ({s}, {c}) is not a unit (sin, cos) pair")
 
 
@@ -184,10 +184,6 @@ class PolarBox:
 
     def center_xy(self) -> tuple[float, float]:
         return self.r * self.cos_a, self.r * self.sin_a
-
-    def center_xyz(self) -> np.ndarray:
-        x, y = self.center_xy()
-        return np.array([x, y, self.z])
 
     def azimuth(self) -> float:
         """Diagnostic raw azimuth in (-pi, pi]."""

@@ -48,18 +48,6 @@ class FeatureMap:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureSample:

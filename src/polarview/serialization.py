@@ -28,7 +28,8 @@ read-only slice of those arrays.  Where the schema holds a number, the
 loaders accept only a JSON number that is a finite float64 (no string,
 ``null``, boolean, nested list or integer beyond the float range), and
 ids, classes and image sizes must be JSON integers that fit in 64 bits;
-classes index class probabilities, so they must also be >= 0.
+classes index class probabilities, so they must also be >= 0.  A
+missing key raises ValueError naming the file kind and the key.
 
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``
@@ -133,7 +134,7 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
         out.append(_scalar(obj))
 
 
-def dumps_json(obj: Any, indent: int = 0) -> str:
+def dumps_json(obj: Any) -> str:
     """Serialize to JSON with floats at 17 significant digits.
 
     The stdlib encoder offers no hook for float formatting, so this is a
@@ -147,7 +148,7 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     ...) raises ``TypeError``.
     """
     out: list[str] = []
-    _write(obj, " " * indent, out)
+    _write(obj, "", out)
     return "".join(out)
 
 
@@ -209,7 +210,7 @@ def scene_to_dict(scene: Scene) -> dict:
 def _check_version(d: Any) -> None:
     if not isinstance(d, dict):
         raise ValueError("expected a JSON object at the top level")
-    version = d.get("schema_version")
+    version = d["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
 
@@ -249,23 +250,26 @@ def _integers(values: list, name: str) -> np.ndarray:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    _check_version(d)
-    rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
-    frames = d["frames"]
-    poses = [fd["ego_pose"] for fd in frames]
-    objects = [fd["objects"] for fd in frames]
-    rows = list(chain.from_iterable(objects))
-    return Scene.from_arrays(
-        rig,
-        _numbers([fd["t"] for fd in frames], "frame t"),
-        list(map(len, objects)),
-        _number_rows([p["rotation"] for p in poses], "ego_pose rotation", 9).reshape(-1, 3, 3),
-        _number_rows([p["translation"] for p in poses], "ego_pose translation", 3),
-        _integers([od["id"] for od in rows], "object id"),
-        _integers([od["class"] for od in rows], "object class"),
-        _number_rows([od["box"] for od in rows], "object box", 7),
-        _number_rows([od["velocity"] for od in rows], "object velocity", 2),
-    )
+    try:
+        _check_version(d)
+        rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
+        frames = d["frames"]
+        poses = [fd["ego_pose"] for fd in frames]
+        objects = [fd["objects"] for fd in frames]
+        rows = list(chain.from_iterable(objects))
+        return Scene.from_arrays(
+            rig,
+            _numbers([fd["t"] for fd in frames], "frame t"),
+            list(map(len, objects)),
+            _number_rows([p["rotation"] for p in poses], "ego_pose rotation", 9).reshape(-1, 3, 3),
+            _number_rows([p["translation"] for p in poses], "ego_pose translation", 3),
+            _integers([od["id"] for od in rows], "object id"),
+            _integers([od["class"] for od in rows], "object class"),
+            _number_rows([od["box"] for od in rows], "object box", 7),
+            _number_rows([od["velocity"] for od in rows], "object velocity", 2),
+        )
+    except KeyError as exc:
+        raise ValueError(f"scene file: missing key {exc}") from None
 
 
 def detections_to_dict(dets: DetectionSet) -> dict:
@@ -290,18 +294,21 @@ def detections_to_dict(dets: DetectionSet) -> dict:
 
 
 def detections_from_dict(d: dict) -> DetectionSet:
-    _check_version(d)
-    frames = d["frames"]
-    records = [fd["detections"] for fd in frames]
-    rows = list(chain.from_iterable(records))
-    return DetectionSet.from_arrays(
-        _numbers([fd["t"] for fd in frames], "detections frame t"),
-        list(map(len, records)),
-        _number_rows([rec["box"] for rec in rows], "detection box", 9),
-        _number_rows([rec["probs"] for rec in rows], "detection probs"),
-        _number_rows([rec["velocity"] for rec in rows], "detection velocity", 2),
-        _numbers([rec["score"] for rec in rows], "detection score"),
-    )
+    try:
+        _check_version(d)
+        frames = d["frames"]
+        records = [fd["detections"] for fd in frames]
+        rows = list(chain.from_iterable(records))
+        return DetectionSet.from_arrays(
+            _numbers([fd["t"] for fd in frames], "detections frame t"),
+            list(map(len, records)),
+            _number_rows([rec["box"] for rec in rows], "detection box", 9),
+            _number_rows([rec["probs"] for rec in rows], "detection probs"),
+            _number_rows([rec["velocity"] for rec in rows], "detection velocity", 2),
+            _numbers([rec["score"] for rec in rows], "detection score"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"detections file: missing key {exc}") from None
 
 
 def _reject_constant(name: str) -> None:

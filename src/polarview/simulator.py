@@ -343,6 +343,8 @@ class NoiseModel:
             raise ValueError(f"NoiseModel: false_positive_rate must be <= {_MAX_FALSE_POSITIVE_RATE:g} per frame")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("NoiseModel: drop_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("NoiseModel: seed must be >= 0")
         if self.mode not in _NOISE_MODES:
             raise ValueError("NoiseModel: mode must be 'polar' or 'cartesian'")
 
@@ -380,6 +382,8 @@ class SceneConfig:
             raise ValueError("SceneConfig: need 0 <= speed_min <= speed_max")
         if self.ego_motion not in _EGO_MOTIONS:
             raise ValueError("SceneConfig: unknown ego_motion")
+        if self.seed < 0:
+            raise ValueError("SceneConfig: seed must be >= 0")
 
 
 def _ego_state(config: SceneConfig, t: float) -> tuple[float, np.ndarray]:

@@ -170,13 +170,13 @@ def run_tracker(detections: DetectionSet, config: TrackerConfig = TrackerConfig(
     return TrackingResult(detections=detections, track_ids=tuple(track_ids), tracks_created=state.created)
 
 
-def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: float = 2.0) -> int:
+def count_id_switches(result: TrackingResult, scene: Scene) -> int:
     """Count identity switches of tracked detections against ground truth.
 
     Per frame, tracked detections are greedily matched to ground-truth
-    objects by planar center distance (same class, within
-    ``max_match_distance``).  A switch is a frame where a ground-truth
-    object's matched track id differs from its previous matched frame's.
+    objects by planar center distance (same class, within 2 m).  A switch
+    is a frame where a ground-truth object's matched track id differs from
+    its previous matched frame's.
     """
     if len(result.track_ids) != len(scene.frames):
         raise ValueError("count_id_switches: frame counts differ")
@@ -186,7 +186,7 @@ def count_id_switches(result: TrackingResult, scene: Scene, max_match_distance: 
         if not len(ids) or not len(frame_gt):
             continue
         dist = planar_distances(polar_centers(frame.boxes), frame_gt.boxes[:, :2])
-        allowed = (dist <= max_match_distance) & (frame.labels[:, None] == frame_gt.classes[None, :])
+        allowed = (dist <= 2.0) & (frame.labels[:, None] == frame_gt.classes[None, :])
         gt_ids = frame_gt.ids.tolist()
         for di, gi in _greedy_match(dist, allowed):
             gt_id = gt_ids[gi]

@@ -129,13 +129,13 @@ class TestClassCost:
         assert confident < unsure
 
 
-def focal(p, **kw):
+def focal(p):
     """``class_cost(form="focal")`` at probability ``p`` of the ground-truth class."""
-    return float(class_cost(np.array([p, 1.0 - p]), 0, form="focal", **kw))
+    return float(class_cost(np.array([p, 1.0 - p]), 0, form="focal"))
 
 
 class TestFocalClassCost:
-    # by hand: alpha_f (1-p)^gamma (-ln(p + 1e-8)) - (1-alpha_f) p^gamma (-ln(1 - p + 1e-8))
+    # by hand at gamma = 2, alpha = 0.25: alpha (1-p)^gamma (-ln(p + 1e-8)) - (1-alpha) p^gamma (-ln(1 - p + 1e-8))
     def test_half_probability(self):
         # (0.25 - 0.75) * 0.5^2 * -ln(0.5 + 1e-8) = 0.125 ln(0.50000001)
         assert focal(0.5) == pytest.approx(0.125 * math.log(0.5 + 1e-8), rel=1e-12)
@@ -150,14 +150,6 @@ class TestFocalClassCost:
         # the 1e-8 inside each log: 0.25 * 8 ln 10 at p = 0, -0.75 * 8 ln 10 at p = 1
         assert focal(0.0) == pytest.approx(2.0 * math.log(10.0), rel=1e-12)
         assert focal(1.0) == pytest.approx(-6.0 * math.log(10.0), rel=1e-12)
-
-    def test_perfect_positive_vanishes(self):
-        # alpha_f = 1 leaves the positive term only, whose weight (1-p)^gamma is 0 at p = 1
-        assert focal(1.0, alpha_f=1.0) == 0.0
-
-    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
-    def test_reduces_to_cross_entropy(self, p):
-        assert focal(p, gamma=0.0, alpha_f=1.0) == pytest.approx(-math.log(p + 1e-8), rel=1e-12)
 
 
 class TestPerceptionRange:

@@ -134,9 +134,9 @@ class TestSymmetricRig:
         assert max_depth < 1e-9
 
     def test_mount_offset_rotates(self):
-        rig = make_symmetric_rig(4, mount=(2.0, 0.0, 1.0))
+        rig = make_symmetric_rig(4)
         c1 = -rig[1].rotation.T @ rig[1].translation  # camera center in ego coordinates
-        np.testing.assert_allclose(c1, [0.0, 2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(c1, [0.0, 1.0, 1.6], atol=1e-12)  # camera 0's (1, 0, 1.6) turned by 90 degrees
 
     def test_straight_ahead_visible_in_view_0_only(self):
         rig = make_symmetric_rig(6)

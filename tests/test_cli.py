@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import polarview
@@ -316,7 +317,44 @@ class TestTrackFileIsDetections:
         assert open(again, "rb").read() == open(tracked["tracks"], "rb").read()
 
 
+SCENE_KEYS = [
+    ("schema_version",), ("rig",), ("frames",),
+    ("rig", 0, "intrinsics"), ("rig", 0, "extrinsics"), ("rig", 0, "image_size"),
+    ("rig", 0, "extrinsics", "rotation"), ("rig", 0, "extrinsics", "translation"),
+    ("frames", 0, "t"), ("frames", 0, "ego_pose"), ("frames", 0, "objects"),
+    ("frames", 0, "ego_pose", "rotation"), ("frames", 0, "ego_pose", "translation"),
+    *[("frames", 0, "objects", 0, key) for key in ("id", "class", "box", "velocity")],
+]
+DETECTION_KEYS = [
+    ("schema_version",), ("frames",), ("frames", 0, "t"), ("frames", 0, "detections"),
+    *[("frames", 0, "detections", 0, key) for key in ("box", "score", "probs", "velocity")],
+]
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "kind, path",
+        [("scene", p) for p in SCENE_KEYS] + [("detections", p) for p in DETECTION_KEYS],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_missing_key_names_itself_and_the_file_kind(self, capsys, tracked, tmp_path, kind, path):
+        bad = str(tmp_path / "bad.json")
+        if kind == "scene":
+            source, argv = tracked["scene"], ("render", "--scene", bad, "--out", str(tmp_path / "out.json"))
+        else:
+            source, argv = tracked["dets"], ("track", "--detections", bad)
+        with open(source) as fh:
+            doc = json.load(fh)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"polarview: {kind} file: missing key {path[-1]!r}\n"
+
     @pytest.mark.parametrize("document", ["[]", '"x"'], ids=["list", "string"])
     @pytest.mark.parametrize(
         "argv",
@@ -760,6 +798,19 @@ class TestNonFiniteAndNegativeSettings:
         assert flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate",), ("render", "--scene", "{scene}"), ("symmetry-check",), ("gradcheck",)],
+        ids=["simulate", "render", "symmetry-check", "gradcheck"],
+    )
+    def test_rejects_negative_seed(self, capsys, tracked, tmp_path, argv):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *[a.format(**tracked) for a in argv], "--seed", "-1", "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "seed must be >= 0" in err
+        assert not out.exists()
+
 
 class TestTrackHungarianFlag:
     def test_matching_choice_accepted(self, capsys, tmp_path):
@@ -1110,6 +1161,62 @@ class TestPipelineBuildsNoSceneObjects:
         for cls in (simulator.SceneObject, geometry.CartesianBox, geometry.CartesianVelocity, camera.EgoPose):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_MOVING) == GOLDEN_SHA256_MOVING
+
+
+# Runs each workload of (name, *argv) runs through cli.main in a fresh
+# interpreter, as golden_digests does, and prints one digest dict per workload.
+DIGEST_CHILD = """
+import hashlib, json, os, sys
+from polarview.cli import main
+
+report = []
+for k, runs in enumerate(json.loads(sys.argv[1])):
+    paths = {name: os.path.join(sys.argv[2], f"{k}-{name}.out") for name, *_ in runs}
+    digests = {}
+    for name, *argv in runs:
+        assert main([a.format(**paths) for a in argv] + ["--out", paths[name]]) == 0, argv
+        with open(paths[name], "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    report.append(digests)
+print(json.dumps(report))
+"""
+
+# numpy's SIMD levels above the x86-64-v2 baseline; numpy ignores a name the CPU lacks
+ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+class TestSameBytesAtEverySimdLevel:
+    def test_child_without_avx_dispatch_writes_the_same_bytes(self, capsys, tmp_path):
+        # soft class probabilities take the focal cost off the one-hot values 0 and 1, where
+        # numpy's AVX512 log and libm agree; at about 1 in 300 other inputs they do not
+        soft = {k: str(tmp_path / f"soft-{k}.json") for k in ("scene", "dets")}
+        run(capsys, "simulate", "--objects", "100", "--frames", "10", "--speed-max", "1", "--seed", "21",
+            "--out", soft["scene"])
+        run(capsys, "render", "--scene", soft["scene"], "--radial-std", "0.3", "--fp-rate", "3", "--seed", "5",
+            "--out", soft["dets"])
+        with open(soft["dets"]) as fh:
+            dets = json.load(fh)
+        rng = np.random.default_rng(0)
+        for frame in dets["frames"]:
+            for record in frame["detections"]:
+                record["probs"] = rng.dirichlet(np.ones(len(record["probs"]))).tolist()
+        with open(soft["dets"], "w") as fh:
+            json.dump(dets, fh)
+        soft_runs = [("soft_focal", "assign", "--scene", soft["scene"], "--detections", soft["dets"],
+                      "--class-cost", "focal")]
+        workloads = [GOLDEN_RUNS, GOLDEN_RUNS_NOISY, GOLDEN_RUNS_MOVING, soft_runs]
+        expected = [GOLDEN_SHA256, GOLDEN_SHA256_NOISY, GOLDEN_SHA256_MOVING, golden_digests(capsys, tmp_path, soft_runs)]
+
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=ABOVE_BASELINE)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarview.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        (tmp_path / "child").mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", DIGEST_CHILD, json.dumps(workloads), str(tmp_path / "child")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == expected
 
 
 # Runs each argv list through cli.main in a fresh interpreter, then calls

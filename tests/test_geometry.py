@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polarview.geometry import (
@@ -169,6 +169,74 @@ class TestEncode:
         rec = decode_boxes(encode_boxes(boxes, RC), RC)
         rel = np.abs(rec - boxes) / np.maximum(np.abs(boxes), 1e-300)
         assert rel.max() < 1e-9
+
+
+def near(edge, toward):
+    """Floats 1 to 8 ulps from ``edge`` toward ``toward``."""
+    def step(k):
+        x = edge
+        for _ in range(k):
+            x = math.nextafter(x, toward)
+        return x
+
+    return st.integers(1, 8).map(step)
+
+
+# Rows (r, z, l, w, h, azimuth, yaw) that reach the open ends of the range:
+# r a few ulps below r_max and as small as subnormal, z a few ulps inside
+# either bound, sizes over 600 orders of magnitude.
+ROUNDTRIP_ROWS = st.lists(
+    st.tuples(
+        st.floats(0.0, RC.r_max, exclude_min=True, exclude_max=True) | near(RC.r_max, 0.0)
+        | st.floats(0.0, 1e-300, exclude_min=True),
+        st.floats(RC.z_min, RC.z_max, exclude_min=True, exclude_max=True) | near(RC.z_min, 0.0)
+        | near(RC.z_max, 0.0),
+        *[st.floats(1e-300, 1e300)] * 3,
+        *[st.floats(-math.pi, math.pi)] * 2,
+    ),
+    min_size=1,
+    max_size=4,
+)
+# The error bound is c * eps times a per-field scale, eps = 2**-52.  First-order
+# budget, with numpy's float64 log and exp within 4 ulp (libm's within 1) and
+# every other operation rounding once by at most eps / 2:
+# - r, scale r_max: p = r / r_max, the sigmoid's division and the product with
+#   r_max move r by eps / 2 each; 1 - p, p / (1 - p) and the sigmoid's 1 + e
+#   by eps / 2 times p (1 - p) <= 1/4; the log's 4 ulp by 4 eps times
+#   p (1 - p) |logit p| <= 0.23, the exp's by 4 eps times p (1 - p).  About
+#   4.2 eps in all.
+# - z, scale z_max - z_min: the same, plus the subtraction and the addition of
+#   z_min; about 5 eps for |z| <= 5.
+# - a size s, scale s (1 + |log s|): exp(log s) carries log's 4 ulp of log s as
+#   a relative 4 eps |log s|, plus exp's own 4 ulp.
+# - the angle pairs, scale 1: sin / hypot(sin, cos), a few eps / 2.
+# c = 8 leaves a factor of about 2 for second-order terms; the worst seen on
+# 200k random and edge rows is 0.64 eps * r_max.
+ROUNDTRIP_C = 8
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(ROUNDTRIP_ROWS)
+    def test_decode_inverts_encode_to_a_few_eps(self, rows):
+        boxes = []
+        for r, z, l, w, h, a, t in rows:
+            box = [r, math.sin(a), math.cos(a), z, l, w, h, math.sin(t), math.cos(t)]
+            try:
+                encode_boxes(np.array([box]), RC)
+            except RangeError:  # r / r_max or the scaled z rounded onto an end of (0, 1)
+                continue
+            boxes.append(box)
+        assume(boxes)
+        boxes = np.array(boxes)
+        scale = np.ones_like(boxes)
+        scale[:, 0] = RC.r_max
+        scale[:, 3] = RC.z_max - RC.z_min
+        scale[:, 4:7] = (1.0 + np.abs(np.log(boxes[:, 4:7]))) * boxes[:, 4:7]
+        bound = ROUNDTRIP_C * np.finfo(np.float64).eps * scale
+        scalar = [decode_box_encoding(encode_polar_box(PolarBox(*b), RC), RC).as_array() for b in boxes]
+        assert (np.abs(decode_boxes(encode_boxes(boxes, RC), RC) - boxes) <= bound).all()
+        assert (np.abs(np.array(scalar) - boxes) <= bound).all()
 
 
 class TestPlanarDistances:
