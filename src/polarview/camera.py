@@ -5,7 +5,7 @@ Extrinsics map ego coordinates into the camera frame
 (``x_cam = R @ x_ego + t``).  Projection applies the rigid transform,
 divides by the positive camera-frame depth and applies the intrinsics;
 points behind the camera (depth <= EPS_DEPTH) or landing outside the
-half-open pixel box [0, W) x [0, H) are reported as invisible (None).
+half-open pixel box [0, W) x [0, H) are reported as invisible.
 Zero skew, no lens distortion.
 """
 
@@ -90,9 +90,6 @@ class CameraModel:
             raise ValueError("CameraModel: image size must be positive")
         _freeze_pose(self, "CameraModel")
 
-    def to_camera(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ point + self.translation
-
 
 @dataclass(frozen=True)
 class Rig:
@@ -144,29 +141,33 @@ class PixelPoint:
     depth: float
 
 
-def project_to_view(point, cam: CameraModel) -> PixelPoint | None:
-    """Project an ego-frame 3D point into one view.
+def project_to_view(points, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Project (N, 3) ego-frame points (a (3,) point counts as N = 1) into one view.
 
-    Returns None when the point is behind the camera or its pixel falls
-    outside the image.
+    Returns pixel coordinates u and v, camera-frame depth and a visibility
+    mask, each of shape (N,).  A point is visible when its depth exceeds
+    EPS_DEPTH and its pixel lies in the image; u and v of a point with
+    depth <= EPS_DEPTH are not pixels.
     """
-    p = np.asarray(point, dtype=np.float64).reshape(3)
+    p = np.asarray(points, dtype=np.float64)
+    if p.shape != (3,) and (p.ndim, p.shape[-1:]) != (2, (3,)):
+        raise ValueError("project_to_view: points must have shape (N, 3) or (3,)")
     if not np.isfinite(p).all():
         raise ValueError("project_to_view: non-finite point")
-    pc = cam.to_camera(p)
-    depth = float(pc[2])
-    if depth <= EPS_DEPTH:
-        return None
-    u = cam.fx * pc[0] / depth + cam.cx
-    v = cam.fy * pc[1] / depth + cam.cy
-    if not (0.0 <= u < cam.width and 0.0 <= v < cam.height):
-        return None
-    return PixelPoint(u=float(u), v=float(v), depth=depth)
+    # matmul of (3, 3) by (3, 1) per point: the bits of R @ p, which P @ R.T and einsum do not keep
+    x, y, depth = (np.matmul(cam.rotation[None], p.reshape(-1, 3, 1))[:, :, 0] + cam.translation).T
+    with np.errstate(all="ignore"):  # a depth of 0 divides by zero; such a point is invisible
+        u = cam.fx * x / depth + cam.cx
+        v = cam.fy * y / depth + cam.cy
+    visible = (depth > EPS_DEPTH) & (0.0 <= u) & (u < cam.width) & (0.0 <= v) & (v < cam.height)
+    return u, v, depth, visible
 
 
 def project_rig(point, rig: Rig) -> list[PixelPoint | None]:
-    """Project a point into every view of the rig (None where invisible); list index k is view k."""
-    return [project_to_view(point, cam) for cam in rig.cameras]
+    """Project one point into every view of the rig (None where invisible); list index k is view k."""
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    views = [project_to_view(p, cam) for cam in rig.cameras]
+    return [PixelPoint(float(u[0]), float(v[0]), float(d[0])) if seen[0] else None for u, v, d, seen in views]
 
 
 # Orientation of a forward-looking camera (optical axis along ego +x):
@@ -208,18 +209,16 @@ def max_rotation_discrepancy(rig: Rig, points: np.ndarray) -> tuple[float, float
     both are ~1e-12 for a rig built by :func:`make_symmetric_rig`.
     """
     k_count = len(rig)
-    delta = rotation_about_z(2.0 * math.pi / k_count)
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    rotated = np.matmul(rotation_about_z(2.0 * math.pi / k_count)[None], p[:, :, None])[:, :, 0]
     max_px = 0.0
     max_depth = 0.0
-    for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
-        rotated = delta @ p
-        for k in range(k_count):
-            base = project_to_view(p, rig[k])
-            if base is None:
-                continue
-            moved = project_to_view(rotated, rig[(k + 1) % k_count])
-            if moved is None:
-                return math.inf, math.inf
-            max_px = max(max_px, abs(moved.u - base.u), abs(moved.v - base.v))
-            max_depth = max(max_depth, abs(moved.depth - base.depth))
-    return max_px, max_depth
+    for k in range(k_count):
+        *base, seen = project_to_view(p, rig[k])
+        *moved, still_seen = project_to_view(rotated, rig[(k + 1) % k_count])
+        if (seen & ~still_seen).any():
+            return math.inf, math.inf
+        error = np.abs(np.array(moved)[:, seen] - np.array(base)[:, seen])  # rows u, v, depth
+        max_px = max(max_px, error[:2].max(initial=0.0))
+        max_depth = max(max_depth, error[2].max(initial=0.0))
+    return float(max_px), float(max_depth)

@@ -48,6 +48,14 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a flag's value; ``flag`` names it in the error."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``, then again with the ``--config`` values appended as flags."""
     args = parser.parse_args(argv)
@@ -170,7 +178,7 @@ def _cmd_track(args) -> int:
 
 def _eval_metrics(args) -> dict:
     region, frames = _ground_truth(args, "eval")
-    thresholds = [float(t) for t in args.thresholds.split(",")]
+    thresholds = _floats(args.thresholds, "eval: --thresholds")
     if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
         raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
     if not (math.isfinite(args.maae) and args.maae >= 0.0):
@@ -230,13 +238,10 @@ def _cmd_eval(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(["metric", "value"])
         flat = dict(report)
-        for key, value in flat.pop("ap", {}).items():
-            writer.writerow([f"ap@{key}", "" if value is None else format(value, ".17g")])
-        for key, value in flat.pop("tp_errors", {}).items():
-            writer.writerow([key, format(value, ".17g")])
-        for key, value in flat.items():
+        rows = [(f"ap@{key}", value) for key, value in flat.pop("ap").items()]
+        for key, value in [*rows, *flat.pop("tp_errors", {}).items(), *flat.items()]:
             if isinstance(value, float):
-                value = format(value, ".17g")
+                value = serialization._format_float(value)
             writer.writerow([key, "" if value is None else value])
         _write_text(args.out, buf.getvalue())
     return 0
@@ -302,13 +307,13 @@ def _cmd_gradcheck(args) -> int:
         numeric = loss.finite_difference_gradient(enc, vel, gt_box, gt_vel, rc)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric) / scale))
-        writer.writerow([fid, format(rel, ".17g")])
+        writer.writerow([fid, serialization._format_float(rel)])
     _write_text(args.out, buf.getvalue())
     return 0
 
 
 def _cmd_nds(args) -> int:
-    tps = [float(v) for v in args.tps.split(",")]
+    tps = _floats(args.tps, "nds: --tps")
     score = metrics.nds(args.map, tps)
     sys.stdout.write(f"{score:.3f}\n")
     return 0

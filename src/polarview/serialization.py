@@ -28,8 +28,10 @@ read-only slice of those arrays.  Where the schema holds a number, the
 loaders accept only a JSON number that is a finite float64 (no string,
 ``null``, boolean, nested list or integer beyond the float range), and
 ids, classes and image sizes must be JSON integers that fit in 64 bits;
-classes index class probabilities, so they must also be >= 0.  A
-missing key raises ValueError naming the file kind and the key.
+classes index class probabilities, so they must also be >= 0.  Every
+loading error is a ValueError that starts with the file kind (``scene
+file:`` or ``detections file:``); one for a missing key, or for a value
+of the wrong JSON type or length, names the key.
 
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``
@@ -38,6 +40,7 @@ object; the loaders ignore both keys, so it loads as detections.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from itertools import chain
@@ -164,7 +167,8 @@ def _camera_to_dict(cam: CameraModel) -> dict:
 
 
 def _camera_from_dict(d: dict) -> CameraModel:
-    fx, fy, cx, cy = _numbers(d["intrinsics"], "camera intrinsics").tolist()
+    ((fx, fy, cx, cy),) = _number_rows([d["intrinsics"]], "camera intrinsics", 4).tolist()
+    extrinsics = _objects([d["extrinsics"]], "camera extrinsics")[0]
     size = d["image_size"]
     if type(size) is not list or len(size) != 2:
         raise ValueError(f"camera image_size must be two JSON integers, got {size!r}")
@@ -174,8 +178,8 @@ def _camera_from_dict(d: dict) -> CameraModel:
         fy=fy,
         cx=cx,
         cy=cy,
-        rotation=_numbers(d["extrinsics"]["rotation"], "camera rotation").reshape(3, 3),
-        translation=_numbers(d["extrinsics"]["translation"], "camera translation"),
+        rotation=_number_rows([extrinsics["rotation"]], "camera rotation", 9).reshape(3, 3),
+        translation=_number_rows([extrinsics["translation"]], "camera translation", 3)[0],
         width=width,
         height=height,
     )
@@ -207,12 +211,38 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _file_kind(kind: str):
+    """Name the ``kind`` of file in a ValueError raised while loading one, and report a missing key as one."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} file: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{kind} file: {exc}") from None
+
+
 def _check_version(d: Any) -> None:
     if not isinstance(d, dict):
         raise ValueError("expected a JSON object at the top level")
     version = d["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
+
+
+def _objects(values: list, name: str) -> list:
+    """``values``, each of which must be a JSON object."""
+    if not set(map(type, values)) <= {dict}:
+        raise ValueError(f"{name} must be a JSON object")
+    return values
+
+
+def _records(lists: list, name: str) -> list:
+    """The JSON objects in ``lists`` in order; each of ``lists`` must be a list of JSON objects."""
+    rows = list(chain.from_iterable(lists)) if set(map(type, lists)) <= {list} else [None]
+    if not set(map(type, rows)) <= {dict}:
+        raise ValueError(f"{name} must be a list of JSON objects")
+    return rows
 
 
 def _numbers(values: list, name: str) -> np.ndarray:
@@ -250,13 +280,13 @@ def _integers(values: list, name: str) -> np.ndarray:
 
 
 def scene_from_dict(d: dict) -> Scene:
-    try:
+    with _file_kind("scene"):
         _check_version(d)
-        rig = Rig(tuple(_camera_from_dict(c) for c in d["rig"]))
-        frames = d["frames"]
-        poses = [fd["ego_pose"] for fd in frames]
+        rig = Rig(tuple(map(_camera_from_dict, _records([d["rig"]], "rig"))))
+        frames = _records([d["frames"]], "frames")
+        poses = _objects([fd["ego_pose"] for fd in frames], "ego_pose")
         objects = [fd["objects"] for fd in frames]
-        rows = list(chain.from_iterable(objects))
+        rows = _records(objects, "objects")
         return Scene.from_arrays(
             rig,
             _numbers([fd["t"] for fd in frames], "frame t"),
@@ -268,8 +298,6 @@ def scene_from_dict(d: dict) -> Scene:
             _number_rows([od["box"] for od in rows], "object box", 7),
             _number_rows([od["velocity"] for od in rows], "object velocity", 2),
         )
-    except KeyError as exc:
-        raise ValueError(f"scene file: missing key {exc}") from None
 
 
 def detections_to_dict(dets: DetectionSet) -> dict:
@@ -294,11 +322,11 @@ def detections_to_dict(dets: DetectionSet) -> dict:
 
 
 def detections_from_dict(d: dict) -> DetectionSet:
-    try:
+    with _file_kind("detections"):
         _check_version(d)
-        frames = d["frames"]
+        frames = _records([d["frames"]], "frames")
         records = [fd["detections"] for fd in frames]
-        rows = list(chain.from_iterable(records))
+        rows = _records(records, "detections")
         return DetectionSet.from_arrays(
             _numbers([fd["t"] for fd in frames], "detections frame t"),
             list(map(len, records)),
@@ -307,8 +335,6 @@ def detections_from_dict(d: dict) -> DetectionSet:
             _number_rows([rec["velocity"] for rec in rows], "detection velocity", 2),
             _numbers([rec["score"] for rec in rows], "detection score"),
         )
-    except KeyError as exc:
-        raise ValueError(f"detections file: missing key {exc}") from None
 
 
 def _reject_constant(name: str) -> None:

@@ -247,11 +247,11 @@ class DetectionFrame:
 
     ``boxes`` (N, 9) in ``geometry.POLAR_FIELDS`` order, class ``probs``
     (N, C), ``velocities`` (N, 2) as (v_rad, v_tan) and ``scores`` (N,).
-    :meth:`from_arrays` checks all rows in one pass as :class:`PolarBox`,
-    :class:`PolarVelocity` and :class:`Detection` check one record, each
-    failure a ValueError; :meth:`DetectionSet.from_arrays` runs the same
-    check once for a whole file.  ``DetectionFrame(t, detections)`` stacks
-    :class:`Detection` objects; :attr:`detections` rebuilds them.
+    :meth:`DetectionSet.from_arrays` checks all rows of a file or render
+    in one pass as :class:`PolarBox`, :class:`PolarVelocity` and
+    :class:`Detection` check one record, each failure a ValueError.
+    ``DetectionFrame(t, detections)`` stacks :class:`Detection` objects;
+    :attr:`detections` rebuilds them.
     """
 
     t: float
@@ -266,10 +266,6 @@ class DetectionFrame:
         boxes = np.reshape([d.box.as_array() for d in dets], (-1, 9))
         velocities = np.reshape([(d.velocity.v_rad, d.velocity.v_tan) for d in dets], (-1, 2))
         _fill(self, t, *_detection_rows(boxes, probs, velocities, [d.score for d in dets]))
-
-    @classmethod
-    def from_arrays(cls, t: float, boxes, probs, velocities, scores) -> "DetectionFrame":
-        return _fill(cls.__new__(cls), t, *_detection_rows(boxes, probs, velocities, scores))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -301,7 +297,7 @@ class DetectionSet:
         """A detection set from whole-file arrays, sliced into frames after one check of all rows.
 
         Frame f holds ``times[f]`` and the next ``counts[f]`` rows; the check
-        is the one :meth:`DetectionFrame.from_arrays` makes for a frame.
+        is the one ``DetectionFrame(t, detections)`` makes for its records.
         """
         return cls(_frames(DetectionFrame, times, counts, _detection_rows(boxes, probs, velocities, scores)))
 
@@ -350,6 +346,8 @@ class NoiseModel:
 
 
 _EGO_MOTIONS = ("static", "straight", "arc")
+# objects and false positives are placed at least this far (m) from the ego
+_PLACEMENT_FLOOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -376,8 +374,8 @@ class SceneConfig:
             raise ValueError("SceneConfig: dt, r_max, speeds and ego motion must be finite")
         if self.dt <= 0.0:
             raise ValueError("SceneConfig: dt must be positive")
-        if self.r_max <= 2.0:
-            raise ValueError("SceneConfig: r_max must exceed the 2 m placement floor")
+        if self.r_max <= _PLACEMENT_FLOOR:
+            raise ValueError(f"SceneConfig: r_max must exceed the {_PLACEMENT_FLOOR:g} m placement floor")
         if not 0.0 <= self.speed_min <= self.speed_max:
             raise ValueError("SceneConfig: need 0 <= speed_min <= speed_max")
         if self.ego_motion not in _EGO_MOTIONS:
@@ -412,7 +410,7 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
 
     labels, objects0 = [], []
     for _ in range(config.n_objects):
-        r = rng.uniform(2.0, config.r_max)
+        r = rng.uniform(_PLACEMENT_FLOOR, config.r_max)
         a = rng.uniform(-math.pi, math.pi)
         z = rng.uniform(-1.0, 1.0)
         l = rng.uniform(3.0, 5.0)
@@ -498,13 +496,15 @@ def render_detections(
     U(0.1, 0.9).  Class probabilities have one entry per class id up to
     the largest in the scene (one entry for a scene without objects).
     """
+    if noise.false_positive_rate > 0.0 and range_config.r_max < _PLACEMENT_FLOOR:
+        raise ValueError(f"render_detections: false positives need r_max >= the {_PLACEMENT_FLOOR:g} m "
+                         "placement floor")
     labels = [int(f.classes.max()) for f in scene.frames if len(f)]
     n_classes = max(labels) + 1 if labels else 1
     rng = np.random.default_rng(noise.seed)
-    one_hot = np.eye(n_classes)
-    frames = []
+    boxes, labels, velocities, scores, counts = [], [], [], [], []
     for frame in scene.frames:
-        boxes, labels, velocities, scores = [], [], [], []
+        start = len(scores)
         for label, box, (v_x, v_y) in zip(frame.classes.tolist(), frame.boxes.tolist(), frame.velocities.tolist()):
             # keep RNG consumption independent of the drop outcome
             dropped = rng.uniform() < noise.drop_prob
@@ -534,7 +534,7 @@ def render_detections(
             velocities.append((_noisy(v_rad, "velocity_std"), _noisy(v_tan, "velocity_std")))
             scores.append(1.0)
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
-            r = rng.uniform(2.0, range_config.r_max)
+            r = rng.uniform(_PLACEMENT_FLOOR, range_config.r_max)
             a = rng.uniform(-math.pi, math.pi)
             yaw = rng.uniform(-math.pi, math.pi)
             z = rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)
@@ -543,6 +543,6 @@ def render_detections(
             labels.append(int(rng.integers(0, n_classes)))
             velocities.append((0.0, 0.0))
             scores.append(rng.uniform(0.1, 0.9))
-        boxes, velocities = np.reshape(boxes, (-1, 9)), np.reshape(velocities, (-1, 2))
-        frames.append(DetectionFrame.from_arrays(frame.t, boxes, one_hot[labels], velocities, scores))
-    return DetectionSet(frames=tuple(frames))
+        counts.append(len(scores) - start)
+    return DetectionSet.from_arrays([f.t for f in scene.frames], counts, np.reshape(boxes, (-1, 9)),
+                                    np.eye(n_classes)[labels], np.reshape(velocities, (-1, 2)), scores)

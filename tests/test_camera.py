@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarview.camera import (
+    EPS_DEPTH,
     CameraModel,
     EgoPose,
     Rig,
@@ -37,46 +40,102 @@ def ring_point(rng):
     return np.array([r * math.cos(a), r * math.sin(a), rng.uniform(-1, 1)])
 
 
+def scalar_projection(point, cam):
+    """The pinhole one point at a time: ``R @ p + t``, then ``fx * x / z + cx``, then the visibility rule.
+
+    Returns the depth and, for a depth above EPS_DEPTH, (u, v, visible).
+    """
+    x, y, depth = (cam.rotation @ np.asarray(point, dtype=np.float64) + cam.translation).tolist()
+    if depth <= EPS_DEPTH:
+        return depth, None
+    u = cam.fx * x / depth + cam.cx
+    v = cam.fy * y / depth + cam.cy
+    return depth, (u, v, 0.0 <= u < cam.width and 0.0 <= v < cam.height)
+
+
+# identity extrinsics and fx = fy = 1, so (x, y, z) lands on pixel (x / z, y / z) of a 10 x 8 image
+EDGE_CAMERA = simple_camera(width=10, height=8)
+# for EDGE_CAMERA: pixels on u = 0, u = W, v = H and just inside; depths 0, EPS_DEPTH and negative
+EDGE_POINTS = [
+    (0.0, 0.0, 1.0), (10.0, 0.0, 1.0), (0.0, 8.0, 1.0), (9.5, 7.5, 1.0), (20.0, 0.0, 2.0), (-0.0, 0.0, 3.0),
+    (1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, EPS_DEPTH), (0.0, 0.0, EPS_DEPTH), (1.0, 1.0, -3.0),
+]
+_coordinate = st.floats(-60.0, 60.0)
+
+
 class TestProjection:
     def test_on_axis_point(self):
         cam = simple_camera()
-        pix = project_to_view(np.array([0.0, 0.0, 5.0]), cam)
-        assert (pix.u, pix.v, pix.depth) == (0.0, 0.0, 5.0)
+        u, v, depth, visible = project_to_view(np.array([0.0, 0.0, 5.0]), cam)
+        assert visible.tolist() == [True]
+        assert (u[0], v[0], depth[0]) == (0.0, 0.0, 5.0)
 
     def test_behind_camera_absent(self):
         cam = simple_camera()
-        assert project_to_view(np.array([0.0, 0.0, -1.0]), cam) is None
+        assert project_to_view(np.array([0.0, 0.0, -1.0]), cam)[3].tolist() == [False]
 
     def test_pinhole_evaluation(self):
         # u = fx * x/z + cx = 100 * (1/2) + 320 = 370
         cam = simple_camera(fx=100.0, fy=100.0, cx=320.0, cy=240.0)
-        pix = project_to_view(np.array([1.0, 0.0, 2.0]), cam)
-        assert pix.u == pytest.approx(370.0)
-        assert pix.v == pytest.approx(240.0)
-        assert pix.depth == pytest.approx(2.0)
+        u, v, depth, visible = project_to_view(np.array([1.0, 0.0, 2.0]), cam)
+        assert visible.tolist() == [True]
+        assert u[0] == pytest.approx(370.0)
+        assert v[0] == pytest.approx(240.0)
+        assert depth[0] == pytest.approx(2.0)
 
     def test_out_of_image_absent(self):
         cam = simple_camera(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=360, height=480)
-        assert project_to_view(np.array([1.0, 0.0, 2.0]), cam) is None  # u = 370 >= 360
+        assert project_to_view(np.array([1.0, 0.0, 2.0]), cam)[3].tolist() == [False]  # u = 370 >= 360
 
     def test_half_open_bounds(self):
         cam = simple_camera(cx=0.0, cy=0.0, width=10, height=10)
-        at_origin = project_to_view(np.array([0.0, 0.0, 1.0]), cam)
-        assert at_origin is not None and at_origin.u == 0.0
         # u == width exactly is outside [0, W)
-        assert project_to_view(np.array([10.0, 0.0, 1.0]), cam) is None
+        u, _, _, visible = project_to_view(np.array([[0.0, 0.0, 1.0], [10.0, 0.0, 1.0]]), cam)
+        assert visible.tolist() == [True, False]
+        assert u[0] == 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             project_to_view(np.array([math.nan, 0.0, 1.0]), simple_camera())
 
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (1, 3, 1), (3, 1), (2, 2), (0,)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            project_to_view(np.ones(shape), simple_camera())
+
+    def test_project_rig_takes_one_point(self):
+        with pytest.raises(ValueError):
+            project_rig(np.ones((2, 3)), make_symmetric_rig(4))
+
     def test_depth_positive_always(self):
         rng = np.random.default_rng(2)
         cam = simple_camera(fx=200, fy=200, cx=320, cy=240)
-        for _ in range(300):
-            pix = project_to_view(rng.normal(0, 10, size=3), cam)
-            if pix is not None:
-                assert pix.depth > 0.0
+        _, _, depth, visible = project_to_view(rng.normal(0, 10, size=(300, 3)), cam)
+        assert (depth[visible] > 0.0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_coordinate, _coordinate, _coordinate), max_size=40),
+        st.one_of(st.just(EDGE_CAMERA), st.sampled_from(make_symmetric_rig(6).cameras + make_symmetric_rig(5).cameras)),
+        st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.integers(0, 999),
+    )
+    def test_batch_matches_scalar_arithmetic(self, points, cam, spoiler, where):
+        p = np.array([*EDGE_POINTS, *points])
+        if spoiler is not None:
+            p.flat[where % p.size] = spoiler
+            with pytest.raises(ValueError, match="non-finite"):
+                project_to_view(p, cam)
+            return
+        u, v, depth, visible = project_to_view(p, cam)
+        for i, point in enumerate(p):
+            d, pixel = scalar_projection(point, cam)
+            assert float(depth[i]).hex() == d.hex()
+            if pixel is None:
+                assert not visible[i]
+            else:
+                got = (float(u[i]).hex(), float(v[i]).hex(), bool(visible[i]))
+                assert got == (pixel[0].hex(), pixel[1].hex(), pixel[2])
 
 
 class TestBackProjection:
@@ -89,9 +148,10 @@ class TestBackProjection:
             cam = rig[k]
             u = rng.uniform(0, cam.width)
             v = rng.uniform(0, cam.height)
-            for depth in (1.0, 10.0, 50.0):
-                pix = project_to_view(back_project(u, v, depth, cam), cam)
-                worst = max(worst, abs(pix.u - u), abs(pix.v - v), abs(pix.depth - depth))
+            depths = np.array([1.0, 10.0, 50.0])
+            pu, pv, pd, visible = project_to_view([back_project(u, v, d, cam) for d in depths], cam)
+            assert visible.all()
+            worst = max(worst, *np.abs(pu - u), *np.abs(pv - v), *np.abs(pd - depths))
         assert worst < 1e-9
 
     def test_projected_point_back_projects_to_itself(self):
@@ -168,19 +228,14 @@ class TestEgoPose:
         rig = make_symmetric_rig(6)
         pose = EgoPose(rotation=rotation_about_z(math.pi / 3), translation=np.zeros(3), dt=0.5)
         rng = np.random.default_rng(9)
+        points = np.array([ring_point(rng) for _ in range(200)])
         checked = 0
-        for _ in range(200):
-            p = ring_point(rng)
-            for k in range(6):
-                past = project_to_view(pose.apply(p), rig[k])
-                now_prev = project_to_view(p, rig[k - 1])
-                if past is None and now_prev is None:
-                    continue
-                assert past is not None and now_prev is not None
-                assert abs(past.u - now_prev.u) < 1e-9
-                assert abs(past.v - now_prev.v) < 1e-9
-                assert abs(past.depth - now_prev.depth) < 1e-9
-                checked += 1
+        for k in range(6):
+            *past, past_seen = project_to_view([pose.apply(p) for p in points], rig[k])
+            *now_prev, now_prev_seen = project_to_view(points, rig[k - 1])
+            assert (past_seen == now_prev_seen).all()
+            assert np.abs(np.array(past)[:, past_seen] - np.array(now_prev)[:, past_seen]).max(initial=0.0) < 1e-9
+            checked += int(past_seen.sum())
         assert checked > 100
 
 

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -166,6 +168,17 @@ class TestPipeline:
         assert lines[0] == "metric,value"
         assert any(line.startswith("map,") for line in lines)
 
+    def test_eval_csv_writes_negative_zero_as_json_does(self, capsys, tmp_path):
+        scene_path = str(tmp_path / "scene.json")
+        dets_path = str(tmp_path / "dets.json")
+        run(capsys, "simulate", "--objects", "2", "--frames", "2", "--seed", "1", "--out", scene_path)
+        run(capsys, "render", "--scene", scene_path, "--out", dets_path)
+        argv = ("eval", "--scene", scene_path, "--detections", dets_path, "--maae", "-0")
+        _, out, _ = run(capsys, *argv)
+        assert '"maae": 0,' in out
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert dict(csv.reader(io.StringIO(out)))["maae"] == "0"
+
     def test_config_file_overrides_flags(self, capsys, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"objects": 7, "seed": 11}))
@@ -330,6 +343,28 @@ DETECTION_KEYS = [
     *[("frames", 0, "detections", 0, key) for key in ("box", "score", "probs", "velocity")],
 ]
 
+# (file kind, path to the value, malformed value, the key its message must name)
+MALFORMED = [
+    ("scene", ("frames", 0), [1, 2], "frames"),
+    ("scene", ("frames", 0, "objects", 0), [1, 2], "objects"),
+    ("scene", ("frames", 0, "ego_pose"), [1, 2], "ego_pose"),
+    ("scene", ("rig", 0, "extrinsics"), [1, 2], "extrinsics"),
+    ("scene", ("frames",), {"t": 0.0}, "frames"),
+    ("scene", ("rig",), {"intrinsics": [1, 1, 0, 0]}, "rig"),
+    ("scene", ("frames", 0, "objects"), "cars", "objects"),
+    ("scene", ("frames",), 3, "frames"),
+    ("scene", ("rig", 0, "intrinsics"), [800.0, 800.0, 800.0], "intrinsics"),
+    ("scene", ("rig", 0, "extrinsics", "rotation"), [1.0] * 8, "rotation"),
+    ("scene", ("rig", 0, "extrinsics", "translation"), 1.0, "translation"),
+    ("scene", ("schema_version",), 99, "schema_version"),
+    ("detections", ("frames", 0), [1, 2], "frames"),
+    ("detections", ("frames", 0, "detections", 0), [1, 2], "detections"),
+    ("detections", ("frames",), {"t": 0.0}, "frames"),
+    ("detections", ("frames", 0, "detections"), "cars", "detections"),
+    ("detections", ("schema_version",), 99, "schema_version"),
+    ("detections", (), [], "top level"),
+]
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -354,6 +389,34 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"polarview: {kind} file: missing key {path[-1]!r}\n"
+
+    @pytest.mark.parametrize(
+        "kind, path, value, key",
+        MALFORMED,
+        ids=[f"{kind}-{'.'.join(map(str, path)) or 'document'}-{type(value).__name__}"
+             for kind, path, value, _ in MALFORMED],
+    )
+    def test_malformed_value_names_its_key_and_the_file_kind(self, capsys, tracked, tmp_path, kind, path, value, key):
+        bad = str(tmp_path / "bad.json")
+        if kind == "scene":
+            source, argv = tracked["scene"], ("eval", "--scene", bad, "--detections", tracked["dets"])
+        else:
+            source, argv = tracked["dets"], ("track", "--detections", bad)
+        with open(source) as fh:
+            doc = json.load(fh)
+        if path:
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"polarview: {kind} file: ") and key in err
 
     @pytest.mark.parametrize("document", ["[]", '"x"'], ids=["list", "string"])
     @pytest.mark.parametrize(
@@ -733,6 +796,21 @@ class TestNonFiniteAndNegativeSettings:
         assert f"NoiseModel: {cli._SETTINGS_FLAGS[simulator.NoiseModel][argv[-2]]} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_render_refuses_false_positives_inside_the_placement_floor(self, capsys, tracked, tmp_path, seed):
+        out = tmp_path / "floor.json"
+        code, _, err = run(capsys, "render", "--scene", tracked["scene"], "--r-max", "1", "--fp-rate", "3",
+                           "--seed", seed, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "r_max" in err and "2 m placement floor" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_max, fp_rate", [("1.5", "0"), ("2", "1")])
+    def test_render_accepts_r_max_at_the_placement_floor(self, capsys, tracked, tmp_path, r_max, fp_rate):
+        code, _, err = run(capsys, "render", "--scene", tracked["scene"], "--r-max", r_max, "--fp-rate", fp_rate,
+                           "--seed", "1", "--out", str(tmp_path / "floor.json"))
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
     def test_track_rejects_threshold(self, capsys, tracked, tmp_path, threshold):
         out = tmp_path / "out.json"
@@ -755,6 +833,18 @@ class TestNonFiniteAndNegativeSettings:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("eval", "--scene", "{scene}", "--detections", "{dets}", "--thresholds", "a,b"), "--thresholds"),
+         (("eval", "--scene", "{scene}", "--detections", "{dets}", "--thresholds", ""), "--thresholds"),
+         (("nds", "--map", "0.3", "--tps", "0.1,x,0.2,0.3,0.4"), "--tps")],
+        ids=["thresholds-letters", "thresholds-empty", "tps-letter"],
+    )
+    def test_number_list_flag_names_itself(self, capsys, tracked, argv, flag):
+        code, out, err = run(capsys, *[a.format(**tracked) for a in argv])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and f"{flag} must be comma-separated numbers" in err
 
     @pytest.mark.parametrize("maae", ["nan", "inf", "-1"])
     @pytest.mark.parametrize(

@@ -279,13 +279,13 @@ def record_fails(box, probs, velocity, score):
     return False
 
 
+def one_frame(t, rows):
+    """The frame of a one-frame detection set holding record ``rows`` at time ``t``."""
+    return DetectionSet.from_arrays([t], [len(rows)], *[[row[k] for row in rows] for k in range(4)]).frames[0]
+
+
 def frame_fails(rows):
-    columns = [[row[k] for row in rows] for k in range(4)]
-    try:
-        DetectionFrame.from_arrays(0.0, *columns)
-    except ValueError:
-        return True
-    return False
+    return fails(lambda: one_frame(0.0, rows))
 
 
 class TestDetectionFrameChecks:
@@ -321,7 +321,7 @@ class TestDetectionFrameChecks:
 
     def test_arrays_are_read_only_copies(self):
         boxes = np.array([[10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]])
-        frame = DetectionFrame.from_arrays(0.5, boxes, [[0.2, 0.8]], [[0.0, 0.0]], [0.5])
+        frame = DetectionSet.from_arrays([0.5], [1], boxes, [[0.2, 0.8]], [[0.0, 0.0]], [0.5]).frames[0]
         assert boxes.flags.writeable
         assert not any(a.flags.writeable for a in (frame.boxes, frame.probs, frame.velocities, frame.scores))
         assert len(frame) == 1 and frame.labels.tolist() == [1]
@@ -347,11 +347,11 @@ class TestDetectionFrameChecks:
     def test_rejects_bad_shapes(self, change):
         arrays = [np.array([[10.0, 0.0, 1.0, 0.0, 4.0, 2.0, 1.5, 0.0, 1.0]]), np.array([[0.2, 0.8]]),
                   np.zeros((1, 2)), np.array([0.5])]
-        DetectionFrame.from_arrays(0.0, *arrays)
+        DetectionSet.from_arrays([0.0], [1], *arrays)
         k, reshape = change
         arrays[k] = reshape(arrays[k])
         with pytest.raises(ValueError):
-            DetectionFrame.from_arrays(0.0, *arrays)
+            DetectionSet.from_arrays([0.0], [1], *arrays)
 
 
 def fails(build) -> bool:
@@ -375,11 +375,10 @@ def frames_fail(times, frames):
     """Whether per-frame checks plus the set's own checks refuse the same frames."""
     if any(rows and frame_fails(rows) for rows in frames):
         return True
-    built = tuple(
-        DetectionFrame.from_arrays(t, *[[row[k] for row in rows] for k in range(4)]) if rows else DetectionFrame(t)
-        for t, rows in zip(times, frames)
-    )
-    return fails(lambda: DetectionSet(frames=built))
+    # a one-frame set refuses a non-finite time as the whole set does
+    return fails(lambda: DetectionSet(frames=tuple(
+        one_frame(t, rows) if rows else DetectionFrame(t) for t, rows in zip(times, frames)
+    )))
 
 
 # Frame times at and across the order and finiteness checks.
