@@ -85,10 +85,13 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, k_scaling: float) -> np.ndarray:
     The last axis holds boxes in ``geometry.POLAR_FIELDS`` order (only r,
     sin_a and cos_a are read); leading axes broadcast, so (N, 9)
     predictions against (M, 1, 9) ground truths give the (M, N) matrix.
+    A huge ``k_scaling`` gives inf without a warning; the assignment
+    refuses a non-finite cost matrix.
     """
     pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
     d = np.abs(pred[..., :3] - gt[..., :3])
-    return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
+    with np.errstate(over="ignore"):
+        return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
 
 
 CLASS_COST_FORMS = ("negative_prob", "focal")  # the first is the default
@@ -220,24 +223,19 @@ def brute_force_assign(costs: np.ndarray) -> Assignment:
     """Exhaustive assignment oracle for matrices with min(M, N) <= 8."""
     costs = _validated_matrix(costs)
     m, n = costs.shape
-    if min(m, n) == 0:
+    if m > n:  # search the transpose; pairs come back sorted by ground truth
+        return Assignment(tuple(sorted((j, i) for i, j in brute_force_assign(costs.T).pairs)))
+    if m == 0:
         return Assignment(())
-    if min(m, n) > _BRUTE_FORCE_LIMIT:
+    if m > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute_force_assign: min(M, N) must be <= {_BRUTE_FORCE_LIMIT}")
     best_pairs = None
     best_total = math.inf
-    if m <= n:
-        for cols in itertools.permutations(range(n), m):
-            total = sum(costs[j, i] for j, i in enumerate(cols))
-            if total < best_total:
-                best_total = total
-                best_pairs = tuple(enumerate(cols))
-    else:
-        for rows in itertools.permutations(range(m), n):
-            total = sum(costs[j, i] for i, j in enumerate(rows))
-            if total < best_total:
-                best_total = total
-                best_pairs = tuple(sorted((j, i) for i, j in enumerate(rows)))
+    for cols in itertools.permutations(range(n), m):
+        total = sum(costs[j, i] for j, i in enumerate(cols))
+        if total < best_total:
+            best_total = total
+            best_pairs = tuple(enumerate(cols))
     return Assignment(best_pairs)
 
 

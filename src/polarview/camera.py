@@ -174,6 +174,9 @@ def project_rig(point, rig: Rig) -> list[PixelPoint | None]:
 # camera x = ego -y (right), camera y = ego -z (down), camera z = ego +x.
 _FORWARD_CAMERA = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
+# make_symmetric_rig builds one checked camera at a time, so a huge count would run for minutes
+_MAX_RIG_CAMERAS = 1000
+
 
 def make_symmetric_rig(count: int) -> Rig:
     """Build a rig of ``count`` identical cameras spaced 2*pi/count in yaw.
@@ -185,8 +188,8 @@ def make_symmetric_rig(count: int) -> Rig:
     Rotating a scene point by 2*pi/count therefore maps its projection in
     view k to the identical pixel in view k+1.
     """
-    if count < 2:
-        raise ValueError("make_symmetric_rig: need at least 2 cameras")
+    if not 2 <= count <= _MAX_RIG_CAMERAS:
+        raise ValueError(f"make_symmetric_rig: need 2 to {_MAX_RIG_CAMERAS} cameras, got {count}")
     cams = []
     for k in range(count):
         rz = rotation_about_z(2.0 * math.pi * k / count)

@@ -61,7 +61,10 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    overrides = serialization.read_json(args.config)
+    try:
+        overrides = serialization.read_json(args.config)
+    except ValueError as exc:
+        raise ValueError(f"--config: {exc}") from None
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
     extra = []
@@ -272,19 +275,16 @@ def _cmd_symmetry_check(args) -> int:
 
 def _cmd_range_demo(args) -> int:
     objects, circular, rectangular = assignment.range_ambiguity_fixture()
-    kept_c, _ = assignment.filter_perception_range(objects, circular)
-    kept_r, dropped_r = assignment.filter_perception_range(objects, rectangular)
-    index = {id(box): i for i, box in enumerate(objects)}
+    centers = [(b.x, b.y) for b in objects]
+    kept_r = _in_region(rectangular, centers)
     report = {
-        "objects": [
-            {"x": b.x, "y": b.y, "r": math.hypot(b.x, b.y)} for b in objects
-        ],
-        "circular": {"r_max": circular.r_max, "kept": [index[id(b)] for b in kept_c]},
+        "objects": [{"x": x, "y": y, "r": math.hypot(x, y)} for x, y in centers],
+        "circular": {"r_max": circular.r_max, "kept": _in_region(circular, centers)},
         "rectangular": {
             "x_max": rectangular.x_max,
             "y_max": rectangular.y_max,
-            "kept": [index[id(b)] for b in kept_r],
-            "dropped": [index[id(b)] for b in dropped_r],
+            "kept": kept_r,
+            "dropped": [i for i in range(len(centers)) if i not in kept_r],
         },
     }
     _write_text(args.out, serialization.dumps_json(report) + "\n")

@@ -57,18 +57,9 @@ ENCODING_FIELDS = tuple("b_" + f for f in POLAR_FIELDS)
 
 _PAIR_TOL = 1e-9
 
-_SIZE_ERROR = "decode: exp of a size channel must be positive and finite"
-
 
 class RangeError(ValueError):
     """Value sits on or outside the invertible range of an encoding."""
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -247,55 +238,24 @@ class PolarVelocity:
 
 
 def decode_box_encoding(enc: BoxEncoding, range_config: RangeConfig) -> PolarBox:
-    """Decode a raw encoding into a valid polar box.
-
-    r = sigmoid(b_r) * r_max, z = sigmoid(b_z) * (z_max - z_min) + z_min,
-    sizes are exp of their channels and both angle pairs are
-    L2-normalized.  A size channel whose exp overflows or underflows to
-    zero raises ValueError (the latter from :class:`PolarBox`).
-    """
-    return PolarBox(*_decode_fields(_encoding_fields(enc), range_config))
-
-
-def _decode_fields(b, range_config: RangeConfig) -> tuple[float, ...]:
-    """The arithmetic of :func:`decode_box_encoding` on 9 floats, unchecked.
-
-    Returns the decoded ``POLAR_FIELDS``; only an overflowing size channel
-    raises here (ValueError).  The caller runs :class:`PolarBox`'s checks.
-    """
-    b_r, b_sin_a, b_cos_a, b_z, b_l, b_w, b_h, b_sin_t, b_cos_t = b
-    rc = range_config
-    na = math.hypot(b_sin_a, b_cos_a)
-    nt = math.hypot(b_sin_t, b_cos_t)
-    try:
-        l, w, h = math.exp(b_l), math.exp(b_w), math.exp(b_h)
-    except OverflowError:
-        raise ValueError(_SIZE_ERROR) from None
-    return (
-        _sigmoid(b_r) * rc.r_max,
-        b_sin_a / na,
-        b_cos_a / na,
-        _sigmoid(b_z) * (rc.z_max - rc.z_min) + rc.z_min,
-        l,
-        w,
-        h,
-        b_sin_t / nt,
-        b_cos_t / nt,
-    )
+    """Decode a raw encoding into a valid polar box: one row of :func:`decode_boxes`."""
+    return PolarBox.from_array(decode_boxes(enc.as_array()[None], range_config)[0])
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_sigmoid`: the same split form, overflow-free."""
+    """Elementwise logistic sigmoid in a split form that cannot overflow."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray:
-    """Vectorized :func:`decode_box_encoding` of an (N, 9) encoding array.
+    """Decode an (N, 9) encoding array into (N, 9) boxes in ``POLAR_FIELDS`` order.
 
-    Rejects the inputs the scalar path rejects, with ValueError: non-finite
-    channels, a (0, 0) azimuth or yaw pair, and size channels whose exp
-    overflows or underflows to zero.
+    r = sigmoid(b_r) * r_max, z = sigmoid(b_z) * (z_max - z_min) + z_min,
+    sizes are exp of their channels and both angle pairs are
+    L2-normalized.  Rejects, with ValueError: non-finite channels, a (0, 0)
+    azimuth or yaw pair, and size channels whose exp overflows or
+    underflows to zero.
     """
     enc = np.asarray(encodings, dtype=np.float64)
     if enc.ndim != 2 or enc.shape[1] != 9:
@@ -314,7 +274,7 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
     with np.errstate(over="ignore"):
         sizes = np.exp(enc[:, 4:7])
     if not (np.isfinite(sizes) & (sizes > 0.0)).all():
-        raise ValueError(_SIZE_ERROR)
+        raise ValueError("decode: exp of a size channel must be positive and finite")
     out[:, 4:7] = sizes
     out[:, 7:9] = enc[:, 7:9] / nt[:, None]
     return out
@@ -377,15 +337,7 @@ def cartesian_to_polar(box: CartesianBox) -> PolarBox:
 
 def polar_to_cartesian(box: PolarBox) -> CartesianBox:
     """Exact inverse of :func:`cartesian_to_polar` for r > 0."""
-    return CartesianBox(
-        x=box.r * box.cos_a,
-        y=box.r * box.sin_a,
-        z=box.z,
-        l=box.l,
-        w=box.w,
-        h=box.h,
-        yaw=wrap_angle(math.atan2(box.sin_t, box.cos_t)),
-    )
+    return CartesianBox(*box.center_xy(), box.z, box.l, box.w, box.h, box.yaw())
 
 
 def velocity_cartesian_to_polar(v: CartesianVelocity, sin_a: float, cos_a: float) -> PolarVelocity:

@@ -342,10 +342,12 @@ def _reject_constant(name: str) -> None:
 
 
 def read_json(path: str) -> Any:
-    """Parse a JSON file, refusing ``NaN``/``Infinity`` and nesting too deep to parse."""
+    """Parse a UTF-8 JSON file, refusing ``NaN``/``Infinity``; every error in the text names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:  # a syntax or encoding error, or NaN/Infinity
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting too deep to parse") from None
 
@@ -356,7 +358,9 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str) -> Scene:
-    return scene_from_dict(read_json(path))
+    with _file_kind("scene"):
+        d = read_json(path)
+    return scene_from_dict(d)
 
 
 def save_detections(dets: DetectionSet, path: str) -> None:
@@ -365,4 +369,6 @@ def save_detections(dets: DetectionSet, path: str) -> None:
 
 
 def load_detections(path: str) -> DetectionSet:
-    return detections_from_dict(read_json(path))
+    with _file_kind("detections"):
+        d = read_json(path)
+    return detections_from_dict(d)

@@ -348,6 +348,8 @@ class NoiseModel:
 _EGO_MOTIONS = ("static", "straight", "arc")
 # objects and false positives are placed at least this far (m) from the ego
 _PLACEMENT_FLOOR = 2.0
+# (low, high) of the uniform length, width and height draws of objects and false positives, in m
+_SIZE_RANGES = ((3.0, 5.0), (1.5, 2.2), (1.3, 2.0))
 
 
 @dataclass(frozen=True)
@@ -413,9 +415,7 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
         r = rng.uniform(_PLACEMENT_FLOOR, config.r_max)
         a = rng.uniform(-math.pi, math.pi)
         z = rng.uniform(-1.0, 1.0)
-        l = rng.uniform(3.0, 5.0)
-        w = rng.uniform(1.5, 2.2)
-        h = rng.uniform(1.3, 2.0)
+        l, w, h = (rng.uniform(low, high) for low, high in _SIZE_RANGES)
         yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
         speed = rng.uniform(config.speed_min, config.speed_max)
         v_dir = rng.uniform(-math.pi, math.pi)
@@ -538,7 +538,7 @@ def render_detections(
             a = rng.uniform(-math.pi, math.pi)
             yaw = rng.uniform(-math.pi, math.pi)
             z = rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)
-            l, w, h = rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.2), rng.uniform(1.3, 2.0)
+            l, w, h = (rng.uniform(low, high) for low, high in _SIZE_RANGES)
             boxes.append((r, math.sin(a), math.cos(a), z, l, w, h, math.sin(yaw), math.cos(yaw)))
             labels.append(int(rng.integers(0, n_classes)))
             velocities.append((0.0, 0.0))

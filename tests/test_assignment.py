@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -306,6 +307,27 @@ class TestBruteForce:
     def test_oracle_size_limit(self):
         with pytest.raises(ValueError):
             brute_force_assign(np.zeros((9, 9)))
+        with pytest.raises(ValueError):
+            brute_force_assign(np.zeros((12, 9)))
+        assert brute_force_assign(np.zeros((3, 0))).pairs == ()
+
+    def test_tall_matrices_pair_as_a_search_over_rows(self):
+        def search_rows(costs):
+            # each permutation of n of the m rows, in order; the first strict optimum wins
+            m, n = costs.shape
+            best_pairs, best_total = None, math.inf
+            for rows in itertools.permutations(range(m), n):
+                total = sum(costs[j, i] for i, j in enumerate(rows))
+                if total < best_total:
+                    best_total = total
+                    best_pairs = tuple(sorted((j, i) for i, j in enumerate(rows)))
+            return best_pairs
+
+        rng = np.random.default_rng(39)
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            costs = rng.integers(0, 3, size=(int(rng.integers(n + 1, 7)), n)).astype(np.float64)
+            assert brute_force_assign(costs).pairs == search_rows(costs)
 
 
 class TestScalingFixture:

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -227,6 +228,21 @@ class TestPipeline:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "symmetry-check"])
+    def test_rejects_more_cameras_than_the_bound(self, capsys, tmp_path, command):
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, "--cameras", "1001", "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "1000" in err
+        assert not out.exists()
+
+    def test_bound_itself_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "symmetry-check", "--cameras", "1000", "--points", "1")
+        assert code == 0
+        assert json.loads(out)["cameras"] == 1000
 
 
 class TestEvalRegionFilter:
@@ -545,6 +561,27 @@ class TestMalformedInput:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert "nesting" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"", b'{"frames": [{"t": 0.0, ', b"\xff{}", b'{"t": NaN}'],
+        ids=["empty", "truncated", "not-utf8", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (("track", "--detections", "{bad}"), "detections file"),
+            (("eval", "--scene", "{bad}", "--detections", "{dets}"), "scene file"),
+            (("range-demo", "--config", "{bad}"), "--config"),
+        ],
+        ids=["track-detections", "eval-scene", "range-demo-config"],
+    )
+    def test_json_text_error_names_the_file_and_its_kind(self, capsys, tracked, tmp_path, content, argv, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, *[a.format(**tracked, bad=str(bad)) for a in argv])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"polarview: {kind}: {bad}: ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -966,6 +1003,14 @@ class TestOverflowIsSilent:
         code, _, err = run_strict(capsys, "simulate", *flags, "--out", str(out))
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("polarview: ")
+        assert not out.exists()
+
+    def test_assign_k_scaling_overflow_gives_one_error_line(self, capsys, tracked, tmp_path):
+        out = tmp_path / "out.json"
+        code, _, err = run_strict(capsys, "assign", "--scene", tracked["scene"], "--detections", tracked["dets"],
+                                  "--k-scaling", "1e308", "--out", str(out))
+        assert code == 1
+        assert err == "polarview: cost matrix must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("yaw_rate", ["1e-320", "-1e-320"])

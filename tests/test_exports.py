@@ -1,5 +1,6 @@
 """Every name a polarview module exports resolves, so a deletion cannot leave a stale export; the parameters
-with defaults are pinned, so a new option shows up as an edit here."""
+with defaults and the private names one module takes from another are pinned, so a new option or a new
+private coupling shows up as an edit here."""
 
 import ast
 import importlib
@@ -30,6 +31,19 @@ DEFAULTED_PARAMETERS = [
     ("tracker.run_tracker", "config"),
 ]
 
+# (module, source.name) for every private name a module of src/polarview takes from another, by
+# ``from .source import _name`` or by ``source._name`` after ``from . import source``
+PRIVATE_IMPORTS = [
+    ("cli", "serialization._format_float"),
+    ("loss", "geometry._box_fields"),
+    ("loss", "geometry._encoding_fields"),
+    ("loss", "geometry._require_encoding"),
+    ("loss", "geometry._require_finite"),
+    ("loss", "geometry._require_polar_box"),
+    ("simulator", "camera._check_poses"),
+    ("simulator", "geometry._PAIR_TOL"),
+]
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
@@ -55,3 +69,25 @@ def test_defaulted_parameters_are_pinned():
     for path in pathlib.Path(polarview.__file__).parent.glob("*.py"):
         found += defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == DEFAULTED_PARAMETERS
+
+
+def private_imports(tree, module):
+    """(module, source.name) for each private name the parsed ``module`` takes from a sibling module."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(a.asname or a.name for a in node.names)
+            else:
+                yield from ((module, f"{node.module}.{a.name}") for a in node.names if a.name.startswith("_"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+            if node.attr.startswith("_"):
+                yield module, f"{node.value.id}.{node.attr}"
+
+
+def test_private_imports_are_pinned():
+    found = set()
+    for path in pathlib.Path(polarview.__file__).parent.glob("*.py"):
+        found.update(private_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert sorted(found) == PRIVATE_IMPORTS

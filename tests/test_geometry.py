@@ -25,6 +25,7 @@ from polarview.geometry import (
     velocity_polar_to_cartesian,
     wrap_angle,
 )
+from polarview.loss import _decode_checked
 
 RC = RangeConfig()
 
@@ -86,6 +87,11 @@ class TestDecode:
         np.testing.assert_allclose(out[:, 7] ** 2 + out[:, 8] ** 2, 1.0, atol=1e-12)
         assert (out[:, 4:7] > 0.0).all()
 
+    def test_one_box_is_a_row_of_the_batch(self):
+        encs = np.random.default_rng(72).normal(0, 3, size=(500, 9))
+        rows = [decode_box_encoding(BoxEncoding.from_array(e), RC).as_array() for e in encs]
+        assert np.array_equal(rows, decode_boxes(encs, RC))
+
     def test_batch_sigmoid_saturates_exactly(self):
         grid = [-800.0, -0.0, 0.0, 800.0]
         enc = np.array([[b_r, 0, 1, b_z, 0, 0, 0, 0, 1] for b_r in grid for b_z in grid])
@@ -109,8 +115,9 @@ class TestDecode:
         ids=["exp-overflow", "exp-underflow", "zero-azimuth-pair", "zero-yaw-pair"],
     )
     def test_scalar_and_batch_fail_alike(self, enc):
+        # the scalar side is the finite-difference oracle's float decode
         with pytest.raises(ValueError):
-            decode_box_encoding(BoxEncoding.from_array(enc), RC)
+            _decode_checked([float(v) for v in enc], RC)
         batch = np.array([[0, 0, 1, 0, 0, 0, 0, 0, 1], enc], dtype=np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
@@ -160,8 +167,7 @@ class TestEncode:
         encs = rng.normal(0, 2, size=(50, 9))
         batch = decode_boxes(encs, RC)
         for row, dec in zip(encs, batch):
-            scalar = decode_box_encoding(BoxEncoding.from_array(row), RC)
-            np.testing.assert_allclose(dec, scalar.as_array(), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(dec, _decode_checked(row.tolist(), RC), rtol=1e-15, atol=0)
 
     def test_batch_encode_inverts_batch_decode(self):
         rng = np.random.default_rng(4)
@@ -234,8 +240,9 @@ class TestRoundTripProperty:
         scale[:, 3] = RC.z_max - RC.z_min
         scale[:, 4:7] = (1.0 + np.abs(np.log(boxes[:, 4:7]))) * boxes[:, 4:7]
         bound = ROUNDTRIP_C * np.finfo(np.float64).eps * scale
-        scalar = [decode_box_encoding(encode_polar_box(PolarBox(*b), RC), RC).as_array() for b in boxes]
-        assert (np.abs(decode_boxes(encode_boxes(boxes, RC), RC) - boxes) <= bound).all()
+        encodings = encode_boxes(boxes, RC)
+        scalar = [_decode_checked(row, RC) for row in encodings.tolist()]
+        assert (np.abs(decode_boxes(encodings, RC) - boxes) <= bound).all()
         assert (np.abs(np.array(scalar) - boxes) <= bound).all()
 
 
