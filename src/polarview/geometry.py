@@ -73,13 +73,21 @@ def _require_unit_pair(name: str, s: float, c: float) -> None:
         raise ValueError(f"{name}: ({s}, {c}) is not a unit (sin, cos) pair")
 
 
+def _require_nonzero_pair(name: str, s: float, c: float) -> None:
+    if s == 0.0 and c == 0.0:
+        raise ValueError(f"BoxEncoding: {name} pair must not be (0, 0)")
+
+
+def _require_positive_size(size: float) -> None:
+    if size <= 0.0:
+        raise ValueError("PolarBox: sizes must be positive")
+
+
 def _require_encoding(b) -> None:
     """The checks of :class:`BoxEncoding` on its 9 fields."""
     _require_finite("BoxEncoding", *b)
-    if b[1] == 0.0 and b[2] == 0.0:
-        raise ValueError("BoxEncoding: azimuth pair must not be (0, 0)")
-    if b[7] == 0.0 and b[8] == 0.0:
-        raise ValueError("BoxEncoding: yaw pair must not be (0, 0)")
+    _require_nonzero_pair("azimuth", b[1], b[2])
+    _require_nonzero_pair("yaw", b[7], b[8])
 
 
 def _require_polar_box(p) -> None:
@@ -89,8 +97,7 @@ def _require_polar_box(p) -> None:
         raise ValueError("PolarBox: r must be >= 0")
     _require_unit_pair("PolarBox azimuth", p[1], p[2])
     _require_unit_pair("PolarBox yaw", p[7], p[8])
-    if min(p[4], p[5], p[6]) <= 0.0:
-        raise ValueError("PolarBox: sizes must be positive")
+    _require_positive_size(min(p[4], p[5], p[6]))
 
 
 #: The 9 fields of a :class:`BoxEncoding` / :class:`PolarBox` as a tuple, in array order.

@@ -8,16 +8,22 @@ class term of the matching lives in :func:`polarview.assignment.class_cost`.
 pair normalization analytically; its partner
 :func:`finite_difference_gradient` is the independent numerical check.
 
-The pair loss is written once on Python floats (``_pair_loss``):
-:func:`matched_pair_loss` is one call to it, and the finite differences
-evaluate their 22 perturbed points with it, running the checks of
-``BoxEncoding``, ``PolarVelocity`` and the decoded ``PolarBox`` on the
-floats instead of building those objects.
+The pair loss is written once on Python floats, with the checks of
+``BoxEncoding``, ``PolarVelocity`` and the decoded ``PolarBox`` run on the
+floats instead of building those objects: :func:`matched_pair_loss` is one
+call to ``_pair_loss``.  The float decode is a table of parts (r, the
+azimuth pair, z, l, w, h, the yaw pair), each with its own checks, so the
+finite differences decode the unperturbed point once and, for each of
+their 22 perturbed points, re-decode and re-check only the part the step
+moves (or check the one velocity channel it moves).  The sum keeps the
+order of ``_pair_loss``, so every perturbed loss has the bits of a full
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,9 @@ from .geometry import (
     _encoding_fields,
     _require_encoding,
     _require_finite,
-    _require_polar_box,
+    _require_nonzero_pair,
+    _require_positive_size,
+    _require_unit_pair,
 )
 
 __all__ = [
@@ -83,45 +91,104 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _decode_checked(b, range_config: RangeConfig) -> tuple[float, ...]:
+class _Part(NamedTuple):
+    """Channels ``start:stop`` of an encoding, the angle pair they form (or None) and their decode."""
+
+    start: int
+    stop: int
+    pair: str | None
+    decode: Callable  # (encoding, start, range_config) -> the part's fields, after the PolarBox checks on them
+
+
+def _radius(b, i: int, rc: RangeConfig) -> tuple[float]:
+    # sigmoid lies in [0, 1] and r_max > 0, so r is finite and >= 0 as PolarBox requires
+    return (_sigmoid(b[i]) * rc.r_max,)
+
+
+def _height(b, i: int, rc: RangeConfig) -> tuple[float]:
+    z = _sigmoid(b[i]) * (rc.z_max - rc.z_min) + rc.z_min
+    _require_finite("PolarBox", z)  # z_max - z_min can overflow
+    return (z,)
+
+
+def _size(b, i: int, rc: RangeConfig) -> tuple[float]:
+    try:
+        size = math.exp(b[i])
+    except OverflowError:
+        raise ValueError("decode: exp of a size channel must be positive and finite") from None
+    _require_positive_size(size)  # exp underflows to 0
+    return (size,)
+
+
+def _unit_pair(name: str) -> Callable:
+    name = f"PolarBox {name}"
+
+    def decode(b, i: int, rc: RangeConfig) -> tuple[float, float]:
+        # n >= max(|u|, |w|) > 0, so both quotients are finite
+        n = math.hypot(b[i], b[i + 1])
+        s, c = b[i] / n, b[i + 1] / n
+        _require_unit_pair(name, s, c)
+        return s, c
+
+    return decode
+
+
+_PARTS = (
+    _Part(0, 1, None, _radius),
+    _Part(1, 3, "azimuth", _unit_pair("azimuth")),
+    _Part(3, 4, None, _height),
+    _Part(4, 5, None, _size),
+    _Part(5, 6, None, _size),
+    _Part(6, 7, None, _size),
+    _Part(7, 9, "yaw", _unit_pair("yaw")),
+)
+#: The part that reads each of the 9 encoding channels.
+_PART_OF_CHANNEL = tuple(part for part in _PARTS for _ in range(part.start, part.stop))
+
+
+def _decode_checked(b, range_config: RangeConfig) -> list[float]:
     """The finite differences' decode: ``geometry.decode_boxes`` of one encoding, on Python floats.
 
-    Runs the checks of ``BoxEncoding`` and ``PolarBox``.  ``math.exp`` and
+    Runs the checks of ``BoxEncoding`` on all 9 channels, then every part
+    with the checks of ``PolarBox`` on its fields.  ``math.exp`` and
     ``math.hypot`` differ from numpy's in the last bit on a few percent of
     inputs, and the ``gradcheck`` bytes depend on those bits.
     """
     _require_encoding(b)
-    b_r, b_sin_a, b_cos_a, b_z, b_l, b_w, b_h, b_sin_t, b_cos_t = b
-    rc = range_config
-    na = math.hypot(b_sin_a, b_cos_a)
-    nt = math.hypot(b_sin_t, b_cos_t)
-    try:
-        sizes = math.exp(b_l), math.exp(b_w), math.exp(b_h)
-    except OverflowError:
-        raise ValueError("decode: exp of a size channel must be positive and finite") from None
-    box = (
-        _sigmoid(b_r) * rc.r_max,
-        b_sin_a / na,
-        b_cos_a / na,
-        _sigmoid(b_z) * (rc.z_max - rc.z_min) + rc.z_min,
-        *sizes,
-        b_sin_t / nt,
-        b_cos_t / nt,
-    )
-    _require_polar_box(box)
+    box = []
+    for start, _, _, decode in _PARTS:
+        box += decode(b, start, range_config)
     return box
+
+
+def _decode_moved(b, i: int, range_config: RangeConfig) -> tuple[_Part, tuple[float, ...]]:
+    """The part that reads channel ``i`` of ``b``, and its decode.
+
+    Runs the checks of ``BoxEncoding`` that read channel ``i``, then the
+    part's own: where ``b`` differs from a valid encoding only in channel
+    ``i``, this raises what :func:`_decode_checked` of ``b`` raises.
+    """
+    part = _PART_OF_CHANNEL[i]
+    _require_finite("BoxEncoding", b[i])
+    if part.pair:
+        _require_nonzero_pair(part.pair, b[part.start], b[part.start + 1])
+    return part, part.decode(b, part.start, range_config)
+
+
+def _pair_sum(box, x, gt, k_scaling: float) -> float:
+    """The box L1 (:func:`_box_l1`) of a decoded ``box``, plus the velocity L1 of ``x``, in that order."""
+    return _box_l1(box, gt, k_scaling) + (abs(x[9] - gt[9]) + abs(x[10] - gt[10]))
 
 
 def _pair_loss(x, gt, range_config: RangeConfig) -> float:
     """:func:`matched_pair_loss` on floats, with every check its objects make.
 
     ``x`` holds the 9 encoding channels then (v_rad, v_tan); ``gt`` holds
-    the 9 ground-truth box fields then (v_rad, v_tan).  The sum is the
-    box L1 (:func:`_box_l1`) plus the velocity L1, in that order.
+    the 9 ground-truth box fields then (v_rad, v_tan).
     """
     box = _decode_checked(x[:9], range_config)
     _require_finite("PolarVelocity", x[9], x[10])
-    return _box_l1(box, gt, range_config.k_scaling) + (abs(x[9] - gt[9]) + abs(x[10] - gt[10]))
+    return _pair_sum(box, x, gt, range_config.k_scaling)
 
 
 def _pair_rows(enc, velocity, gt_box, gt_velocity) -> tuple[list, tuple]:
@@ -145,6 +212,20 @@ def _sign(x: float) -> float:
     return 1.0 if x > 0.0 else -1.0
 
 
+def _sigmoid_partial(b: float, residual: float, span: float) -> float:
+    """d|sigmoid(b) * span + offset - target| / db, given the residual."""
+    s = _sigmoid(b)
+    return _sign(residual) * s * (1.0 - s) * span
+
+
+def _pair_partials(u: float, w: float, residual_s: float, residual_c: float, scale: float) -> tuple[float, float]:
+    """d/du and d/dw of scale * (|u/n - target_s| + |w/n - target_c|), n = hypot(u, w), given the residuals."""
+    # normalized-pair Jacobian: d(u/n)/du = w^2/n^3, d(u/n)/dw = -u*w/n^3
+    n3 = math.hypot(u, w) ** 3
+    sgn_s, sgn_c = _sign(residual_s), _sign(residual_c)
+    return scale * (sgn_s * w * w - sgn_c * u * w) / n3, scale * (-sgn_s * u * w + sgn_c * u * u) / n3
+
+
 def loss_gradient(
     enc: BoxEncoding,
     velocity: PolarVelocity,
@@ -155,49 +236,35 @@ def loss_gradient(
 ) -> np.ndarray:
     """Analytic gradient of :func:`matched_pair_loss` w.r.t. the 11 raw inputs.
 
-    Component order follows :data:`GRADIENT_FIELDS`.  Raises
-    :class:`KinkError` when any matched coordinate sits within
-    ``kink_tol`` of its target, where the L1 subgradient is ambiguous.
+    Component order follows :data:`GRADIENT_FIELDS`.  ``kink_tol`` must be
+    finite and >= 0.  Raises :class:`KinkError` when any matched coordinate
+    sits within ``kink_tol`` of its target, where the L1 subgradient is
+    ambiguous.
     """
+    if not (math.isfinite(kink_tol) and kink_tol >= 0.0):
+        raise ValueError(f"loss_gradient: kink_tol must be finite and >= 0, got {kink_tol!r}")
     rc = range_config
-    deltas = np.array(_decode_checked(_encoding_fields(enc), rc)) - gt_box.as_array()
-    residuals = np.concatenate(
-        [deltas, [velocity.v_rad - gt_velocity.v_rad, velocity.v_tan - gt_velocity.v_tan]]
+    # each field as a double, as numpy would subtract the two rows
+    d = [float(p) - float(g) for p, g in zip(_decode_checked(_encoding_fields(enc), rc), _box_fields(gt_box))]
+    d += [velocity.v_rad - gt_velocity.v_rad, velocity.v_tan - gt_velocity.v_tan]
+    near = [field for field, residual in zip(GRADIENT_FIELDS, d) if abs(residual) < kink_tol]
+    if near:
+        raise KinkError(f"L1 kink within {kink_tol} on: {', '.join(near)}")
+
+    return np.array(
+        [
+            _sigmoid_partial(enc.b_r, d[0], rc.r_max),
+            *_pair_partials(enc.b_sin_a, enc.b_cos_a, d[1], d[2], rc.k_scaling),
+            _sigmoid_partial(enc.b_z, d[3], rc.z_max - rc.z_min),
+            _sign(d[4]) * math.exp(enc.b_l),
+            _sign(d[5]) * math.exp(enc.b_w),
+            _sign(d[6]) * math.exp(enc.b_h),
+            *_pair_partials(enc.b_sin_t, enc.b_cos_t, d[7], d[8], 1.0),
+            _sign(d[9]),
+            _sign(d[10]),
+        ],
+        dtype=np.float64,
     )
-    near = np.abs(residuals) < kink_tol
-    if near.any():
-        fields = [GRADIENT_FIELDS[k] for k in np.flatnonzero(near)]
-        raise KinkError(f"L1 kink within {kink_tol} on: {', '.join(fields)}")
-
-    k = rc.k_scaling
-    grad = np.empty(11)
-
-    s_r = _sigmoid(enc.b_r)
-    grad[0] = _sign(deltas[0]) * s_r * (1.0 - s_r) * rc.r_max
-
-    # normalized-pair Jacobian: d(u/n)/du = w^2/n^3, d(u/n)/dw = -u*w/n^3
-    u, w = enc.b_sin_a, enc.b_cos_a
-    n3 = math.hypot(u, w) ** 3
-    sgn_s, sgn_c = _sign(deltas[1]), _sign(deltas[2])
-    grad[1] = k * (sgn_s * w * w - sgn_c * u * w) / n3
-    grad[2] = k * (-sgn_s * u * w + sgn_c * u * u) / n3
-
-    s_z = _sigmoid(enc.b_z)
-    grad[3] = _sign(deltas[3]) * s_z * (1.0 - s_z) * (rc.z_max - rc.z_min)
-
-    grad[4] = _sign(deltas[4]) * math.exp(enc.b_l)
-    grad[5] = _sign(deltas[5]) * math.exp(enc.b_w)
-    grad[6] = _sign(deltas[6]) * math.exp(enc.b_h)
-
-    u, w = enc.b_sin_t, enc.b_cos_t
-    n3 = math.hypot(u, w) ** 3
-    sgn_s, sgn_c = _sign(deltas[7]), _sign(deltas[8])
-    grad[7] = (sgn_s * w * w - sgn_c * u * w) / n3
-    grad[8] = (-sgn_s * u * w + sgn_c * u * u) / n3
-
-    grad[9] = _sign(residuals[9])
-    grad[10] = _sign(residuals[10])
-    return grad
 
 
 def finite_difference_gradient(
@@ -210,9 +277,11 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central finite differences of :func:`matched_pair_loss` (the oracle).
 
-    ``step`` must be finite and positive.  Each perturbed point must pass
-    the checks its ``BoxEncoding``, ``PolarVelocity`` and decoded
-    ``PolarBox`` would make, or ValueError is raised.
+    ``step`` must be finite and positive.  The unperturbed point and each
+    perturbed point must pass the checks its ``BoxEncoding``,
+    ``PolarVelocity`` and decoded ``PolarBox`` would make, or ValueError is
+    raised.  The unperturbed point is decoded once; a step re-decodes only
+    the part of the decode that reads the channel it moves.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"finite_difference_gradient: step must be finite and positive, got {step!r}")
@@ -220,13 +289,24 @@ def finite_difference_gradient(
     step = float(step)
     x, gt = _pair_rows(enc, velocity, gt_box, gt_velocity)
     x0 = [float(v) for v in x]
+    k = range_config.k_scaling
+    box0 = _decode_checked(x0[:9], range_config)
+    _require_finite("PolarVelocity", x0[9], x0[10])
     grad = np.empty(11)
     for i in range(11):
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[i] += step
-        lo[i] -= step
-        grad[i] = (_pair_loss(hi, gt, range_config) - _pair_loss(lo, gt, range_config)) / (2.0 * step)
+        losses = []
+        for moved in (x0[i] + step, x0[i] - step):
+            y = x0.copy()
+            y[i] = moved
+            if i < 9:
+                part, fields = _decode_moved(y, i, range_config)
+                box = box0.copy()
+                box[part.start : part.stop] = fields
+            else:
+                _require_finite("PolarVelocity", moved)
+                box = box0
+            losses.append(_pair_sum(box, y, gt, k))
+        grad[i] = (losses[0] - losses[1]) / (2.0 * step)
     return grad
 
 

@@ -99,6 +99,20 @@ class TestGradcheck:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == "4212a6fef3951d8ae7c8e28650cfe59cbe2c24bbe991294be9cd6d261ffa8998"
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            ("0", "2f9417e28e5e9b9f1e6952b52f72b17d086b8b38a353b98ca0588c2dd75f1fb4"),
+            ("5", "63cbcb11d2a687a256c7282199df541038dd4c2f78af52bcbd0b4d4735e08707"),
+        ],
+    )
+    def test_1500_fixtures_keep_their_bytes(self, capsys, seed, expected):
+        # the benchmark's scale; digests taken when every finite-difference
+        # point ran the full decode and the gradients were numpy arrays
+        code, out, err = run(capsys, "gradcheck", "--fixtures", "1500", "--seed", seed)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
 
 class TestPipeline:
     def test_simulate_render_track_eval(self, capsys, tmp_path):

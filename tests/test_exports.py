@@ -39,7 +39,9 @@ PRIVATE_IMPORTS = [
     ("loss", "geometry._encoding_fields"),
     ("loss", "geometry._require_encoding"),
     ("loss", "geometry._require_finite"),
-    ("loss", "geometry._require_polar_box"),
+    ("loss", "geometry._require_nonzero_pair"),
+    ("loss", "geometry._require_positive_size"),
+    ("loss", "geometry._require_unit_pair"),
     ("simulator", "camera._check_poses"),
     ("simulator", "geometry._PAIR_TOL"),
 ]

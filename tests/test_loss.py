@@ -146,6 +146,131 @@ class TestGradient:
             enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
             assert matched_pair_loss(enc, vel, gt_box, gt_vel, RC) >= 0.0
 
+    @pytest.mark.parametrize("kink_tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_kink_tol_is_refused(self, kink_tol):
+        # every residual is exactly 0 here, so a tolerance that switches the guard off returns a gradient
+        enc = BoxEncoding(0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 1.0)
+        gt = PolarBox(*loss._decode_checked(loss._encoding_fields(enc), RC))
+        vel = PolarVelocity(1.0, 1.0)
+        with pytest.raises(KinkError):
+            loss_gradient(enc, vel, gt, vel, RC)
+        with pytest.raises(ValueError, match="kink_tol") as raised:
+            loss_gradient(enc, vel, gt, vel, RC, kink_tol=kink_tol)
+        assert raised.type is ValueError
+
+
+# The reference for the float gradient: the gradient on numpy arrays, as it
+# was written before it moved to Python floats.
+def array_loss_gradient(enc, velocity, gt_box, gt_velocity, rc, kink_tol=1e-7):
+    deltas = np.array(loss._decode_checked(loss._encoding_fields(enc), rc)) - gt_box.as_array()
+    residuals = np.concatenate(
+        [deltas, [velocity.v_rad - gt_velocity.v_rad, velocity.v_tan - gt_velocity.v_tan]]
+    )
+    near = np.abs(residuals) < kink_tol
+    if near.any():
+        fields = [GRADIENT_FIELDS[k] for k in np.flatnonzero(near)]
+        raise KinkError(f"L1 kink within {kink_tol} on: {', '.join(fields)}")
+
+    def sign(x):
+        return 1.0 if x > 0.0 else -1.0
+
+    k = rc.k_scaling
+    grad = np.empty(11)
+    s_r = loss._sigmoid(enc.b_r)
+    grad[0] = sign(deltas[0]) * s_r * (1.0 - s_r) * rc.r_max
+    u, w = enc.b_sin_a, enc.b_cos_a
+    n3 = math.hypot(u, w) ** 3
+    sgn_s, sgn_c = sign(deltas[1]), sign(deltas[2])
+    grad[1] = k * (sgn_s * w * w - sgn_c * u * w) / n3
+    grad[2] = k * (-sgn_s * u * w + sgn_c * u * u) / n3
+    s_z = loss._sigmoid(enc.b_z)
+    grad[3] = sign(deltas[3]) * s_z * (1.0 - s_z) * (rc.z_max - rc.z_min)
+    grad[4] = sign(deltas[4]) * math.exp(enc.b_l)
+    grad[5] = sign(deltas[5]) * math.exp(enc.b_w)
+    grad[6] = sign(deltas[6]) * math.exp(enc.b_h)
+    u, w = enc.b_sin_t, enc.b_cos_t
+    n3 = math.hypot(u, w) ** 3
+    sgn_s, sgn_c = sign(deltas[7]), sign(deltas[8])
+    grad[7] = (sgn_s * w * w - sgn_c * u * w) / n3
+    grad[8] = (-sgn_s * u * w + sgn_c * u * u) / n3
+    grad[9] = sign(residuals[9])
+    grad[10] = sign(residuals[10])
+    return grad
+
+
+def gradient_outcome(compute):
+    """(dtype, shape, bytes) of a gradient, or the type and message of the error it raised.
+
+    A pair whose norm cubed underflows to 0 divides by zero in both versions.
+    """
+    try:
+        grad = compute()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return grad.dtype, grad.shape, grad.tobytes()
+
+
+def same_gradient(*args, **kw):
+    expected = gradient_outcome(lambda: array_loss_gradient(*args, **kw))
+    assert gradient_outcome(lambda: loss_gradient(*args, **kw)) == expected
+    return expected
+
+
+class TestFloatGradientMatchesArrays:
+    def test_fixtures(self):
+        rng = np.random.default_rng(56)
+        for _ in range(300):
+            fixture = random_gradient_fixture(rng, RC)
+            assert same_gradient(*fixture, RC)[:2] == (np.float64, (11,))
+
+    def test_float32_fields(self):
+        rng = np.random.default_rng(57)
+        for _ in range(50):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            enc32 = BoxEncoding(*enc.as_array().astype(np.float32))
+            vel32 = PolarVelocity(*np.float32([vel.v_rad, vel.v_tan]))
+            same_gradient(enc32, vel32, gt_box, gt_vel, RC)
+        # a float32 azimuth field 9.5e-8 below its target: a kink as a double, but
+        # two float32 ulps (1.19e-7) apart if the subtraction ran in float32
+        enc32 = BoxEncoding(*np.float32([0.3, 0.8, 0.6, -0.2, 1.2, 0.5, 0.4, 0.6, 0.8]))
+        sin_a = float(loss._decode_checked(loss._encoding_fields(enc32), RC)[1]) + 9.5e-8
+        gt_box = PolarBox(12.0, sin_a, math.sqrt(1.0 - sin_a * sin_a), -0.5, 4.0, 1.8, 1.6, 0.0, 1.0)
+        outcome = same_gradient(enc32, PolarVelocity(0.7, -1.1), gt_box, GT_VEL, RC)
+        assert outcome == ("KinkError", "L1 kink within 1e-07 on: b_sin_a")
+
+    def test_kink_at_the_tolerance_and_one_ulp_below(self):
+        # a residual equal to kink_tol is not a kink; one ulp below it is
+        rng = np.random.default_rng(58)
+        kinks = 0
+        for _ in range(20):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            deltas = np.array(loss._decode_checked(loss._encoding_fields(enc), RC)) - gt_box.as_array()
+            residuals = [*deltas.tolist(), vel.v_rad - gt_vel.v_rad, vel.v_tan - gt_vel.v_tan]
+            for residual in residuals:
+                tol = abs(float(residual))
+                same_gradient(enc, vel, gt_box, gt_vel, RC, kink_tol=tol)
+                below = same_gradient(enc, vel, gt_box, gt_vel, RC, kink_tol=math.nextafter(tol, math.inf))
+                kinks += below[0] == "KinkError"
+        assert kinks == 20 * 11
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-6.0, 6.0), min_size=11, max_size=11),
+        st.floats(0.0, 60.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(-6.0, 4.0),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([1e-7, 0.0, 1e-3, 0.5]),
+    )
+    @example([0.0, 1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 25.0, 0.0, -1.0, 0.0, 1e-7)
+    def test_any_point(self, x, r, azimuth, z, yaw, kink_tol):
+        try:
+            enc, vel = BoxEncoding.from_array(x[:9]), PolarVelocity(x[9], x[10])
+            gt_box = polar(r, azimuth, z=z, sin_t=math.sin(yaw), cos_t=math.cos(yaw))
+        except ValueError:
+            return
+        same_gradient(enc, vel, gt_box, GT_VEL, RC, kink_tol=kink_tol)
+
 
 # The reference for the float path: finite differences on objects. Every
 # perturbed point builds a BoxEncoding and a PolarVelocity, decodes a
@@ -231,6 +356,7 @@ EDGE_POINTS = {
     "subnormal azimuth pair": at(b_sin_a=5e-324, b_cos_a=5e-324),
     "subnormal yaw pair": at(b_sin_t=-5e-324, b_cos_t=5e-324),
     "channel stepped past the float range": at(step=1e300, b_z=-sys.float_info.max),
+    "first channel stepped past the float range": at(step=1e300, b_r=-sys.float_info.max),
 }
 
 
@@ -242,6 +368,23 @@ class TestFiniteDifferencesOnFloats:
             object_finite_differences(enc, vel, GT_BOX, GT_VEL, RC, step)
         with pytest.raises(ValueError):
             finite_difference_gradient(enc, vel, GT_BOX, GT_VEL, RC, step)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_POINTS))
+    def test_edge_points_raise_what_a_full_evaluation_raises(self, name):
+        # the message of the unperturbed point if it fails, else of the first of the 22 points that fails
+        enc, vel, step = EDGE_POINTS[name]
+        x0 = [*enc.as_array().tolist(), vel.v_rad, vel.v_tan]
+        gt = (*GT_BOX.as_array(), GT_VEL.v_rad, GT_VEL.v_tan)
+        points = [x0] + [[*x0[:i], x0[i] + d, *x0[i + 1 :]] for i in range(11) for d in (step, -step)]
+        messages = []
+        for x in points:
+            try:
+                loss._pair_loss(x, gt, RC)
+            except ValueError as exc:
+                messages.append(str(exc))
+        with pytest.raises(ValueError) as raised:
+            finite_difference_gradient(enc, vel, GT_BOX, GT_VEL, RC, step)
+        assert str(raised.value) == messages[0]
 
     def test_edge_point_losses_keep_their_bits(self):
         # the unperturbed point is valid except for the subnormal pairs
@@ -311,6 +454,23 @@ class TestFiniteDifferencesOnFloats:
         assert outcome(lambda: matched_pair_loss(enc, vel, GT_BOX, GT_VEL, RC)) == outcome(
             lambda: object_pair_loss(x, GT_BOX, GT_VEL, RC)
         )
+
+    def test_decodes_the_unperturbed_point_once(self, monkeypatch):
+        # each step re-decodes only the part it moves; a full decode per step would count 22
+        rng = np.random.default_rng(59)
+        fixtures = [random_gradient_fixture(rng, RC) for _ in range(10)]
+        calls = []
+        full_decode = loss._decode_checked
+
+        def counted(b, rc):
+            calls.append(1)
+            return full_decode(b, rc)
+
+        monkeypatch.setattr(loss, "_decode_checked", counted)
+        for fixture in fixtures:
+            calls.clear()
+            finite_difference_gradient(*fixture, RC)
+            assert len(calls) == 1
 
     def test_builds_no_box_objects(self, monkeypatch):
         rng = np.random.default_rng(54)
