@@ -57,16 +57,21 @@ class TPErrors:
             raise ValueError("TPErrors: aoe must lie in [0, pi]")
 
 
-def aligned_iou(pred, gt) -> float:
-    """Volume IoU of two boxes, rows in ``POLAR_FIELDS`` order, after aligning centers and yaws.
+def aligned_iou(pred, gt):
+    """Volume IoU of boxes, one row or (P, 9) rows in ``POLAR_FIELDS`` order, after aligning centers and yaws.
 
     Co-centered axis-aligned boxes intersect in the per-axis minimum
     extents, so the IoU is closed-form.
     """
-    (pl, pw, ph), (gl, gw, gh) = pred[4:7], gt[4:7]
-    inter = min(pl, gl) * min(pw, gw) * min(ph, gh)
+    (pl, pw, ph), (gl, gw, gh) = (np.asarray(b, dtype=np.float64).T[4:7] for b in (pred, gt))
+    inter = np.minimum(pl, gl) * np.minimum(pw, gw) * np.minimum(ph, gh)
     union = pl * pw * ph + gl * gw * gh - inter
     return inter / union
+
+
+def _sum_in_order(values) -> float:
+    """``values`` added left to right, as a ``+=`` loop adds them: no pairwise or compensated summation."""
+    return float(np.add.accumulate(np.fromiter(values, dtype=np.float64))[-1])
 
 
 def tp_errors(pred_boxes, pred_velocities, gt_boxes, gt_velocities) -> TPErrors:
@@ -74,24 +79,29 @@ def tp_errors(pred_boxes, pred_velocities, gt_boxes, gt_velocities) -> TPErrors:
 
     Row p of each argument belongs to pair p: boxes are (P, 9) rows in
     ``POLAR_FIELDS`` order and velocities (P, 2) rows of (v_rad, v_tan).
-    Each pair's errors are scalar float arithmetic, summed in pair order.
+    Each pair's hypot, atan2 and angle wrapping are scalar calls, the
+    other arithmetic runs on the pair columns, and each error is summed in
+    pair order.  Sizes whose volumes both underflow to 0 give an IoU of
+    NaN, which ``TPErrors`` refuses.
     """
     rows = [np.asarray(a, dtype=np.float64) for a in (pred_boxes, pred_velocities, gt_boxes, gt_velocities)]
     n = len(rows[0])
     if not n or [a.shape for a in rows] != [(n, 9), (n, 2), (n, 9), (n, 2)]:
         raise ValueError("tp_errors: need (P, 9) boxes and (P, 2) velocities per side, P >= 1")
-    ate = ase = aoe = ave = 0.0
-    for pred, (pv_rad, pv_tan), gt, (gv_rad, gv_tan) in zip(*(a.tolist() for a in rows)):
-        p_r, p_sin, p_cos, _, _, _, _, p_sin_t, p_cos_t = pred
-        g_r, g_sin, g_cos, _, _, _, _, g_sin_t, g_cos_t = gt
-        ate += math.hypot(p_r * p_cos - g_r * g_cos, p_r * p_sin - g_r * g_sin)
-        ase += 1.0 - aligned_iou(pred, gt)
-        # each yaw is wrapped first, as PolarBox.yaw() does: atan2(-0.0, -1.0) is -pi
-        aoe += abs(wrap_angle(wrap_angle(math.atan2(p_sin_t, p_cos_t)) - wrap_angle(math.atan2(g_sin_t, g_cos_t))))
-        pv_x, pv_y = rotate_planar(pv_rad, pv_tan, p_sin, p_cos)
-        gv_x, gv_y = rotate_planar(gv_rad, gv_tan, g_sin, g_cos)
-        ave += math.hypot(pv_x - gv_x, pv_y - gv_y)
-    return TPErrors(ate=ate / n, ase=ase / n, aoe=min(aoe / n, math.pi), ave=ave / n)
+    pred, pv, gt, gv = rows
+    with np.errstate(all="ignore"):  # overflow and 0 / 0 give inf and NaN, as float arithmetic would
+        dx = pred[:, 0] * pred[:, 2] - gt[:, 0] * gt[:, 2]
+        dy = pred[:, 0] * pred[:, 1] - gt[:, 0] * gt[:, 1]
+        ase = 1.0 - aligned_iou(pred, gt)
+        pv_x, pv_y = rotate_planar(pv[:, 0], pv[:, 1], pred[:, 1], pred[:, 2])
+        gv_x, gv_y = rotate_planar(gv[:, 0], gv[:, 1], gt[:, 1], gt[:, 2])
+        dvx, dvy = pv_x - gv_x, pv_y - gv_y
+    # each yaw is wrapped first, as PolarBox.yaw() does: atan2(-0.0, -1.0) is -pi
+    yaws = [list(map(wrap_angle, map(math.atan2, b[:, 7].tolist(), b[:, 8].tolist()))) for b in (pred, gt)]
+    ate = _sum_in_order(map(math.hypot, dx.tolist(), dy.tolist())) / n
+    aoe = _sum_in_order(map(abs, map(wrap_angle, np.subtract(*yaws).tolist()))) / n
+    ave = _sum_in_order(map(math.hypot, dvx.tolist(), dvy.tolist())) / n
+    return TPErrors(ate=ate, ase=_sum_in_order(ase) / n, aoe=min(aoe, math.pi), ave=ave)
 
 
 def match_by_center_distance(

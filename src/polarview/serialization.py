@@ -15,7 +15,10 @@ The scene schema (version 1):
 Detections mirror it with polar boxes [r, sin_a, cos_a, z, l, w, h,
 sin_t, cos_t], a score, a class-probability vector and velocity
 [v_rad, v_tan].  Floats are emitted with 17 significant digits, which
-round-trips float64 exactly and keeps outputs byte-stable.
+round-trips float64 exactly and keeps outputs byte-stable.  The writer
+fills each list of per-box records (scene objects, detections, track
+records, assign pairs) from one ``%`` template; any list it cannot fill
+that way goes through the per-item path unchanged.
 
 Both loaders read a whole file into one array per key and check it once,
 with no per-object record: a scene becomes frame times, per-frame object
@@ -100,6 +103,38 @@ def _scalar(x: Any) -> str:
     raise TypeError(f"unsupported JSON value of type {type(x)!r}")
 
 
+def _same_keyed_records(obj: list | tuple, pad: str) -> str | None:
+    """The dicts ``obj`` at ``pad`` from one ``%`` template, or None if ``dumps_json`` writes them one by one."""
+    if not obj[0] or len(set(map(tuple, obj))) != 1 or set(map(type, obj[0])) != {str}:
+        return None
+    slots, columns = [], []  # a column holds one sequence of values per record
+    for column in zip(*map(dict.values, obj)):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            slots.append("%d")
+            columns.append(zip(column))
+        elif kinds == {str}:
+            slots.append("%s")
+            columns.append(zip(map(_encode_str, column)))
+        elif kinds == {float} or kinds == {list} and len(set(map(len, column))) == 1:
+            rows = list(zip(column)) if kinds == {float} else column
+            floats = list(chain.from_iterable(rows))
+            if not set(map(type, floats)) <= {float} or not all(map(math.isfinite, floats)):
+                return None
+            if 0.0 in floats:  # + 0.0 canonicalizes -0.0
+                rows = [[x + 0.0 for x in row] for row in rows]
+            slot = ", ".join(["%.17g"] * len(rows[0]))
+            slots.append(slot if kinds == {float} else "[" + slot + "]")
+            columns.append(rows)
+        else:
+            return None
+    inner, field_pad = pad + "  ", pad + "    "
+    fields = [_encode_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(obj[0], slots)]
+    item = "{\n" + field_pad + (",\n" + field_pad).join(fields) + "\n" + inner + "}"
+    template = "[\n" + inner + (",\n" + inner).join([item] * len(obj)) + "\n" + pad + "]"
+    return template % tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+
+
 def _write(obj: Any, pad: str, out: list[str]) -> None:
     if isinstance(obj, dict):
         if not obj:
@@ -125,6 +160,8 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
             out.append("[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]")
         elif not any(issubclass(t, _CONTAINERS) for t in types):
             out.append("[" + ", ".join(map(_scalar, obj)) + "]")
+        elif types == {dict} and (text := _same_keyed_records(obj, pad)) is not None:
+            out.append(text)
         else:
             inner = pad + "  "
             sep = "[\n" + inner
@@ -146,9 +183,15 @@ def dumps_json(obj: Any) -> str:
     is joined at the end: exact ``float``/``int``/``str``/``bool``/``None``
     values dispatch on ``type()``, numpy scalars and subclasses go through
     ``isinstance``, and a list holding no dict, list or tuple is written
-    on one line with a single join.  A non-finite float raises
-    ``ValueError`` and any other type (``np.bool_``, ``set``, ``bytes``,
-    ...) raises ``TypeError``.
+    on one line with a single join.  A list of same-keyed records (dicts
+    with one order of ``str`` keys, each key's values all exact ``float``,
+    ``int`` or ``str``, or all lists of one length of ``float``, every
+    float finite) is written with one ``%`` template: ``%.17g``, ``%d``
+    and ``%s`` give ``format``'s and ``str``'s bytes.  Any other list,
+    including one with a bad value, takes the per-item path, so a
+    non-finite float raises ``ValueError`` and any other type
+    (``np.bool_``, ``set``, ``bytes``, ...) ``TypeError`` at the first
+    such value in document order.
     """
     out: list[str] = []
     _write(obj, "", out)

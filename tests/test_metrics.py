@@ -59,6 +59,17 @@ def pooled_ap(frame_preds, frame_gts, threshold):
     return average_precision_frames([s for _, s in frame_preds], flags, sum(len(g) for g in frame_gts))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SIZES = st.floats(1e-100, 1e100)  # volumes neither underflow nor overflow
+BOX_ROW = st.builds(
+    lambda center, sizes, yaw: [*center, *sizes, *yaw],
+    st.tuples(FINITE, FINITE, FINITE, FINITE),
+    st.tuples(SIZES, SIZES, SIZES),
+    st.one_of(st.tuples(FINITE, FINITE), st.sampled_from([(-0.0, -1.0), (0.0, -1.0), (1e-300, -1.0)])),
+)
+VELOCITY_ROW = st.tuples(FINITE, FINITE).map(list)
+
+
 class TestTpErrors:
     def test_identical_pairs_zero(self):
         pair = ((polar(10.0, 5.0), PolarVelocity(2.0, 1.0)),) * 2
@@ -122,6 +133,45 @@ class TestTpErrors:
     def test_rejects_rows_of_other_shapes(self, shapes):
         with pytest.raises(ValueError):
             tp_errors(*(np.ones(shape) for shape in shapes))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(*(st.lists(row, min_size=n, max_size=n)
+                                                           for row in (BOX_ROW, VELOCITY_ROW) * 2))))
+    def test_rows_match_the_pair_loop_bit_for_bit(self, rows):
+        def outcome(f):
+            try:
+                errors = f(*(np.array(r, dtype=np.float64) for r in rows))
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+            return tuple(float.hex(v) for v in (errors.ate, errors.ase, errors.aoe, errors.ave))
+
+        assert outcome(tp_errors) == outcome(loop_tp_errors)
+
+    def test_volumes_that_underflow_are_refused(self):
+        tiny = PolarBox(10.0, 0.0, 1.0, 0.0, 1e-110, 1e-110, 1e-110, 0.0, 1.0)
+        rows = as_rows([((tiny, V0), (tiny, V0))])
+        with pytest.raises(ZeroDivisionError):
+            loop_tp_errors(*rows)
+        with pytest.raises(ValueError, match="ase must lie in"):
+            tp_errors(*rows)
+
+
+def loop_tp_errors(pred_boxes, pred_velocities, gt_boxes, gt_velocities):
+    """``tp_errors`` as one scalar loop over the pairs, summing each error with ``+=``."""
+    ate = ase = aoe = ave = 0.0
+    rows = (a.tolist() for a in (pred_boxes, pred_velocities, gt_boxes, gt_velocities))
+    for pred, (pv_rad, pv_tan), gt, (gv_rad, gv_tan) in zip(*rows):
+        p_r, p_sin, p_cos, _, pl, pw, ph, p_sin_t, p_cos_t = pred
+        g_r, g_sin, g_cos, _, gl, gw, gh, g_sin_t, g_cos_t = gt
+        ate += math.hypot(p_r * p_cos - g_r * g_cos, p_r * p_sin - g_r * g_sin)
+        inter = min(pl, gl) * min(pw, gw) * min(ph, gh)
+        ase += 1.0 - inter / (pl * pw * ph + gl * gw * gh - inter)
+        aoe += abs(wrap_angle(wrap_angle(math.atan2(p_sin_t, p_cos_t)) - wrap_angle(math.atan2(g_sin_t, g_cos_t))))
+        pv_x, pv_y = rotate_planar(pv_rad, pv_tan, p_sin, p_cos)
+        gv_x, gv_y = rotate_planar(gv_rad, gv_tan, g_sin, g_cos)
+        ave += math.hypot(pv_x - gv_x, pv_y - gv_y)
+    n = len(pred_boxes)
+    return TPErrors(ate=ate / n, ase=ase / n, aoe=min(aoe / n, math.pi), ave=ave / n)
 
 
 def reference_tp_errors(pairs):

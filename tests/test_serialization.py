@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -91,7 +92,7 @@ FINITE_FLOATS = st.one_of(
 )
 TEXT = st.one_of(
     st.text(max_size=8),
-    st.sampled_from(['"', '\\"q\\"', "\\", "é", "日本", "\n\t", "\x00"]),
+    st.sampled_from(['"', '\\"q\\"', "\\", "é", "日本", "\n\t", "\x00", "%", "%s", "é%.17g%%"]),
 )
 SCALARS = st.one_of(
     st.none(),
@@ -139,6 +140,54 @@ def planted(bad):
     )
 
 
+# a column of same-keyed records: float, int, str, or float lists of one length (0 gives empty lists)
+COLUMNS = st.one_of(
+    st.just(FINITE_FLOATS),
+    st.just(st.integers()),
+    st.just(TEXT),
+    st.integers(0, 9).map(lambda n: st.lists(FINITE_FLOATS, min_size=n, max_size=n)),
+)
+
+
+def deviate(record, key, how):
+    """``record`` with one value, or its key order, changed so that its list is no longer flat same-keyed records."""
+    value = record[key]
+    if how == "key order":
+        return dict(reversed(record.items()))
+    if how == "int among floats":
+        new = [*value[:-1], 1] if type(value) is list and value else 1
+    else:
+        new = {"length": [0.5] * 10, "bool": True, "np.float64": np.float64(0.5), "None": None,
+               "nested": {"x": [value]}}[how]
+    return {**record, key: new}
+
+
+@st.composite
+def same_keyed_records(draw, min_size=0):
+    """0-30 dicts with one key order; some lists carry one deviant record."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    values = st.tuples(*[draw(COLUMNS) for _ in keys])
+    records = draw(st.lists(values.map(lambda v: dict(zip(keys, v))), min_size=min_size, max_size=30))
+    if records and draw(st.booleans()):
+        i = draw(st.integers(0, len(records) - 1))
+        how = draw(st.sampled_from(["key order", "length", "int among floats", "bool", "np.float64", "None",
+                                    "nested"]))
+        records[i] = deviate(records[i], draw(st.sampled_from(keys)), how)
+    return records
+
+
+# the records' list at the top level, as a dict value, two levels down, and as a tuple
+RECORD_DOCUMENTS = st.tuples(same_keyed_records(), st.sampled_from([
+    lambda r: r, lambda r: {"frames": r}, lambda r: {"frames": [{"t": 0.5, "objects": r}]}, tuple,
+])).map(lambda rw: rw[1](rw[0]))
+
+
+def raised(dumps, obj):
+    with pytest.raises((ValueError, TypeError)) as info:
+        dumps(obj)
+    return type(info.value), str(info.value)
+
+
 class TestWriterMatchesRecursiveWriter:
     @settings(max_examples=300, deadline=None)
     @given(VALUES)
@@ -172,6 +221,52 @@ class TestWriterMatchesRecursiveWriter:
     def test_unknown_type_in_flat_list(self, obj):
         with pytest.raises(TypeError, match="unsupported JSON value"):
             dumps_json(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RECORD_DOCUMENTS)
+    @example([{"%": -0.0, "b": [5e-324, -sys.float_info.max], "é": "%s", "i": -7, "e": []}] * 2)
+    def test_same_keyed_records_same_bytes(self, obj):
+        assert dumps_json(obj) == reference_dumps(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_keyed_records(min_size=1), st.data())
+    def test_bad_values_in_records_raise_what_the_recursive_writer_raises(self, records, data):
+        bad = st.sampled_from([math.nan, -math.inf, np.float64("inf"), np.bool_(True), {1}, b"x"])
+        for _ in range(data.draw(st.integers(1, 2))):
+            i = data.draw(st.integers(0, len(records) - 1))
+            key = data.draw(st.sampled_from(list(records[i])))
+            value = records[i][key]
+            if type(value) is list and value and data.draw(st.booleans()):  # inside a float list
+                value = [*value]
+                value[data.draw(st.integers(0, len(value) - 1))] = data.draw(bad)
+            else:
+                value = data.draw(bad)
+            records[i] = {**records[i], key: value}
+        assert raised(dumps_json, records) == raised(reference_dumps, records)
+
+    def test_first_bad_value_in_document_order_decides_the_error(self):
+        records = [{"a": 0.5, "b": {1, 2}}, {"a": math.nan, "b": 0.5}]
+        assert raised(dumps_json, records) == raised(reference_dumps, records)
+        assert raised(dumps_json, records)[0] is TypeError
+
+
+class TestFormatterEquivalence:
+    """The record path formats with ``%``; the rest of the writer with ``format`` and ``str``."""
+
+    def test_percent_g_matches_format_on_doubles_of_every_exponent(self):
+        rng = np.random.default_rng(2024)
+        doubles = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        edges = [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, sys.float_info.max, 800.0, 1e16, 1e17,
+                 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e17, 0.0), 99999999999999999.0, 0.0, -0.0]
+        values = [*doubles[np.isfinite(doubles)].tolist(), *edges, *(-x for x in edges)]
+        assert len(values) > 99_000
+        assert ["%.17g" % x for x in values] == [format(x, ".17g") for x in values]
+
+    def test_percent_d_matches_str_on_ints(self):
+        rng = random.Random(2024)
+        ints = [rng.getrandbits(rng.randrange(0, 300)) * rng.choice([-1, 1]) for _ in range(100_000)]
+        ints += [0, -1, 2**63 - 1, -(2**63), 2**64, 10**17]
+        assert ["%d" % i for i in ints] == list(map(str, ints))
 
 
 class TestSceneRoundtrip:
