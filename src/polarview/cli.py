@@ -244,7 +244,7 @@ def _cmd_eval(args) -> int:
         rows = [(f"ap@{key}", value) for key, value in flat.pop("ap").items()]
         for key, value in [*rows, *flat.pop("tp_errors", {}).items(), *flat.items()]:
             if isinstance(value, float):
-                value = serialization._format_float(value)
+                value = serialization.dumps_json(value)
             writer.writerow([key, "" if value is None else value])
         _write_text(args.out, buf.getvalue())
     return 0
@@ -306,7 +306,7 @@ def _cmd_gradcheck(args) -> int:
         analytic = loss.loss_gradient(enc, vel, gt_box, gt_vel, rc).tolist()
         numeric = loss.finite_difference_gradient(enc, vel, gt_box, gt_vel, rc).tolist()
         rel = max(abs(a - n) / max(abs(a), abs(n), 1e-8) for a, n in zip(analytic, numeric))
-        writer.writerow([fid, serialization._format_float(rel)])
+        writer.writerow([fid, serialization.dumps_json(rel)])
     _write_text(args.out, buf.getvalue())
     return 0
 

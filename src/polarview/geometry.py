@@ -56,6 +56,7 @@ POLAR_FIELDS = ("r", "sin_a", "cos_a", "z", "l", "w", "h", "sin_t", "cos_t")
 ENCODING_FIELDS = tuple("b_" + f for f in POLAR_FIELDS)
 
 _PAIR_TOL = 1e-9
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 class RangeError(ValueError):
@@ -127,6 +128,8 @@ class RangeConfig:
             raise ValueError("r_max must be positive")
         if self.z_max <= self.z_min:
             raise ValueError("z_max must exceed z_min")
+        if not math.isfinite(self.z_max - self.z_min):
+            raise ValueError("z_max - z_min must be finite")
         if self.k_scaling < 1.0:
             raise ValueError("k_scaling must be >= 1")
 
@@ -261,29 +264,34 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
     r = sigmoid(b_r) * r_max, z = sigmoid(b_z) * (z_max - z_min) + z_min,
     sizes are exp of their channels and both angle pairs are
     L2-normalized.  Rejects, with ValueError: non-finite channels, a (0, 0)
-    azimuth or yaw pair, and size channels whose exp overflows or
-    underflows to zero.
+    azimuth or yaw pair, a pair whose norm is subnormal or overflows and
+    whose quotients are not a unit pair, and size channels whose exp
+    overflows or underflows to zero.
     """
     enc = np.asarray(encodings, dtype=np.float64)
     if enc.ndim != 2 or enc.shape[1] != 9:
         raise ValueError("encodings must have shape (N, 9)")
     if not np.isfinite(enc).all():
         raise ValueError("encodings must be finite")
-    na = np.hypot(enc[:, 1], enc[:, 2])
-    nt = np.hypot(enc[:, 7], enc[:, 8])
-    if not (na > 0.0).all() or not (nt > 0.0).all():
-        raise ValueError("encodings: azimuth and yaw pairs must not be (0, 0)")
     rc = range_config
     out = np.empty_like(enc)
     out[:, 0] = _sigmoid_array(enc[:, 0]) * rc.r_max
     out[:, 3] = _sigmoid_array(enc[:, 3]) * (rc.z_max - rc.z_min) + rc.z_min
-    out[:, 1:3] = enc[:, 1:3] / na[:, None]
     with np.errstate(over="ignore"):
+        na = np.hypot(enc[:, 1], enc[:, 2])
+        nt = np.hypot(enc[:, 7], enc[:, 8])
         sizes = np.exp(enc[:, 4:7])
+    if not (na > 0.0).all() or not (nt > 0.0).all():
+        raise ValueError("encodings: azimuth and yaw pairs must not be (0, 0)")
+    out[:, 1:3] = enc[:, 1:3] / na[:, None]
     if not (np.isfinite(sizes) & (sizes > 0.0)).all():
         raise ValueError("decode: exp of a size channel must be positive and finite")
     out[:, 4:7] = sizes
     out[:, 7:9] = enc[:, 7:9] / nt[:, None]
+    for start, name, n in ((1, "azimuth", na), (7, "yaw", nt)):
+        # a norm that is subnormal or overflows can leave the quotient pair off the unit circle
+        for s, c in out[~((n >= _NORMAL_MIN) & (n < math.inf)), start : start + 2].tolist():
+            _require_unit_pair(f"PolarBox {name}", s, c)
     return out
 
 

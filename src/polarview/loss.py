@@ -11,19 +11,18 @@ pair normalization analytically; its partner
 The pair loss is written once on Python floats, with the checks of
 ``BoxEncoding``, ``PolarVelocity`` and the decoded ``PolarBox`` run on the
 floats instead of building those objects: :func:`matched_pair_loss` is one
-call to ``_pair_loss``.  The float decode is a table of parts (r, the
-azimuth pair, z, l, w, h, the yaw pair), each with its own checks, so the
-finite differences decode the unperturbed point once and, for each of
-their 22 perturbed points, re-decode and re-check only the part the step
-moves (or check the one velocity channel it moves).  The sum keeps the
-order of ``_pair_loss``, so every perturbed loss has the bits of a full
-evaluation.
+call to ``_pair_loss``.  One function maps an encoding channel to the
+part of the decode that reads it (r, the azimuth pair, z, l, w, h, the
+yaw pair) with that part's checks, so the finite differences decode the
+unperturbed point once and, for each of their 22 perturbed points,
+re-decode and re-check only the part the step moves (or check the one
+velocity channel it moves).  The sum keeps the order of ``_pair_loss``,
+so every perturbed loss has the bits of a full evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,59 +90,31 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-class _Part(NamedTuple):
-    """Channels ``start:stop`` of an encoding, the angle pair they form (or None) and their decode."""
+def _decode_part(b, i: int, range_config: RangeConfig) -> tuple[int, tuple[float, ...]]:
+    """The first field index and the fields of the part (r, azimuth, z, l, w, h or yaw) that reads channel ``i``.
 
-    start: int
-    stop: int
-    pair: str | None
-    decode: Callable  # (encoding, start, range_config) -> the part's fields, after the PolarBox checks on them
-
-
-def _radius(b, i: int, rc: RangeConfig) -> tuple[float]:
-    # sigmoid lies in [0, 1] and r_max > 0, so r is finite and >= 0 as PolarBox requires
-    return (_sigmoid(b[i]) * rc.r_max,)
-
-
-def _height(b, i: int, rc: RangeConfig) -> tuple[float]:
-    z = _sigmoid(b[i]) * (rc.z_max - rc.z_min) + rc.z_min
-    _require_finite("PolarBox", z)  # z_max - z_min can overflow
-    return (z,)
-
-
-def _size(b, i: int, rc: RangeConfig) -> tuple[float]:
-    try:
-        size = math.exp(b[i])
-    except OverflowError:
-        raise ValueError("decode: exp of a size channel must be positive and finite") from None
-    _require_positive_size(size)  # exp underflows to 0
-    return (size,)
-
-
-def _unit_pair(name: str) -> Callable:
-    name = f"PolarBox {name}"
-
-    def decode(b, i: int, rc: RangeConfig) -> tuple[float, float]:
-        # n >= max(|u|, |w|) > 0, so both quotients are finite
-        n = math.hypot(b[i], b[i + 1])
-        s, c = b[i] / n, b[i + 1] / n
-        _require_unit_pair(name, s, c)
-        return s, c
-
-    return decode
-
-
-_PARTS = (
-    _Part(0, 1, None, _radius),
-    _Part(1, 3, "azimuth", _unit_pair("azimuth")),
-    _Part(3, 4, None, _height),
-    _Part(4, 5, None, _size),
-    _Part(5, 6, None, _size),
-    _Part(6, 7, None, _size),
-    _Part(7, 9, "yaw", _unit_pair("yaw")),
-)
-#: The part that reads each of the 9 encoding channels.
-_PART_OF_CHANNEL = tuple(part for part in _PARTS for _ in range(part.start, part.stop))
+    The fields have passed the checks of ``PolarBox`` on them.
+    """
+    rc = range_config
+    if i == 0:
+        # sigmoid lies in [0, 1] and r_max > 0, so r is finite and >= 0 as PolarBox requires
+        return 0, (_sigmoid(b[0]) * rc.r_max,)
+    if i == 3:
+        # RangeConfig keeps z_max - z_min finite, so z is finite
+        return 3, (_sigmoid(b[3]) * (rc.z_max - rc.z_min) + rc.z_min,)
+    if 4 <= i <= 6:
+        try:
+            size = math.exp(b[i])
+        except OverflowError:
+            raise ValueError("decode: exp of a size channel must be positive and finite") from None
+        _require_positive_size(size)  # exp underflows to 0
+        return i, (size,)
+    start, name = (1, "PolarBox azimuth") if i < 3 else (7, "PolarBox yaw")
+    # n >= max(|u|, |w|) > 0, so both quotients are finite
+    n = math.hypot(b[start], b[start + 1])
+    s, c = b[start] / n, b[start + 1] / n
+    _require_unit_pair(name, s, c)
+    return start, (s, c)
 
 
 def _decode_checked(b, range_config: RangeConfig) -> list[float]:
@@ -155,24 +126,7 @@ def _decode_checked(b, range_config: RangeConfig) -> list[float]:
     inputs, and the ``gradcheck`` bytes depend on those bits.
     """
     _require_encoding(b)
-    box = []
-    for start, _, _, decode in _PARTS:
-        box += decode(b, start, range_config)
-    return box
-
-
-def _decode_moved(b, i: int, range_config: RangeConfig) -> tuple[_Part, tuple[float, ...]]:
-    """The part that reads channel ``i`` of ``b``, and its decode.
-
-    Runs the checks of ``BoxEncoding`` that read channel ``i``, then the
-    part's own: where ``b`` differs from a valid encoding only in channel
-    ``i``, this raises what :func:`_decode_checked` of ``b`` raises.
-    """
-    part = _PART_OF_CHANNEL[i]
-    _require_finite("BoxEncoding", b[i])
-    if part.pair:
-        _require_nonzero_pair(part.pair, b[part.start], b[part.start + 1])
-    return part, part.decode(b, part.start, range_config)
+    return [field for i in (0, 1, 3, 4, 5, 6, 7) for field in _decode_part(b, i, range_config)[1]]
 
 
 def _pair_sum(box, x, gt, k_scaling: float) -> float:
@@ -299,9 +253,15 @@ def finite_difference_gradient(
             y = x0.copy()
             y[i] = moved
             if i < 9:
-                part, fields = _decode_moved(y, i, range_config)
+                # the checks of BoxEncoding that read channel i, then the part that reads it
+                _require_finite("BoxEncoding", moved)
+                if i in (1, 2):
+                    _require_nonzero_pair("azimuth", y[1], y[2])
+                elif i in (7, 8):
+                    _require_nonzero_pair("yaw", y[7], y[8])
+                start, fields = _decode_part(y, i, range_config)
                 box = box0.copy()
-                box[part.start : part.stop] = fields
+                box[start : start + len(fields)] = fields
             else:
                 _require_finite("PolarVelocity", moved)
                 box = box0

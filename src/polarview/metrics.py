@@ -49,8 +49,8 @@ class TPErrors:
     ave: float  # m/s, planar velocity distance
 
     def __post_init__(self) -> None:
-        if self.ate < 0.0 or self.ave < 0.0:
-            raise ValueError("TPErrors: ate and ave must be nonnegative")
+        if not (0.0 <= self.ate < math.inf and 0.0 <= self.ave < math.inf):
+            raise ValueError("TPErrors: ate and ave must be finite and nonnegative")
         if not 0.0 <= self.ase <= 1.0:
             raise ValueError("TPErrors: ase must lie in [0, 1]")
         if not 0.0 <= self.aoe <= math.pi:

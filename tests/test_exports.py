@@ -34,7 +34,6 @@ DEFAULTED_PARAMETERS = [
 # (module, source.name) for every private name a module of src/polarview takes from another, by
 # ``from .source import _name`` or by ``source._name`` after ``from . import source``
 PRIVATE_IMPORTS = [
-    ("cli", "serialization._format_float"),
     ("loss", "geometry._box_fields"),
     ("loss", "geometry._encoding_fields"),
     ("loss", "geometry._require_encoding"),

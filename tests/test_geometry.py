@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +27,13 @@ from polarview.geometry import (
     wrap_angle,
 )
 from polarview.loss import _decode_checked
+
+#: Angle pairs whose norm is subnormal or overflows and whose quotients are no unit pair.
+EDGE_NORM_PAIRS = {
+    (5e-324, 5e-324): "subnormal",
+    (1e-320, 3e-320): "subnormal-off-unit",
+    (1.7e308, 1.7e308): "overflow",
+}
 
 RC = RangeConfig()
 
@@ -111,8 +119,16 @@ class TestDecode:
             [0, 0, 1, 0, -1000, 0, 0, 0, 1],
             [0, 0, 0, 0, 0, 0, 0, 0, 1],
             [0, 0, 1, 0, 0, 0, 0, 0, 0],
+            *([0, *pair, 0, 0, 0, 0, 0, 1] for pair in EDGE_NORM_PAIRS),
+            *([0, 0, 1, 0, 0, 0, 0, *pair] for pair in EDGE_NORM_PAIRS),
         ],
-        ids=["exp-overflow", "exp-underflow", "zero-azimuth-pair", "zero-yaw-pair"],
+        ids=[
+            "exp-overflow",
+            "exp-underflow",
+            "zero-azimuth-pair",
+            "zero-yaw-pair",
+            *(f"{slot}-norm-{kind}" for slot in ("azimuth", "yaw") for kind in EDGE_NORM_PAIRS.values()),
+        ],
     )
     def test_scalar_and_batch_fail_alike(self, enc):
         # the scalar side is the finite-difference oracle's float decode
@@ -123,6 +139,17 @@ class TestDecode:
             warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
             with pytest.raises(ValueError):
                 decode_boxes(batch, RC)
+
+    @pytest.mark.parametrize("slot", [1, 7], ids=["azimuth", "yaw"])
+    def test_a_subnormal_norm_of_a_unit_pair_decodes(self, slot):
+        # hypot(5e-324, 0) is exact, so the quotient pair is (1, 0) on both sides
+        enc = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        enc[slot : slot + 2] = [5e-324, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_boxes(np.array([enc]), RC)
+        assert out[0, slot : slot + 2].tolist() == [1.0, 0.0]
+        assert _decode_checked(enc, RC) == out[0].tolist()
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -434,5 +461,20 @@ class TestInvariantValidation:
             RangeConfig(r_max=-1.0)
         with pytest.raises(ValueError):
             RangeConfig(z_min=1.0, z_max=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RangeConfig(z_min=-1e308, z_max=1e308)  # each bound is finite, their span is not
+        with pytest.raises(ValueError, match="finite"):
+            RangeConfig(z_min=-1e292, z_max=sys.float_info.max)  # past max by more than half an ulp
         with pytest.raises(ValueError):
             RangeConfig(k_scaling=0.5)
+
+    @pytest.mark.parametrize("b_z", [-800.0, -40.0, -1.0, 0.0, 1.0, 36.0, 40.0, 800.0])
+    def test_a_finite_z_span_at_the_edge_of_the_float_range_decodes_finite(self, b_z):
+        rc = RangeConfig(z_min=-9.9e291, z_max=sys.float_info.max)
+        assert rc.z_max - rc.z_min == sys.float_info.max  # the span rounds down onto max
+        enc = [0.0, 0.0, 1.0, b_z, 0.0, 0.0, 0.0, 0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_boxes(np.array([enc]), rc)
+        assert rc.z_min <= out[0, 3] <= rc.z_max
+        assert rc.z_min <= _decode_checked(enc, rc)[3] <= rc.z_max

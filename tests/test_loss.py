@@ -472,6 +472,23 @@ class TestFiniteDifferencesOnFloats:
             finite_difference_gradient(*fixture, RC)
             assert len(calls) == 1
 
+    def test_each_step_re_decodes_only_its_own_part(self, monkeypatch):
+        # 7 parts for the unperturbed point, then 1 per box-channel step (9 channels, 2 steps each)
+        rng = np.random.default_rng(60)
+        fixtures = [random_gradient_fixture(rng, RC) for _ in range(10)]
+        calls = []
+        decode_part = loss._decode_part
+
+        def counted(b, i, rc):
+            calls.append(i)
+            return decode_part(b, i, rc)
+
+        monkeypatch.setattr(loss, "_decode_part", counted)
+        for fixture in fixtures:
+            calls.clear()
+            finite_difference_gradient(*fixture, RC)
+            assert calls == [0, 1, 3, 4, 5, 6, 7] + [i for i in range(9) for _ in range(2)]
+
     def test_builds_no_box_objects(self, monkeypatch):
         rng = np.random.default_rng(54)
         fixtures = [random_gradient_fixture(rng, RC) for _ in range(20)]

@@ -100,6 +100,12 @@ class TestTpErrors:
         with pytest.raises(ValueError):
             tp_errors(*as_rows([]))
 
+    @pytest.mark.parametrize("field", ["ate", "ave"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_translation_and_velocity_errors_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TPErrors(**{"ate": 0.0, "ase": 0.0, "aoe": 0.0, "ave": 0.0, field: value})
+
     def test_self_evaluation_identically_zero(self):
         rng = np.random.default_rng(61)
         pairs = []
