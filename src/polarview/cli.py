@@ -128,31 +128,33 @@ def _cmd_assign(args) -> int:
     _, frames = _ground_truth(args, "assign")
     if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
         raise ValueError("assign: --k-scaling must be finite and >= 1")
-    frames_out = []
+    frames_out, columns = [], {key: [] for key in ("gt", "gt_id", "pred", "cost", "class_cost", "box_cost")}
     for frame_gt, frame_det, gt_rows, kept in frames:
         gt_boxes = np.array([polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
         gt_classes = frame_gt.classes[kept]
-        gt_ids = frame_gt.ids[kept].tolist()
         costs = assignment.build_cost_matrix(
             (frame_det.boxes, frame_det.probs), (gt_boxes, gt_classes), args.k_scaling,
             class_cost_form=args.class_cost,
         )
         result = assignment.hungarian(costs)
         gts, preds = np.array(result.pairs, dtype=np.intp).reshape(-1, 2).T
-        box_costs = assignment.box_cost(frame_det.boxes[preds], gt_boxes[gts], args.k_scaling)
-        class_costs = assignment.class_cost(frame_det.probs[preds], gt_classes[gts], form=args.class_cost)
-        pairs = [
-            {"gt": j, "gt_id": gt_ids[j], "pred": i, "cost": float(costs[j, i]), "class_cost": cc, "box_cost": bc}
-            for (j, i), cc, bc in zip(result.pairs, class_costs.tolist(), box_costs.tolist())
-        ]
+        pair_columns = (
+            gts, frame_gt.ids[kept][gts], preds, costs[gts, preds],
+            assignment.class_cost(frame_det.probs[preds], gt_classes[gts], form=args.class_cost),
+            assignment.box_cost(frame_det.boxes[preds], gt_boxes[gts], args.k_scaling),
+        )
+        for column, values in zip(columns.values(), pair_columns):
+            column.append(values)
         frames_out.append(
             {
                 "t": frame_gt.t,
-                "pairs": pairs,
+                "pairs": None,  # filled from the table of all frames' pairs below
                 "unmatched_gts": sorted(set(range(len(kept))) - result.matched_gts()),
                 "unmatched_preds": sorted(set(range(len(frame_det))) - result.matched_preds()),
             }
         )
+    for frame, pairs in zip(frames_out, serialization._RecordTable(columns)):
+        frame["pairs"] = pairs
     report = {
         "schema_version": serialization.SCHEMA_VERSION,
         "k_scaling": args.k_scaling,
@@ -169,11 +171,7 @@ def _cmd_track(args) -> int:
     if args.scene:
         scene = serialization.load_scene(args.scene)
         summary["id_switches"] = tracker.count_id_switches(result, scene)
-    report = serialization.detections_to_dict(dets)
-    for frame, ids in zip(report["frames"], result.track_ids):
-        frame["detections"] = [
-            {"track_id": tid, **record} for tid, record in zip(ids.tolist(), frame["detections"])
-        ]
+    report = serialization._detections_document(dets, serialization._RecordTable, {"track_id": result.track_ids})
     report["summary"] = summary
     _write_text(args.out, serialization.dumps_json(report) + "\n")
     return 0

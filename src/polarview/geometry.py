@@ -296,20 +296,33 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
 
 
 def encode_boxes(boxes: np.ndarray, range_config: RangeConfig) -> np.ndarray:
-    """Vectorized strict inverse of :func:`decode_boxes` for (N, 9) arrays."""
+    """Vectorized strict inverse of :func:`decode_boxes` for (N, 9) arrays.
+
+    Each row must pass the checks of :class:`PolarBox`: the first row that
+    fails raises the ValueError that ``PolarBox`` raises for it.  Then an r
+    or z on or outside the open perception range raises :class:`RangeError`.
+    """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 9:
         raise ValueError("boxes must have shape (N, 9)")
     rc = range_config
-    p_r = boxes[:, 0] / rc.r_max
-    p_z = (boxes[:, 3] - rc.z_min) / (rc.z_max - rc.z_min)
-    if ((p_r <= 0.0) | (p_r >= 1.0)).any() or ((p_z <= 0.0) | (p_z >= 1.0)).any():
-        raise RangeError("r or z on/outside the open perception range")
     out = boxes.copy()  # the angle pairs pass through
-    out[:, 0] = np.log(p_r / (1.0 - p_r))
-    out[:, 3] = np.log(p_z / (1.0 - p_z))
-    out[:, 4:7] = np.log(boxes[:, 4:7])
-    return out
+    with np.errstate(all="ignore"):  # a row that fails is found below
+        p_r = boxes[:, 0] / rc.r_max
+        p_z = (boxes[:, 3] - rc.z_min) / (rc.z_max - rc.z_min)
+        out[:, 0] = np.log(p_r / (1.0 - p_r))
+        out[:, 3] = np.log(p_z / (1.0 - p_z))
+        out[:, 4:7] = np.log(boxes[:, 4:7])
+        # |s*s + c*c - 1| of the azimuth and the yaw pair, as PolarBox computes it
+        off = [np.abs(boxes[:, i] * boxes[:, i] + boxes[:, i + 1] * boxes[:, i + 1] - 1.0) for i in (1, 7)]
+    # a non-finite field, a size <= 0, and an r or z outside the open range each leave a non-finite code
+    if np.isfinite(out).all() and all(d.max() <= _PAIR_TOL for d in off):
+        return out
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] < 0.0) | (boxes[:, 4:7] <= 0.0).any(axis=1)
+    for row in boxes[bad | (off[0] > _PAIR_TOL) | (off[1] > _PAIR_TOL)].tolist():
+        _require_polar_box(row)
+    raise RangeError("r or z on/outside the open perception range")
 
 
 def encode_polar_box(box: PolarBox, range_config: RangeConfig) -> BoxEncoding:

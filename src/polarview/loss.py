@@ -23,6 +23,7 @@ so every perturbed loss has the bits of a full evaluation.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -158,8 +159,11 @@ def matched_pair_loss(
     gt_velocity: PolarVelocity,
     range_config: RangeConfig,
 ) -> float:
-    """Box + velocity loss of one matched pair (decodes the encoding first)."""
-    return _pair_loss(*_pair_rows(enc, velocity, gt_box, gt_velocity), range_config)
+    """Box + velocity loss of one matched pair (decodes the encoding first); ValueError if it is not finite."""
+    value = _pair_loss(*_pair_rows(enc, velocity, gt_box, gt_velocity), range_config)
+    if not math.isfinite(value):
+        raise ValueError("matched_pair_loss: the loss is not finite")
+    return value
 
 
 def _sign(x: float) -> float:
@@ -175,7 +179,14 @@ def _sigmoid_partial(b: float, residual: float, span: float) -> float:
 def _pair_partials(u: float, w: float, residual_s: float, residual_c: float, scale: float) -> tuple[float, float]:
     """d/du and d/dw of scale * (|u/n - target_s| + |w/n - target_c|), n = hypot(u, w), given the residuals."""
     # normalized-pair Jacobian: d(u/n)/du = w^2/n^3, d(u/n)/dw = -u*w/n^3
-    n3 = math.hypot(u, w) ** 3
+    n = math.hypot(u, w)
+    try:
+        n3 = n**3
+    except OverflowError:
+        n3 = math.inf
+    if not sys.float_info.min <= n3 < math.inf:
+        # n^3 underflows or overflows: divide the norm out first, (w/n)^2/n and so on
+        u, w, n3 = u / n, w / n, n
     sgn_s, sgn_c = _sign(residual_s), _sign(residual_c)
     return scale * (sgn_s * w * w - sgn_c * u * w) / n3, scale * (-sgn_s * u * w + sgn_c * u * u) / n3
 
@@ -193,7 +204,7 @@ def loss_gradient(
     Component order follows :data:`GRADIENT_FIELDS`.  ``kink_tol`` must be
     finite and >= 0.  Raises :class:`KinkError` when any matched coordinate
     sits within ``kink_tol`` of its target, where the L1 subgradient is
-    ambiguous.
+    ambiguous, and ValueError when a partial derivative is not finite.
     """
     if not (math.isfinite(kink_tol) and kink_tol >= 0.0):
         raise ValueError(f"loss_gradient: kink_tol must be finite and >= 0, got {kink_tol!r}")
@@ -205,20 +216,20 @@ def loss_gradient(
     if near:
         raise KinkError(f"L1 kink within {kink_tol} on: {', '.join(near)}")
 
-    return np.array(
-        [
-            _sigmoid_partial(enc.b_r, d[0], rc.r_max),
-            *_pair_partials(enc.b_sin_a, enc.b_cos_a, d[1], d[2], rc.k_scaling),
-            _sigmoid_partial(enc.b_z, d[3], rc.z_max - rc.z_min),
-            _sign(d[4]) * math.exp(enc.b_l),
-            _sign(d[5]) * math.exp(enc.b_w),
-            _sign(d[6]) * math.exp(enc.b_h),
-            *_pair_partials(enc.b_sin_t, enc.b_cos_t, d[7], d[8], 1.0),
-            _sign(d[9]),
-            _sign(d[10]),
-        ],
-        dtype=np.float64,
-    )
+    partials = [
+        _sigmoid_partial(enc.b_r, d[0], rc.r_max),
+        *_pair_partials(enc.b_sin_a, enc.b_cos_a, d[1], d[2], rc.k_scaling),
+        _sigmoid_partial(enc.b_z, d[3], rc.z_max - rc.z_min),
+        _sign(d[4]) * math.exp(enc.b_l),
+        _sign(d[5]) * math.exp(enc.b_w),
+        _sign(d[6]) * math.exp(enc.b_h),
+        *_pair_partials(enc.b_sin_t, enc.b_cos_t, d[7], d[8], 1.0),
+        _sign(d[9]),
+        _sign(d[10]),
+    ]
+    if not all(map(math.isfinite, partials)):
+        raise ValueError("loss_gradient: a partial derivative is not finite")
+    return np.array(partials, dtype=np.float64)
 
 
 def finite_difference_gradient(
@@ -234,7 +245,8 @@ def finite_difference_gradient(
     ``step`` must be finite and positive.  The unperturbed point and each
     perturbed point must pass the checks its ``BoxEncoding``,
     ``PolarVelocity`` and decoded ``PolarBox`` would make, or ValueError is
-    raised.  The unperturbed point is decoded once; a step re-decodes only
+    raised, as it is when a perturbed loss or a partial derivative is not
+    finite.  The unperturbed point is decoded once; a step re-decodes only
     the part of the decode that reads the channel it moves.
     """
     if not (math.isfinite(step) and step > 0.0):
@@ -267,6 +279,8 @@ def finite_difference_gradient(
                 box = box0
             losses.append(_pair_sum(box, y, gt, k))
         grad[i] = (losses[0] - losses[1]) / (2.0 * step)
+    if not all(map(math.isfinite, grad.tolist())):  # so is every perturbed loss
+        raise ValueError("finite_difference_gradient: a perturbed loss or a partial derivative is not finite")
     return grad
 
 

@@ -15,10 +15,12 @@ The scene schema (version 1):
 Detections mirror it with polar boxes [r, sin_a, cos_a, z, l, w, h,
 sin_t, cos_t], a score, a class-probability vector and velocity
 [v_rad, v_tan].  Floats are emitted with 17 significant digits, which
-round-trips float64 exactly and keeps outputs byte-stable.  The writer
-fills each list of per-box records (scene objects, detections, track
-records, assign pairs) from one ``%`` template; any list it cannot fill
-that way goes through the per-item path unchanged.
+round-trips float64 exactly and keeps outputs byte-stable.  The savers
+(and ``polarview track`` and ``assign``) write the per-box records of a
+file (scene objects, detections, track records, assign pairs) from one
+record table built from the file's column arrays, which the writer
+fills frame by frame from one ``%`` template; ``scene_to_dict`` and
+``detections_to_dict`` give the same documents as plain dicts.
 
 Both loaders read a whole file into one array per key and check it once,
 with no per-object record: a scene becomes frame times, per-frame object
@@ -46,7 +48,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Any
 
 import numpy as np
@@ -103,36 +105,63 @@ def _scalar(x: Any) -> str:
     raise TypeError(f"unsupported JSON value of type {type(x)!r}")
 
 
-def _same_keyed_records(obj: list | tuple, pad: str) -> str | None:
-    """The dicts ``obj`` at ``pad`` from one ``%`` template, or None if ``dumps_json`` writes them one by one."""
-    if not obj[0] or len(set(map(tuple, obj))) != 1 or set(map(type, obj[0])) != {str}:
-        return None
-    slots, columns = [], []  # a column holds one sequence of values per record
-    for column in zip(*map(dict.values, obj)):
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            slots.append("%d")
-            columns.append(zip(column))
-        elif kinds == {str}:
-            slots.append("%s")
-            columns.append(zip(map(_encode_str, column)))
-        elif kinds == {float} or kinds == {list} and len(set(map(len, column))) == 1:
-            rows = list(zip(column)) if kinds == {float} else column
-            floats = list(chain.from_iterable(rows))
-            if not set(map(type, floats)) <= {float} or not all(map(math.isfinite, floats)):
-                return None
-            if 0.0 in floats:  # + 0.0 canonicalizes -0.0
-                rows = [[x + 0.0 for x in row] for row in rows]
-            slot = ", ".join(["%.17g"] * len(rows[0]))
-            slots.append(slot if kinds == {float} else "[" + slot + "]")
-            columns.append(rows)
-        else:
-            return None
-    inner, field_pad = pad + "  ", pad + "    "
-    fields = [_encode_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(obj[0], slots)]
-    item = "{\n" + field_pad + (",\n" + field_pad).join(fields) + "\n" + inner + "}"
-    template = "[\n" + inner + (",\n" + inner).join([item] * len(obj)) + "\n" + pad + "]"
-    return template % tuple(chain.from_iterable(chain.from_iterable(zip(*columns))))
+class _RecordTable:
+    """The same-keyed records of one output file as checked columns, split into frames.
+
+    ``columns`` maps each record key, in record order, to the key's values
+    per frame: one (N,) or (N, k) array per frame, float or integer, with
+    the same N for every key.  Float columns are checked finite once
+    (ValueError "cannot serialize non-finite float") and written at 17
+    significant digits, ``-0.0`` as ``0``, a (N, k) column as a list of k
+    numbers; integer columns are written as int64.  Iterating gives one
+    value per frame that :func:`dumps_json` writes as that frame's list of
+    records, filled at its indentation from one item template with a
+    single ``%``.
+    """
+
+    def __init__(self, columns: dict[str, list[np.ndarray]]) -> None:
+        self.bounds = [0, *accumulate(map(len, next(iter(columns.values()))))]
+        n = self.bounds[-1]
+        slots, parts = [], []
+        for frames in columns.values():
+            frames = [a for a in frames if len(a)]  # an empty frame's probs may have no columns
+            whole = np.concatenate(frames) if frames else np.empty(0)
+            if whole.dtype.kind == "f":
+                if not np.isfinite(whole).all():
+                    raise ValueError("cannot serialize non-finite float")
+                whole = whole + 0.0  # canonicalizes -0.0
+                slot = ", ".join(["%.17g"] * (whole.shape[1] if whole.ndim == 2 else 1))
+                slots.append("[" + slot + "]" if whole.ndim == 2 else slot)
+            else:
+                whole = whole.astype(np.int64)
+                slots.append("%d")
+            parts.append(whole if whole.ndim == 2 else whole[:, None])
+        rows = np.empty((n, sum(a.shape[1] for a in parts)), dtype=object)
+        np.concatenate(parts, axis=1, out=rows)
+        self.values = rows.reshape(-1).tolist()
+        self.width = rows.shape[1]
+        self.fields = [_encode_str(k).replace("%", "%%") + ": " + slot for k, slot in zip(columns, slots)]
+
+    def __iter__(self):
+        return map(_FrameRecords, repeat(self), self.bounds, self.bounds[1:])
+
+    def text(self, lo: int, hi: int, pad: str) -> str:
+        """Records ``lo:hi`` as a JSON list at indentation ``pad``."""
+        if lo == hi:
+            return "[]"
+        inner, field_pad = pad + "  ", pad + "    "
+        item = "{\n" + field_pad + (",\n" + field_pad).join(self.fields) + "\n" + inner + "}"
+        template = "[\n" + inner + (",\n" + inner).join([item] * (hi - lo)) + "\n" + pad + "]"
+        return template % tuple(self.values[lo * self.width : hi * self.width])
+
+
+class _FrameRecords:
+    """One frame's rows ``lo:hi`` of a :class:`_RecordTable`."""
+
+    __slots__ = ("table", "lo", "hi")
+
+    def __init__(self, table: _RecordTable, lo: int, hi: int) -> None:
+        self.table, self.lo, self.hi = table, lo, hi
 
 
 def _write(obj: Any, pad: str, out: list[str]) -> None:
@@ -160,8 +189,6 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
             out.append("[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]")
         elif not any(issubclass(t, _CONTAINERS) for t in types):
             out.append("[" + ", ".join(map(_scalar, obj)) + "]")
-        elif types == {dict} and (text := _same_keyed_records(obj, pad)) is not None:
-            out.append(text)
         else:
             inner = pad + "  "
             sep = "[\n" + inner
@@ -170,6 +197,8 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
                 _write(v, inner, out)
                 sep = ",\n" + inner
             out.append("\n" + pad + "]")
+    elif type(obj) is _FrameRecords:
+        out.append(obj.table.text(obj.lo, obj.hi, pad))
     else:
         out.append(_scalar(obj))
 
@@ -183,12 +212,9 @@ def dumps_json(obj: Any) -> str:
     is joined at the end: exact ``float``/``int``/``str``/``bool``/``None``
     values dispatch on ``type()``, numpy scalars and subclasses go through
     ``isinstance``, and a list holding no dict, list or tuple is written
-    on one line with a single join.  A list of same-keyed records (dicts
-    with one order of ``str`` keys, each key's values all exact ``float``,
-    ``int`` or ``str``, or all lists of one length of ``float``, every
-    float finite) is written with one ``%`` template: ``%.17g``, ``%d``
-    and ``%s`` give ``format``'s and ``str``'s bytes.  Any other list,
-    including one with a bad value, takes the per-item path, so a
+    on one line with a single join.  A frame's records of a record table
+    (the savers' files) are written from the table's ``%`` template:
+    ``%.17g`` and ``%d`` give ``format``'s and ``str``'s bytes.  A
     non-finite float raises ``ValueError`` and any other type
     (``np.bool_``, ``set``, ``bytes``, ...) ``TypeError`` at the first
     such value in document order.
@@ -228,7 +254,27 @@ def _camera_from_dict(d: dict) -> CameraModel:
     )
 
 
-def scene_to_dict(scene: Scene) -> dict:
+def _record_dicts(columns: dict[str, list[np.ndarray]]) -> list[list[dict]]:
+    """The records of a :class:`_RecordTable` with the same ``columns`` as plain dicts, one list per frame."""
+    keys = list(columns)
+    return [
+        [dict(zip(keys, values)) for values in zip(*(a.tolist() for a in frame))]
+        for frame in zip(*columns.values())
+    ]
+
+
+def _scene_document(scene: Scene, records) -> dict:
+    """The scene file's document, each frame's objects from ``records`` (:class:`_RecordTable` or
+    :func:`_record_dicts`) of the object columns."""
+    frames = scene.frames
+    objects = records(
+        {
+            "id": [f.ids for f in frames],
+            "class": [f.classes for f in frames],
+            "box": [f.boxes for f in frames],
+            "velocity": [f.velocities for f in frames],
+        }
+    )
     return {
         "schema_version": SCHEMA_VERSION,
         "rig": [_camera_to_dict(cam) for cam in scene.rig.cameras],
@@ -239,19 +285,15 @@ def scene_to_dict(scene: Scene) -> dict:
                     "rotation": frame.pose_rotation.reshape(-1).tolist(),
                     "translation": frame.pose_translation.tolist(),
                 },
-                "objects": [
-                    {"id": i, "class": c, "box": box, "velocity": velocity}
-                    for i, c, box, velocity in zip(
-                        frame.ids.tolist(),
-                        frame.classes.tolist(),
-                        frame.boxes.tolist(),
-                        frame.velocities.tolist(),
-                    )
-                ],
+                "objects": rows,
             }
-            for frame in scene.frames
+            for frame, rows in zip(frames, objects)
         ],
     }
+
+
+def scene_to_dict(scene: Scene) -> dict:
+    return _scene_document(scene, _record_dicts)
 
 
 @contextlib.contextmanager
@@ -343,25 +385,27 @@ def scene_from_dict(d: dict) -> Scene:
         )
 
 
-def detections_to_dict(dets: DetectionSet) -> dict:
+def _detections_document(dets: DetectionSet, records, leading: dict[str, list[np.ndarray]]) -> dict:
+    """The detections file's document, each frame's detections from ``records`` (:class:`_RecordTable` or
+    :func:`_record_dicts`) of the ``leading`` columns followed by the detection columns."""
+    frames = dets.frames
+    detections = records(
+        {
+            **leading,
+            "box": [f.boxes for f in frames],
+            "score": [f.scores for f in frames],
+            "probs": [f.probs for f in frames],
+            "velocity": [f.velocities for f in frames],
+        }
+    )
     return {
         "schema_version": SCHEMA_VERSION,
-        "frames": [
-            {
-                "t": frame.t,
-                "detections": [
-                    {"box": box, "score": score, "probs": probs, "velocity": velocity}
-                    for box, score, probs, velocity in zip(
-                        frame.boxes.tolist(),
-                        frame.scores.tolist(),
-                        frame.probs.tolist(),
-                        frame.velocities.tolist(),
-                    )
-                ],
-            }
-            for frame in dets.frames
-        ],
+        "frames": [{"t": frame.t, "detections": rows} for frame, rows in zip(frames, detections)],
     }
+
+
+def detections_to_dict(dets: DetectionSet) -> dict:
+    return _detections_document(dets, _record_dicts, {})
 
 
 def detections_from_dict(d: dict) -> DetectionSet:
@@ -397,7 +441,7 @@ def read_json(path: str) -> Any:
 
 def save_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(scene_to_dict(scene)) + "\n")
+        fh.write(dumps_json(_scene_document(scene, _RecordTable)) + "\n")
 
 
 def load_scene(path: str) -> Scene:
@@ -408,7 +452,7 @@ def load_scene(path: str) -> Scene:
 
 def save_detections(dets: DetectionSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(detections_to_dict(dets)) + "\n")
+        fh.write(dumps_json(_detections_document(dets, _RecordTable, {})) + "\n")
 
 
 def load_detections(path: str) -> DetectionSet:

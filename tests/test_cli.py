@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import polarview
-from polarview import assignment, camera, cli, geometry, simulator, tracker
+from polarview import assignment, camera, cli, geometry, serialization, simulator, tracker
 from polarview.cli import main
 
 
@@ -1310,6 +1310,90 @@ class TestPipelineBuildsNoSceneObjects:
         for cls in (simulator.SceneObject, geometry.CartesianBox, geometry.CartesianVelocity, camera.EgoPose):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         assert golden_digests(capsys, tmp_path, GOLDEN_RUNS_MOVING) == GOLDEN_SHA256_MOVING
+
+
+class TestSavePathBuildsNoRecordDicts:
+    def test_same_bytes_with_the_dict_views_broken(self, capsys, tmp_path, monkeypatch):
+        # the savers and track write their records from record tables, never from the public dict views
+        def refuse(*args):
+            raise RuntimeError("a dict view was built")
+
+        for name in ("scene_to_dict", "detections_to_dict"):
+            monkeypatch.setattr(serialization, name, refuse)
+        for runs, expected in ((GOLDEN_RUNS, GOLDEN_SHA256), (GOLDEN_RUNS_NOISY, GOLDEN_SHA256_NOISY),
+                               (GOLDEN_RUNS_MOVING, GOLDEN_SHA256_MOVING)):
+            assert golden_digests(capsys, tmp_path, runs) == expected
+
+
+# The assign and track documents as the per-record dict code wrote them
+# before the record tables, kept as the byte reference of both commands.
+def dict_built_assign_report(args):
+    _, frames = cli._ground_truth(args, "assign")
+    frames_out = []
+    for frame_gt, frame_det, gt_rows, kept in frames:
+        gt_boxes = np.array([geometry.polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
+        gt_classes = frame_gt.classes[kept]
+        gt_ids = frame_gt.ids[kept].tolist()
+        costs = assignment.build_cost_matrix(
+            (frame_det.boxes, frame_det.probs), (gt_boxes, gt_classes), args.k_scaling,
+            class_cost_form=args.class_cost,
+        )
+        result = assignment.hungarian(costs)
+        gts, preds = np.array(result.pairs, dtype=np.intp).reshape(-1, 2).T
+        box_costs = assignment.box_cost(frame_det.boxes[preds], gt_boxes[gts], args.k_scaling)
+        class_costs = assignment.class_cost(frame_det.probs[preds], gt_classes[gts], form=args.class_cost)
+        pairs = [
+            {"gt": j, "gt_id": gt_ids[j], "pred": i, "cost": float(costs[j, i]), "class_cost": cc, "box_cost": bc}
+            for (j, i), cc, bc in zip(result.pairs, class_costs.tolist(), box_costs.tolist())
+        ]
+        frames_out.append(
+            {
+                "t": frame_gt.t,
+                "pairs": pairs,
+                "unmatched_gts": sorted(set(range(len(kept))) - result.matched_gts()),
+                "unmatched_preds": sorted(set(range(len(frame_det))) - result.matched_preds()),
+            }
+        )
+    return {"schema_version": serialization.SCHEMA_VERSION, "k_scaling": args.k_scaling, "frames": frames_out}
+
+
+def dict_built_track_report(args):
+    dets = serialization.load_detections(args.detections)
+    result = tracker.run_tracker(dets, cli._settings(tracker.TrackerConfig, args))
+    summary = {"tracks_created": result.tracks_created}
+    if args.scene:
+        summary["id_switches"] = tracker.count_id_switches(result, serialization.load_scene(args.scene))
+    report = serialization.detections_to_dict(dets)
+    for frame, ids in zip(report["frames"], result.track_ids):
+        frame["detections"] = [{"track_id": tid, **record} for tid, record in zip(ids.tolist(), frame["detections"])]
+    report["summary"] = summary
+    return report
+
+
+# an empty scene, so that every frame has no pairs and no detections but false positives
+EMPTY_RUNS = [
+    ("scene", "simulate", "--objects", "0", "--frames", "3", "--seed", "1"),
+    ("dets", "render", "--scene", "{scene}", "--fp-rate", "1", "--seed", "2"),
+    ("assign", "assign", "--scene", "{scene}", "--detections", "{dets}"),
+    ("track", "track", "--detections", "{dets}"),
+]
+
+
+class TestTrackAndAssignWriteTheDictBuiltDocuments:
+    @pytest.mark.parametrize("runs", [GOLDEN_RUNS, GOLDEN_RUNS_NOISY, GOLDEN_RUNS_MOVING, EMPTY_RUNS],
+                             ids=["golden", "noisy", "moving", "empty"])
+    def test_same_bytes(self, capsys, tmp_path, runs):
+        paths = {name: str(tmp_path / f"{name}.out") for name, *_ in runs}
+        golden_digests(capsys, tmp_path, runs)
+        references = {"assign": dict_built_assign_report, "track": dict_built_track_report}
+        checked = 0
+        for name, command, *argv in runs:
+            if command in references:
+                args = cli.build_parser().parse_args([command, *(a.format(**paths) for a in argv)])
+                with open(paths[name], encoding="utf-8") as fh:
+                    assert fh.read() == serialization.dumps_json(references[command](args)) + "\n", name
+                checked += 1
+        assert checked >= 2
 
 
 # Runs each workload of (name, *argv) runs through cli.main in a fresh

@@ -34,6 +34,8 @@ DEFAULTED_PARAMETERS = [
 # (module, source.name) for every private name a module of src/polarview takes from another, by
 # ``from .source import _name`` or by ``source._name`` after ``from . import source``
 PRIVATE_IMPORTS = [
+    ("cli", "serialization._RecordTable"),
+    ("cli", "serialization._detections_document"),
     ("loss", "geometry._box_fields"),
     ("loss", "geometry._encoding_fields"),
     ("loss", "geometry._require_encoding"),

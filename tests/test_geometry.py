@@ -273,6 +273,86 @@ class TestRoundTripProperty:
         assert (np.abs(np.array(scalar) - boxes) <= bound).all()
 
 
+def ulps(x, k):
+    """``x`` moved by ``k`` ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# Edge-heavy floats: signed zeros, subnormals, the smallest normal, 1.5e-162
+# (its cube underflows), +-max float, infinities and NaN.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, sys.float_info.min, 1.5e-162, -1.5e-162, 1.0, -1.0,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+])
+# Cosines whose pair with sine 0 is off the unit circle by the pair
+# tolerance, to within two ulps, on either side of it.
+TOLERANCE_EDGES = [ulps(math.sqrt(1.0 + sign * 1e-9), k) for sign in (1.0, -1.0) for k in range(-2, 3)]
+PAIRS = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda a: (math.sin(a), math.cos(a))),
+    st.tuples(EDGE_FLOATS, EDGE_FLOATS),
+    st.tuples(st.sampled_from(TOLERANCE_EDGES), st.sampled_from([0.0, -0.0])).flatmap(
+        lambda pair: st.sampled_from([pair, pair[::-1]])
+    ),
+)
+EDGE_BOX_ROWS = st.lists(
+    st.builds(
+        lambda r, a, z, sizes, t: [r, *a, z, *sizes, *t],
+        st.floats(0.0, RC.r_max) | EDGE_FLOATS,
+        PAIRS,
+        st.floats(RC.z_min, RC.z_max) | EDGE_FLOATS,
+        st.tuples(*[st.floats(1e-300, 1e300) | EDGE_FLOATS] * 3),
+        PAIRS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+EDGE_ENCODING_ROWS = st.lists(
+    st.lists(st.floats(-800.0, 800.0) | EDGE_FLOATS, min_size=9, max_size=9) | EDGE_BOX_ROWS.map(lambda r: r[0]),
+    min_size=1,
+    max_size=4,
+)
+
+
+def raised_by(compute):
+    """The type and message of the ValueError ``compute`` raises, or None; a warning or any other error fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            compute()
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestBatchRowsFailAsScalarRows:
+    @settings(max_examples=400, deadline=None)
+    @given(EDGE_BOX_ROWS)
+    @example([[10.0, 5.0, 5.0, 0.0, -1.0, 1.0, 1.0, 0.0, 1.0]])
+    @example([[math.nan, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0]])
+    @example([[60.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0], [10.0, 0.0, 1.0, 0.0, 1.0, -1.0, 1.0, 0.0, 1.0]])
+    def test_encode_boxes_fails_and_encodes_as_encode_polar_box(self, rows):
+        # the batch raises what PolarBox raises for its first failing row; else, if any
+        # row is outside the range, the RangeError; else each row's encoding, bit for bit
+        scalar = [raised_by(lambda: PolarBox(*row)) for row in rows]
+        failed = [outcome for outcome in scalar if outcome is not None]
+        if not failed:
+            scalar = [raised_by(lambda: encode_polar_box(PolarBox(*row), RC)) for row in rows]
+            failed = [outcome for outcome in scalar if outcome is not None]
+        assert raised_by(lambda: encode_boxes(np.array(rows), RC)) == (failed[0] if failed else None)
+        if not failed:
+            batch = encode_boxes(np.array(rows), RC)
+            for row, encoded in zip(rows, batch):
+                assert encode_polar_box(PolarBox(*row), RC).as_array().tobytes() == encoded.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(EDGE_ENCODING_ROWS)
+    def test_decode_boxes_fails_where_the_float_decode_fails(self, rows):
+        scalar_fails = any(raised_by(lambda: _decode_checked(row, RC)) for row in rows)
+        assert (raised_by(lambda: decode_boxes(np.array(rows), RC)) is not None) == scalar_fails
+
+
 class TestPlanarDistances:
     def test_planar_distances_are_hypot(self):
         rng = np.random.default_rng(71)

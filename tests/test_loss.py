@@ -174,12 +174,20 @@ def array_loss_gradient(enc, velocity, gt_box, gt_velocity, rc, kink_tol=1e-7):
     def sign(x):
         return 1.0 if x > 0.0 else -1.0
 
+    def normalized(u, w):
+        """(u, w, n^3), or (u/n, w/n, n) where n^3 is not a finite normal double."""
+        n = math.hypot(u, w)
+        try:
+            n3 = n**3
+        except OverflowError:
+            return u / n, w / n, n
+        return (u, w, n3) if n3 >= sys.float_info.min else (u / n, w / n, n)
+
     k = rc.k_scaling
     grad = np.empty(11)
     s_r = loss._sigmoid(enc.b_r)
     grad[0] = sign(deltas[0]) * s_r * (1.0 - s_r) * rc.r_max
-    u, w = enc.b_sin_a, enc.b_cos_a
-    n3 = math.hypot(u, w) ** 3
+    u, w, n3 = normalized(enc.b_sin_a, enc.b_cos_a)
     sgn_s, sgn_c = sign(deltas[1]), sign(deltas[2])
     grad[1] = k * (sgn_s * w * w - sgn_c * u * w) / n3
     grad[2] = k * (-sgn_s * u * w + sgn_c * u * u) / n3
@@ -188,24 +196,26 @@ def array_loss_gradient(enc, velocity, gt_box, gt_velocity, rc, kink_tol=1e-7):
     grad[4] = sign(deltas[4]) * math.exp(enc.b_l)
     grad[5] = sign(deltas[5]) * math.exp(enc.b_w)
     grad[6] = sign(deltas[6]) * math.exp(enc.b_h)
-    u, w = enc.b_sin_t, enc.b_cos_t
-    n3 = math.hypot(u, w) ** 3
+    u, w, n3 = normalized(enc.b_sin_t, enc.b_cos_t)
     sgn_s, sgn_c = sign(deltas[7]), sign(deltas[8])
     grad[7] = (sgn_s * w * w - sgn_c * u * w) / n3
     grad[8] = (-sgn_s * u * w + sgn_c * u * u) / n3
     grad[9] = sign(residuals[9])
     grad[10] = sign(residuals[10])
+    if not np.isfinite(grad).all():
+        raise ValueError("loss_gradient: a partial derivative is not finite")
     return grad
 
 
 def gradient_outcome(compute):
-    """(dtype, shape, bytes) of a gradient, or the type and message of the error it raised.
+    """(dtype, shape, bytes) of a gradient, or the type and message of the ValueError it raised.
 
-    A pair whose norm cubed underflows to 0 divides by zero in both versions.
+    Where a pair's norm cubed underflows or overflows, both versions divide
+    the norm out first; a partial that is still not finite is a ValueError.
     """
     try:
         grad = compute()
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
     return grad.dtype, grad.shape, grad.tobytes()
 
@@ -275,6 +285,7 @@ class TestFloatGradientMatchesArrays:
 # The reference for the float path: finite differences on objects. Every
 # perturbed point builds a BoxEncoding and a PolarVelocity, decodes a
 # PolarBox and sums the box and velocity L1 terms, all spelled out here.
+# A loss or a partial derivative that is not finite is a ValueError.
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x)) if x >= 0.0 else math.exp(x) / (1.0 + math.exp(x))
 
@@ -307,7 +318,10 @@ def object_pair_loss(x, gt_box, gt_vel, rc):
         + abs(pred.sin_t - gt_box.sin_t)
         + abs(pred.cos_t - gt_box.cos_t)
     )
-    return box + (abs(vel.v_rad - gt_vel.v_rad) + abs(vel.v_tan - gt_vel.v_tan))
+    value = box + (abs(vel.v_rad - gt_vel.v_rad) + abs(vel.v_tan - gt_vel.v_tan))
+    if not math.isfinite(value):
+        raise ValueError("the loss is not finite")
+    return value
 
 
 def object_finite_differences(enc, vel, gt_box, gt_vel, rc, step=1e-6):
@@ -320,6 +334,8 @@ def object_finite_differences(enc, vel, gt_box, gt_vel, rc, step=1e-6):
             hi[i] += step
             lo[i] -= step
         grad[i] = (object_pair_loss(hi, gt_box, gt_vel, rc) - object_pair_loss(lo, gt_box, gt_vel, rc)) / (2.0 * step)
+    if not np.isfinite(grad).all():
+        raise ValueError("a partial derivative is not finite")
     return grad
 
 
@@ -500,3 +516,60 @@ class TestFiniteDifferencesOnFloats:
         for cls in (BoxEncoding, PolarBox, PolarVelocity):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         assert [finite_difference_gradient(*f, RC).tobytes() for f in fixtures] == expected
+
+
+UNIT_BOX = PolarBox(1.0, 0.0, 1.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0)
+
+
+class TestNonFiniteResultsAreValueErrors:
+    @pytest.mark.parametrize("yaw_sin, expected", [(1.5e-162, -1.0 / 1.5e-162), (1e200, -1e-200)],
+                             ids=["norm-cubed-underflows", "norm-cubed-overflows"])
+    def test_a_norm_whose_cube_leaves_the_normal_range_is_divided_out_first(self, yaw_sin, expected):
+        # the yaw pair (u, 0) decodes to (1, 0) against the target (0, 1): d/du is 0, d/dw is -1/u
+        enc = BoxEncoding(0, 1, 0, 0, 0, 0, 0, yaw_sin, 0)
+        grad = loss_gradient(enc, PolarVelocity(1, 1), UNIT_BOX, PolarVelocity(0, 0), RC)
+        assert np.isfinite(grad).all()
+        assert grad[7:9].tolist() == [0.0, expected]
+
+    def test_a_partial_that_overflows_raises(self):
+        # the norm 5e-324 is exact, but its partial 1/n is past the float range
+        enc = BoxEncoding(0, 1, 0, 0, 0, 0, 0, 5e-324, 0)
+        with pytest.raises(ValueError, match="loss_gradient: a partial derivative is not finite"):
+            loss_gradient(enc, PolarVelocity(1, 1), UNIT_BOX, PolarVelocity(0, 0), RC)
+
+    def test_huge_k_scaling_raises_instead_of_returning_inf_or_nan(self):
+        rc = RangeConfig(k_scaling=1e308)
+        gt_box = PolarBox(10, 0, 1, 0, 1, 1, 1, 0, 1)
+        enc, vel = BoxEncoding(0, 1, 0, 0, 0, 0, 0, 0, 1), PolarVelocity(0.5, 0.5)
+        with pytest.raises(ValueError, match="matched_pair_loss: the loss is not finite"):
+            matched_pair_loss(enc, vel, gt_box, PolarVelocity(0, 0), rc)
+        with pytest.raises(ValueError, match="finite_difference_gradient: a perturbed loss"):
+            finite_difference_gradient(enc, vel, gt_box, PolarVelocity(0, 0), rc)
+        # the azimuth (0.06, 0.08) has norm 0.1, so its partials are 1e308 times about 10
+        enc = BoxEncoding(0, 0.06, 0.08, 0, 0, 0, 0, 0, 1)
+        gt_box = PolarBox(10, 0, 1, 0, 2, 2, 2, 0.6, 0.8)
+        with pytest.raises(ValueError, match="loss_gradient: a partial derivative is not finite"):
+            loss_gradient(enc, vel, gt_box, PolarVelocity(0, 0), rc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-4.0, 4.0)
+            | st.sampled_from([0.0, 5e-324, -5e-324, 1.5e-162, -1.5e-162, 1e200, -1e200, EXP_TOP, 1e308, -1e308]),
+            min_size=11,
+            max_size=11,
+        ),
+        st.sampled_from([1.0, 20.0, 1e308]),
+    )
+    def test_results_are_finite_or_value_errors(self, x, k_scaling):
+        try:
+            enc, vel = BoxEncoding.from_array(x[:9]), PolarVelocity(x[9], x[10])
+        except ValueError:
+            return
+        rc = RangeConfig(k_scaling=k_scaling)
+        for compute in (matched_pair_loss, loss_gradient, finite_difference_gradient):
+            try:
+                result = compute(enc, vel, GT_BOX, GT_VEL, rc)
+            except ValueError:
+                continue
+            assert np.isfinite(result).all(), compute.__name__

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polarview.camera import make_symmetric_rig
 from polarview.serialization import (
     SCHEMA_VERSION,
+    _RecordTable,
     detections_from_dict,
     detections_to_dict,
     dumps_json,
@@ -20,7 +22,7 @@ from polarview.serialization import (
     scene_from_dict,
     scene_to_dict,
 )
-from polarview.simulator import NoiseModel, SceneConfig, generate_scene, render_detections
+from polarview.simulator import DetectionSet, NoiseModel, Scene, SceneConfig, generate_scene, render_detections
 
 
 def make_scene(seed=0, frames=3):
@@ -333,3 +335,98 @@ class TestDetectionsRoundtrip:
         # (r, sin_a, cos_a, ...) with a unit azimuth pair
         assert box[1] ** 2 + box[2] ** 2 == pytest.approx(1.0, abs=1e-9)
         assert detections_from_dict(d).frames[0].detections[0].box.r == box[0]
+
+
+RIG = make_symmetric_rig(2)
+INT64 = np.iinfo(np.int64)
+# coordinates as signed zeros, +-1e300 and ordinary values
+COORDINATES = st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e3, 1e3)
+SIZES = st.sampled_from([5e-324, 1e300]) | st.floats(0.1, 10.0)
+VELOCITIES = st.sampled_from([-0.0, 1e300, -1e300]) | st.floats(-30.0, 30.0)
+UNIT_PAIRS = st.sampled_from([(-0.0, 1.0), (1.0, -0.0), (0.0, -1.0)]) | st.floats(-math.pi, math.pi).map(
+    lambda a: (math.sin(a), math.cos(a))
+)
+
+
+@st.composite
+def scenes(draw):
+    """Scenes of 0-5 frames of 0-4 objects each, ids unique per frame and as extreme as int64 allows."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=5))
+    ids, rows = [], []
+    for count in counts:
+        ids += draw(st.lists(st.sampled_from([INT64.min, INT64.max, -1, 0]) | st.integers(INT64.min, INT64.max),
+                             min_size=count, max_size=count, unique=True))
+        rows += draw(st.lists(st.tuples(*[COORDINATES] * 3, *[SIZES] * 3, st.floats(-3.0, math.pi), VELOCITIES,
+                                        VELOCITIES), min_size=count, max_size=count))
+    m = len(ids)
+    rows = np.reshape(rows, (m, 9))
+    return Scene.from_arrays(
+        RIG, [0.5 * f for f in range(len(counts))], counts, np.tile(np.eye(3), (len(counts), 1, 1)),
+        np.reshape(draw(st.lists(COORDINATES, min_size=3 * len(counts), max_size=3 * len(counts))), (-1, 3)),
+        np.array(ids, dtype=np.int64), np.array(draw(st.lists(st.integers(0, 3) | st.just(INT64.max), min_size=m,
+                                                              max_size=m)), dtype=np.int64),
+        rows[:, :7], rows[:, 7:],
+    )
+
+
+@st.composite
+def detection_sets(draw):
+    """Detection sets of 0-5 frames of 0-4 detections each, over 1-4 classes."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=5))
+    n, classes = sum(counts), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1e300]) | st.floats(0.0, 60.0), UNIT_PAIRS,
+                                   COORDINATES, *[SIZES] * 3, UNIT_PAIRS, VELOCITIES, VELOCITIES),
+                         min_size=n, max_size=n))
+    unit = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+    probs = draw(st.lists(st.lists(unit, min_size=classes, max_size=classes), min_size=n, max_size=n))
+    return DetectionSet.from_arrays(
+        [0.1 * f for f in range(len(counts))], counts,
+        np.reshape([[r, *a, z, l, w, h, *t] for r, a, z, l, w, h, t, _, _ in rows], (n, 9)),
+        np.reshape(probs, (n, classes)),
+        np.reshape([row[-2:] for row in rows], (n, 2)),
+        draw(st.lists(unit, min_size=n, max_size=n)),
+    )
+
+
+class TestSaversWriteTheDictViewsBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(scenes())
+    def test_save_scene(self, tmp_path_factory, scene):
+        path = tmp_path_factory.mktemp("scene") / "scene.json"
+        save_scene(scene, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_json(scene_to_dict(scene)) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_sets())
+    def test_save_detections(self, tmp_path_factory, dets):
+        path = tmp_path_factory.mktemp("dets") / "dets.json"
+        save_detections(dets, str(path))
+        assert path.read_text(encoding="utf-8") == dumps_json(detections_to_dict(dets)) + "\n"
+
+
+class TestRecordTable:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["scalar column", "list column", "second frame"])
+    def test_a_non_finite_float_raises_what_dumps_json_raises(self, bad, where):
+        frames = {
+            "id": [np.array([1, 2]), np.array([3])],
+            "score": [np.array([0.5, 0.25]), np.array([1.0])],
+            "box": [np.zeros((2, 3)), np.ones((1, 3))],
+        }
+        key, frame, index = {"scalar column": ("score", 0, 1), "list column": ("box", 0, (1, 2)),
+                             "second frame": ("box", 1, (0, 0))}[where]
+        frames[key][frame][index] = bad
+        with pytest.raises(ValueError) as expected:
+            dumps_json([bad])
+        with pytest.raises(ValueError) as raised:
+            _RecordTable(frames)
+        assert str(raised.value) == str(expected.value) == "cannot serialize non-finite float"
+
+    def test_frames_are_written_at_their_own_indentation(self):
+        table = _RecordTable({"%d": [np.array([7]), np.array([], dtype=np.int64), np.array([-8])],
+                              "x": [np.array([[-0.0, 0.5]]), np.empty((0, 2)), np.array([[1e300, 2.0]])]})
+        frames = list(table)
+        document = {"frames": [{"rows": frames[0]}, {"rows": frames[1]}], "last": frames[2]}
+        expected = {"frames": [{"rows": [{"%d": 7, "x": [-0.0, 0.5]}]}, {"rows": []}],
+                    "last": [{"%d": -8, "x": [1e300, 2.0]}]}
+        assert dumps_json(document) == reference_dumps(expected)
