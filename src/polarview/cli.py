@@ -171,7 +171,7 @@ def _cmd_track(args) -> int:
     if args.scene:
         scene = serialization.load_scene(args.scene)
         summary["id_switches"] = tracker.count_id_switches(result, scene)
-    report = serialization._detections_document(dets, serialization._RecordTable, {"track_id": result.track_ids})
+    report = serialization._detections_document(dets, {"track_id": result.track_ids})
     report["summary"] = summary
     _write_text(args.out, serialization.dumps_json(report) + "\n")
     return 0

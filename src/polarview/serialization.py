@@ -19,8 +19,10 @@ round-trips float64 exactly and keeps outputs byte-stable.  The savers
 (and ``polarview track`` and ``assign``) write the per-box records of a
 file (scene objects, detections, track records, assign pairs) from one
 record table built from the file's column arrays, which the writer
-fills frame by frame from one ``%`` template; ``scene_to_dict`` and
-``detections_to_dict`` give the same documents as plain dicts.
+fills frame by frame from one ``%`` template.  ``scene_to_dict`` and
+``detections_to_dict`` are the saved file read back: ``json.loads`` of
+the saver's text, so a float written as an integer (``-0.0`` as ``0``)
+comes back as an ``int`` equal to it.
 
 Both loaders read a whole file into one array per key and check it once,
 with no per-object record: a scene becomes frame times, per-frame object
@@ -112,8 +114,8 @@ class _RecordTable:
     per frame: one (N,) or (N, k) array per frame, float or integer, with
     the same N for every key.  Float columns are checked finite once
     (ValueError "cannot serialize non-finite float") and written at 17
-    significant digits, ``-0.0`` as ``0``, a (N, k) column as a list of k
-    numbers; integer columns are written as int64.  Iterating gives one
+    significant digits, ``-0.0`` as ``0``; integer columns as int64; an
+    (N, k) column of either kind as a list of k numbers.  Iterating gives one
     value per frame that :func:`dumps_json` writes as that frame's list of
     records, filled at its indentation from one item template with a
     single ``%``.
@@ -130,11 +132,10 @@ class _RecordTable:
                 if not np.isfinite(whole).all():
                     raise ValueError("cannot serialize non-finite float")
                 whole = whole + 0.0  # canonicalizes -0.0
-                slot = ", ".join(["%.17g"] * (whole.shape[1] if whole.ndim == 2 else 1))
-                slots.append("[" + slot + "]" if whole.ndim == 2 else slot)
             else:
                 whole = whole.astype(np.int64)
-                slots.append("%d")
+            slot = "%.17g" if whole.dtype.kind == "f" else "%d"  # an (N, k) column's records hold lists of k
+            slots.append("[" + ", ".join([slot] * whole.shape[1]) + "]" if whole.ndim == 2 else slot)
             parts.append(whole if whole.ndim == 2 else whole[:, None])
         rows = np.empty((n, sum(a.shape[1] for a in parts)), dtype=object)
         np.concatenate(parts, axis=1, out=rows)
@@ -182,12 +183,7 @@ def _write(obj: Any, pad: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        types = set(map(type, obj))
-        if types == {float}:
-            if not all(map(math.isfinite, obj)):
-                raise ValueError("cannot serialize non-finite float")
-            out.append("[" + ", ".join([format(x + 0.0, ".17g") for x in obj]) + "]")
-        elif not any(issubclass(t, _CONTAINERS) for t in types):
+        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
             out.append("[" + ", ".join(map(_scalar, obj)) + "]")
         else:
             inner = pad + "  "
@@ -212,9 +208,10 @@ def dumps_json(obj: Any) -> str:
     is joined at the end: exact ``float``/``int``/``str``/``bool``/``None``
     values dispatch on ``type()``, numpy scalars and subclasses go through
     ``isinstance``, and a list holding no dict, list or tuple is written
-    on one line with a single join.  A frame's records of a record table
-    (the savers' files) are written from the table's ``%`` template:
-    ``%.17g`` and ``%d`` give ``format``'s and ``str``'s bytes.  A
+    on one line with a single join.  Every float goes through one
+    formatter, except in a frame's records of a record table (the savers'
+    files), which are written from the table's ``%`` template: ``%.17g``
+    and ``%d`` give ``format``'s and ``str``'s bytes.  A
     non-finite float raises ``ValueError`` and any other type
     (``np.bool_``, ``set``, ``bytes``, ...) ``TypeError`` at the first
     such value in document order.
@@ -254,20 +251,10 @@ def _camera_from_dict(d: dict) -> CameraModel:
     )
 
 
-def _record_dicts(columns: dict[str, list[np.ndarray]]) -> list[list[dict]]:
-    """The records of a :class:`_RecordTable` with the same ``columns`` as plain dicts, one list per frame."""
-    keys = list(columns)
-    return [
-        [dict(zip(keys, values)) for values in zip(*(a.tolist() for a in frame))]
-        for frame in zip(*columns.values())
-    ]
-
-
-def _scene_document(scene: Scene, records) -> dict:
-    """The scene file's document, each frame's objects from ``records`` (:class:`_RecordTable` or
-    :func:`_record_dicts`) of the object columns."""
+def _scene_document(scene: Scene) -> dict:
+    """The scene file's document, each frame's objects from one :class:`_RecordTable` of the object columns."""
     frames = scene.frames
-    objects = records(
+    objects = _RecordTable(
         {
             "id": [f.ids for f in frames],
             "class": [f.classes for f in frames],
@@ -293,7 +280,8 @@ def _scene_document(scene: Scene, records) -> dict:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return _scene_document(scene, _record_dicts)
+    """What ``json.load`` reads from the :func:`save_scene` file: an integral float comes back as an ``int``."""
+    return json.loads(dumps_json(_scene_document(scene)))
 
 
 @contextlib.contextmanager
@@ -385,11 +373,11 @@ def scene_from_dict(d: dict) -> Scene:
         )
 
 
-def _detections_document(dets: DetectionSet, records, leading: dict[str, list[np.ndarray]]) -> dict:
-    """The detections file's document, each frame's detections from ``records`` (:class:`_RecordTable` or
-    :func:`_record_dicts`) of the ``leading`` columns followed by the detection columns."""
+def _detections_document(dets: DetectionSet, leading: dict[str, list[np.ndarray]]) -> dict:
+    """The detections file's document, each frame's detections from one :class:`_RecordTable` of the
+    ``leading`` columns followed by the detection columns."""
     frames = dets.frames
-    detections = records(
+    detections = _RecordTable(
         {
             **leading,
             "box": [f.boxes for f in frames],
@@ -405,7 +393,8 @@ def _detections_document(dets: DetectionSet, records, leading: dict[str, list[np
 
 
 def detections_to_dict(dets: DetectionSet) -> dict:
-    return _detections_document(dets, _record_dicts, {})
+    """What ``json.load`` reads from the :func:`save_detections` file: an integral float comes back as an ``int``."""
+    return json.loads(dumps_json(_detections_document(dets, {})))
 
 
 def detections_from_dict(d: dict) -> DetectionSet:
@@ -441,7 +430,7 @@ def read_json(path: str) -> Any:
 
 def save_scene(scene: Scene, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(_scene_document(scene, _RecordTable)) + "\n")
+        fh.write(dumps_json(_scene_document(scene)) + "\n")
 
 
 def load_scene(path: str) -> Scene:
@@ -452,7 +441,7 @@ def load_scene(path: str) -> Scene:
 
 def save_detections(dets: DetectionSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(_detections_document(dets, _RecordTable, {})) + "\n")
+        fh.write(dumps_json(_detections_document(dets, {})) + "\n")
 
 
 def load_detections(path: str) -> DetectionSet:

@@ -490,11 +490,11 @@ def render_detections(
     """Render a detection set from ground truth under the noise model.
 
     With all stds, drop probability and false-positive rate at zero the
-    detections are the exact polar transforms of the ground truth with
-    one-hot class probabilities and score 1.  False positives are placed
-    uniformly inside the perception range with score drawn from
-    U(0.1, 0.9).  Class probabilities have one entry per class id up to
-    the largest in the scene (one entry for a scene without objects).
+    detections are the exact polar transforms of the ground truth in
+    either noise frame, with one-hot class probabilities and score 1.
+    False positives are placed uniformly inside the perception range with
+    score drawn from U(0.1, 0.9).  Class probabilities have one entry per
+    class id up to the largest in the scene (one entry for a scene without objects).
     """
     if noise.false_positive_rate > 0.0 and range_config.r_max < _PLACEMENT_FLOOR:
         raise ValueError(f"render_detections: false positives need r_max >= the {_PLACEMENT_FLOOR:g} m "
@@ -520,7 +520,7 @@ def render_detections(
                 y = box[1] + draws[1] * noise.radial_std
                 r = _noisy(max(math.hypot(x, y), 1e-6), "radial_std")
                 a = math.atan2(y, x)
-            if noise.tangential_std != 0.0 or noise.mode != "polar":  # else exact passthrough, no trig roundoff
+            if (noise.tangential_std if noise.mode == "polar" else noise.radial_std) != 0.0:  # else exact, no roundoff
                 sin_a, cos_a = math.sin(a), math.cos(a)
             if noise.yaw_std > 0.0:
                 yaw = wrap_angle(_noisy(box[6] + draws[6] * noise.yaw_std, "yaw_std"))

@@ -404,6 +404,70 @@ class TestSaversWriteTheDictViewsBytes:
         assert path.read_text(encoding="utf-8") == dumps_json(detections_to_dict(dets)) + "\n"
 
 
+# The dict views as they were built before they read the saved file back: one dict per record from the
+# frame arrays' tolist() values, kept as their reference.
+def reference_scene_to_dict(scene):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "rig": [{"intrinsics": [cam.fx, cam.fy, cam.cx, cam.cy],
+                 "extrinsics": {"rotation": cam.rotation.reshape(-1).tolist(), "translation": cam.translation.tolist()},
+                 "image_size": [cam.width, cam.height]} for cam in scene.rig.cameras],
+        "frames": [{"t": f.t,
+                    "ego_pose": {"rotation": f.pose_rotation.reshape(-1).tolist(),
+                                 "translation": f.pose_translation.tolist()},
+                    "objects": [{"id": i, "class": c, "box": b, "velocity": v} for i, c, b, v in
+                                zip(f.ids.tolist(), f.classes.tolist(), f.boxes.tolist(), f.velocities.tolist())]}
+                   for f in scene.frames],
+    }
+
+
+def reference_detections_to_dict(dets):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "frames": [{"t": f.t,
+                    "detections": [{"box": b, "score": s, "probs": p, "velocity": v} for b, s, p, v in
+                                   zip(f.boxes.tolist(), f.scores.tolist(), f.probs.tolist(), f.velocities.tolist())]}
+                   for f in dets.frames],
+    }
+
+
+def typed(obj):
+    """``obj`` with each scalar paired with its type, so that ``==`` compares the types too."""
+    if type(obj) is dict:
+        return {k: typed(v) for k, v in obj.items()}
+    if type(obj) is list:
+        return [typed(v) for v in obj]
+    return type(obj), obj
+
+
+class TestDictViewsAreTheSavedFile:
+    @settings(max_examples=100, deadline=None)
+    @given(scenes())
+    def test_scene_to_dict(self, tmp_path_factory, scene):
+        view = scene_to_dict(scene)
+        assert view == reference_scene_to_dict(scene)
+        path = tmp_path_factory.mktemp("scene") / "scene.json"
+        save_scene(scene, str(path))
+        assert typed(view) == typed(json.loads(path.read_text(encoding="utf-8")))
+
+    @settings(max_examples=100, deadline=None)
+    @given(detection_sets())
+    def test_detections_to_dict(self, tmp_path_factory, dets):
+        view = detections_to_dict(dets)
+        assert view == reference_detections_to_dict(dets)
+        path = tmp_path_factory.mktemp("dets") / "dets.json"
+        save_detections(dets, str(path))
+        assert typed(view) == typed(json.loads(path.read_text(encoding="utf-8")))
+
+    def test_integral_floats_come_back_as_ints(self):
+        dets = DetectionSet.from_arrays([0.0], [1], np.array([[2.0, 0.0, 1.0, -0.0, 4.0, 2.0, 1.5, 0.0, 1.0]]),
+                                        np.array([[0.0, 1.0]]), np.array([[-0.0, 0.25]]), [1.0])
+        (record,) = detections_to_dict(dets)["frames"][0]["detections"]
+        assert typed(record) == typed({"box": [2, 0, 1, 0, 4, 2, 1.5, 0, 1], "score": 1, "probs": [0, 1],
+                                       "velocity": [0, 0.25]})
+        assert record == reference_detections_to_dict(dets)["frames"][0]["detections"][0]
+
+
 class TestRecordTable:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["scalar column", "list column", "second frame"])
@@ -430,3 +494,9 @@ class TestRecordTable:
         expected = {"frames": [{"rows": [{"%d": 7, "x": [-0.0, 0.5]}]}, {"rows": []}],
                     "last": [{"%d": -8, "x": [1e300, 2.0]}]}
         assert dumps_json(document) == reference_dumps(expected)
+
+    def test_an_integer_list_column_writes_lists_of_integers(self):
+        table = _RecordTable({"a": [np.array([[1, 2], [3, 4]]), np.array([[INT64.min, INT64.max]])],
+                              "b": [np.array([-0.0, 0.5]), np.array([2.0])]})
+        expected = [[{"a": [1, 2], "b": 0}, {"a": [3, 4], "b": 0.5}], [{"a": [INT64.min, INT64.max], "b": 2}]]
+        assert dumps_json([{"rows": rows} for rows in table]) == reference_dumps([{"rows": r} for r in expected])

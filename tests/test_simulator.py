@@ -12,6 +12,7 @@ from polarview.geometry import (
     PolarBox,
     PolarVelocity,
     cartesian_to_polar,
+    polar_fields,
     velocity_cartesian_to_polar,
 )
 from polarview.serialization import dumps_json, scene_to_dict
@@ -154,6 +155,20 @@ class TestRendering:
                 assert (det.velocity.v_rad, det.velocity.v_tan) == (vel.v_rad, vel.v_tan)
                 assert det.score == 1.0
                 assert det.probs[obj.label] == 1.0
+
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3])
+    def test_zero_noise_cartesian_render_is_the_polar_render(self, drop_prob):
+        # at zero std both noise frames pass polar_fields' azimuth pair through, with no atan2/sin/cos roundoff
+        scene = generate_scene(SceneConfig(n_objects=30, n_frames=4, seed=5))
+        polar, cartesian = (render_detections(scene, NoiseModel(drop_prob=drop_prob, mode=mode, seed=1))
+                            for mode in ("polar", "cartesian"))
+        for frame_p, frame_c in zip(polar.frames, cartesian.frames):
+            for name in ("boxes", "velocities", "probs", "scores"):
+                np.testing.assert_array_equal(getattr(frame_c, name), getattr(frame_p, name))
+        rows = [np.array([polar_fields(*box) for box in f.boxes.tolist()]) for f in scene.frames]
+        if drop_prob == 0.0:
+            np.testing.assert_array_equal(np.concatenate([f.boxes for f in cartesian.frames]), np.concatenate(rows))
+        assert len(polar.frames) == 4 and sum(map(len, cartesian.frames)) > 0
 
     def test_drop_probability_one_empties_frames(self):
         scene = generate_scene(SceneConfig(n_objects=5, n_frames=2, seed=12))
