@@ -20,6 +20,7 @@ import functools
 import io
 import math
 import sys
+from itertools import pairwise
 
 import numpy as np
 
@@ -104,57 +105,67 @@ def _region_from_args(args):
     return None
 
 
-def _in_region(region, rows: list) -> list[int]:
-    """Indices of the rows whose first two values (x, y) lie in the region (all rows for None)."""
-    return [i for i, (x, y, *_) in enumerate(rows) if region is None or region.contains(x, y)]
+def _in_region(region, rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose first two values (x, y) lie in the region (all rows for None)."""
+    if region is None:
+        return np.ones(len(rows), dtype=bool)
+    return np.fromiter(map(region.contains, rows[:, 0].tolist(), rows[:, 1].tolist()), dtype=bool, count=len(rows))
 
 
-def _ground_truth(args, command: str):
-    """Load ``--scene`` and ``--detections`` and check their frame counts agree.
+def _kept_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Per frame, how many of its ``counts[f]`` rows the mask ``kept`` keeps."""
+    return np.bincount(np.repeat(np.arange(len(counts)), counts)[kept], minlength=len(counts))
 
-    Returns the region and, lazily per frame, (scene frame, detection frame,
-    ground-truth box rows, indices of the rows inside the region).
+
+def _ground_truth(args, command: str, *names: str):
+    """Load ``--scene`` and ``--detections``, check their frame counts agree, and keep the objects in the region.
+
+    Returns the region, the detections, and the kept objects of all frames: their per-frame counts, box
+    rows, and the rows of each ``Scene.stacked`` field in ``names``.
     """
     scene = serialization.load_scene(args.scene)
     dets = serialization.load_detections(args.detections)
     if len(scene.frames) != len(dets.frames):
         raise ValueError(f"{command}: scene and detections disagree on frame count")
     region = _region_from_args(args)
-    rows = (f.boxes.tolist() for f in scene.frames)
-    return region, ((g, d, r, _in_region(region, r)) for g, d, r in zip(scene.frames, dets.frames, rows))
+    counts, boxes, *rows = scene.stacked("boxes", *names)
+    kept = _in_region(region, boxes)
+    return region, dets, [_kept_counts(counts, kept), boxes[kept], *(a[kept] for a in rows)]
 
 
 def _cmd_assign(args) -> int:
-    _, frames = _ground_truth(args, "assign")
+    _, dets, (gt_counts, gt_rows, gt_classes, gt_ids) = _ground_truth(args, "assign", "classes", "ids")
     if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
         raise ValueError("assign: --k-scaling must be finite and >= 1")
-    frames_out, columns = [], {key: [] for key in ("gt", "gt_id", "pred", "cost", "class_cost", "box_cost")}
-    for frame_gt, frame_det, gt_rows, kept in frames:
-        gt_boxes = np.array([polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
-        gt_classes = frame_gt.classes[kept]
+    counts, boxes, probs = dets.stacked("boxes", "probs")
+    gt_boxes = np.reshape([polar_fields(*row) for row in gt_rows.tolist()], (-1, 9))
+    starts, gt_starts = (np.concatenate([[0], np.cumsum(c)]) for c in (counts, gt_counts))
+    frames_out, local, n_pairs = [], [], []  # local: each frame's (gt, pred) pairs, frame by frame
+    for frame, (lo, hi), (g_lo, g_hi) in zip(dets.frames, pairwise(starts.tolist()), pairwise(gt_starts.tolist())):
         costs = assignment.build_cost_matrix(
-            (frame_det.boxes, frame_det.probs), (gt_boxes, gt_classes), args.k_scaling,
+            (boxes[lo:hi], probs[lo:hi]), (gt_boxes[g_lo:g_hi], gt_classes[g_lo:g_hi]), args.k_scaling,
             class_cost_form=args.class_cost,
         )
         result = assignment.hungarian(costs)
-        gts, preds = np.array(result.pairs, dtype=np.intp).reshape(-1, 2).T
-        pair_columns = (
-            gts, frame_gt.ids[kept][gts], preds, costs[gts, preds],
-            assignment.class_cost(frame_det.probs[preds], gt_classes[gts], form=args.class_cost),
-            assignment.box_cost(frame_det.boxes[preds], gt_boxes[gts], args.k_scaling),
-        )
-        for column, values in zip(columns.values(), pair_columns):
-            column.append(values)
+        local += result.pairs
+        n_pairs.append(len(result))
         frames_out.append(
             {
-                "t": frame_gt.t,
+                "t": frame.t,
                 "pairs": None,  # filled from the table of all frames' pairs below
-                "unmatched_gts": sorted(set(range(len(kept))) - result.matched_gts()),
-                "unmatched_preds": sorted(set(range(len(frame_det))) - result.matched_preds()),
+                "unmatched_gts": sorted(set(range(g_hi - g_lo)) - result.matched_gts()),
+                "unmatched_preds": sorted(set(range(hi - lo)) - result.matched_preds()),
             }
         )
-    for frame, pairs in zip(frames_out, serialization._RecordTable(columns)):
-        frame["pairs"] = pairs
+    gts, preds = np.array(local, dtype=np.intp).reshape(-1, 2).T
+    g, p = gts + np.repeat(gt_starts[:-1], n_pairs), preds + np.repeat(starts[:-1], n_pairs)  # rows of the file
+    class_costs = assignment.class_cost(probs[p], gt_classes[g], form=args.class_cost)
+    box_costs = assignment.box_cost(boxes[p], gt_boxes[g], args.k_scaling)
+    # the cost matrix adds the same two terms, so the sum is its cell, bit for bit
+    columns = (gts, gt_ids[g], preds, box_costs + class_costs, class_costs, box_costs)
+    keys = ("gt", "gt_id", "pred", "cost", "class_cost", "box_cost")
+    for frame, records in zip(frames_out, serialization._RecordTable(n_pairs, dict(zip(keys, columns)))):
+        frame["pairs"] = records
     report = {
         "schema_version": serialization.SCHEMA_VERSION,
         "k_scaling": args.k_scaling,
@@ -171,14 +182,15 @@ def _cmd_track(args) -> int:
     if args.scene:
         scene = serialization.load_scene(args.scene)
         summary["id_switches"] = tracker.count_id_switches(result, scene)
-    report = serialization._detections_document(dets, {"track_id": result.track_ids})
+    track_ids = np.concatenate([np.zeros(0, dtype=np.int64), *result.track_ids])
+    report = serialization._detections_document(dets, {"track_id": track_ids})
     report["summary"] = summary
     _write_text(args.out, serialization.dumps_json(report) + "\n")
     return 0
 
 
 def _eval_metrics(args) -> dict:
-    region, frames = _ground_truth(args, "eval")
+    region, dets, (gt_counts, gt_rows, gt_velocities) = _ground_truth(args, "eval", "velocities")
     thresholds = _floats(args.thresholds, "eval: --thresholds")
     if not all(math.isfinite(t) and t > 0.0 for t in [*thresholds, args.tp_threshold]):
         raise ValueError("eval: --thresholds and --tp-threshold must be finite and positive")
@@ -187,33 +199,24 @@ def _eval_metrics(args) -> dict:
     keys = [f"{th:g}" for th in thresholds]  # the AP keys
     if len(set(keys)) < len(keys):
         raise ValueError("eval: --thresholds must differ in their first 6 significant digits")
-    frame_scores = []
-    frame_tp = [[] for _ in thresholds]  # per AP threshold, each frame's TP flags
-    n_gt = 0
-    matched = []  # per frame, the matched rows: pred boxes, pred velocities, gt boxes, gt velocities
-    for frame_gt, frame_det, gt_rows, kept_gt in frames:
-        gt_centers = frame_gt.boxes[kept_gt, :2]
-        centers = polar_centers(frame_det.boxes)
-        kept = _in_region(region, centers.tolist())
-        scores = frame_det.scores[kept]
-        *at_thresholds, (matches, _) = metrics.match_by_center_distance(
-            centers[kept], scores, gt_centers, [*thresholds, args.tp_threshold]
-        )
-        frame_scores.append(scores)
-        for flags, (_, is_tp) in zip(frame_tp, at_thresholds):
-            flags.append(is_tp)
-        n_gt += len(kept_gt)
-        if matches:
-            di = [kept[pi] for pi, _ in matches]
-            gj = [kept_gt[gi] for _, gi in matches]
-            gt_boxes = np.reshape([polar_fields(*gt_rows[j]) for j in gj], (-1, 9))  # only matched ones need an azimuth
-            v = frame_gt.velocities[gj]
-            gt_velocities = np.column_stack(rotate_planar(v[:, 0], v[:, 1], -gt_boxes[:, 1], gt_boxes[:, 2]))
-            matched.append((frame_det.boxes[di], frame_det.velocities[di], gt_boxes, gt_velocities))
-    pairs = [np.concatenate(rows) for rows in zip(*matched)]
-    n_pairs = len(pairs[0]) if pairs else 0
-
-    ap = {key: metrics.average_precision_frames(frame_scores, flags, n_gt) for key, flags in zip(keys, frame_tp)}
+    counts, boxes, velocities, scores = dets.stacked("boxes", "velocities", "scores")
+    centers = polar_centers(boxes)
+    kept = _in_region(region, centers)
+    *at_thresholds, (matches, _) = metrics.match_by_center_distance(
+        centers[kept], scores[kept], _kept_counts(counts, kept), gt_rows[:, :2], gt_counts,
+        [*thresholds, args.tp_threshold],
+    )
+    pairs = []  # the matched rows: pred boxes, pred velocities, gt boxes, gt velocities
+    if matches:
+        di, gj = np.array(matches).T
+        di = np.flatnonzero(kept)[di]
+        gt_boxes = np.reshape([polar_fields(*r) for r in gt_rows[gj].tolist()], (-1, 9))  # only these need an azimuth
+        v = gt_velocities[gj]
+        gt_v = np.column_stack(rotate_planar(v[:, 0], v[:, 1], -gt_boxes[:, 1], gt_boxes[:, 2]))
+        pairs = [boxes[di], velocities[di], gt_boxes, gt_v]
+    n_pairs = len(matches)
+    ap = {key: metrics.average_precision_frames([scores[kept]], [is_tp], len(gt_rows))
+          for key, (_, is_tp) in zip(keys, at_thresholds)}
     values = list(ap.values())
     m_ap = None if any(v is None for v in values) else float(np.mean(values))
     report: dict = {
@@ -273,11 +276,11 @@ def _cmd_symmetry_check(args) -> int:
 
 def _cmd_range_demo(args) -> int:
     objects, circular, rectangular = assignment.range_ambiguity_fixture()
-    centers = [(b.x, b.y) for b in objects]
-    kept_r = _in_region(rectangular, centers)
+    centers = np.array([(b.x, b.y) for b in objects])
+    kept_c, kept_r = (np.flatnonzero(_in_region(region, centers)).tolist() for region in (circular, rectangular))
     report = {
-        "objects": [{"x": x, "y": y, "r": math.hypot(x, y)} for x, y in centers],
-        "circular": {"r_max": circular.r_max, "kept": _in_region(circular, centers)},
+        "objects": [{"x": x, "y": y, "r": math.hypot(x, y)} for x, y in centers.tolist()],
+        "circular": {"r_max": circular.r_max, "kept": kept_c},
         "rectangular": {
             "x_max": rectangular.x_max,
             "y_max": rectangular.y_max,

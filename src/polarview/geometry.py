@@ -39,6 +39,7 @@ __all__ = [
     "encode_polar_box",
     "encode_boxes",
     "planar_distances",
+    "gated_cells",
     "polar_centers",
     "rotate_planar",
     "polar_fields",
@@ -337,6 +338,36 @@ def planar_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(M, N) planar distances between the rows of (M, 2) ``a`` and (N, 2) ``b``; inf where they overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
+
+
+def gated_cells(a: np.ndarray, a_counts, b: np.ndarray, b_counts, reach: float):
+    """Same-frame cells within ``reach``: (row of ``a``, row of ``b``, distance) arrays, by row of ``a``.
+
+    Frame f holds the next ``a_counts[f]`` rows of (M, 2) ``a`` and ``b_counts[f]`` rows of (N, 2) ``b``; the
+    cells and distance bits are those of ``planar_distances(a_f, b_f) <= reach``.  Each row of ``a`` takes the
+    rows of ``b`` in an x-window a little wider than ``reach`` (so rounding cannot narrow it), and only those
+    within ``reach`` in x and in y (hypot is at least both) go to ``np.hypot``.
+    """
+    fa, fb = (np.repeat(np.arange(len(c)), c) for c in (a_counts, b_counts))
+    if (len(fa), len(fb)) != (len(a), len(b)):
+        raise ValueError("gated_cells: the per-frame row counts must add up to the rows")
+    # b's x as ranks, so that (frame, x) orders as one integer key: frame * (N + 1) + rank
+    xs, span = np.sort(b[:, 0]), len(b) + 1
+    keys = fb * span + np.searchsorted(xs, b[:, 0])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    margin = reach + (reach * 2.0**-40 + 2.0**-1000)  # an x-gap past it rounds to more than reach
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = (np.nextafter(a[:, 0] + side * margin, side * np.inf) for side in (-1.0, 1.0))
+        first = np.searchsorted(keys, fa * span + np.searchsorted(xs, lo, "left"))
+        n = np.maximum(np.searchsorted(keys, fa * span + np.searchsorted(xs, hi, "right")) - first, 0)
+        rows = np.repeat(np.arange(len(a)), n)
+        cols = order[np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)]
+        dx, dy = a[rows, 0] - b[cols, 0], a[rows, 1] - b[cols, 1]
+        near = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
+        dist = np.hypot(dx[near], dy[near])
+    keep = dist <= reach
+    return rows[near][keep], cols[near][keep], dist[keep]
 
 
 def polar_centers(boxes: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 TP errors take the matched pairs as rows: (P, 9) boxes in
 ``geometry.POLAR_FIELDS`` order and (P, 2) polar velocities per side.
-Matching runs once per frame for every threshold: one sort of the
-frame's cells by (score rank, distance, gt index), then the shared
-``assignment.greedy_claim`` loop per threshold.  AP takes each frame's
-scores and TP flags at one threshold.
+Matching runs once per file for every threshold: one search for the
+same-frame cells, one sort of them by (frame, score rank, distance, gt
+index), then the shared ``assignment.greedy_claim`` loop per threshold.
+AP takes the scores and TP flags at one threshold.
 
 These are single-pool surrogates of the nuScenes metric suite: no
 class-balanced averaging, no recall floor.  The composite score formula
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import greedy_claim
-from .geometry import planar_distances, rotate_planar, wrap_angle
+from .geometry import gated_cells, rotate_planar, wrap_angle
 
 __all__ = [
     "TPErrors",
@@ -107,29 +107,33 @@ def tp_errors(pred_boxes, pred_velocities, gt_boxes, gt_velocities) -> TPErrors:
 def match_by_center_distance(
     pred_centers: np.ndarray,
     scores: np.ndarray,
+    pred_counts: Sequence[int],
     gt_centers: np.ndarray,
+    gt_counts: Sequence[int],
     thresholds: Sequence[float],
 ) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
-    """Score-descending greedy matching of one frame's predictions to its ground truths, at each threshold.
+    """Score-descending greedy matching of predictions to ground truths within each frame, at each threshold.
 
-    Each prediction (best score first; ties keep input order) claims its
-    nearest still-unmatched ground truth (lowest index among equal
-    distances) if that lies within the threshold.  The cells within the
-    largest threshold are sorted once, by (score rank, distance, gt
-    index); each threshold claims the run of them within its reach.
-    Returns, per threshold, the (pred index, gt index) matches in claim
-    order and the per-prediction TP flags.
+    Frame f holds the next ``pred_counts[f]`` prediction rows and the next
+    ``gt_counts[f]`` ground-truth rows.  In each frame, each prediction
+    (best score first; ties keep input order) claims its nearest
+    still-unmatched ground truth (lowest index among equal distances) if
+    that lies within the threshold.  One search finds the same-frame cells
+    within the largest threshold (``geometry.gated_cells``); they are
+    sorted once, by (frame, score rank, distance, gt index), and each
+    threshold claims the run of them within its reach.  Returns, per
+    threshold, the (pred row, gt row) matches in claim order, frame by
+    frame, and the per-prediction TP flags.
     """
     pred_centers = np.asarray(pred_centers, dtype=np.float64).reshape(-1, 2)
     scores = np.asarray(scores, dtype=np.float64)
     gt_centers = np.asarray(gt_centers, dtype=np.float64).reshape(-1, 2)
     if not all(np.isfinite(a).all() for a in (pred_centers, scores, gt_centers)) or np.isnan(thresholds).any():
         raise ValueError("match_by_center_distance: centers and scores must be finite, thresholds not NaN")
+    frame = np.repeat(np.arange(len(pred_counts)), pred_counts)
     rank = np.empty(len(scores), dtype=np.int64)
-    rank[np.argsort(-scores, kind="stable")] = np.arange(len(scores))
-    dist = planar_distances(pred_centers, gt_centers)
-    rows, cols = np.nonzero(dist <= max(thresholds))
-    d = dist[rows, cols]
+    rank[np.lexsort((-scores, frame))] = np.arange(len(scores))  # frame first, so ranks never mix frames
+    rows, cols, d = gated_cells(pred_centers, pred_counts, gt_centers, gt_counts, max(thresholds))
     order = np.lexsort((cols, d, rank[rows]))
     rows, cols, d = rows[order], cols[order], d[order]
     results = []
@@ -147,9 +151,10 @@ def average_precision_frames(
 ) -> float | None:
     """AP pooled over frames: one global score ranking, TP flags from within-frame matching.
 
-    Frame f gives its prediction scores and, at one threshold, the TP
-    flags that ``match_by_center_distance`` returned for them; ``n_gt``
-    counts the ground truths of all frames.  None when there are none.
+    Part f (one frame, or all of them) gives prediction scores and, at one
+    threshold, the TP flags that ``match_by_center_distance`` returned for
+    them; ``n_gt`` counts the ground truths of all frames.  None when there
+    are none.
     """
     if len(frame_scores) != len(frame_tp):
         raise ValueError("average_precision_frames: frame counts differ")

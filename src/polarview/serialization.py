@@ -50,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Any
 
 import numpy as np
@@ -110,24 +110,22 @@ def _scalar(x: Any) -> str:
 class _RecordTable:
     """The same-keyed records of one output file as checked columns, split into frames.
 
-    ``columns`` maps each record key, in record order, to the key's values
-    per frame: one (N,) or (N, k) array per frame, float or integer, with
-    the same N for every key.  Float columns are checked finite once
-    (ValueError "cannot serialize non-finite float") and written at 17
-    significant digits, ``-0.0`` as ``0``; integer columns as int64; an
-    (N, k) column of either kind as a list of k numbers.  Iterating gives one
-    value per frame that :func:`dumps_json` writes as that frame's list of
-    records, filled at its indentation from one item template with a
-    single ``%``.
+    Frame f holds the next ``counts[f]`` records.  ``columns`` maps each
+    record key, in record order, to the key's values for all records: one
+    (N,) or (N, k) array, float or integer.  Float columns are checked
+    finite once (ValueError "cannot serialize non-finite float") and
+    written at 17 significant digits, ``-0.0`` as ``0``; integer columns as
+    int64; an (N, k) column of either kind as a list of k numbers.
+    Iterating gives one value per frame that :func:`dumps_json` writes as
+    that frame's list of records, filled at its indentation from one item
+    template with a single ``%``.
     """
 
-    def __init__(self, columns: dict[str, list[np.ndarray]]) -> None:
-        self.bounds = [0, *accumulate(map(len, next(iter(columns.values()))))]
+    def __init__(self, counts, columns: dict[str, np.ndarray]) -> None:
+        self.bounds = [0, *np.cumsum(counts, dtype=np.int64).tolist()]
         n = self.bounds[-1]
         slots, parts = [], []
-        for frames in columns.values():
-            frames = [a for a in frames if len(a)]  # an empty frame's probs may have no columns
-            whole = np.concatenate(frames) if frames else np.empty(0)
+        for whole in columns.values():
             if whole.dtype.kind == "f":
                 if not np.isfinite(whole).all():
                     raise ValueError("cannot serialize non-finite float")
@@ -253,15 +251,8 @@ def _camera_from_dict(d: dict) -> CameraModel:
 
 def _scene_document(scene: Scene) -> dict:
     """The scene file's document, each frame's objects from one :class:`_RecordTable` of the object columns."""
-    frames = scene.frames
-    objects = _RecordTable(
-        {
-            "id": [f.ids for f in frames],
-            "class": [f.classes for f in frames],
-            "box": [f.boxes for f in frames],
-            "velocity": [f.velocities for f in frames],
-        }
-    )
+    counts, *columns = scene.stacked("ids", "classes", "boxes", "velocities")
+    objects = _RecordTable(counts, dict(zip(("id", "class", "box", "velocity"), columns)))
     return {
         "schema_version": SCHEMA_VERSION,
         "rig": [_camera_to_dict(cam) for cam in scene.rig.cameras],
@@ -274,7 +265,7 @@ def _scene_document(scene: Scene) -> dict:
                 },
                 "objects": rows,
             }
-            for frame, rows in zip(frames, objects)
+            for frame, rows in zip(scene.frames, objects)
         ],
     }
 
@@ -373,22 +364,14 @@ def scene_from_dict(d: dict) -> Scene:
         )
 
 
-def _detections_document(dets: DetectionSet, leading: dict[str, list[np.ndarray]]) -> dict:
+def _detections_document(dets: DetectionSet, leading: dict[str, np.ndarray]) -> dict:
     """The detections file's document, each frame's detections from one :class:`_RecordTable` of the
     ``leading`` columns followed by the detection columns."""
-    frames = dets.frames
-    detections = _RecordTable(
-        {
-            **leading,
-            "box": [f.boxes for f in frames],
-            "score": [f.scores for f in frames],
-            "probs": [f.probs for f in frames],
-            "velocity": [f.velocities for f in frames],
-        }
-    )
+    counts, *columns = dets.stacked("boxes", "scores", "probs", "velocities")
+    detections = _RecordTable(counts, {**leading, **dict(zip(("box", "score", "probs", "velocity"), columns))})
     return {
         "schema_version": SCHEMA_VERSION,
-        "frames": [{"t": frame.t, "detections": rows} for frame, rows in zip(frames, detections)],
+        "frames": [{"t": frame.t, "detections": rows} for frame, rows in zip(dets.frames, detections)],
     }
 
 

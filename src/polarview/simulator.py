@@ -75,6 +75,14 @@ def _frames(cls, times, counts, rows: list[np.ndarray], *per_frame) -> tuple:
     )
 
 
+def _stacked(frames: tuple, empty, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The per-frame row counts, then each named field of all rows; frames without rows (whose probs may be
+    (0, 0)) are left out, and with no rows at all the fields are those of ``empty()``, a frame without rows."""
+    counts = [len(f) for f in frames]
+    full = [f for f, n in zip(frames, counts) if n] or [empty()]
+    return [np.array(counts, dtype=np.intp), *(np.concatenate([getattr(f, n) for f in full]) for n in names)]
+
+
 def _scene_rows(frames: int, rotations, translations, ids, classes, boxes, velocities) -> list[np.ndarray]:
     """Read-only copies of ``frames`` ego poses and of object rows, checked in one pass.
 
@@ -189,6 +197,10 @@ class Scene:
         rotations, translations, *rows = _scene_rows(len(times), *arrays)
         return cls(rig=rig, frames=_frames(SceneFrame, times, counts, rows, rotations, translations))
 
+    def stacked(self, *names: str) -> list[np.ndarray]:
+        """The per-frame object counts, then each named array field (``ids``, ``boxes``, ...) of all frames' rows."""
+        return _stacked(self.frames, lambda: SceneFrame(0.0, EgoPose.identity(), ()), names)
+
 
 @dataclass(frozen=True, eq=False)
 class Detection:
@@ -300,6 +312,10 @@ class DetectionSet:
         is the one ``DetectionFrame(t, detections)`` makes for its records.
         """
         return cls(_frames(DetectionFrame, times, counts, _detection_rows(boxes, probs, velocities, scores)))
+
+    def stacked(self, *names: str) -> list[np.ndarray]:
+        """The per-frame detection counts, then each named array field (``boxes``, ...) of all frames' rows."""
+        return _stacked(self.frames, lambda: DetectionFrame(0.0), names)
 
 
 _NOISE_MODES = ("polar", "cartesian")

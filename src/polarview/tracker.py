@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import greedy_claim, hungarian
-from .geometry import planar_distances, polar_centers, rotate_planar
+from .geometry import gated_cells, planar_distances, polar_centers, rotate_planar
 from .simulator import Detection, DetectionFrame, DetectionSet, Scene
 
 __all__ = [
@@ -174,24 +174,23 @@ def count_id_switches(result: TrackingResult, scene: Scene) -> int:
     """Count identity switches of tracked detections against ground truth.
 
     Per frame, tracked detections are greedily matched to ground-truth
-    objects by planar center distance (same class, within 2 m).  A switch
-    is a frame where a ground-truth object's matched track id differs from
-    its previous matched frame's.
+    objects by planar center distance (same class, within 2 m): one search
+    (``geometry.gated_cells``) and one claim pass in (frame, distance,
+    detection, object) order cover all frames.  A switch is a frame where
+    a ground-truth object's matched track id differs from its previous
+    matched frame's.
     """
     if len(result.track_ids) != len(scene.frames):
         raise ValueError("count_id_switches: frame counts differ")
-    last_track_of_gt: dict[int, int] = {}
-    switches = 0
-    for ids, frame, frame_gt in zip(result.track_ids, result.detections.frames, scene.frames):
-        if not len(ids) or not len(frame_gt):
-            continue
-        dist = planar_distances(polar_centers(frame.boxes), frame_gt.boxes[:, :2])
-        allowed = (dist <= 2.0) & (frame.labels[:, None] == frame_gt.classes[None, :])
-        gt_ids = frame_gt.ids.tolist()
-        for di, gi in _greedy_match(dist, allowed):
-            gt_id = gt_ids[gi]
-            track_id = int(ids[di])
-            if gt_id in last_track_of_gt and last_track_of_gt[gt_id] != track_id:
-                switches += 1
-            last_track_of_gt[gt_id] = track_id
-    return switches
+    counts, boxes, probs = result.detections.stacked("boxes", "probs")
+    gt_counts, gt_boxes, classes, gt_ids = scene.stacked("boxes", "classes", "ids")
+    rows, cols, dist = gated_cells(polar_centers(boxes), counts, gt_boxes[:, :2], gt_counts, 2.0)
+    same = probs[rows].argmax(axis=1) == classes[cols] if len(rows) else np.zeros(0, dtype=bool)
+    rows, cols, dist = rows[same], cols[same], dist[same]
+    order = np.lexsort((cols, rows, dist, np.repeat(np.arange(len(counts)), counts)[rows]))
+    det, gt = np.array(greedy_claim(rows[order].tolist(), cols[order].tolist()), dtype=np.intp).reshape(-1, 2).T
+    # each object's matched tracks in frame order: a switch is a change between neighbours
+    gt_id, track = gt_ids[gt], np.concatenate([np.zeros(0, dtype=np.int64), *result.track_ids])[det]
+    by_object = np.argsort(gt_id, kind="stable")
+    gt_id, track = gt_id[by_object], track[by_object]
+    return int(np.count_nonzero((gt_id[1:] == gt_id[:-1]) & (track[1:] != track[:-1])))

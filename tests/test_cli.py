@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -9,13 +10,18 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarview
+from _frame_loops import frame_loop_assign_report, frame_loop_eval_metrics
 from polarview import assignment, camera, cli, geometry, serialization, simulator, tracker
 from polarview.cli import main
 
@@ -1328,9 +1334,13 @@ class TestSavePathBuildsNoRecordDicts:
 # The assign and track documents as the per-record dict code wrote them
 # before the record tables, kept as the byte reference of both commands.
 def dict_built_assign_report(args):
-    _, frames = cli._ground_truth(args, "assign")
+    scene = serialization.load_scene(args.scene)
+    dets = serialization.load_detections(args.detections)
+    region = cli._region_from_args(args)
     frames_out = []
-    for frame_gt, frame_det, gt_rows, kept in frames:
+    for frame_gt, frame_det in zip(scene.frames, dets.frames):
+        gt_rows = frame_gt.boxes.tolist()
+        kept = [i for i, (x, y, *_) in enumerate(gt_rows) if region is None or region.contains(x, y)]
         gt_boxes = np.array([geometry.polar_fields(*gt_rows[j]) for j in kept]).reshape(-1, 9)
         gt_classes = frame_gt.classes[kept]
         gt_ids = frame_gt.ids[kept].tolist()
@@ -1529,3 +1539,175 @@ class TestStartupLoadsScipyOnlyForHungarian:
         assert all("scipy.optimize" in modules for _, _, modules in report[1:])
         for name in argvs:
             assert open(tmp_path / f"{name}.json", "rb").read() == expected[name]
+
+
+def write_files(directory, scene_frames, det_frames, n_classes):
+    """Scene and detections files of the given frames: per scene frame a list of (id, class, x, y, vx, vy), per
+    detections frame a list of ((x, y), probs, score, (v_rad, v_tan)); each detection box lies at its center."""
+    objects = [o for frame in scene_frames for o in frame]
+    dets = [d for frame in det_frames for d in frame]
+    n = len(scene_frames)
+    scene = simulator.Scene.from_arrays(
+        camera.make_symmetric_rig(6), np.arange(n) * 0.5, [len(f) for f in scene_frames],
+        np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)), np.array([o[0] for o in objects], dtype=np.int64),
+        np.array([o[1] for o in objects], dtype=np.int64),
+        np.reshape([(x, y, 0.0, 4.0, 2.0, 1.5, 0.0) for _, _, x, y, *_ in objects], (-1, 7)),
+        np.reshape([o[4:] for o in objects], (-1, 2)),
+    )
+    detections = simulator.DetectionSet.from_arrays(
+        np.arange(n) * 0.5, [len(f) for f in det_frames],
+        np.reshape([geometry.polar_fields(x, y, 0.0, 4.0, 2.0, 1.5, 0.0) for (x, y), *_ in dets], (-1, 9)),
+        np.reshape([p for _, p, _, _ in dets], (-1, n_classes)), np.reshape([v for *_, v in dets], (-1, 2)),
+        np.array([s for _, _, s, _ in dets], dtype=np.float64),
+    )
+    paths = os.path.join(directory, "scene.json"), os.path.join(directory, "dets.json")
+    serialization.save_scene(scene, paths[0])
+    serialization.save_detections(detections, paths[1])
+    return paths
+
+
+def outcome(fn):
+    """(exit code, standard error) of ``fn()``, an exception reported as ``cli.main`` reports it."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return fn(), err.getvalue()
+    except (ValueError, KeyError, TypeError) as exc:
+        return 1, f"polarview: {exc}\n"
+
+
+def frame_loop_assign(args):
+    cli._write_text(args.out, serialization.dumps_json(frame_loop_assign_report(args)) + "\n")
+    return 0
+
+
+def same_outcome_and_bytes(argv, out):
+    """``cli.main(argv)`` and the frame-loop reference exit alike and write the same bytes to ``out``."""
+    def written():
+        with open(out, "rb") as fh:
+            return fh.read()
+
+    got = outcome(lambda: main(argv))
+    got_bytes = written() if got[0] == 0 else None
+    if argv[0] == "assign":
+        reference = outcome(lambda: frame_loop_assign(cli.build_parser().parse_args(argv)))
+    else:
+        with mock.patch.object(cli, "_eval_metrics", frame_loop_eval_metrics):
+            reference = outcome(lambda: main(argv))
+    assert got == reference
+    if got[0] == 0:
+        assert written() == got_bytes
+
+
+#: Coordinates where distances tie, sit exactly on a threshold, or overflow; (0, 0) has no azimuth.
+EDGE_COORDINATES = [1.0, -1.0, 2.0, 3.0, 0.5, -4e-16, 1.7e308, -1.7e308]
+REGIONS = [
+    ["--range-mode", "circular", "--r-max", "3.5"],
+    ["--range-mode", "rectangular", "--x-max", "2.5", "--y-max", "2"],
+    ["--range-mode", "none"],
+]
+
+
+@st.composite
+def scene_and_detections(draw):
+    """Frames of objects and detections on tie-heavy, edge or random centers, empty frames included."""
+    coordinate = draw(st.sampled_from([
+        st.integers(-3, 3).map(float), st.sampled_from(EDGE_COORDINATES), st.floats(-4.0, 4.0),
+    ]))
+    center = st.tuples(coordinate, coordinate).filter(lambda c: c != (0.0, 0.0))
+    axis_center = center.map(lambda c: c if abs(c[0]) < 1e300 else (c[0], 0.0))  # r = hypot(x, y) stays finite
+    n_classes = draw(st.integers(1, 3))
+    prob = draw(st.sampled_from([st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                 st.floats(0.0, 1.0)]))
+    score = draw(st.sampled_from([st.just(1.0), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)]))
+    counts = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    if draw(st.booleans()):  # no objects, or no detections, in the whole file
+        counts = [(0, n) for _, n in counts] if draw(st.booleans()) else [(m, 0) for m, _ in counts]
+    velocity = st.tuples(st.integers(-2, 2).map(float), st.integers(-2, 2).map(float))
+    scene_frames = [
+        [(i, draw(st.integers(0, n_classes - 1)), *draw(center), *draw(velocity)) for i in range(m)]
+        for m, _ in counts
+    ]
+    det_frames = [
+        [(draw(axis_center), draw(st.lists(prob, min_size=n_classes, max_size=n_classes)), draw(score),
+          draw(velocity)) for _ in range(n)]
+        for _, n in counts
+    ]
+    return scene_frames, det_frames, n_classes
+
+
+class TestWholeFilePassesWriteTheFrameLoopBytes:
+    """``assign`` and ``eval`` over whole files write what the frame-by-frame loops wrote, or fail as they failed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene_and_detections(), st.sampled_from(REGIONS), st.sampled_from(assignment.CLASS_COST_FORMS),
+           st.sampled_from([["--thresholds", "0.5,1,2,4"], ["--thresholds", "1,1.4142135623730951,3",
+                                                            "--tp-threshold", "1"]]))
+    def test_hypothesis_files(self, files, region, form, thresholds):
+        with tempfile.TemporaryDirectory() as directory:
+            scene, dets = write_files(directory, *files)
+            out = os.path.join(directory, "out")
+            inputs = ["--scene", scene, "--detections", dets, *region, "--out", out]
+            same_outcome_and_bytes(["assign", *inputs, "--class-cost", form], out)
+            same_outcome_and_bytes(["eval", *inputs, *thresholds], out)
+
+    @pytest.mark.parametrize("seed", [4242, 5])
+    @pytest.mark.parametrize("region", REGIONS[:2] + [["--range-mode", "rectangular", "--x-max", "40",
+                                                         "--y-max", "30"], ["--range-mode", "none"]])
+    def test_rendered_files(self, capsys, tmp_path, seed, region):
+        scene, dets, out = (str(tmp_path / name) for name in ("scene.json", "dets.json", "out"))
+        run(capsys, "simulate", "--objects", "30", "--frames", "6", "--speed-max", "4", "--seed", str(seed),
+            "--out", scene)
+        run(capsys, "render", "--scene", scene, "--radial-std", "0.3", "--drop-prob", "0.2", "--fp-rate", "4",
+            "--seed", str(seed), "--out", dets)
+        inputs = ["--scene", scene, "--detections", dets, *region, "--out", out]
+        for form in assignment.CLASS_COST_FORMS:
+            same_outcome_and_bytes(["assign", *inputs, "--class-cost", form], out)
+        for fmt in ("json", "csv"):
+            same_outcome_and_bytes(["eval", *inputs, "--format", fmt], out)
+
+
+class TestErrorsSurfaceFrameByFrame:
+    """A fault in one frame gives the message it gave when each frame was its own pass."""
+
+    def files(self, tmp_path, bad_class, detections_in_bad_frame):
+        # frame 1 holds an object of class bad_class; two classes of probabilities
+        scene_frames = [[(0, 0, 1.0, 1.0, 0.0, 0.0)], [(0, 0, 1.0, 1.0, 0.0, 0.0), (1, bad_class, 2.0, 0.0, 0.0, 0.0)],
+                        [(0, 1, 1.0, 1.0, 0.0, 0.0)]]
+        det = ((1.0, 1.0), [0.8, 0.2], 0.9, (0.0, 0.0))
+        det_frames = [[det], [det] if detections_in_bad_frame else [], [det]]
+        return write_files(str(tmp_path), scene_frames, det_frames, 2)
+
+    def test_a_class_id_out_of_range_in_a_frame_without_detections_passes(self, capsys, tmp_path):
+        scene, dets = self.files(tmp_path, 5, False)
+        out = str(tmp_path / "out")
+        assert main(["assign", "--scene", scene, "--detections", dets, "--out", out]) == 0
+        same_outcome_and_bytes(["assign", "--scene", scene, "--detections", dets, "--out", out],
+                               out)
+
+    def test_a_class_id_out_of_range_in_a_frame_with_detections_fails(self, capsys, tmp_path):
+        scene, dets = self.files(tmp_path, 5, True)
+        code, out, err = run(capsys, "assign", "--scene", scene, "--detections", dets)
+        assert (code, out, err) == (1, "", "polarview: class_cost: class ids must be integers in [0, 2)\n")
+        argv = ["assign", "--scene", scene, "--detections", dets, "--out", str(tmp_path / "out")]
+        same_outcome_and_bytes(argv, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", ["assign", "eval"])
+    def test_an_object_at_the_origin_in_one_frame(self, capsys, tmp_path, command):
+        scene_frames = [[(0, 0, 1.0, 1.0, 0.0, 0.0)], [(0, 0, 0.0, 0.0, 0.0, 0.0)], []]
+        det = ((0.5, 0.0), [1.0], 1.0, (0.0, 0.0))
+        scene, dets = write_files(str(tmp_path), scene_frames, [[det], [det], [det]], 1)
+        out = str(tmp_path / "out")
+        argv = [command, "--scene", scene, "--detections", dets, "--out", out]
+        assert run(capsys, *argv)[2] == "polarview: cartesian_to_polar: degenerate azimuth at (x, y) = (0, 0)\n"
+        same_outcome_and_bytes(argv, out)
+
+    def test_an_overflowing_cost_in_one_frame(self, capsys, tmp_path):
+        # the azimuths agree in frame 0 and are opposite in frame 1, where 1e308 * 2 overflows
+        scene_frames = [[(0, 0, 1.0, 0.0, 0.0, 0.0)], [(0, 0, -1.0, 0.0, 0.0, 0.0)]]
+        det = ((2.0, 0.0), [1.0], 1.0, (0.0, 0.0))
+        scene, dets = write_files(str(tmp_path), scene_frames, [[det], [det]], 1)
+        out = str(tmp_path / "out")
+        argv = ["assign", "--scene", scene, "--detections", dets, "--k-scaling", "1e308", "--out", out]
+        assert run(capsys, *argv)[2] == "polarview: cost matrix must be finite\n"
+        same_outcome_and_bytes(argv, out)

@@ -20,6 +20,7 @@ from polarview.geometry import (
     decode_boxes,
     encode_boxes,
     encode_polar_box,
+    gated_cells,
     planar_distances,
     polar_to_cartesian,
     velocity_cartesian_to_polar,
@@ -558,3 +559,106 @@ class TestInvariantValidation:
             out = decode_boxes(np.array([enc]), rc)
         assert rc.z_min <= out[0, 3] <= rc.z_max
         assert rc.z_min <= _decode_checked(enc, rc)[3] <= rc.z_max
+
+
+def per_frame_cells(a, a_counts, b, b_counts, reach):
+    """``np.nonzero(planar_distances(a_f, b_f) <= reach)`` frame by frame, as sorted (row, col, distance bits) of
+    the whole row sets."""
+    cells = []
+    a_lo, b_lo = np.cumsum([0, *a_counts]), np.cumsum([0, *b_counts])
+    for f in range(len(a_counts)):
+        dist = planar_distances(a[a_lo[f] : a_lo[f + 1]], b[b_lo[f] : b_lo[f + 1]])
+        rows, cols = np.nonzero(dist <= reach)
+        bits = dist[rows, cols].view(np.int64)
+        cells += zip((rows + a_lo[f]).tolist(), (cols + b_lo[f]).tolist(), bits.tolist())
+    return sorted(cells)
+
+
+def searched_cells(a, a_counts, b, b_counts, reach):
+    rows, cols, dist = gated_cells(a, a_counts, b, b_counts, reach)
+    assert rows.tolist() == sorted(rows.tolist())  # by row of a
+    return sorted(zip(rows.tolist(), cols.tolist(), dist.view(np.int64).tolist()))
+
+
+#: Coordinates where distances tie, overflow, or sit within rounding of a reach.
+EDGE_COORDINATES = [0.0, -0.0, 1.0, -1.0, 3.0, 4.0, -4e-16, 4e-16, -(1 + 2.0**-51), 5e-324, 1e17, 1e17 + 16,
+                    1.7e308, -1.7e308]
+
+
+def row_sets(draw, coordinate):
+    counts = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4))
+    a_counts, b_counts = [m for m, _ in counts], [n for _, n in counts]
+    a, b = (np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=sum(c), max_size=sum(c))),
+                     dtype=np.float64).reshape(-1, 2) for c in (a_counts, b_counts))
+    return a, a_counts, b, b_counts
+
+
+@st.composite
+def frames_of_rows(draw):
+    coordinate = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.sampled_from(EDGE_COORDINATES),
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ]))
+    return row_sets(draw, coordinate)
+
+
+class TestGatedCells:
+    """``gated_cells`` finds, frame by frame, exactly the cells of ``planar_distances(a_f, b_f) <= reach``."""
+
+    REACHES = [0.0, 0.5, 1.0, 2.0, 4.0, math.sqrt(2.0), math.hypot(1.0, 2.0), 5e-324, 1e308, math.inf, -1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(frames_of_rows(), st.sampled_from(REACHES) | st.floats(0.0, 20.0))
+    def test_cells_and_distance_bits_are_the_per_frame_matrix(self, rows, reach):
+        assert searched_cells(*rows, reach) == per_frame_cells(*rows, reach)
+
+    @pytest.mark.parametrize(
+        "a, b, reach, distance",
+        [
+            ([4.0, 0.0], [0.0, 0.0], 4.0, 4.0),  # exactly at the reach
+            ([3.0, 4.0], [0.0, 0.0], 5.0, 5.0),  # hypot exactly at the reach
+            ([1.7e308, 0.0], [-1.7e308, 0.0], 1e308, None),  # dx overflows to inf: no cell
+            ([1.7e308, 1.7e308], [-1.7e308, -1.7e308], math.inf, math.inf),  # inf <= inf
+            # the window's lower bound x - reach rounds to 0, but dx = 4 + 4e-16 rounds to 4: a bound one
+            # ulp below 0 would miss the cell
+            ([4.0, 0.0], [-4e-16, 0.0], 4.0, 4.0),
+            # x - reach is -1 exactly, and dx = 4 + 2**-51 ties to 4: two ulps below the bound
+            ([3.0, 0.0], [-(1 + 2.0**-51), 0.0], 4.0, 4.0),
+            ([1e17, 0.0], [1e17 + 16, 0.0], 16.0, 16.0),
+            ([0.0, 0.0], [5e-324, 0.0], 5e-324, 5e-324),
+        ],
+    )
+    def test_a_cell_at_the_edge_of_the_window(self, a, b, reach, distance):
+        a, b = np.array([a]), np.array([b])
+        cells = searched_cells(a, [1], b, [1], reach)
+        assert cells == per_frame_cells(a, [1], b, [1], reach)
+        assert [d for *_, d in cells] == ([] if distance is None else [np.float64(distance).view(np.int64)])
+
+    def test_rows_of_other_frames_are_never_cells(self):
+        a = np.zeros((2, 2))
+        rows, cols, dist = gated_cells(a, [1, 1, 0], a, [0, 1, 1], 1.0)
+        assert (rows.tolist(), cols.tolist(), dist.tolist()) == ([1], [0], [0.0])
+
+    def test_counts_must_add_up_to_the_rows(self):
+        with pytest.raises(ValueError, match="row counts"):
+            gated_cells(np.zeros((2, 2)), [1], np.zeros((1, 2)), [1], 1.0)
+
+    def test_no_rows_and_no_frames(self):
+        for a_counts, b_counts in (([], []), ([0, 0], [0, 0])):
+            rows, cols, dist = gated_cells(np.zeros((0, 2)), a_counts, np.zeros((0, 2)), b_counts, 2.0)
+            assert len(rows) == len(cols) == len(dist) == 0
+
+    def test_hypot_bits_do_not_depend_on_array_length_or_chunking(self):
+        # the search measures the rows of many frames in one np.hypot call
+        rng = np.random.default_rng(11)
+        dx, dy = rng.uniform(-50.0, 50.0, size=(2, 200_000))
+        whole = np.hypot(dx, dy).view(np.int64)
+        chunked = np.concatenate([np.hypot(dx[i : i + 7], dy[i : i + 7]) for i in range(0, len(dx), 7)])
+        single = np.array([np.hypot(x, y) for x, y in zip(dx[:2000], dy[:2000])])
+        assert np.array_equal(whole, chunked.view(np.int64))
+        assert np.array_equal(whole[:2000], single.view(np.int64))
+        # and the matrix of planar_distances is the same elementwise call
+        assert np.array_equal(planar_distances(np.column_stack([dx[:300], dy[:300]]), np.zeros((1, 2)))[:, 0],
+                              np.hypot(dx[:300], dy[:300]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _frame_loops import frame_match_by_center_distance
 from _published import TEST_ROWS, VAL_ROWS
 from polarview.geometry import PolarBox, PolarVelocity, rotate_planar, wrap_angle
 from polarview.metrics import (
@@ -55,7 +56,8 @@ def grid_points(n):
 
 def pooled_ap(frame_preds, frame_gts, threshold):
     """AP at one threshold as eval computes it: match each frame, then rank all frames' predictions together."""
-    flags = [match_by_center_distance(c, s, g, [threshold])[0][1] for (c, s), g in zip(frame_preds, frame_gts)]
+    flags = [match_by_center_distance(c, s, [len(s)], g, [len(g)], [threshold])[0][1]
+             for (c, s), g in zip(frame_preds, frame_gts)]
     return average_precision_frames([s for _, s in frame_preds], flags, sum(len(g) for g in frame_gts))
 
 
@@ -238,7 +240,9 @@ class TestAveragePrecision:
         [(matches, is_tp)] = match_by_center_distance(
             np.array([c for c, _ in preds]),
             np.array([s for _, s in preds]),
+            [len(preds)],
             np.array(gts),
+            [len(gts)],
             [2.0],
         )
         assert len(matches) == 1
@@ -316,13 +320,13 @@ class TestCenterDistanceMatching:
             gts = rng.integers(-3, 4, size=(n_gt, 2)).astype(np.float64)
             scores = rng.integers(1, 4, size=n_pred) / 4.0
             threshold = float(rng.choice([0.0, 1.0, 1.5, 3.0]))
-            [(matches, is_tp)] = match_by_center_distance(preds, scores, gts, [threshold])
+            [(matches, is_tp)] = match_by_center_distance(preds, scores, [n_pred], gts, [n_gt], [threshold])
             ref_matches, ref_tp = reference_center_matching(preds, scores, gts, threshold)
             assert matches == ref_matches
             assert is_tp.tolist() == ref_tp.tolist()
 
     def test_no_ground_truth(self):
-        [(matches, is_tp)] = match_by_center_distance(np.ones((3, 2)), np.ones(3), np.zeros((0, 2)), [2.0])
+        [(matches, is_tp)] = match_by_center_distance(np.ones((3, 2)), np.ones(3), [3], np.zeros((0, 2)), [0], [2.0])
         assert matches == [] and is_tp.tolist() == [False] * 3
 
     @settings(max_examples=300, deadline=None)
@@ -333,7 +337,7 @@ class TestCenterDistanceMatching:
         # 0 and distances that occur on the grid, so cells lie exactly on a threshold
         grid_distance = st.builds(lambda dx, dy: float(np.hypot(dx, dy)), st.integers(0, 6), st.integers(0, 6))
         thresholds = data.draw(st.lists(st.just(0.0) | grid_distance, min_size=1, max_size=5))
-        results = match_by_center_distance(preds, scores, gts, thresholds)
+        results = match_by_center_distance(preds, scores, [n_pred], gts, [n_gt], thresholds)
         assert len(results) == len(thresholds)
         for threshold, (matches, is_tp) in zip(thresholds, results):
             ref_matches, ref_tp = reference_center_matching(preds, scores, gts, threshold)
@@ -347,11 +351,61 @@ class TestCenterDistanceMatching:
         args = {"pred": np.zeros((2, 2)), "score": np.ones(2), "gt": np.zeros((2, 2))}
         args[where].flat[-1] = value
         with pytest.raises(ValueError, match="finite"):
-            match_by_center_distance(args["pred"], args["score"], args["gt"], [2.0])
+            match_by_center_distance(args["pred"], args["score"], [2], args["gt"], [2], [2.0])
 
     def test_nan_threshold_is_refused(self):
         with pytest.raises(ValueError, match="NaN"):
-            match_by_center_distance(np.zeros((1, 2)), np.ones(1), np.zeros((1, 2)), [1.0, math.nan])
+            match_by_center_distance(np.zeros((1, 2)), np.ones(1), [1], np.zeros((1, 2)), [1], [1.0, math.nan])
+
+
+#: Coordinates where distances tie, overflow, or sit exactly on a threshold.
+EDGE_CENTERS = [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 4.0, -4e-16, 1.7e308, -1.7e308]
+
+
+@st.composite
+def matching_files(draw):
+    """Frames of (centers, scores) predictions and ground-truth centers, concatenated, with their counts."""
+    coordinate = draw(st.sampled_from([
+        st.integers(-3, 3).map(float), st.sampled_from(EDGE_CENTERS), st.floats(-6.0, 6.0),
+    ]))
+    score = draw(st.sampled_from([st.just(1.0), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)]))
+    counts = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5)), max_size=5))
+    pred_counts, gt_counts = [n for n, _ in counts], [m for _, m in counts]
+    pred, gt = (np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=sum(c), max_size=sum(c))),
+                         dtype=np.float64).reshape(-1, 2) for c in (pred_counts, gt_counts))
+    scores = np.array(draw(st.lists(score, min_size=sum(pred_counts), max_size=sum(pred_counts))), dtype=np.float64)
+    return pred, scores, pred_counts, gt, gt_counts
+
+
+class TestWholeFileMatching:
+    """One call over all frames gives each frame's matches, in frame order, with rows of the whole file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matching_files(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, math.sqrt(2.0), 1e308]), min_size=1,
+                                      max_size=5))
+    def test_equals_the_per_frame_matching(self, file, thresholds):
+        pred, scores, pred_counts, gt, gt_counts = file
+        expected = [([], []) for _ in thresholds]
+        p_lo, g_lo = np.cumsum([0, *pred_counts]), np.cumsum([0, *gt_counts])
+        for f in range(len(pred_counts)):
+            frame = slice(p_lo[f], p_lo[f + 1])
+            results = frame_match_by_center_distance(pred[frame], scores[frame], gt[g_lo[f] : g_lo[f + 1]], thresholds)
+            for (matches, flags), (frame_matches, frame_flags) in zip(expected, results):
+                matches += [(pi + p_lo[f], gi + g_lo[f]) for pi, gi in frame_matches]
+                flags += frame_flags.tolist()
+        got = match_by_center_distance(pred, scores, pred_counts, gt, gt_counts, thresholds)
+        assert [(m, t.tolist()) for m, t in got] == expected
+
+    def test_all_equal_scores_and_duplicate_centers_keep_input_order(self):
+        pred = np.array([[1.0, 1.0]] * 3 + [[0.0, 0.0]] * 2)
+        gt = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        [(matches, is_tp)] = match_by_center_distance(pred, np.ones(5), [3, 2], gt, [2, 1], [0.5])
+        assert matches == [(0, 0), (1, 1), (3, 2)]
+        assert is_tp.tolist() == [True, True, False, True, False]
+
+    def test_counts_must_add_up_to_the_rows(self):
+        with pytest.raises(ValueError):
+            match_by_center_distance(np.zeros((2, 2)), np.ones(2), [1], np.zeros((1, 2)), [1], [1.0])
 
 
 class TestNds:

@@ -483,12 +483,11 @@ class TestRecordTable:
         with pytest.raises(ValueError) as expected:
             dumps_json([bad])
         with pytest.raises(ValueError) as raised:
-            _RecordTable(frames)
+            _RecordTable([2, 1], {key: np.concatenate(values) for key, values in frames.items()})
         assert str(raised.value) == str(expected.value) == "cannot serialize non-finite float"
 
     def test_frames_are_written_at_their_own_indentation(self):
-        table = _RecordTable({"%d": [np.array([7]), np.array([], dtype=np.int64), np.array([-8])],
-                              "x": [np.array([[-0.0, 0.5]]), np.empty((0, 2)), np.array([[1e300, 2.0]])]})
+        table = _RecordTable([1, 0, 1], {"%d": np.array([7, -8]), "x": np.array([[-0.0, 0.5], [1e300, 2.0]])})
         frames = list(table)
         document = {"frames": [{"rows": frames[0]}, {"rows": frames[1]}], "last": frames[2]}
         expected = {"frames": [{"rows": [{"%d": 7, "x": [-0.0, 0.5]}]}, {"rows": []}],
@@ -496,7 +495,7 @@ class TestRecordTable:
         assert dumps_json(document) == reference_dumps(expected)
 
     def test_an_integer_list_column_writes_lists_of_integers(self):
-        table = _RecordTable({"a": [np.array([[1, 2], [3, 4]]), np.array([[INT64.min, INT64.max]])],
-                              "b": [np.array([-0.0, 0.5]), np.array([2.0])]})
+        table = _RecordTable([2, 1], {"a": np.array([[1, 2], [3, 4], [INT64.min, INT64.max]]),
+                                      "b": np.array([-0.0, 0.5, 2.0])})
         expected = [[{"a": [1, 2], "b": 0}, {"a": [3, 4], "b": 0.5}], [{"a": [INT64.min, INT64.max], "b": 2}]]
         assert dumps_json([{"rows": rows} for rows in table]) == reference_dumps([{"rows": r} for r in expected])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _frame_loops import frame_by_frame_id_switches
 from polarview.assignment import hungarian
 from polarview.camera import EgoPose, make_symmetric_rig
 from polarview.geometry import (
@@ -15,6 +16,7 @@ from polarview.geometry import (
     PolarVelocity,
     planar_distances,
     polar_centers,
+    polar_fields,
 )
 from polarview.simulator import (
     Detection,
@@ -28,6 +30,7 @@ from polarview.simulator import (
 )
 from polarview.tracker import (
     TrackerConfig,
+    TrackingResult,
     _greedy_match,
     TrackerState,
     back_project,
@@ -409,3 +412,67 @@ class TestSequences:
         result = run_tracker(dets)
         assert result.tracks_created == 5
         assert count_id_switches(result, scene) == 0
+
+
+#: Center coordinates where distances tie, sit on the 2 m gate, or overflow.
+EDGE_CENTERS = [1.0, -1.0, 2.0, 3.0, -4e-16, 1.7e308, -1.7e308]
+
+
+@st.composite
+def tracked_files(draw):
+    """A scene and a tracking result over the same frames, with drawn track ids (so that switches abound)."""
+    coordinate = draw(st.sampled_from([st.integers(-3, 3).map(float), st.sampled_from(EDGE_CENTERS),
+                                       st.floats(-5.0, 5.0)]))
+    center = st.tuples(coordinate, coordinate).filter(lambda c: c != (0.0, 0.0))
+    n_classes = draw(st.integers(1, 3))
+    frames = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=5))
+    det_counts, gt_counts = [n for n, _ in frames], [m for _, m in frames]
+    dets = draw(st.lists(center, min_size=sum(det_counts), max_size=sum(det_counts)))
+    with np.errstate(over="ignore"):  # a diagonal edge center has r = inf; keep the axis ones
+        boxes = [polar_fields(x, y if abs(x) < 1e300 else 0.0, 0.0, 4.0, 2.0, 1.5, 0.0) for x, y in dets]
+    probs = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n_classes, max_size=n_classes),
+                          min_size=len(boxes), max_size=len(boxes)))
+    detections = DetectionSet.from_arrays(np.arange(len(frames)), det_counts, np.reshape(boxes, (-1, 9)),
+                                          np.reshape(probs, (len(boxes), n_classes)), np.zeros((len(boxes), 2)),
+                                          np.ones(len(boxes)))
+    objects = [draw(st.lists(st.integers(0, 5), min_size=m, max_size=m, unique=True)) for m in gt_counts]
+    ids = [i for frame_ids in objects for i in frame_ids]
+    gts = draw(st.lists(center, min_size=len(ids), max_size=len(ids)))
+    scene = Scene.from_arrays(
+        make_symmetric_rig(6), np.arange(len(frames)), gt_counts, np.tile(np.eye(3), (len(frames), 1, 1)),
+        np.zeros((len(frames), 3)), np.array(ids, dtype=np.int64),
+        np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(ids), max_size=len(ids))), dtype=np.int64),
+        np.array([(x, y, 0.0, 4.0, 2.0, 1.5, 0.0) for x, y in gts]).reshape(-1, 7), np.zeros((len(ids), 2)),
+    )
+    track_ids = tuple(np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+                      for n in det_counts)
+    return TrackingResult(detections, track_ids, 4), scene
+
+
+class TestWholeFileIdSwitches:
+    @settings(max_examples=300, deadline=None)
+    @given(tracked_files())
+    def test_equals_the_frame_by_frame_count(self, tracked):
+        result, scene = tracked
+        assert count_id_switches(result, scene) == frame_by_frame_id_switches(result, scene)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tracked_renders_count_as_frame_by_frame(self, seed):
+        rng = np.random.default_rng(seed)
+        trajectories = [((float(x), float(y)), (float(vx), float(vy)))
+                        for x, y, vx, vy in rng.uniform(-20.0, 20.0, size=(12, 4)) * [1, 1, 0.2, 0.2]]
+        scene = manual_scene(trajectories, n_frames=8, labels=rng.integers(0, 2, size=12).tolist())
+        dets = render_detections(scene, NoiseModel(radial_std=0.5, drop_prob=0.3, false_positive_rate=2.0,
+                                                   seed=seed))
+        frames = list(dets.frames)
+        frames[3] = DetectionFrame(t=frames[3].t, detections=())  # an empty frame's probs have no columns
+        result = run_tracker(DetectionSet(frames=tuple(frames)), TrackerConfig(distance_threshold=1.0))
+        assert count_id_switches(result, scene) == frame_by_frame_id_switches(result, scene)
+
+    def test_no_detections_or_no_objects_anywhere(self):
+        scene = manual_scene([((10.0, 0.0), (0.5, 0.0))], n_frames=3)
+        empty = DetectionSet(frames=tuple(DetectionFrame(t=f.t, detections=()) for f in scene.frames))
+        assert count_id_switches(run_tracker(empty), scene) == 0
+        dets = render_detections(scene, NoiseModel())
+        no_objects = Scene(rig=scene.rig, frames=tuple(SceneFrame(f.t, f.ego_pose, ()) for f in scene.frames))
+        assert count_id_switches(run_tracker(dets), no_objects) == 0
