@@ -31,18 +31,22 @@ counts, ego rotations (F, 3, 3) and translations (F, 3), and object ids
 checked by ``simulator.Scene.from_arrays``; detections become times,
 counts, boxes (N, 9), probs (N, C), velocities (N, 2) and scores (N,),
 checked by ``simulator.DetectionSet.from_arrays``.  Each frame is a
-read-only slice of those arrays.  Where the schema holds a number, the
-loaders accept only a JSON number that is a finite float64 (no string,
-``null``, boolean, nested list or integer beyond the float range), and
-ids, classes and image sizes must be JSON integers that fit in 64 bits;
-classes index class probabilities, so they must also be >= 0.  Every
-loading error is a ValueError that starts with the file kind (``scene
-file:`` or ``detections file:``); one for a missing key, or for a value
-of the wrong JSON type or length, names the key.
+read-only slice of those arrays.  orjson parses the text, with the
+stdlib's floats bit for bit; a file whose load raises is loaded again
+through :func:`read_json`, so every error is the stdlib's.  Where the
+schema holds a number, the loaders accept only a JSON number that is a
+finite float64 (no string, ``null``, boolean, nested list or integer
+beyond the float range), and ids, classes and image sizes must be JSON
+integers that fit in 64 bits; classes index class probabilities, so they
+must also be >= 0.  Every loading error is a ValueError that starts with
+the file kind (``scene file:`` or ``detections file:``); one for a
+missing key, or for a value of the wrong JSON type or length, names the
+key.
 
 A track file (``polarview track --out``) is a detections file whose
 records also carry ``"track_id"`` and which has a top-level ``"summary"``
-object; the loaders ignore both keys, so it loads as detections.
+object; the loaders ignore both keys, so it loads as detections.  An
+ignored key may nest deeper than :func:`read_json` can parse.
 """
 
 from __future__ import annotations
@@ -416,10 +420,24 @@ def save_scene(scene: Scene, path: str) -> None:
         fh.write(dumps_json(_scene_document(scene)) + "\n")
 
 
-def load_scene(path: str) -> Scene:
-    with _file_kind("scene"):
+def _load(path: str, kind: str, from_dict):
+    """``from_dict`` of the file's document as orjson parses it; if that raises, as :func:`read_json` parses it.
+
+    orjson words its errors otherwise, refuses some text the stdlib accepts
+    (a lone surrogate escape, ``1e400``, a BOM) and reads integers outside
+    [-2**63, 2**64) as floats, so on any error the stdlib's outcome stands.
+    """
+    import orjson  # only here: a command that reads no file does not load it
+
+    with contextlib.suppress(Exception), open(path, "rb") as fh:
+        return from_dict(orjson.loads(fh.read()))
+    with _file_kind(kind):
         d = read_json(path)
-    return scene_from_dict(d)
+    return from_dict(d)
+
+
+def load_scene(path: str) -> Scene:
+    return _load(path, "scene", scene_from_dict)
 
 
 def save_detections(dets: DetectionSet, path: str) -> None:
@@ -428,6 +446,4 @@ def save_detections(dets: DetectionSet, path: str) -> None:
 
 
 def load_detections(path: str) -> DetectionSet:
-    with _file_kind("detections"):
-        d = read_json(path)
-    return detections_from_dict(d)
+    return _load(path, "detections", detections_from_dict)

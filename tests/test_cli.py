@@ -732,6 +732,25 @@ class TestMalformedInput:
         assert code == 1
         assert len(err.splitlines()) == 1
 
+    # orjson reads these integers as floats; the message is the one the integers themselves get
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [(("frames", 1, "objects", 0, "id"), 2**64, "object id must fit in 64 bits"),
+         (("schema_version",), 2**64 + 1, f"unsupported schema_version {2**64 + 1}")],
+        ids=["id-2^64", "schema_version-2^64+1"],
+    )
+    def test_integer_beyond_64_bits_is_named_as_written(self, capsys, tracked, tmp_path, path, value, message):
+        with open(tracked["scene"]) as fh:
+            scene = json.load(fh)
+        parent = scene
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scene))
+        code, out, err = run(capsys, "render", "--scene", str(bad), "--out", str(tmp_path / "out.json"))
+        assert (code, out, err) == (1, "", f"polarview: scene file: {message}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
