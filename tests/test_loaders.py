@@ -155,6 +155,7 @@ def text_cases():
         ("bom", lambda t: b"\xef\xbb\xbf" + t),
         ("invalid-utf8-in-ignored-key", lambda t: b"{" + note.replace(b"@note@", b"\xff") + t[1:]),
         ("invalid-utf8-first", lambda t: b"\xff" + t),
+        ("control-character-in-ignored-key", lambda t: b"{" + note.replace(b"@note@", b"\x01") + t[1:]),
         ("leading-zero", lambda t: t.replace(b'"t": ', b'"t": 0', 1)),
         ("trailing-comma", lambda t: t[:-1] + b",}"),
         ("truncated", lambda t: t[: len(t) // 2]),
@@ -163,7 +164,7 @@ def text_cases():
     ]
 
 
-class TestSameErrors:
+class TestSameOutcomeOnEditedFiles:
     @pytest.mark.parametrize("kind, path, literal", [c[:3] for c in literal_cases()],
                              ids=[c[3] for c in literal_cases()])
     def test_literal(self, documents, tmp_path, kind, path, literal):
@@ -177,22 +178,6 @@ class TestSameErrors:
         bad = tmp_path / "bad.json"
         bad.write_bytes(make(json.dumps(documents[kind]).encode()))
         assert_same_outcome(str(bad), kind)
-
-    @pytest.mark.parametrize(
-        "kind, key, literal, message",
-        [("scene", "id", str(2**64), "object id must fit in 64 bits"),
-         ("scene", "schema_version", str(2**64 + 1), f"unsupported schema_version {2**64 + 1}"),
-         ("detections", "probs", "1e400", "detection probs values must be finite float64 numbers"),
-         ("scene", "box", DEEP, "JSON nesting too deep to parse")],
-        ids=["id-2^64", "schema_version-2^64+1", "probs-1e400", "box-5000-deep"],
-    )
-    def test_the_stdlib_words_the_error(self, documents, tmp_path, kind, key, literal, message):
-        bad = tmp_path / "bad.json"
-        ((_, path),) = [place for place in PLACES[key] if place[0] == kind]
-        bad.write_bytes(with_literal(documents[kind], path, literal))
-        with pytest.raises(ValueError) as info:
-            LOADERS[kind](str(bad))
-        assert message in str(info.value) and str(info.value).startswith(f"{kind} file: ")
 
 
 class TestDeepNestingInAnIgnoredKey:
@@ -277,12 +262,12 @@ class TestOrjsonParsesNumbersAsFloatDoes:
 
 
 STARTUP_CHILD = """
+import json
 import sys
 import polarview.cli
 
 loaded = ["orjson" in sys.modules]
-for argv in sys.argv[1:]:
-    argv = argv.split()
+for argv in json.loads(sys.argv[1]):
     assert polarview.cli.main(argv) == 0, argv
     loaded.append("orjson" in sys.modules)
 print(loaded)
@@ -294,10 +279,10 @@ class TestOrjsonLoadsOnTheFirstFileRead:
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(polarview.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        scene, dets = tmp_path / "scene.json", tmp_path / "dets.json"
-        argvs = [f"simulate --objects 3 --frames 2 --out {scene}", "nds --map 0.3 --tps 0.7,0.3,0.4,0.9,0.2",
-                 f"render --scene {scene} --out {dets}"]
-        result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, *argvs], cwd=tmp_path, env=env,
+        scene, dets = str(tmp_path / "scene.json"), str(tmp_path / "dets.json")
+        argvs = [["simulate", "--objects", "3", "--frames", "2", "--out", scene],
+                 ["nds", "--map", "0.3", "--tps", "0.7,0.3,0.4,0.9,0.2"], ["render", "--scene", scene, "--out", dets]]
+        result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(argvs)], cwd=tmp_path, env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[False, False, False, True]"
