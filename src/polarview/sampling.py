@@ -6,10 +6,14 @@ integer coordinates; an image pixel (u, v) maps to cell coordinates
 cell-center hull, or non-finite, produce an all-zero vector flagged
 invalid, so a view that does not see a point contributes nothing.
 
-:func:`bilinear_sample_many` gathers the four corners from the grid's
-(height * width, channels) view and blends them in place one block of
-rows at a time, so its temporaries stay a few cache-sized blocks
-whatever N is; the blend keeps the one-shot arithmetic order, bit for bit.
+:func:`bilinear_sample_many` builds one sparse (N, height * width)
+interpolation matrix, whose row for a valid point holds the four corner
+weights (1-fx)(1-fy), fx(1-fy), (1-fx)fy and fx*fy at the corners' cells and
+whose row for an invalid point is empty, and multiplies it once by the
+grid's (height * width, channels) view.  Each value is therefore
+((w00*g00 + w01*g01) + w10*g10) + w11*g11, summed from zero in that order.
+``scipy.sparse`` is imported on the first call, so importing this module
+(or the CLI) loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# rows blended per block: a few (rows, channels) float64 blocks stay in cache
-_BLOCK_ROWS = 1024
 
 __all__ = [
     "FeatureMap",
@@ -38,7 +39,7 @@ class FeatureMap:
     stride: float = 1.0
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.array(self.data, dtype=np.float64)  # a copy: the caller's array stays theirs
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError("FeatureMap: data must be (height, width, channels)")
         if not np.isfinite(data).all():
@@ -81,47 +82,32 @@ def bilinear_sample_many(fmap: FeatureMap, uv: np.ndarray) -> tuple[np.ndarray, 
     the cell-center hull [0, W-1] x [0, H-1], or non-finite, come back zero
     and invalid.  Any shape other than (N, 2) raises ValueError.
     """
+    from scipy import sparse  # loaded on the first call, so importing this module loads no scipy
+
     uv = np.asarray(uv, dtype=np.float64)
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise ValueError(f"bilinear_sample_many: uv must have shape (N, 2), got {uv.shape}")
-    cells = uv / fmap.stride
-    grid = fmap.data
-    h, w, c = grid.shape
+    with np.errstate(over="ignore"):  # a huge pixel over a tiny stride is an infinite cell, out of the grid
+        cells = uv / fmap.stride
+    h, w, c = fmap.data.shape
     x = cells[:, 0]
     y = cells[:, 1]
     valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
 
-    xs = np.where(valid, x, 0.0)
-    ys = np.where(valid, y, 0.0)
-    x0 = np.floor(xs).astype(np.intp)
-    y0 = np.floor(ys).astype(np.intp)
-    fx = (xs - x0)[:, None]
-    fy = (ys - y0)[:, None]
+    xv = x[valid]
+    yv = y[valid]
+    x0 = np.floor(xv).astype(np.intp)
+    y0 = np.floor(yv).astype(np.intp)
+    fx = xv - x0
+    fy = yv - y0
     gx = 1.0 - fx
     gy = 1.0 - fy
     x1 = np.minimum(x0 + 1, w - 1)
     row0 = y0 * w
     row1 = np.minimum(y0 + 1, h - 1) * w
-    # rows of the four corners in the (h*w, c) grid: all in range, so take's
-    # "clip" mode changes nothing and spares its bounds-check buffer
-    i00 = row0 + x0
-    corners = ((row0 + x1, fx, gy), (row1 + x0, gx, fy), (row1 + x1, fx, fy))
-
-    flat = grid.reshape(h * w, c)
-    vals = np.empty((len(cells), c))
-    scratch = np.empty((_BLOCK_ROWS, c))
-    for start in range(0, len(cells), _BLOCK_ROWS):
-        b = slice(start, start + _BLOCK_ROWS)
-        out = vals[b]
-        tmp = scratch[: len(out)]
-        # ((g00*(1-fx))*(1-fy) + (g01*fx)*(1-fy)) + (g10*(1-fx))*fy + (g11*fx)*fy, in place
-        np.take(flat, i00[b], axis=0, out=out, mode="clip")
-        out *= gx[b]
-        out *= gy[b]
-        for idx, wx, wy in corners:
-            np.take(flat, idx[b], axis=0, out=tmp, mode="clip")
-            tmp *= wx[b]
-            tmp *= wy[b]
-            out += tmp
-    vals[~valid] = 0.0
-    return vals, valid
+    # one row of four corner weights per valid point, none per invalid one
+    weights = np.column_stack([gx * gy, fx * gy, gx * fy, fx * fy])
+    columns = np.column_stack([row0 + x0, row0 + x1, row1 + x0, row1 + x1])
+    indptr = np.concatenate([[0], 4 * np.cumsum(valid)])
+    interp = sparse.csr_array((weights.ravel(), columns.ravel(), indptr), shape=(len(cells), h * w))
+    return interp @ fmap.data.reshape(h * w, c), valid

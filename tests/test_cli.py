@@ -1560,6 +1560,38 @@ class TestStartupLoadsScipyOnlyForHungarian:
             assert open(tmp_path / f"{name}.json", "rb").read() == expected[name]
 
 
+# Imports polarview.sampling in a fresh interpreter, then samples one point, and prints which scipy modules are
+# loaded after each step.
+SAMPLING_STARTUP_CHILD = """
+import json, sys
+import numpy as np
+from polarview import sampling
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+after_import = scipy_modules()
+vals, valid = sampling.bilinear_sample_many(sampling.FeatureMap(np.arange(4.0).reshape(2, 2, 1)), [[0.5, 0.5]])
+print(json.dumps([after_import, scipy_modules(), vals.tolist(), valid.tolist()]))
+"""
+
+
+class TestSamplingLoadsScipySparseOnFirstCall:
+    def test_import_loads_no_scipy_and_the_first_call_loads_only_sparse(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarview.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", SAMPLING_STARTUP_CHILD], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        after_import, after_call, vals, valid = json.loads(result.stdout)
+        assert after_import == []
+        assert "scipy.sparse" in after_call
+        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in after_call)
+        assert (vals, valid) == ([[1.5]], [True])
+
+
 def write_files(directory, scene_frames, det_frames, n_classes):
     """Scene and detections files of the given frames: per scene frame a list of (id, class, x, y, vx, vy), per
     detections frame a list of ((x, y), probs, score, (v_rad, v_tan)); each detection box lies at its center."""

@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarview import sampling
 from polarview.sampling import (
     FeatureMap,
     FeatureSample,
@@ -112,6 +112,14 @@ class TestFeatureSampleInvariant:
         with pytest.raises(ValueError):
             FeatureMap(data=np.ones((2, 2, 1)), stride=0.0)
 
+    def test_map_copies_the_callers_array(self):
+        data = np.zeros((2, 2, 1))
+        fmap = FeatureMap(data=data)
+        assert data.flags.writeable and not fmap.data.flags.writeable
+        data[0, 0, 0] = 5.0
+        assert fmap.data[0, 0, 0] == 0.0
+        assert bilinear_sample(fmap, 0.0, 0.0).values[0] == 0.0
+
     @pytest.mark.parametrize("stride", [math.inf, -math.inf, math.nan, -1.0])
     def test_stride_must_be_finite_and_positive(self, stride):
         # an infinite stride would send every pixel, (-3, 7) and (1e6, 5e5)
@@ -120,8 +128,9 @@ class TestFeatureSampleInvariant:
             FeatureMap(data=np.ones((2, 2, 1)), stride=stride)
 
 
-def one_shot_blend(fmap, uv):
-    """The four-corner blend over all rows at once: the oracle of the blocked sampler."""
+def one_shot_corners(fmap, uv):
+    """Validity, the four corner weights (each (N, 1)) and the four corner values (each (N, C)) of every point;
+    invalid points take cell (0, 0)'s corners, whose results the callers then zero."""
     cells = uv / fmap.stride
     grid = fmap.data
     h, w, _ = grid.shape
@@ -135,30 +144,52 @@ def one_shot_blend(fmap, uv):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (xs - x0)[:, None]
     fy = (ys - y0)[:, None]
-    vals = (
-        grid[y0, x0] * (1.0 - fx) * (1.0 - fy)
-        + grid[y0, x1] * fx * (1.0 - fy)
-        + grid[y1, x0] * (1.0 - fx) * fy
-        + grid[y1, x1] * fx * fy
-    )
+    corners = (grid[y0, x0], grid[y0, x1], grid[y1, x0], grid[y1, x1])
+    return valid, (fx, fy), corners
+
+
+def one_shot_weighted_sum(fmap, uv):
+    """The sampler's definition over all rows at once: precomputed corner weights times corner values,
+    summed from zero in corner order, ((w00*g00 + w01*g01) + w10*g10) + w11*g11."""
+    valid, (fx, fy), (g00, g01, g10, g11) = one_shot_corners(fmap, uv)
+    vals = np.zeros((len(uv), fmap.data.shape[2]))
+    vals += (1.0 - fx) * (1.0 - fy) * g00
+    vals += fx * (1.0 - fy) * g01
+    vals += (1.0 - fx) * fy * g10
+    vals += fx * fy * g11
     vals[~valid] = 0.0
     return vals, valid
 
 
-B = sampling._BLOCK_ROWS
+def one_shot_blend(fmap, uv):
+    """The four-corner blend in value-first order, each corner value times its x weight, then its y weight: an
+    independent oracle that rounds differently."""
+    valid, (fx, fy), (g00, g01, g10, g11) = one_shot_corners(fmap, uv)
+    vals = g00 * (1.0 - fx) * (1.0 - fy) + g01 * fx * (1.0 - fy) + g10 * (1.0 - fx) * fy + g11 * fx * fy
+    vals[~valid] = 0.0
+    return vals, valid
 
 
-class TestBlockedSampling:
-    @settings(max_examples=60, deadline=None)
+class TestInterpolationMatrix:
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 3]),
-        st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+        st.sampled_from([0, 1, 2, 1023, 1025, 2051]),
+        st.one_of(
+            st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+            # one row or one column: a point's corners repeat grid cells
+            st.tuples(st.just(1), st.integers(1, 9), st.integers(1, 5)),
+            st.tuples(st.integers(1, 9), st.just(1), st.integers(1, 5)),
+        ),
         st.sampled_from([0.25, 1.0, 3.0]),
         st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_to_one_shot_blend(self, n, shape, stride, seed):
+    def test_bit_identical_to_the_weighted_sum(self, n, shape, stride, seed):
         rng = np.random.default_rng(seed)
-        fmap = FeatureMap(data=rng.uniform(-3.0, 3.0, size=shape), stride=stride)
+        data = rng.uniform(-3.0, 3.0, size=shape)
+        # signed zeros in the grid: a point whose four products are all -0.0 sums to +0.0 from zero
+        zeros = rng.random(shape) < 0.1
+        data[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        fmap = FeatureMap(data=data, stride=stride)
         h, w, _ = shape
         uv = np.column_stack(
             [rng.uniform(-2.0, stride * w + 2.0, n), rng.uniform(-2.0, stride * h + 2.0, n)]
@@ -167,10 +198,14 @@ class TestBlockedSampling:
         picks = rng.random((n, 2)) < 0.2
         uv[picks] = rng.choice(special, size=int(picks.sum()))
         vals, valid = bilinear_sample_many(fmap, uv)
-        expected_vals, expected_valid = one_shot_blend(fmap, uv)
-        assert vals.shape == (n, shape[2])
+        expected_vals, expected_valid = one_shot_weighted_sum(fmap, uv)
+        assert vals.shape == (n, shape[2]) and vals.dtype == np.float64
         assert vals.tobytes() == expected_vals.tobytes()
         assert valid.tobytes() == expected_valid.tobytes()
+        # value-first order rounds differently, by a few units in the last place at most
+        blend, blend_valid = one_shot_blend(fmap, uv)
+        assert blend_valid.tobytes() == valid.tobytes()
+        np.testing.assert_allclose(vals, blend, rtol=0, atol=4 * np.finfo(float).eps * np.abs(data).max())
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 1), (1, 2, 2), (4, 0)])
     def test_refuses_shapes_other_than_n_by_2(self, shape):
@@ -180,3 +215,12 @@ class TestBlockedSampling:
     def test_accepts_zero_points(self):
         vals, valid = bilinear_sample_many(grid_2x2(), np.zeros((0, 2)))
         assert vals.shape == (0, 1) and valid.shape == (0,)
+
+    def test_overflowing_cell_is_invalid_without_a_warning(self):
+        # 1e300 pixels over a 1e-310 stride overflow to an infinite cell coordinate
+        fmap = FeatureMap(data=np.ones((3, 3, 1)), stride=1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, valid = bilinear_sample_many(fmap, [[1e300, 0.0], [0.0, -1e300], [1e-310, 1e-310]])
+        assert valid.tolist() == [False, False, True]
+        assert vals.tolist() == [[0.0], [0.0], [1.0]]
