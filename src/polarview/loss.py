@@ -11,23 +11,27 @@ pair normalization analytically; its partner
 The pair loss is written once on Python floats, with the checks of
 ``BoxEncoding``, ``PolarVelocity`` and the decoded ``PolarBox`` run on the
 floats instead of building those objects: :func:`matched_pair_loss` is one
-call to ``_pair_loss``.  One function maps an encoding channel to the
-part of the decode that reads it (r, the azimuth pair, z, l, w, h, the
-yaw pair) with that part's checks, so the finite differences decode the
-unperturbed point once and, for each of their 22 perturbed points,
-re-decode and re-check only the part the step moves (or check the one
-velocity channel it moves).  The sum keeps the order of ``_pair_loss``,
-so every perturbed loss has the bits of a full evaluation.
+call to ``_pair_loss``.  The finite differences run on rows: one call takes
+F pairs, and each of its 22 perturbed points is one numpy pass over all F
+rows that re-decodes only the part of the decode the step moves (r, the
+azimuth pair, z, l, w, h or the yaw pair).  Every ``exp`` and ``hypot`` is
+still one ``math`` call per element and every ``+ - * / abs`` runs
+elementwise in the order of ``_pair_sum``, so each row's perturbed losses
+have the bits of a full float evaluation.  The checks become masks; the
+first row that fails is evaluated again by ``_pair_loss`` at its first
+failing point, which raises that point's message.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
 from .geometry import (
+    _PAIR_TOL,
     BoxEncoding,
     PolarBox,
     PolarVelocity,
@@ -36,7 +40,6 @@ from .geometry import (
     _encoding_fields,
     _require_encoding,
     _require_finite,
-    _require_nonzero_pair,
     _require_positive_size,
     _require_unit_pair,
 )
@@ -91,47 +94,54 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _decode_part(b, i: int, range_config: RangeConfig) -> tuple[int, tuple[float, ...]]:
-    """The first field index and the fields of the part (r, azimuth, z, l, w, h or yaw) that reads channel ``i``.
-
-    The fields have passed the checks of ``PolarBox`` on them.
-    """
-    rc = range_config
-    if i == 0:
-        # sigmoid lies in [0, 1] and r_max > 0, so r is finite and >= 0 as PolarBox requires
-        return 0, (_sigmoid(b[0]) * rc.r_max,)
-    if i == 3:
-        # RangeConfig keeps z_max - z_min finite, so z is finite
-        return 3, (_sigmoid(b[3]) * (rc.z_max - rc.z_min) + rc.z_min,)
-    if 4 <= i <= 6:
-        try:
-            size = math.exp(b[i])
-        except OverflowError:
-            raise ValueError("decode: exp of a size channel must be positive and finite") from None
-        _require_positive_size(size)  # exp underflows to 0
-        return i, (size,)
-    start, name = (1, "PolarBox azimuth") if i < 3 else (7, "PolarBox yaw")
+def _unit_pair(name: str, u: float, w: float) -> tuple[float, float]:
+    """The pair (u, w) divided by its norm, with the unit-pair check of ``PolarBox``."""
     # n >= max(|u|, |w|) > 0, so both quotients are finite
-    n = math.hypot(b[start], b[start + 1])
-    s, c = b[start] / n, b[start + 1] / n
+    n = math.hypot(u, w)
+    s, c = u / n, w / n
     _require_unit_pair(name, s, c)
-    return start, (s, c)
+    return s, c
+
+
+def _size(b: float) -> float:
+    """exp of a size channel, with the ``PolarBox`` check that it is positive."""
+    try:
+        size = math.exp(b)
+    except OverflowError:
+        raise ValueError("decode: exp of a size channel must be positive and finite") from None
+    _require_positive_size(size)  # exp underflows to 0
+    return size
 
 
 def _decode_checked(b, range_config: RangeConfig) -> list[float]:
-    """The finite differences' decode: ``geometry.decode_boxes`` of one encoding, on Python floats.
+    """The float decode: ``geometry.decode_boxes`` of one encoding, on Python floats.
 
-    Runs the checks of ``BoxEncoding`` on all 9 channels, then every part
-    with the checks of ``PolarBox`` on its fields.  ``math.exp`` and
-    ``math.hypot`` differ from numpy's in the last bit on a few percent of
-    inputs, and the ``gradcheck`` bytes depend on those bits.
+    Runs the checks of ``BoxEncoding`` on all 9 channels, then decodes the
+    parts in field order (r, azimuth, z, l, w, h, yaw) with the checks of
+    ``PolarBox`` on each.  ``math.exp`` and ``math.hypot`` differ from
+    numpy's in the last bit on a few percent of inputs, and the
+    ``gradcheck`` bytes depend on those bits.
     """
+    rc = range_config
     _require_encoding(b)
-    return [field for i in (0, 1, 3, 4, 5, 6, 7) for field in _decode_part(b, i, range_config)[1]]
+    # sigmoid lies in [0, 1] and r_max > 0, so r is finite and >= 0 as PolarBox requires;
+    # RangeConfig keeps z_max - z_min finite, so z is finite
+    return [
+        _sigmoid(b[0]) * rc.r_max,
+        *_unit_pair("PolarBox azimuth", b[1], b[2]),
+        _sigmoid(b[3]) * (rc.z_max - rc.z_min) + rc.z_min,
+        _size(b[4]),
+        _size(b[5]),
+        _size(b[6]),
+        *_unit_pair("PolarBox yaw", b[7], b[8]),
+    ]
 
 
 def _pair_sum(box, x, gt, k_scaling: float) -> float:
-    """The box L1 (:func:`_box_l1`) of a decoded ``box``, plus the velocity L1 of ``x``, in that order."""
+    """The box L1 (:func:`_box_l1`) of a decoded ``box``, plus the velocity L1 of ``x``, in that order.
+
+    The entries are floats, or columns of F rows each (numpy arrays).
+    """
     return _box_l1(box, gt, k_scaling) + (abs(x[9] - gt[9]) + abs(x[10] - gt[10]))
 
 
@@ -232,56 +242,142 @@ def loss_gradient(
     return np.array(partials, dtype=np.float64)
 
 
+def _exp_or_inf(b: float) -> float:
+    try:
+        return math.exp(b)
+    except OverflowError:
+        return math.inf
+
+
+def _exps(col: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element of a column, inf where it overflows: one libm call each, so the bits of ``_size``."""
+    values = col.tolist()
+    try:
+        return np.fromiter(map(math.exp, values), np.float64, len(values))
+    except OverflowError:
+        return np.fromiter(map(_exp_or_inf, values), np.float64, len(values))
+
+
+def _decode_part_rows(b, i: int, range_config: RangeConfig) -> tuple[int, list, np.ndarray]:
+    """Rows form of the part of :func:`_decode_checked` that reads channel ``i``, on a list of 9 channel columns.
+
+    Returns the part's first field index, its field columns and the mask of
+    the rows that fail a check on it: one of ``BoxEncoding`` on the part's
+    channels, or one of ``PolarBox`` on its fields.
+    """
+    rc = range_config
+    if i in (0, 3):
+        # sigmoid as _sigmoid splits it: exp(-|x|) is exp(-x) where x >= 0 and exp(x) below
+        e = _exps(-np.abs(b[i]))
+        s = np.where(b[i] >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        field = s * rc.r_max if i == 0 else s * (rc.z_max - rc.z_min) + rc.z_min
+        return i, [field], ~np.isfinite(b[i])
+    if 4 <= i <= 6:
+        size = _exps(b[i])  # 0, inf or NaN where the channel is not finite
+        return i, [size], ~((size > 0.0) & (size < math.inf))
+    start = 1 if i < 3 else 7
+    u, w = b[start], b[start + 1]
+    n = np.fromiter(map(math.hypot, u.tolist(), w.tolist()), np.float64, len(u))
+    s, c = u / n, w / n
+    # NaN where a channel is not finite or the pair is (0, 0): one comparison makes all three checks
+    return start, [s, c], ~(abs(s * s + c * c - 1.0) <= _PAIR_TOL)
+
+
+def _decode_rows(b, range_config: RangeConfig) -> tuple[list, np.ndarray]:
+    """:func:`_decode_checked` of every row of 9 channel columns: the 9 field columns and the rows that fail."""
+    box, fails = [], False
+    for i in (0, 1, 3, 4, 5, 6, 7):
+        _, fields, part_fails = _decode_part_rows(b, i, range_config)
+        box += fields
+        fails = fails | part_fails
+    return box, fails
+
+
+def _pair_columns(pairs) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (F, 11) ``x`` and ``gt`` rows of :func:`finite_difference_gradient`'s four pair arguments.
+
+    Each argument is one object (F = 1, flagged) or all four are sequences of F objects.
+    """
+    batched = [isinstance(arg, Sequence) for arg in pairs]
+    if not any(batched):
+        pairs = [[arg] for arg in pairs]
+    elif not all(batched):
+        raise ValueError("finite_difference_gradient: pass one object or a sequence for every pair argument, not a mix")
+    elif len({len(arg) for arg in pairs}) > 1:
+        lengths = ", ".join(str(len(arg)) for arg in pairs)
+        raise ValueError(f"finite_difference_gradient: the pair sequences differ in length ({lengths})")
+    # filled row by row: no list of F row lists stays alive next to the arrays
+    x, gt = np.empty((len(pairs[0]), 11)), np.empty((len(pairs[0]), 11))
+    for row, pair in enumerate(zip(*pairs)):
+        x[row], gt[row] = _pair_rows(*pair)
+    return x, gt, not any(batched)
+
+
 def finite_difference_gradient(
-    enc: BoxEncoding,
-    velocity: PolarVelocity,
-    gt_box: PolarBox,
-    gt_velocity: PolarVelocity,
+    enc: BoxEncoding | Sequence[BoxEncoding],
+    velocity: PolarVelocity | Sequence[PolarVelocity],
+    gt_box: PolarBox | Sequence[PolarBox],
+    gt_velocity: PolarVelocity | Sequence[PolarVelocity],
     range_config: RangeConfig,
     step: float = 1e-6,
 ) -> np.ndarray:
-    """Central finite differences of :func:`matched_pair_loss` (the oracle).
+    """Central finite differences of :func:`matched_pair_loss` (the oracle), for one pair or for F pairs.
 
-    ``step`` must be finite and positive.  The unperturbed point and each
-    perturbed point must pass the checks its ``BoxEncoding``,
-    ``PolarVelocity`` and decoded ``PolarBox`` would make, or ValueError is
-    raised, as it is when a perturbed loss or a partial derivative is not
-    finite.  The unperturbed point is decoded once; a step re-decodes only
-    the part of the decode that reads the channel it moves.
+    The four pair arguments are one object each, which gives an (11,)
+    gradient, or four sequences of F objects, which gives (F, 11); anything
+    else raises ValueError.  ``step`` must be finite and positive.  Each of
+    the 22 perturbed points is one numpy pass over the F rows that
+    re-decodes only the part the step moves; every row has the bits of a
+    one-pair call.
+
+    Every point must pass the checks its ``BoxEncoding``, ``PolarVelocity``
+    and decoded ``PolarBox`` would make, and every partial derivative must
+    be finite.  Otherwise the first row that breaks a rule raises
+    ValueError: the message a full evaluation gives at its first failing
+    point (the unperturbed point, then +step and -step on each channel in
+    ``GRADIENT_FIELDS`` order), or else that a perturbed loss or a partial
+    derivative is not finite.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"finite_difference_gradient: step must be finite and positive, got {step!r}")
     # doubles throughout, whatever scalar types the step and the objects hold
     step = float(step)
-    x, gt = _pair_rows(enc, velocity, gt_box, gt_velocity)
-    x0 = [float(v) for v in x]
+    x_rows, gt_rows, single = _pair_columns((enc, velocity, gt_box, gt_velocity))
+    x0, gt = list(x_rows.T.copy()), list(gt_rows.T.copy())
     k = range_config.k_scaling
-    box0 = _decode_checked(x0[:9], range_config)
-    _require_finite("PolarVelocity", x0[9], x0[10])
-    grad = np.empty(11)
-    for i in range(11):
-        losses = []
-        for moved in (x0[i] + step, x0[i] - step):
-            y = x0.copy()
-            y[i] = moved
-            if i < 9:
-                # the checks of BoxEncoding that read channel i, then the part that reads it
-                _require_finite("BoxEncoding", moved)
-                if i in (1, 2):
-                    _require_nonzero_pair("azimuth", y[1], y[2])
-                elif i in (7, 8):
-                    _require_nonzero_pair("yaw", y[7], y[8])
-                start, fields = _decode_part(y, i, range_config)
-                box = box0.copy()
-                box[start : start + len(fields)] = fields
-            else:
-                _require_finite("PolarVelocity", moved)
-                box = box0
-            losses.append(_pair_sum(box, y, gt, k))
-        grad[i] = (losses[0] - losses[1]) / (2.0 * step)
-    if not all(map(math.isfinite, grad.tolist())):  # so is every perturbed loss
+    grad = np.empty_like(x_rows)
+    # rows that fail a check compute with zeros, infinities and NaNs until the masks drop them
+    with np.errstate(all="ignore"):
+        box0, fails = _decode_rows(x0[:9], range_config)
+        point_fails = [fails | ~np.isfinite(x0[9]) | ~np.isfinite(x0[10])]
+        for i in range(11):
+            losses = []
+            for moved in (x0[i] + step, x0[i] - step):
+                y = x0.copy()
+                y[i] = moved
+                if i < 9:
+                    # the part that reads channel i, with the checks on it
+                    start, fields, fails = _decode_part_rows(y, i, range_config)
+                    box = box0.copy()
+                    box[start : start + len(fields)] = fields
+                else:
+                    box, fails = box0, ~np.isfinite(moved)
+                point_fails.append(fails)
+                losses.append(_pair_sum(box, y, gt, k))
+            grad[:, i] = (losses[0] - losses[1]) / (2.0 * step)
+    point_fails = np.array(point_fails)
+    bad = point_fails.any(axis=0) | ~np.isfinite(grad).all(axis=1)  # a finite gradient means finite losses
+    if bad.any():
+        row = int(np.argmax(bad))
+        failing = np.flatnonzero(point_fails[:, row])
+        if failing.size:
+            x = x_rows[row].tolist()
+            if failing[0]:
+                i, minus = divmod(int(failing[0]) - 1, 2)
+                x[i] = x[i] - step if minus else x[i] + step
+            _pair_loss(x, gt_rows[row].tolist(), range_config)  # raises that point's message
         raise ValueError("finite_difference_gradient: a perturbed loss or a partial derivative is not finite")
-    return grad
+    return grad[0] if single else grad
 
 
 def random_gradient_fixture(rng: np.random.Generator, range_config: RangeConfig):

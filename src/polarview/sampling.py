@@ -58,7 +58,7 @@ class FeatureSample:
     valid: bool
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        values = np.array(self.values, dtype=np.float64).reshape(-1)  # a copy: the caller's array stays theirs
         if not self.valid and np.any(values != 0.0):
             raise ValueError("FeatureSample: invalid samples must be all-zero")
         values.setflags(write=False)

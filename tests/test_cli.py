@@ -110,6 +110,8 @@ class TestGradcheck:
         [
             ("0", "2f9417e28e5e9b9f1e6952b52f72b17d086b8b38a353b98ca0588c2dd75f1fb4"),
             ("5", "63cbcb11d2a687a256c7282199df541038dd4c2f78af52bcbd0b4d4735e08707"),
+            # the seed whose finite differences err most (digest taken with one call per fixture)
+            ("3", "312cff1cbc2e918908b399c150d9c8da7b913c613d3e00f269f36ed0db5a1ed3"),
         ],
     )
     def test_1500_fixtures_keep_their_bytes(self, capsys, seed, expected):
@@ -118,6 +120,18 @@ class TestGradcheck:
         code, out, err = run(capsys, "gradcheck", "--fixtures", "1500", "--seed", seed)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+    def test_no_fixtures_write_only_the_header(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--fixtures", "0")
+        assert (code, out, err) == (0, "fixture_id,max_rel_error\r\n", "")
+
+    def test_one_fixture_keeps_its_bytes(self, capsys):
+        # digest taken when the finite differences ran one call per fixture
+        code, out, err = run(capsys, "gradcheck", "--fixtures", "1")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "4b684471c85b89343672875b8fe0e91be4d6b04410284ba48580cd381d6bbec0"
+        )
 
 
 class TestPipeline:

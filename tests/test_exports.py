@@ -36,11 +36,11 @@ DEFAULTED_PARAMETERS = [
 PRIVATE_IMPORTS = [
     ("cli", "serialization._RecordTable"),
     ("cli", "serialization._detections_document"),
+    ("loss", "geometry._PAIR_TOL"),
     ("loss", "geometry._box_fields"),
     ("loss", "geometry._encoding_fields"),
     ("loss", "geometry._require_encoding"),
     ("loss", "geometry._require_finite"),
-    ("loss", "geometry._require_nonzero_pair"),
     ("loss", "geometry._require_positive_size"),
     ("loss", "geometry._require_unit_pair"),
     ("simulator", "camera._check_poses"),

@@ -1,5 +1,7 @@
 import math
 import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,18 @@ from hypothesis import strategies as st
 
 from polarview import loss
 from polarview.geometry import (
+    ENCODING_FIELDS,
     BoxEncoding,
     PolarBox,
     PolarVelocity,
     RangeConfig,
+    _box_fields,
+    _encoding_fields,
+    _require_encoding,
+    _require_finite,
+    _require_nonzero_pair,
+    _require_positive_size,
+    _require_unit_pair,
     encode_polar_box,
     velocity_polar_to_cartesian,
 )
@@ -472,38 +482,49 @@ class TestFiniteDifferencesOnFloats:
         )
 
     def test_decodes_the_unperturbed_point_once(self, monkeypatch):
-        # each step re-decodes only the part it moves; a full decode per step would count 22
+        # one decode of the unperturbed rows per call, whatever their number, and no full decode
+        # per perturbed point (at the one-pair call it was 1 per call; one per point would be 22)
         rng = np.random.default_rng(59)
         fixtures = [random_gradient_fixture(rng, RC) for _ in range(10)]
         calls = []
-        full_decode = loss._decode_checked
+        decode_rows = loss._decode_rows
 
         def counted(b, rc):
-            calls.append(1)
-            return full_decode(b, rc)
+            calls.append(len(b[0]))
+            return decode_rows(b, rc)
 
-        monkeypatch.setattr(loss, "_decode_checked", counted)
-        for fixture in fixtures:
+        def refuse(b, rc):
+            raise AssertionError("a full float decode ran")
+
+        monkeypatch.setattr(loss, "_decode_rows", counted)
+        monkeypatch.setattr(loss, "_decode_checked", refuse)
+        finite_difference_gradient(*fixtures[0], RC)
+        assert calls == [1]
+        for n in (0, 1, 10):
             calls.clear()
-            finite_difference_gradient(*fixture, RC)
-            assert len(calls) == 1
+            finite_difference_gradient(*pair_sequences(fixtures[:n]), RC)
+            assert calls == [n]
 
     def test_each_step_re_decodes_only_its_own_part(self, monkeypatch):
-        # 7 parts for the unperturbed point, then 1 per box-channel step (9 channels, 2 steps each)
+        # 7 parts for the unperturbed rows, then 1 per box-channel step (9 channels, 2 steps each), for any F
         rng = np.random.default_rng(60)
         fixtures = [random_gradient_fixture(rng, RC) for _ in range(10)]
         calls = []
-        decode_part = loss._decode_part
+        decode_part_rows = loss._decode_part_rows
 
         def counted(b, i, rc):
-            calls.append(i)
-            return decode_part(b, i, rc)
+            calls.append((i, len(b[i])))
+            return decode_part_rows(b, i, rc)
 
-        monkeypatch.setattr(loss, "_decode_part", counted)
-        for fixture in fixtures:
+        monkeypatch.setattr(loss, "_decode_part_rows", counted)
+        parts = [0, 1, 3, 4, 5, 6, 7] + [i for i in range(9) for _ in range(2)]
+        for fixture in fixtures[:3]:
             calls.clear()
             finite_difference_gradient(*fixture, RC)
-            assert calls == [0, 1, 3, 4, 5, 6, 7] + [i for i in range(9) for _ in range(2)]
+            assert calls == [(i, 1) for i in parts]
+        calls.clear()
+        finite_difference_gradient(*pair_sequences(fixtures), RC)
+        assert calls == [(i, 10) for i in parts]
 
     def test_builds_no_box_objects(self, monkeypatch):
         rng = np.random.default_rng(54)
@@ -516,6 +537,168 @@ class TestFiniteDifferencesOnFloats:
         for cls in (BoxEncoding, PolarBox, PolarVelocity):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         assert [finite_difference_gradient(*f, RC).tobytes() for f in fixtures] == expected
+        assert finite_difference_gradient(*pair_sequences(fixtures), RC).tobytes() == b"".join(expected)
+
+
+def pair_sequences(pairs):
+    """The four argument sequences (encodings, velocities, gt boxes, gt velocities) of a list of pairs."""
+    return [[pair[j] for pair in pairs] for j in range(4)]
+
+
+# The reference for the row form: the one-pair finite differences as they
+# were before they ran on rows, with the part decode they used.
+def scalar_decode_part(b, i, rc):
+    if i == 0:
+        return 0, (loss._sigmoid(b[0]) * rc.r_max,)
+    if i == 3:
+        return 3, (loss._sigmoid(b[3]) * (rc.z_max - rc.z_min) + rc.z_min,)
+    if 4 <= i <= 6:
+        try:
+            size = math.exp(b[i])
+        except OverflowError:
+            raise ValueError("decode: exp of a size channel must be positive and finite") from None
+        _require_positive_size(size)
+        return i, (size,)
+    start, name = (1, "PolarBox azimuth") if i < 3 else (7, "PolarBox yaw")
+    n = math.hypot(b[start], b[start + 1])
+    s, c = b[start] / n, b[start + 1] / n
+    _require_unit_pair(name, s, c)
+    return start, (s, c)
+
+
+def scalar_pair_sum(box, x, gt, k):
+    box_l1 = (
+        abs(box[0] - gt[0])
+        + k * (abs(box[1] - gt[1]) + abs(box[2] - gt[2]))
+        + abs(box[3] - gt[3])
+        + abs(box[4] - gt[4])
+        + abs(box[5] - gt[5])
+        + abs(box[6] - gt[6])
+        + abs(box[7] - gt[7])
+        + abs(box[8] - gt[8])
+    )
+    return box_l1 + (abs(x[9] - gt[9]) + abs(x[10] - gt[10]))
+
+
+def scalar_finite_differences(enc, velocity, gt_box, gt_velocity, rc, step=1e-6):
+    step = float(step)
+    x0 = [float(v) for v in (*_encoding_fields(enc), velocity.v_rad, velocity.v_tan)]
+    gt = (*_box_fields(gt_box), gt_velocity.v_rad, gt_velocity.v_tan)
+    _require_encoding(x0[:9])
+    box0 = [field for i in (0, 1, 3, 4, 5, 6, 7) for field in scalar_decode_part(x0, i, rc)[1]]
+    _require_finite("PolarVelocity", x0[9], x0[10])
+    grad = np.empty(11)
+    for i in range(11):
+        losses = []
+        for moved in (x0[i] + step, x0[i] - step):
+            y = x0.copy()
+            y[i] = moved
+            if i < 9:
+                _require_finite("BoxEncoding", moved)
+                if i in (1, 2):
+                    _require_nonzero_pair("azimuth", y[1], y[2])
+                elif i in (7, 8):
+                    _require_nonzero_pair("yaw", y[7], y[8])
+                start, fields = scalar_decode_part(y, i, rc)
+                box = box0.copy()
+                box[start : start + len(fields)] = fields
+            else:
+                _require_finite("PolarVelocity", moved)
+                box = box0
+            losses.append(scalar_pair_sum(box, y, gt, rc.k_scaling))
+        grad[i] = (losses[0] - losses[1]) / (2.0 * step)
+    if not all(map(math.isfinite, grad.tolist())):
+        raise ValueError("finite_difference_gradient: a perturbed loss or a partial derivative is not finite")
+    return grad
+
+
+def unchecked(x):
+    """An encoding and a velocity that hold the 11 values of ``x`` without the checks of their classes."""
+    return types.SimpleNamespace(**dict(zip(ENCODING_FIELDS, x[:9]))), types.SimpleNamespace(v_rad=x[9], v_tan=x[10])
+
+
+EXTREMES = [0.0, 1e-6, -1e-6, 5e-324, -5e-324, EXP_TOP, EXP_BOTTOM, 1e308, -1e308, math.inf, -math.inf, math.nan]
+# pairs that fail: the EDGE_POINTS at step 1e-6, a channel or a velocity that is not finite, and a
+# velocity L1 that overflows, so every perturbed loss is inf and every velocity partial NaN; a
+# velocity that is not finite next to a size that overflows at +step fails at the unperturbed point
+FAILING_PAIRS = [(enc, vel, GT_BOX, GT_VEL) for enc, vel, step in EDGE_POINTS.values() if step == 1e-6] + [
+    (*unchecked([*BASE[:4], math.inf, *BASE[5:]]), GT_BOX, GT_VEL),
+    (*unchecked([*BASE[:8], math.nan, *BASE[9:]]), GT_BOX, GT_VEL),
+    (*unchecked([*BASE[:10], -math.inf]), GT_BOX, GT_VEL),
+    (*unchecked([*BASE[:4], EXP_TOP, *BASE[5:9], math.nan, BASE[10]]), GT_BOX, GT_VEL),
+    (BoxEncoding.from_array(BASE[:9]), PolarVelocity(1e308, -1e308), GT_BOX, GT_VEL),
+]
+fixture_pairs = st.integers(0, 2**32 - 1).map(lambda seed: random_gradient_fixture(np.random.default_rng(seed), RC))
+point_pairs = st.lists(st.floats(-4.0, 4.0) | st.sampled_from(EXTREMES), min_size=11, max_size=11).map(
+    lambda x: (*unchecked(x), GT_BOX, GT_VEL)
+)
+
+
+def batch_outcome(pairs, step=1e-6):
+    """:func:`gradient_outcome` of one call over the sequences of ``pairs``, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return gradient_outcome(lambda: finite_difference_gradient(*pair_sequences(pairs), RC, step))
+
+
+class TestFiniteDifferencesOnRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fixture_pairs | point_pairs | st.sampled_from(FAILING_PAIRS), max_size=40),
+           st.sampled_from([1e-6, 1e-3]))
+    def test_a_batch_raises_what_its_first_failing_pair_raises(self, pairs, step):
+        expected = [gradient_outcome(lambda: scalar_finite_differences(*pair, RC, step)) for pair in pairs]
+        got = batch_outcome(pairs, step)
+        failures = [outcome for outcome in expected if outcome[0] == "ValueError"]
+        if failures:
+            assert got == failures[0]
+        else:
+            assert got == (np.float64, (len(pairs), 11), b"".join(outcome[2] for outcome in expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fixture_pairs | point_pairs, max_size=40), st.sampled_from([1e-6, 1e-3]))
+    def test_a_batch_that_passes_has_the_bits_of_the_reference_row_by_row(self, pairs, step):
+        expected = [gradient_outcome(lambda: scalar_finite_differences(*pair, RC, step)) for pair in pairs]
+        passing = [pair for pair, outcome in zip(pairs, expected) if outcome[0] != "ValueError"]
+        rows = [outcome[2] for outcome in expected if outcome[0] != "ValueError"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = finite_difference_gradient(*pair_sequences(passing), RC, step)
+        assert (grad.dtype, grad.shape) == (np.float64, (len(passing), 11))
+        assert [row.tobytes() for row in grad] == rows
+
+    def test_a_failing_pair_raises_at_any_position(self):
+        rng = np.random.default_rng(61)
+        fixtures = [random_gradient_fixture(rng, RC) for _ in range(12)]
+        for pair in FAILING_PAIRS:
+            message = gradient_outcome(lambda: scalar_finite_differences(*pair, RC))
+            assert message[0] == "ValueError"
+            for position in (0, 5, 12):
+                pairs = [*fixtures[:position], pair, *fixtures[position:], FAILING_PAIRS[0]]
+                assert batch_outcome(pairs) == message
+
+    def test_no_pairs_give_an_empty_gradient(self):
+        for empty in ([], ()):
+            grad = finite_difference_gradient(empty, empty, empty, empty, RC)
+            assert (grad.dtype, grad.shape) == (np.float64, (0, 11))
+
+    def test_arguments_that_are_not_one_pair_or_equal_sequences_are_refused(self):
+        rng = np.random.default_rng(62)
+        enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+        for args in ([[enc], [vel], [gt_box], [gt_vel, gt_vel]], [[enc], vel, [gt_box], [gt_vel]], [enc, vel, gt_box, []]):
+            with pytest.raises(ValueError) as raised:
+                finite_difference_gradient(*args, RC)
+            assert raised.type is ValueError
+            assert str(raised.value).startswith("finite_difference_gradient: ")
+            assert "\n" not in str(raised.value)
+
+    def test_float32_targets_are_taken_as_doubles(self):
+        rng = np.random.default_rng(63)
+        for _ in range(10):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            fields = [np.float32(v) if j in (0, 3, 4, 5, 6) else v for j, v in enumerate(_box_fields(gt_box))]
+            gt32, gt64 = PolarBox(*fields), PolarBox.from_array(fields)
+            expected = finite_difference_gradient(enc, vel, gt64, gt_vel, RC)
+            assert finite_difference_gradient(enc, vel, gt32, gt_vel, RC).tobytes() == expected.tobytes()
 
 
 UNIT_BOX = PolarBox(1.0, 0.0, 1.0, 0.0, 2.0, 2.0, 2.0, 0.0, 1.0)

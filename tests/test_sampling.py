@@ -120,6 +120,14 @@ class TestFeatureSampleInvariant:
         assert fmap.data[0, 0, 0] == 0.0
         assert bilinear_sample(fmap, 0.0, 0.0).values[0] == 0.0
 
+    def test_sample_copies_the_callers_array(self):
+        # a shared array would let the caller break the all-zero invariant after the check
+        values = np.zeros(3)
+        sample = FeatureSample(values=values, valid=False)
+        assert values.flags.writeable and not sample.values.flags.writeable
+        values[0] = 7.0
+        assert sample.values.tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("stride", [math.inf, -math.inf, math.nan, -1.0])
     def test_stride_must_be_finite_and_positive(self, stride):
         # an infinite stride would send every pixel, (-3, 7) and (1e6, 5e5)
