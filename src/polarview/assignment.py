@@ -50,8 +50,19 @@ class CircularRange:
         if not self.r_max > 0.0:
             raise ValueError("CircularRange: r_max must be positive")
 
-    def contains(self, x: float, y: float) -> bool:
-        return math.hypot(x, y) <= self.r_max
+    def contains(self, x, y):
+        """Whether the points (x, y), floats or arrays of one shape, lie within ``r_max``.
+
+        The distance is ``math.hypot``'s, which is correctly rounded.  ``np.hypot`` is one
+        ulp off it on about 0.6% of points, so it decides only the points a few ulps or more
+        from the edge.
+        """
+        with np.errstate(over="ignore"):  # a distance past the float range is inf, as math.hypot gives it
+            d = np.hypot(x, y)
+        edge = np.abs(d - self.r_max) <= 4.0 * np.spacing(self.r_max)
+        if edge.any():
+            d = np.where(edge, np.vectorize(math.hypot, otypes=[float])(x, y), d)
+        return d <= self.r_max
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,9 @@ class RectangularRange:
         if not (self.x_max > 0.0 and self.y_max > 0.0):
             raise ValueError("RectangularRange: bounds must be positive")
 
-    def contains(self, x: float, y: float) -> bool:
-        return abs(x) < self.x_max and abs(y) < self.y_max
+    def contains(self, x, y):
+        """Whether the points (x, y), floats or arrays of one shape, lie inside the rectangle."""
+        return (abs(x) < self.x_max) & (abs(y) < self.y_max)
 
 
 def filter_perception_range(

@@ -109,7 +109,7 @@ def _in_region(region, rows: np.ndarray) -> np.ndarray:
     """Mask of the rows whose first two values (x, y) lie in the region (all rows for None)."""
     if region is None:
         return np.ones(len(rows), dtype=bool)
-    return np.fromiter(map(region.contains, rows[:, 0].tolist(), rows[:, 1].tolist()), dtype=bool, count=len(rows))
+    return region.contains(rows[:, 0], rows[:, 1])
 
 
 def _kept_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:

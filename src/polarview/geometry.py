@@ -15,7 +15,10 @@ A raw network-style encoding maps to a polar box through
 :func:`decode_box_encoding`: sigmoid squashes the radial and height
 channels into the perception range, size channels go through exp, and the
 angle pairs are L2-normalized.  :func:`encode_polar_box` is the exact
-inverse on the open interior of the range.
+inverse on the open interior of the range.  Both are one row of their
+batch forms, :func:`decode_boxes` and :func:`encode_boxes`, which run on
+blocks of rows transposed into contiguous channel rows and keep the bits
+and the failure order of one pass over the whole array.
 """
 
 from __future__ import annotations
@@ -253,10 +256,20 @@ def decode_box_encoding(enc: BoxEncoding, range_config: RangeConfig) -> PolarBox
     return PolarBox.from_array(decode_boxes(enc.as_array()[None], range_config)[0])
 
 
-def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic sigmoid in a split form that cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+#: Rows per block of :func:`decode_boxes` and :func:`encode_boxes`.  Each block is transposed into
+#: contiguous channel rows, which numpy's loops run about 3x faster than the 72-byte-strided columns;
+#: a block of a few thousand rows keeps the transposes cheap as well.
+_BLOCK_ROWS = 4096
+
+
+def _channel_blocks(rows: np.ndarray):
+    """(row slice, block) for each block of ``_BLOCK_ROWS`` rows of (N, 9) ``rows``.
+
+    Each block is a new (9, B) array of contiguous channel rows, which the caller may overwrite.
+    """
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield block, rows[block].T.copy()
 
 
 def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray:
@@ -264,34 +277,52 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
 
     r = sigmoid(b_r) * r_max, z = sigmoid(b_z) * (z_max - z_min) + z_min,
     sizes are exp of their channels and both angle pairs are
-    L2-normalized.  Rejects, with ValueError: non-finite channels, a (0, 0)
-    azimuth or yaw pair, a pair whose norm is subnormal or overflows and
-    whose quotients are not a unit pair, and size channels whose exp
-    overflows or underflows to zero.
+    L2-normalized.  The rows run in blocks of ``_BLOCK_ROWS``, each as
+    contiguous channel rows; every element goes through the same functions
+    in the same order whatever the block, so the bits do not depend on N.
+
+    Rejects, with ValueError, in this order over the whole batch:
+    non-finite channels, a (0, 0) azimuth or yaw pair, size channels whose
+    exp overflows or underflows to zero, and a pair whose norm is
+    subnormal or overflows and whose quotients are not a unit pair (the
+    first such azimuth row, then the first such yaw row).
     """
     enc = np.asarray(encodings, dtype=np.float64)
     if enc.ndim != 2 or enc.shape[1] != 9:
         raise ValueError("encodings must have shape (N, 9)")
-    if not np.isfinite(enc).all():
-        raise ValueError("encodings must be finite")
     rc = range_config
     out = np.empty_like(enc)
-    out[:, 0] = _sigmoid_array(enc[:, 0]) * rc.r_max
-    out[:, 3] = _sigmoid_array(enc[:, 3]) * (rc.z_max - rc.z_min) + rc.z_min
-    with np.errstate(over="ignore"):
-        na = np.hypot(enc[:, 1], enc[:, 2])
-        nt = np.hypot(enc[:, 7], enc[:, 8])
-        sizes = np.exp(enc[:, 4:7])
-    if not (na > 0.0).all() or not (nt > 0.0).all():
+    zero_pair = bad_size = False
+    off_unit = ([], [])  # the azimuth and the yaw pairs whose norm is subnormal or overflows
+    with np.errstate(all="ignore"):  # a failing block computes quietly; the checks refuse it
+        for rows, b in _channel_blocks(enc):
+            if not np.isfinite(b).all():
+                raise ValueError("encodings must be finite")
+            # the split sigmoid of b_r and b_z: e / (1 + e) below 0 and 1 / (1 + e) from 0 up, with
+            # e = exp(-|x|); exp(min(x, 0)) is that numerator, bit for bit (exp(0) is exactly 1)
+            x = b[[0, 3]]
+            s = np.exp(np.minimum(x, 0.0))
+            s /= 1.0 + np.exp(-np.abs(x))
+            np.multiply(s[0], rc.r_max, out=b[0])
+            np.multiply(s[1], rc.z_max - rc.z_min, out=b[3])
+            b[3] += rc.z_min
+            n = np.hypot(b[[1, 7]], b[[2, 8]])  # the azimuth and the yaw norm
+            b[1:3] /= n[0]
+            b[7:9] /= n[1]
+            np.exp(b[4:7], out=b[4:7])
+            bad_size = bad_size or not (b[4:7].min() > 0.0 and b[4:7].max() < math.inf)
+            # a norm that is subnormal or overflows can leave the quotient pair off the unit circle
+            if not (n.min() >= _NORMAL_MIN and n.max() < math.inf):
+                zero_pair = zero_pair or not (n > 0.0).all()
+                for pairs, quotients, normal in zip(off_unit, (b[1:3], b[7:9]), (n >= _NORMAL_MIN) & (n < math.inf)):
+                    pairs += quotients[:, ~normal].T.tolist()
+            out[rows] = b.T
+    if zero_pair:
         raise ValueError("encodings: azimuth and yaw pairs must not be (0, 0)")
-    out[:, 1:3] = enc[:, 1:3] / na[:, None]
-    if not (np.isfinite(sizes) & (sizes > 0.0)).all():
+    if bad_size:
         raise ValueError("decode: exp of a size channel must be positive and finite")
-    out[:, 4:7] = sizes
-    out[:, 7:9] = enc[:, 7:9] / nt[:, None]
-    for start, name, n in ((1, "azimuth", na), (7, "yaw", nt)):
-        # a norm that is subnormal or overflows can leave the quotient pair off the unit circle
-        for s, c in out[~((n >= _NORMAL_MIN) & (n < math.inf)), start : start + 2].tolist():
+    for name, pairs in zip(("azimuth", "yaw"), off_unit):
+        for s, c in pairs:
             _require_unit_pair(f"PolarBox {name}", s, c)
     return out
 
@@ -299,29 +330,42 @@ def decode_boxes(encodings: np.ndarray, range_config: RangeConfig) -> np.ndarray
 def encode_boxes(boxes: np.ndarray, range_config: RangeConfig) -> np.ndarray:
     """Vectorized strict inverse of :func:`decode_boxes` for (N, 9) arrays.
 
-    Each row must pass the checks of :class:`PolarBox`: the first row that
-    fails raises the ValueError that ``PolarBox`` raises for it.  Then an r
-    or z on or outside the open perception range raises :class:`RangeError`.
+    The rows run in blocks of ``_BLOCK_ROWS``, as in :func:`decode_boxes`.
+    Each row must pass the checks of :class:`PolarBox`: the first row of
+    the batch that fails raises the ValueError that ``PolarBox`` raises for
+    it.  Then an r or z on or outside the open perception range raises
+    :class:`RangeError`.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 9:
         raise ValueError("boxes must have shape (N, 9)")
     rc = range_config
-    out = boxes.copy()  # the angle pairs pass through
-    with np.errstate(all="ignore"):  # a row that fails is found below
-        p_r = boxes[:, 0] / rc.r_max
-        p_z = (boxes[:, 3] - rc.z_min) / (rc.z_max - rc.z_min)
-        out[:, 0] = np.log(p_r / (1.0 - p_r))
-        out[:, 3] = np.log(p_z / (1.0 - p_z))
-        out[:, 4:7] = np.log(boxes[:, 4:7])
-        # |s*s + c*c - 1| of the azimuth and the yaw pair, as PolarBox computes it
-        off = [np.abs(boxes[:, i] * boxes[:, i] + boxes[:, i + 1] * boxes[:, i + 1] - 1.0) for i in (1, 7)]
-    # a non-finite field, a size <= 0, and an r or z outside the open range each leave a non-finite code
-    if np.isfinite(out).all() and all(d.max() <= _PAIR_TOL for d in off):
-        return out
-    with np.errstate(invalid="ignore"):
+    out = np.empty_like(boxes)
+    with np.errstate(all="ignore"):  # a block that fails is refused below
+        for rows, b in _channel_blocks(boxes):  # the angle pairs pass through
+            # s*s + c*c - 1 of the azimuth and the yaw pair, as PolarBox computes it
+            squares = b[[1, 7, 2, 8]]
+            squares *= squares
+            off = squares[:2] + squares[2:]
+            off -= 1.0
+            p = b[[0, 3]]
+            p[0] /= rc.r_max
+            p[1] -= rc.z_min
+            p[1] /= rc.z_max - rc.z_min
+            p /= 1.0 - p
+            b[[0, 3]] = np.log(p)
+            np.log(b[4:7], out=b[4:7])
+            # a non-finite field, a size <= 0, and an r or z outside the open range each leave a non-finite code
+            if not (np.isfinite(b).all() and np.abs(off).max() <= _PAIR_TOL):
+                break
+            out[rows] = b.T
+        else:
+            return out
+        # the rows that may fail a PolarBox check (the squares of huge fields overflow)
         bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 0] < 0.0) | (boxes[:, 4:7] <= 0.0).any(axis=1)
-    for row in boxes[bad | (off[0] > _PAIR_TOL) | (off[1] > _PAIR_TOL)].tolist():
+        for i in (1, 7):
+            bad |= np.abs(boxes[:, i] * boxes[:, i] + boxes[:, i + 1] * boxes[:, i + 1] - 1.0) > _PAIR_TOL
+    for row in boxes[bad].tolist():
         _require_polar_box(row)
     raise RangeError("r or z on/outside the open perception range")
 

@@ -156,10 +156,14 @@ def _pair_loss(x, gt, range_config: RangeConfig) -> float:
     return _pair_sum(box, x, gt, range_config.k_scaling)
 
 
-def _pair_rows(enc, velocity, gt_box, gt_velocity) -> tuple[list, tuple]:
-    """The ``x`` and ``gt`` of :func:`_pair_loss` for one matched pair."""
-    x = [*_encoding_fields(enc), velocity.v_rad, velocity.v_tan]
-    return x, (*_box_fields(gt_box), gt_velocity.v_rad, gt_velocity.v_tan)
+def _pair_rows(enc, velocity, gt_box, gt_velocity) -> tuple[list, list]:
+    """The ``x`` and ``gt`` of :func:`_pair_loss` for one matched pair, every field as a double.
+
+    A float32 field would otherwise round what it meets in float32: numpy
+    keeps the narrower type against a Python float.
+    """
+    x = [*map(float, _encoding_fields(enc)), float(velocity.v_rad), float(velocity.v_tan)]
+    return x, [*map(float, _box_fields(gt_box)), float(gt_velocity.v_rad), float(gt_velocity.v_tan)]
 
 
 def matched_pair_loss(
@@ -219,21 +223,20 @@ def loss_gradient(
     if not (math.isfinite(kink_tol) and kink_tol >= 0.0):
         raise ValueError(f"loss_gradient: kink_tol must be finite and >= 0, got {kink_tol!r}")
     rc = range_config
-    # each field as a double, as numpy would subtract the two rows
-    d = [float(p) - float(g) for p, g in zip(_decode_checked(_encoding_fields(enc), rc), _box_fields(gt_box))]
-    d += [velocity.v_rad - gt_velocity.v_rad, velocity.v_tan - gt_velocity.v_tan]
-    near = [field for field, residual in zip(GRADIENT_FIELDS, d) if abs(residual) < kink_tol]
-    if near:
+    x, gt = _pair_rows(enc, velocity, gt_box, gt_velocity)
+    d = [p - g for p, g in zip(_decode_checked(x[:9], rc), gt)] + [x[9] - gt[9], x[10] - gt[10]]
+    if min(map(abs, d)) < kink_tol:  # every residual is a difference of finite doubles: none is NaN
+        near = [field for field, residual in zip(GRADIENT_FIELDS, d) if abs(residual) < kink_tol]
         raise KinkError(f"L1 kink within {kink_tol} on: {', '.join(near)}")
 
     partials = [
-        _sigmoid_partial(enc.b_r, d[0], rc.r_max),
-        *_pair_partials(enc.b_sin_a, enc.b_cos_a, d[1], d[2], rc.k_scaling),
-        _sigmoid_partial(enc.b_z, d[3], rc.z_max - rc.z_min),
-        _sign(d[4]) * math.exp(enc.b_l),
-        _sign(d[5]) * math.exp(enc.b_w),
-        _sign(d[6]) * math.exp(enc.b_h),
-        *_pair_partials(enc.b_sin_t, enc.b_cos_t, d[7], d[8], 1.0),
+        _sigmoid_partial(x[0], d[0], rc.r_max),
+        *_pair_partials(x[1], x[2], d[1], d[2], rc.k_scaling),
+        _sigmoid_partial(x[3], d[3], rc.z_max - rc.z_min),
+        _sign(d[4]) * math.exp(x[4]),
+        _sign(d[5]) * math.exp(x[5]),
+        _sign(d[6]) * math.exp(x[6]),
+        *_pair_partials(x[7], x[8], d[7], d[8], 1.0),
         _sign(d[9]),
         _sign(d[10]),
     ]
@@ -388,9 +391,10 @@ def random_gradient_fixture(rng: np.random.Generator, range_config: RangeConfig)
     finite-difference check are well defined.
     """
     for _ in range(1000):
-        enc = BoxEncoding.from_array(rng.normal(0.0, 1.5, size=9))
-        velocity = PolarVelocity(*rng.normal(0.0, 3.0, size=2))
-        gt_angles = rng.uniform(-math.pi, math.pi, size=2)
+        # Python floats from each draw: the objects hold the type their fields are annotated with
+        enc = BoxEncoding(*rng.normal(0.0, 1.5, size=9).tolist())
+        velocity = PolarVelocity(*rng.normal(0.0, 3.0, size=2).tolist())
+        gt_angles = rng.uniform(-math.pi, math.pi, size=2).tolist()
         gt_box = PolarBox(
             r=float(rng.uniform(1.0, range_config.r_max - 1.0)),
             sin_a=math.sin(gt_angles[0]),
@@ -402,7 +406,7 @@ def random_gradient_fixture(rng: np.random.Generator, range_config: RangeConfig)
             sin_t=math.sin(gt_angles[1]),
             cos_t=math.cos(gt_angles[1]),
         )
-        gt_velocity = PolarVelocity(*rng.normal(0.0, 3.0, size=2))
+        gt_velocity = PolarVelocity(*rng.normal(0.0, 3.0, size=2).tolist())
         try:
             # the product is 9.999999999999999e-06, not 1e-5: the fixtures drawn depend on that last bit
             loss_gradient(enc, velocity, gt_box, gt_velocity, range_config, kink_tol=100 * 1e-7)

@@ -183,6 +183,55 @@ class TestPerceptionRange:
         assert dropped_r[0] is objects[0]  # the axial object falls outside |x| < 35
 
 
+def on_and_beside(values):
+    """Each value with its neighbouring doubles on either side."""
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+class TestRangeOnArrays:
+    """``contains`` on arrays gives, point for point, what it gives on floats."""
+
+    R_MAX = 50.0
+
+    def reference_circle(self, x, y):
+        return np.array([math.hypot(u, v) <= self.R_MAX for u, v in zip(x.tolist(), y.tolist())], dtype=bool)
+
+    def circle_points(self):
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(-math.pi, math.pi, 20000)
+        # on the circle as rounding lands them and a ulp either side, Pythagorean triples, and the axes
+        x = [*on_and_beside((self.R_MAX * np.cos(theta)).tolist()), 30.0, 40.0, 0.0, -50.0, *on_and_beside([50.0])]
+        y = [*on_and_beside((self.R_MAX * np.sin(theta)).tolist()), 40.0, 30.0, -50.0, 0.0, 0.0, 0.0, 0.0]
+        return np.array(x), np.array(y)
+
+    def test_circle_on_the_edge_and_one_ulp_either_side(self):
+        region = CircularRange(self.R_MAX)
+        x, y = self.circle_points()
+        expected = self.reference_circle(x, y)
+        # plain np.hypot decides some of these points the other way
+        assert not np.array_equal(np.hypot(x, y) <= self.R_MAX, expected)
+        assert region.contains(x, y).dtype == bool
+        assert np.array_equal(region.contains(x, y), expected)
+        assert [bool(region.contains(u, v)) for u, v in zip(x.tolist(), y.tolist())] == expected.tolist()
+
+    def test_rectangle_on_the_edges_and_one_ulp_either_side(self):
+        region = RectangularRange(35.0, 50.0)
+        xs = on_and_beside([-35.0, 0.0, 35.0])
+        ys = on_and_beside([-50.0, 0.0, 50.0])
+        x, y = (np.array(a, dtype=float).ravel() for a in np.meshgrid(xs, ys))
+        expected = [abs(u) < 35.0 and abs(v) < 50.0 for u, v in zip(x.tolist(), y.tolist())]
+        assert region.contains(x, y).tolist() == expected
+        assert [bool(region.contains(u, v)) for u, v in zip(x.tolist(), y.tolist())] == expected
+        assert sum(expected) == 5 * 5  # one ulp inside each edge, and the three values at 0
+
+    @pytest.mark.parametrize("region", [CircularRange(50.0), RectangularRange(35.0, 50.0)])
+    def test_non_finite_points_and_overflowing_distances_are_outside(self, region):
+        x = np.array([math.nan, math.inf, -math.inf, 1.0, 1.0, 1.7e308])
+        y = np.array([1.0, 1.0, 1.0, math.nan, math.inf, 1.7e308])  # the last distance overflows
+        assert not region.contains(x, y).any()
+        assert not any(region.contains(u, v) for u, v in zip(x.tolist(), y.tolist()))
+
+
 class TestCostMatrix:
     def test_single_perfect_pair(self):
         box = polar(10.0, 0.2)

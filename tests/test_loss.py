@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import types
@@ -236,6 +237,18 @@ def same_gradient(*args, **kw):
     return expected
 
 
+def as_doubles(obj):
+    """The same box, encoding or velocity with every field a Python float."""
+    return dataclasses.replace(obj, **{f.name: float(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+
+
+def same_gradient_as_doubles(*pair, **kw):
+    """``loss_gradient`` of a pair whose fields may be float32 is the reference's on the same values as doubles."""
+    expected = gradient_outcome(lambda: array_loss_gradient(*map(as_doubles, pair), RC, **kw))
+    assert gradient_outcome(lambda: loss_gradient(*pair, RC, **kw)) == expected
+    return expected
+
+
 class TestFloatGradientMatchesArrays:
     def test_fixtures(self):
         rng = np.random.default_rng(56)
@@ -244,18 +257,19 @@ class TestFloatGradientMatchesArrays:
             assert same_gradient(*fixture, RC)[:2] == (np.float64, (11,))
 
     def test_float32_fields(self):
+        # float32 fields give the gradient of the same values as doubles
         rng = np.random.default_rng(57)
         for _ in range(50):
             enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
             enc32 = BoxEncoding(*enc.as_array().astype(np.float32))
             vel32 = PolarVelocity(*np.float32([vel.v_rad, vel.v_tan]))
-            same_gradient(enc32, vel32, gt_box, gt_vel, RC)
+            assert same_gradient_as_doubles(enc32, vel32, gt_box, gt_vel)[:2] == (np.float64, (11,))
         # a float32 azimuth field 9.5e-8 below its target: a kink as a double, but
         # two float32 ulps (1.19e-7) apart if the subtraction ran in float32
         enc32 = BoxEncoding(*np.float32([0.3, 0.8, 0.6, -0.2, 1.2, 0.5, 0.4, 0.6, 0.8]))
-        sin_a = float(loss._decode_checked(loss._encoding_fields(enc32), RC)[1]) + 9.5e-8
+        sin_a = float(loss._decode_checked(list(map(float, loss._encoding_fields(enc32))), RC)[1]) + 9.5e-8
         gt_box = PolarBox(12.0, sin_a, math.sqrt(1.0 - sin_a * sin_a), -0.5, 4.0, 1.8, 1.6, 0.0, 1.0)
-        outcome = same_gradient(enc32, PolarVelocity(0.7, -1.1), gt_box, GT_VEL, RC)
+        outcome = same_gradient_as_doubles(enc32, PolarVelocity(0.7, -1.1), gt_box, GT_VEL)
         assert outcome == ("KinkError", "L1 kink within 1e-07 on: b_sin_a")
 
     def test_kink_at_the_tolerance_and_one_ulp_below(self):
@@ -290,6 +304,40 @@ class TestFloatGradientMatchesArrays:
         except ValueError:
             return
         same_gradient(enc, vel, gt_box, GT_VEL, RC, kink_tol=kink_tol)
+
+
+class TestFloat32FieldsAreDoubles:
+    """Float32 fields give the loss and gradients of the same values as doubles."""
+
+    @staticmethod
+    def float32_pairs():
+        # seed 63's first fixture decodes a yaw pair off the unit circle if float32 division runs
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            enc, vel, gt_box, gt_vel = random_gradient_fixture(rng, RC)
+            enc32 = BoxEncoding(*enc.as_array().astype(np.float32))
+            # the pairs of a target stay doubles: PolarBox checks them in their own precision
+            sizes = {name: np.float32(getattr(gt_box, name)) for name in ("r", "z", "l", "w", "h")}
+            gt32 = dataclasses.replace(gt_box, **sizes)
+            vel32, gt_vel32 = (PolarVelocity(*np.float32([v.v_rad, v.v_tan])) for v in (vel, gt_vel))
+            yield from ((enc32, vel, gt_box, gt_vel), (enc, vel, gt32, gt_vel), (enc32, vel32, gt32, gt_vel32))
+
+    def test_loss(self):
+        for pair in self.float32_pairs():
+            expected = matched_pair_loss(*map(as_doubles, pair), RC)
+            assert matched_pair_loss(*pair, RC).hex() == expected.hex()
+
+    def test_gradients(self):
+        for pair in self.float32_pairs():
+            expected = finite_difference_gradient(*map(as_doubles, pair), RC).tobytes()
+            assert finite_difference_gradient(*pair, RC).tobytes() == expected
+            assert same_gradient_as_doubles(*pair)[0] == np.float64
+
+    def test_a_float32_velocity_just_below_its_target_is_a_kink(self):
+        # 9.5e-8 below its target as doubles, but one float32 ulp (1.19e-7) if the subtraction ran in float32
+        enc, _, gt_box, _ = random_gradient_fixture(np.random.default_rng(64), RC)
+        pair = (enc, PolarVelocity(np.float32(1.0), np.float32(-1.5)), gt_box, PolarVelocity(1.0 + 9.5e-8, 0.0))
+        assert same_gradient_as_doubles(*pair) == ("KinkError", "L1 kink within 1e-07 on: v_rad")
 
 
 # The reference for the float path: finite differences on objects. Every
