@@ -5,9 +5,11 @@ velocity and matched to the active tracks' last centers, greedily in
 ascending distance (ties: lower detection index, then lower track id),
 gated by class and by a distance threshold.  Matched tracks are updated,
 unmatched detections spawn new tracks, and tracks that miss too many
-consecutive frames retire.  Hungarian matching is available as a config
-alternative.  The tracker state holds the active tracks as rows: one array
-per field (id, last center, label, misses), in ascending id order.
+consecutive frames retire.  Greedy tracking and the id-switch count share
+one matcher (``_nearest_first``); only the Hungarian alternative builds a
+dense distance matrix, as LSAP reads it whole.  The tracker state holds the
+active tracks as rows: one array per field (id, last center, label, misses),
+in ascending id order.
 
 Back-projection compensates object motion only, so detection coordinates
 must share one frame across steps (static ego, or ego motion compensated
@@ -36,17 +38,20 @@ __all__ = [
 ]
 
 
-def _greedy_match(dist: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
-    """Claim the ``allowed`` (row, column) pairs in ascending (distance, row, column) order; see ``greedy_claim``."""
-    rows, cols = np.nonzero(allowed)
-    order = np.lexsort((cols, rows, dist[rows, cols]))
+def _nearest_first(a, a_counts, a_labels, b, b_counts, b_labels, reach: float) -> list[tuple[int, int]]:
+    """Greedy same-frame, same-label pairs (row of ``a``, row of ``b``) within ``reach``: ``greedy_claim`` of the
+    ``gated_cells`` cells (framed as it frames them) in ascending (frame, distance, row, column) order."""
+    rows, cols, dist = gated_cells(a, a_counts, b, b_counts, reach)
+    same = a_labels[rows] == b_labels[cols]
+    rows, cols, dist = rows[same], cols[same], dist[same]
+    order = np.lexsort((cols, rows, dist, np.repeat(np.arange(len(a_counts)), a_counts)[rows]))
     return greedy_claim(rows[order].tolist(), cols[order].tolist())
 
 
 def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
     """Planar centers (..., 2) of boxes (..., 9) moved back by dt along velocities (..., 2)."""
-    if dt <= 0.0:
-        raise ValueError("back_project: dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"back_project: dt must be positive and finite, not {dt!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed center fails every distance gate
         v_x, v_y = rotate_planar(velocities[..., 0], velocities[..., 1], boxes[..., 1], boxes[..., 2])
         return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
@@ -84,7 +89,8 @@ class TrackerState:
 def match_tracks(
     state: TrackerState, frame: DetectionFrame, dt: float
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Associate a frame's detections with active tracks.
+    """Associate a frame's detections with active tracks: greedily by ``_nearest_first`` (the track rows are in id
+    order, so its column order is the track-id tie-break), or by LSAP on the dense (N, T) matrix that it reads.
 
     Returns (matches as (detection index, track row) pairs, unmatched
     detection indices, unmatched track rows).
@@ -94,18 +100,15 @@ def match_tracks(
         return [], list(range(n_det)), list(range(n_trk))
 
     det_centers = back_project(frame.boxes, frame.velocities, dt)
-    dist = planar_distances(det_centers, state.centers)
     threshold = state.config.distance_threshold
-    allowed = (frame.labels[:, None] == state.labels[None, :]) & (dist <= threshold)
-
     if state.config.matching == "hungarian":
+        dist = planar_distances(det_centers, state.centers)
+        allowed = (frame.labels[:, None] == state.labels[None, :]) & (dist <= threshold)
         big = threshold * (min(n_det, n_trk) + 1) + 1.0  # exceeds any sum of allowed distances
         gated = np.where(allowed, dist, big)
         matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
     else:
-        # the rows are in ascending track id order, so the column order is
-        # the track-id tie-break
-        matches = _greedy_match(dist, allowed)
+        matches = _nearest_first(det_centers, [n_det], frame.labels, state.centers, [n_trk], state.labels, threshold)
     matches.sort()
 
     matched_d = {di for di, _ in matches}
@@ -174,21 +177,18 @@ def count_id_switches(result: TrackingResult, scene: Scene) -> int:
     """Count identity switches of tracked detections against ground truth.
 
     Per frame, tracked detections are greedily matched to ground-truth
-    objects by planar center distance (same class, within 2 m): one search
-    (``geometry.gated_cells``) and one claim pass in (frame, distance,
-    detection, object) order cover all frames.  A switch is a frame where
-    a ground-truth object's matched track id differs from its previous
-    matched frame's.
+    objects by planar center distance (same class, within 2 m), with the
+    tracker's own matcher (``_nearest_first``) run once over the whole
+    file.  A switch is a frame where a ground-truth object's matched track
+    id differs from its previous matched frame's.
     """
     if len(result.track_ids) != len(scene.frames):
         raise ValueError("count_id_switches: frame counts differ")
     counts, boxes, probs = result.detections.stacked("boxes", "probs")
+    labels = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)  # one argmax, not one per frame
     gt_counts, gt_boxes, classes, gt_ids = scene.stacked("boxes", "classes", "ids")
-    rows, cols, dist = gated_cells(polar_centers(boxes), counts, gt_boxes[:, :2], gt_counts, 2.0)
-    same = probs[rows].argmax(axis=1) == classes[cols] if len(rows) else np.zeros(0, dtype=bool)
-    rows, cols, dist = rows[same], cols[same], dist[same]
-    order = np.lexsort((cols, rows, dist, np.repeat(np.arange(len(counts)), counts)[rows]))
-    det, gt = np.array(greedy_claim(rows[order].tolist(), cols[order].tolist()), dtype=np.intp).reshape(-1, 2).T
+    matches = _nearest_first(polar_centers(boxes), counts, labels, gt_boxes[:, :2], gt_counts, classes, 2.0)
+    det, gt = np.array(matches, dtype=np.intp).reshape(-1, 2).T
     # each object's matched tracks in frame order: a switch is a change between neighbours
     gt_id, track = gt_ids[gt], np.concatenate([np.zeros(0, dtype=np.int64), *result.track_ids])[det]
     by_object = np.argsort(gt_id, kind="stable")

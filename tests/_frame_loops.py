@@ -1,5 +1,6 @@
 """References for the whole-file passes: center-distance matching, the ``assign`` and ``eval`` loops and the
-id-switch count as they ran one frame at a time, with one distance or cost matrix per frame.
+id-switch count as they ran one frame at a time, with one distance or cost matrix per frame, and the tracker's
+greedy claim as a plain loop over a dense matrix, which shares no matcher with ``polarview``.
 
 The tests hold the whole-file code to these: the same matches, documents and counts, and the same error
 message for a file whose one fault lies in some frame.
@@ -13,7 +14,6 @@ import numpy as np
 from polarview import assignment, cli, metrics, serialization
 from polarview.assignment import greedy_claim
 from polarview.geometry import planar_distances, polar_centers, polar_fields, rotate_planar
-from polarview.tracker import _greedy_match
 
 
 def frame_match_by_center_distance(pred_centers, scores, gt_centers, thresholds):
@@ -35,6 +35,21 @@ def frame_match_by_center_distance(pred_centers, scores, gt_centers, thresholds)
     return results
 
 
+def reference_greedy(dist, allowed):
+    """The greedy claim as a plain loop: the ``allowed`` (row, column) cells sorted by (distance, row, column),
+    each claimed when its row and column are both untaken; pairs in claim order."""
+    rows, cols = np.nonzero(allowed)
+    candidates = sorted(zip(dist[rows, cols].tolist(), rows.tolist(), cols.tolist()))
+    used_r, used_c, pairs = set(), set(), []
+    for _, r, c in candidates:
+        if r in used_r or c in used_c:
+            continue
+        used_r.add(r)
+        used_c.add(c)
+        pairs.append((r, c))
+    return pairs
+
+
 def frame_by_frame_id_switches(result, scene):
     """``tracker.count_id_switches`` with one distance matrix and one claim pass per frame."""
     last_track_of_gt = {}
@@ -45,7 +60,7 @@ def frame_by_frame_id_switches(result, scene):
         dist = planar_distances(polar_centers(frame.boxes), frame_gt.boxes[:, :2])
         allowed = (dist <= 2.0) & (frame.labels[:, None] == frame_gt.classes[None, :])
         gt_ids = frame_gt.ids.tolist()
-        for di, gi in _greedy_match(dist, allowed):
+        for di, gi in reference_greedy(dist, allowed):
             gt_id = gt_ids[gi]
             track_id = int(ids[di])
             if gt_id in last_track_of_gt and last_track_of_gt[gt_id] != track_id:

@@ -380,6 +380,22 @@ class TestTrackFileIsDetections:
         assert open(again, "rb").read() == open(tracked["tracks"], "rb").read()
 
 
+class TestTrackRefusesNonFiniteStep:
+    @pytest.mark.parametrize("matching", ["greedy", "hungarian"])
+    def test_frame_times_a_non_finite_step_apart_exit_one(self, capsys, tracked, tmp_path, matching):
+        # -1e308 and 1e308 are finite and increasing, but their difference overflows to inf
+        with open(tracked["dets"]) as fh:
+            doc = json.load(fh)
+        still = dict(next(d for f in doc["frames"] for d in f["detections"]), velocity=[0.0, 0.0])
+        doc["frames"] = [{"t": t, "detections": [still]} for t in (-1e308, 1e308)]
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, "track", "--detections", bad, "--matching", matching)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "dt must be positive and finite" in err
+
+
 SCENE_KEYS = [
     ("schema_version",), ("rig",), ("frames",),
     ("rig", 0, "intrinsics"), ("rig", 0, "extrinsics"), ("rig", 0, "image_size"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _frame_loops import frame_by_frame_id_switches
+from _frame_loops import frame_by_frame_id_switches, reference_greedy
 from polarview.assignment import hungarian
 from polarview.camera import EgoPose, make_symmetric_rig
 from polarview.geometry import (
@@ -31,7 +32,6 @@ from polarview.simulator import (
 from polarview.tracker import (
     TrackerConfig,
     TrackingResult,
-    _greedy_match,
     TrackerState,
     back_project,
     count_id_switches,
@@ -96,26 +96,32 @@ class TestBackProject:
         np.testing.assert_allclose(center, [10.0, -1.0])
 
     def test_requires_positive_dt(self):
-        with pytest.raises(ValueError):
-            back_project(polar_at(10.0, 0.0).as_array(), np.array([0.0, 0.0]), 0.0)
+        # 0 * inf is NaN: a non-finite dt would give NaN centers, which match nothing
+        for dt in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                back_project(polar_at(10.0, 0.0).as_array(), np.array([0.0, 0.0]), dt)
 
 
-def reference_greedy(dist, allowed):
-    # plain sort-then-claim over (distance, row, column) tuples
-    candidates = sorted(
-        (float(dist[r, c]), r, c)
-        for r in range(dist.shape[0])
-        for c in range(dist.shape[1])
-        if allowed[r, c]
+# detection centers on the axes, where polar_centers gives the integers back exactly
+AXIS_POINTS = [(float(s * k), 0.0) for s in (1, -1) for k in (1, 2, 3)] + [
+    (0.0, float(s * k)) for s in (1, -1) for k in (1, 2, 3)
+]
+
+
+def greedy_state(centers, labels):
+    """A greedy tracker state whose track rows sit at ``centers`` with ``labels``, ids 0, 1, ..."""
+    n = len(labels)
+    return TrackerState(
+        tracks=np.arange(n, dtype=np.int64), centers=np.reshape(np.asarray(centers, dtype=np.float64), (n, 2)),
+        labels=np.asarray(labels, dtype=np.intp), misses=np.zeros(n, dtype=np.int64), created=n,
     )
-    used_r, used_c, pairs = set(), set(), []
-    for _, r, c in candidates:
-        if r in used_r or c in used_c:
-            continue
-        used_r.add(r)
-        used_c.add(c)
-        pairs.append((r, c))
-    return pairs
+
+
+def reference_matches(state, det_frame, dt):
+    """Greedy ``match_tracks`` pairs as the dense reference finds them: one (N, T) matrix and mask."""
+    dist = planar_distances(back_project(det_frame.boxes, det_frame.velocities, dt), state.centers)
+    allowed = (det_frame.labels[:, None] == state.labels[None, :]) & (dist <= state.config.distance_threshold)
+    return sorted(reference_greedy(dist, allowed))
 
 
 class TestDistancesAndGreedy:
@@ -123,13 +129,45 @@ class TestDistancesAndGreedy:
         rng = np.random.default_rng(5)
         for _ in range(300):
             m, n = rng.integers(1, 8, size=2)
-            dist = rng.integers(0, 4, size=(m, n)).astype(np.float64)  # few values: exact ties
-            allowed = rng.random((m, n)) < 0.7
-            assert _greedy_match(dist, allowed) == reference_greedy(dist, allowed)
+            # integer centers: equal distances tie exactly, and some lie on the 2 m gate
+            det_frame = frame(*(detection_at(*AXIS_POINTS[i], label=int(label))
+                                for i, label in zip(rng.integers(0, len(AXIS_POINTS), size=m),
+                                                    rng.integers(0, 2, size=m))))
+            state = greedy_state(rng.integers(-3, 4, size=(n, 2)), rng.integers(0, 2, size=n))
+            matches, unmatched_d, unmatched_t = match_tracks(state, det_frame, 0.5)
+            assert matches == reference_matches(state, det_frame, 0.5)
+            assert unmatched_d == sorted(set(range(m)) - {di for di, _ in matches})
+            assert unmatched_t == sorted(set(range(n)) - {ti for _, ti in matches})
 
     def test_greedy_empty_and_all_gated(self):
-        assert _greedy_match(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)) == []
-        assert _greedy_match(np.ones((3, 4)), np.zeros((3, 4), dtype=bool)) == []
+        state = greedy_state([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]], [0, 0, 1])
+        assert match_tracks(state, frame(), 0.5) == ([], [], [0, 1, 2])
+        assert match_tracks(greedy_state([], []), frame(detection_at(1.0, 0.0)), 0.5) == ([], [0], [])
+        # every cell is gated: the near ones by class, the same-class ones by distance
+        dets = frame(detection_at(1.0, 0.0, label=1), detection_at(0.0, 3.0, label=0),
+                     detection_at(-3.0, 0.0, label=0))
+        assert reference_matches(state, dets, 0.5) == []
+        assert match_tracks(state, dets, 0.5) == ([], [0, 1, 2], [0, 1, 2])
+
+
+class TestGreedyMemory:
+    def test_peak_grows_with_the_gated_cells_not_with_n_times_t(self):
+        # two frames of the same 2000 detections, spread over a 1 km square: the second frame's
+        # 2000 x 2000 distances alone would take 32 MB, while few cells lie within the 2 m gate
+        n = 2000
+        xy = np.random.default_rng(11).uniform(-500.0, 500.0, size=(n, 2))
+        boxes = np.reshape([polar_fields(x, y, 0.0, 4.0, 2.0, 1.5, 0.0) for x, y in xy.tolist()], (n, 9))
+        detections = DetectionSet.from_arrays([0.0, 0.5], [n, n], np.tile(boxes, (2, 1)), np.ones((2 * n, 1)),
+                                              np.zeros((2 * n, 2)), np.ones(2 * n))
+        tracemalloc.start()
+        try:
+            result = run_tracker(detections)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.tracks_created == n
+        assert result.track_ids[1].tolist() == result.track_ids[0].tolist()
+        assert peak < n * n * 8
 
 
 class TestConfig:
