@@ -117,16 +117,21 @@ def _kept_counts(counts: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.bincount(np.repeat(np.arange(len(counts)), counts)[kept], minlength=len(counts))
 
 
+def _same_times(scene, dets, command: str) -> None:
+    """Refuse a scene and detections whose frames are not at the same times, in the same order."""
+    if not np.array_equal(scene.times, dets.times):
+        raise ValueError(f"{command}: scene and detections disagree on frame times")
+
+
 def _ground_truth(args, command: str, *names: str):
-    """Load ``--scene`` and ``--detections``, check their frame counts agree, and keep the objects in the region.
+    """Load ``--scene`` and ``--detections``, check their frame times agree, and keep the objects in the region.
 
     Returns the region, the detections, and the kept objects of all frames: their per-frame counts, box
     rows, and the rows of each ``Scene.stacked`` field in ``names``.
     """
     scene = serialization.load_scene(args.scene)
     dets = serialization.load_detections(args.detections)
-    if len(scene.frames) != len(dets.frames):
-        raise ValueError(f"{command}: scene and detections disagree on frame count")
+    _same_times(scene, dets, command)
     region = _region_from_args(args)
     counts, boxes, *rows = scene.stacked("boxes", *names)
     kept = _in_region(region, boxes)
@@ -141,7 +146,7 @@ def _cmd_assign(args) -> int:
     gt_boxes = np.reshape([polar_fields(*row) for row in gt_rows.tolist()], (-1, 9))
     starts, gt_starts = (np.concatenate([[0], np.cumsum(c)]) for c in (counts, gt_counts))
     frames_out, local, n_pairs = [], [], []  # local: each frame's (gt, pred) pairs, frame by frame
-    for frame, (lo, hi), (g_lo, g_hi) in zip(dets.frames, pairwise(starts.tolist()), pairwise(gt_starts.tolist())):
+    for t, (lo, hi), (g_lo, g_hi) in zip(dets.times.tolist(), pairwise(starts.tolist()), pairwise(gt_starts.tolist())):
         costs = assignment.build_cost_matrix(
             (boxes[lo:hi], probs[lo:hi]), (gt_boxes[g_lo:g_hi], gt_classes[g_lo:g_hi]), args.k_scaling,
             class_cost_form=args.class_cost,
@@ -151,7 +156,7 @@ def _cmd_assign(args) -> int:
         n_pairs.append(len(result))
         frames_out.append(
             {
-                "t": frame.t,
+                "t": t,
                 "pairs": None,  # filled from the table of all frames' pairs below
                 "unmatched_gts": sorted(set(range(g_hi - g_lo)) - result.matched_gts()),
                 "unmatched_preds": sorted(set(range(hi - lo)) - result.matched_preds()),
@@ -181,6 +186,7 @@ def _cmd_track(args) -> int:
     summary = {"tracks_created": result.tracks_created}
     if args.scene:
         scene = serialization.load_scene(args.scene)
+        _same_times(scene, dets, "track")
         summary["id_switches"] = tracker.count_id_switches(result, scene)
     track_ids = np.concatenate([np.zeros(0, dtype=np.int64), *result.track_ids])
     report = serialization._detections_document(dets, {"track_id": track_ids})

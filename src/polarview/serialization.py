@@ -25,13 +25,13 @@ the saver's text, so a float written as an integer (``-0.0`` as ``0``)
 comes back as an ``int`` equal to it.
 
 Both loaders read a whole file into one array per key and check it once,
-with no per-object record: a scene becomes frame times, per-frame object
-counts, ego rotations (F, 3, 3) and translations (F, 3), and object ids
-(M,), classes (M,), boxes (M, 7) and velocities (M, 2) over all frames,
-checked by ``simulator.Scene.from_arrays``; detections become times,
-counts, boxes (N, 9), probs (N, C), velocities (N, 2) and scores (N,),
-checked by ``simulator.DetectionSet.from_arrays``.  Each frame is a
-read-only slice of those arrays.  orjson parses the text, with the
+with no per-object record: a scene's frame times, per-frame object counts,
+ego rotations (F, 3, 3) and translations (F, 3), and object ids (M,),
+classes (M,), boxes (M, 7) and velocities (M, 2) over all frames
+(``simulator.Scene.from_arrays``); detections' times, counts, boxes (N, 9),
+probs (N, C), velocities (N, 2) and scores (N,) (``DetectionSet``).  The set
+keeps them as its columns: ``stacked`` returns them as stored, and frames,
+slices of them, are built on first access.  orjson parses the text, with the
 stdlib's floats bit for bit; a file whose load raises is loaded again
 through :func:`read_json`, so every error is the stdlib's.  Where the
 schema holds a number, the loaders accept only a JSON number that is a
@@ -261,15 +261,11 @@ def _scene_document(scene: Scene) -> dict:
         "schema_version": SCHEMA_VERSION,
         "rig": [_camera_to_dict(cam) for cam in scene.rig.cameras],
         "frames": [
-            {
-                "t": frame.t,
-                "ego_pose": {
-                    "rotation": frame.pose_rotation.reshape(-1).tolist(),
-                    "translation": frame.pose_translation.tolist(),
-                },
-                "objects": rows,
-            }
-            for frame, rows in zip(scene.frames, objects)
+            {"t": t, "ego_pose": {"rotation": rotation, "translation": translation}, "objects": rows}
+            for t, rotation, translation, rows in zip(
+                scene.times.tolist(), scene.pose_rotations.reshape(-1, 9).tolist(),
+                scene.pose_translations.tolist(), objects,
+            )
         ],
     }
 
@@ -375,7 +371,7 @@ def _detections_document(dets: DetectionSet, leading: dict[str, np.ndarray]) -> 
     detections = _RecordTable(counts, {**leading, **dict(zip(("box", "score", "probs", "velocity"), columns))})
     return {
         "schema_version": SCHEMA_VERSION,
-        "frames": [{"t": frame.t, "detections": rows} for frame, rows in zip(dets.frames, detections)],
+        "frames": [{"t": t, "detections": rows} for t, rows in zip(dets.times.tolist(), detections)],
     }
 
 

@@ -1,6 +1,6 @@
 """Synthetic surround-view scenes: moving objects, ego motion, noisy detections.
 
-A scene holds a camera rig and a list of frames.  Objects move with
+A scene holds a camera rig and columns of all frames.  Objects move with
 constant velocity in the frame-0 (world) plane; each frame stores them in
 that frame's ego coordinates together with the ego pose mapping those
 coordinates back to frame 0.  All generation is a pure function of
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,28 +52,22 @@ __all__ = [
 _INT64 = np.iinfo(np.int64)
 
 
-def _check_times(times: list[float], owner: str) -> None:
-    if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+def _columns(frame: str, owner: str, times, counts, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 ``times`` and intp ``counts`` of ``n_rows`` rows, the counts checked, then the times."""
+    times, counts = np.array(times, dtype=np.float64), np.array(counts, dtype=np.intp)
+    if counts.shape != times.shape or (counts < 0).any() or counts.sum() != n_rows:
+        raise ValueError(f"{frame}: need one nonnegative row count per frame, adding up to the rows")
+    if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
         raise ValueError(f"{owner}: timestamps must be finite and strictly increase")
+    times.setflags(write=False), counts.setflags(write=False)
+    return times, counts
 
 
-def _fill(frame, t: float, *arrays: np.ndarray):
-    """Set a frozen frame's ``t`` and its array fields in declaration order; the caller checked the rows."""
-    for name, value in zip(frame.__dataclass_fields__, (float(t), *arrays)):
-        object.__setattr__(frame, name, value)
-    return frame
-
-
-def _frames(cls, times, counts, rows: list[np.ndarray], *per_frame) -> tuple:
-    """Frames of ``cls`` holding ``times[f]``, each ``per_frame[k][f]`` and the next ``counts[f]`` checked rows."""
-    times = [float(t) for t in times]
-    bounds = [0, *itertools.accumulate(counts)]
-    if len(counts) != len(times) or any(c < 0 for c in counts) or bounds[-1] != len(rows[0]):
-        raise ValueError(f"{cls.__name__}: need one nonnegative row count per frame, adding up to the rows")
-    return tuple(
-        _fill(cls.__new__(cls), t, *(p[f] for p in per_frame), *(a[lo:hi] for a in rows))
-        for f, (t, lo, hi) in enumerate(zip(times, bounds, bounds[1:]))
-    )
+def _fill(obj, *values):
+    """Set a frozen dataclass's fields to ``values`` in declaration order; the caller checked them."""
+    for name, value in zip(obj.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _stacked(frames: tuple, empty, names: tuple[str, ...]) -> list[np.ndarray]:
@@ -139,9 +134,9 @@ class SceneFrame:
     The ego pose is ``pose_rotation`` (3, 3) and ``pose_translation`` (3,);
     objects are int64 ``ids`` (M,) and ``classes`` (M,), ``boxes`` (M, 7)
     as (x, y, z, l, w, h, yaw) and ``velocities`` (M, 2) as (v_x, v_y).
-    Loaded and generated frames are slices of whole-scene arrays that
-    :meth:`Scene.from_arrays` checked once.  ``SceneFrame(t, ego_pose,
-    objects)`` stacks objects; :attr:`objects` and :attr:`ego_pose` rebuild them.
+    A scene's frames are slices of its columns, built on first access;
+    ``SceneFrame(t, ego_pose, objects)`` stacks objects, and
+    :attr:`objects` and :attr:`ego_pose` rebuild them.
     """
 
     t: float
@@ -159,7 +154,7 @@ class SceneFrame:
             np.reshape([(o.box.x, o.box.y, o.box.z, o.box.l, o.box.w, o.box.h, o.box.yaw) for o in objs], (-1, 7)),
             np.reshape([(o.velocity.v_x, o.velocity.v_y) for o in objs], (-1, 2)),
         )
-        _fill(self, t, rotation[0], translation[0], *rows)
+        _fill(self, float(t), rotation[0], translation[0], *rows)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -176,30 +171,61 @@ class SceneFrame:
         return tuple(SceneObject(i, c, CartesianBox(*b), CartesianVelocity(*v)) for i, c, b, v in rows)
 
 
-@dataclass(frozen=True)
-class Scene:
-    rig: Rig
-    frames: tuple[SceneFrame, ...]
+class _FrameColumns:
+    """Frames kept as read-only columns: frame f is at ``times[f]``, holds row f of each ``_POSES`` column and the
+    next ``counts[f]`` rows of each ``_ROWS`` column, and is a ``_FRAME`` at the API edge."""
 
-    def __post_init__(self) -> None:
-        _check_times([f.t for f in self.frames], "Scene")
-        if any(len(set(f.ids.tolist())) != len(f) for f in self.frames):
-            raise ValueError("Scene: object ids must be unique within a frame")
+    @cached_property
+    def frames(self) -> tuple:
+        """One ``_FRAME`` per frame, read-only slices of the columns (API edge; built on first access)."""
+        bounds = [0, *itertools.accumulate(self.counts.tolist())]
+        poses, rows = ([getattr(self, name) for name in names] for names in (self._POSES, self._ROWS))
+        return tuple(
+            _fill(self._FRAME.__new__(self._FRAME), t, *(p[f] for p in poses), *(a[lo:hi] for a in rows))
+            for f, (t, lo, hi) in enumerate(zip(self.times.tolist(), bounds, bounds[1:]))
+        )
+
+    def stacked(self, *names: str) -> list[np.ndarray]:
+        """The per-frame row counts, then each named row column (``ids``, ``boxes``, ...), as stored."""
+        return [self.counts, *(getattr(self, name) for name in names)]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Scene(_FrameColumns):
+    """A rig and read-only columns of all frames: frame f is at ``times[f]`` with pose ``pose_rotations[f]`` and
+    ``pose_translations[f]``, and holds the next ``counts[f]`` rows of the :class:`SceneFrame` row fields."""
+
+    _FRAME, _POSES = SceneFrame, ("pose_rotations", "pose_translations")
+    _ROWS = ("ids", "classes", "boxes", "velocities")
+    rig: Rig
+    times: np.ndarray
+    counts: np.ndarray
+    pose_rotations: np.ndarray
+    pose_translations: np.ndarray
+    ids: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray
+    velocities: np.ndarray
+
+    def __init__(self, rig: Rig, frames: tuple[SceneFrame, ...]) -> None:
+        counts, *rows = _stacked(frames, lambda: SceneFrame(0.0, EgoPose.identity(), ()), Scene._ROWS)
+        rotations = np.reshape([f.pose_rotation for f in frames], (-1, 3, 3))
+        translations = np.reshape([f.pose_translation for f in frames], (-1, 3))
+        scene = Scene.from_arrays(rig, [f.t for f in frames], counts, rotations, translations, *rows)
+        self.__dict__.update(vars(scene))
 
     @classmethod
     def from_arrays(cls, rig: Rig, times, counts, rotations, translations, ids, classes, boxes, velocities):
-        """A scene from whole-scene arrays, each check run once over all rows, sliced into frames.
-
-        Frame f holds ``times[f]``, pose ``rotations[f]`` (3, 3) and
-        ``translations[f]`` (3,), and the next ``counts[f]`` object rows.
-        """
+        """A scene from whole-scene arrays, each check run once over all rows: frame f holds ``times[f]``, pose
+        ``rotations[f]`` (3, 3) and ``translations[f]`` (3,), and the next ``counts[f]`` object rows, ids unique."""
         arrays = rotations, translations, ids, classes, boxes, velocities
         rotations, translations, *rows = _scene_rows(len(times), *arrays)
-        return cls(rig=rig, frames=_frames(SceneFrame, times, counts, rows, rotations, translations))
-
-    def stacked(self, *names: str) -> list[np.ndarray]:
-        """The per-frame object counts, then each named array field (``ids``, ``boxes``, ...) of all frames' rows."""
-        return _stacked(self.frames, lambda: SceneFrame(0.0, EgoPose.identity(), ()), names)
+        times, counts = _columns("SceneFrame", "Scene", times, counts, len(rows[0]))
+        frame_of = np.repeat(np.arange(len(counts)), counts)
+        ids = rows[0][np.lexsort((rows[0], frame_of))]  # by frame, then by id
+        if ((frame_of[1:] == frame_of[:-1]) & (ids[1:] == ids[:-1])).any():
+            raise ValueError("Scene: object ids must be unique within a frame")
+        return _fill(cls.__new__(cls), rig, times, counts, rotations, translations, *rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +274,8 @@ def _detection_rows(boxes, probs, velocities, scores) -> list[np.ndarray]:
     for message, fault in faults.items():
         if fault:
             raise ValueError(f"DetectionFrame: {message}")
+    if not n:  # no rows: (0, 0) probs, as a file without detections loads
+        arrays[1] = probs = np.empty((0, 0))
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -277,7 +305,7 @@ class DetectionFrame:
         probs = [d.probs for d in dets] if dets else np.empty((0, 0))
         boxes = np.reshape([d.box.as_array() for d in dets], (-1, 9))
         velocities = np.reshape([(d.velocity.v_rad, d.velocity.v_tan) for d in dets], (-1, 2))
-        _fill(self, t, *_detection_rows(boxes, probs, velocities, [d.score for d in dets]))
+        _fill(self, float(t), *_detection_rows(boxes, probs, velocities, [d.score for d in dets]))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -294,28 +322,39 @@ class DetectionFrame:
         return tuple(Detection(PolarBox.from_array(b), p, PolarVelocity(*v), s) for b, p, v, s in rows)
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    frames: tuple[DetectionFrame, ...]
+@dataclass(frozen=True, eq=False, init=False)
+class DetectionSet(_FrameColumns):
+    """Read-only columns of all frames: frame f is at ``times[f]`` and holds the next ``counts[f]`` rows of the
+    :class:`DetectionFrame` row fields (with no rows, probs are (0, 0), as a file without detections loads)."""
 
-    def __post_init__(self) -> None:
-        _check_times([f.t for f in self.frames], "DetectionSet")
-        sizes = {f.probs.shape[1] for f in self.frames if len(f)}
+    _FRAME, _POSES, _ROWS = DetectionFrame, (), ("boxes", "probs", "velocities", "scores")
+    times: np.ndarray
+    counts: np.ndarray
+    boxes: np.ndarray
+    probs: np.ndarray
+    velocities: np.ndarray
+    scores: np.ndarray
+
+    def __init__(self, frames: tuple[DetectionFrame, ...]) -> None:
+        counts = [len(f) for f in frames]  # the times are checked before the probs lengths
+        times, _ = _columns("DetectionFrame", "DetectionSet", [f.t for f in frames], counts, sum(counts))
+        sizes = {f.probs.shape[1] for f in frames if len(f)}
         if len(sizes) > 1:
             raise ValueError(f"DetectionSet: probs lengths differ: {sorted(sizes)}")
+        rows = _stacked(frames, lambda: DetectionFrame(0.0), DetectionSet._ROWS)
+        self.__dict__.update(vars(DetectionSet.from_arrays(times, *rows)))
 
     @classmethod
     def from_arrays(cls, times, counts, boxes, probs, velocities, scores) -> "DetectionSet":
-        """A detection set from whole-file arrays, sliced into frames after one check of all rows.
+        """A detection set from whole-file arrays: frame f holds ``times[f]`` and the next ``counts[f]`` rows, all
+        checked in one pass as ``DetectionFrame(t, detections)`` checks its records."""
+        rows = _detection_rows(boxes, probs, velocities, scores)
+        return _fill(cls.__new__(cls), *_columns("DetectionFrame", "DetectionSet", times, counts, len(rows[0])), *rows)
 
-        Frame f holds ``times[f]`` and the next ``counts[f]`` rows; the check
-        is the one ``DetectionFrame(t, detections)`` makes for its records.
-        """
-        return cls(_frames(DetectionFrame, times, counts, _detection_rows(boxes, probs, velocities, scores)))
-
-    def stacked(self, *names: str) -> list[np.ndarray]:
-        """The per-frame detection counts, then each named array field (``boxes``, ...) of all frames' rows."""
-        return _stacked(self.frames, lambda: DetectionFrame(0.0), names)
+    @property
+    def labels(self) -> np.ndarray:
+        """Most probable class per detection of all frames (first on ties), shape (N,)."""
+        return self.probs.argmax(axis=1) if len(self.probs) else np.zeros(0, dtype=np.intp)
 
 
 _NOISE_MODES = ("polar", "cartesian")
@@ -466,19 +505,15 @@ def rotate_scene(scene: Scene, phi: float) -> Scene:
     conjugated (a no-op for planar yaw-only motion).  The rig is
     unchanged, so the rotated scene probes view symmetry.
     """
-    frames = scene.frames
-    if not frames:
+    if not len(scene.times):
         return scene
     rz = rotation_about_z(phi)
-    ids, classes, boxes, velocities = (
-        np.concatenate([getattr(f, name) for f in frames]) for name in ("ids", "classes", "boxes", "velocities")
-    )
     return Scene.from_arrays(
-        scene.rig, [f.t for f in frames], [len(f) for f in frames],
-        [rz @ f.pose_rotation @ rz.T for f in frames], [rz @ f.pose_translation for f in frames], ids, classes,
-        np.column_stack([np.matmul(rz, boxes[:, :3, None])[..., 0], boxes[:, 3:6],
-                         [wrap_angle(a + phi) for a in boxes[:, 6].tolist()]]),
-        np.matmul(rz[:2, :2], velocities[..., None])[..., 0],
+        scene.rig, scene.times, scene.counts, rz @ scene.pose_rotations @ rz.T,
+        np.matmul(rz, scene.pose_translations[..., None])[..., 0], scene.ids, scene.classes,
+        np.column_stack([np.matmul(rz, scene.boxes[:, :3, None])[..., 0], scene.boxes[:, 3:6],
+                         [wrap_angle(a + phi) for a in scene.boxes[:, 6].tolist()]]),
+        np.matmul(rz[:2, :2], scene.velocities[..., None])[..., 0],
     )
 
 
@@ -515,13 +550,13 @@ def render_detections(
     if noise.false_positive_rate > 0.0 and range_config.r_max < _PLACEMENT_FLOOR:
         raise ValueError(f"render_detections: false positives need r_max >= the {_PLACEMENT_FLOOR:g} m "
                          "placement floor")
-    labels = [int(f.classes.max()) for f in scene.frames if len(f)]
-    n_classes = max(labels) + 1 if labels else 1
+    n_classes = int(scene.classes.max()) + 1 if len(scene.classes) else 1
     rng = np.random.default_rng(noise.seed)
+    objects = zip(scene.classes.tolist(), scene.boxes.tolist(), scene.velocities.tolist())
     boxes, labels, velocities, scores, counts = [], [], [], [], []
-    for frame in scene.frames:
+    for count in scene.counts.tolist():
         start = len(scores)
-        for label, box, (v_x, v_y) in zip(frame.classes.tolist(), frame.boxes.tolist(), frame.velocities.tolist()):
+        for label, box, (v_x, v_y) in itertools.islice(objects, count):
             # keep RNG consumption independent of the drop outcome
             dropped = rng.uniform() < noise.drop_prob
             draws = rng.normal(0.0, 1.0, size=9).tolist()  # floats: an overflow is refused below, not warned
@@ -560,5 +595,5 @@ def render_detections(
             velocities.append((0.0, 0.0))
             scores.append(rng.uniform(0.1, 0.9))
         counts.append(len(scores) - start)
-    return DetectionSet.from_arrays([f.t for f in scene.frames], counts, np.reshape(boxes, (-1, 9)),
+    return DetectionSet.from_arrays(scene.times, counts, np.reshape(boxes, (-1, 9)),
                                     np.eye(n_classes)[labels], np.reshape(velocities, (-1, 2)), scores)

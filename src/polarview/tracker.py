@@ -1,9 +1,11 @@
 """Tracking-by-detection with velocity back-projection and distance matching.
 
-Each frame, detections are projected back in time with their predicted
-velocity and matched to the active tracks' last centers, greedily in
-ascending distance (ties: lower detection index, then lower track id),
-gated by class and by a distance threshold.  Matched tracks are updated,
+Detections are projected back in time with their predicted velocity and
+each frame's are matched to the active tracks' last centers, greedily in
+ascending distance (ties: lower detection index, then lower track id), gated
+by class and by a distance threshold.  The centers, back-projected centers
+and labels of all detections are computed once per file; per frame only the
+gate, the claim and the track update run.  Matched tracks are updated,
 unmatched detections spawn new tracks, and tracks that miss too many
 consecutive frames retire.  Greedy tracking and the id-switch count share
 one matcher (``_nearest_first``); only the Hungarian alternative builds a
@@ -19,6 +21,7 @@ upstream).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -48,13 +51,22 @@ def _nearest_first(a, a_counts, a_labels, b, b_counts, b_labels, reach: float) -
     return greedy_claim(rows[order].tolist(), cols[order].tolist())
 
 
-def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
-    """Planar centers (..., 2) of boxes (..., 9) moved back by dt along velocities (..., 2)."""
+def _check_step(dt: float) -> None:
     if not 0.0 < dt < np.inf:
         raise ValueError(f"back_project: dt must be positive and finite, not {dt!r}")
+
+
+def _moved_back(centers: np.ndarray, boxes: np.ndarray, velocities: np.ndarray, dt) -> np.ndarray:
+    """Unchecked ``back_project`` of boxes at ``centers`` (..., 2); ``dt`` may be one step per row, (..., 1)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed center fails every distance gate
         v_x, v_y = rotate_planar(velocities[..., 0], velocities[..., 1], boxes[..., 1], boxes[..., 2])
-        return polar_centers(boxes) - dt * np.stack([v_x, v_y], axis=-1)
+        return centers - dt * np.stack([v_x, v_y], axis=-1)
+
+
+def back_project(boxes: np.ndarray, velocities: np.ndarray, dt: float) -> np.ndarray:
+    """Planar centers (..., 2) of boxes (..., 9) moved back by dt along velocities (..., 2)."""
+    _check_step(dt)
+    return _moved_back(polar_centers(boxes), boxes, velocities, dt)
 
 
 _MATCHINGS = ("greedy", "hungarian")
@@ -87,28 +99,28 @@ class TrackerState:
 
 
 def match_tracks(
-    state: TrackerState, frame: DetectionFrame, dt: float
+    state: TrackerState, centers: np.ndarray, labels: np.ndarray
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Associate a frame's detections with active tracks: greedily by ``_nearest_first`` (the track rows are in id
-    order, so its column order is the track-id tie-break), or by LSAP on the dense (N, T) matrix that it reads.
+    """Associate one frame's detections, given as back-projected planar ``centers`` (N, 2) and ``labels`` (N,),
+    with the active tracks: greedily by ``_nearest_first`` (the track rows are in id order, so its column order
+    is the track-id tie-break), or by LSAP on the dense (N, T) matrix that it reads.
 
     Returns (matches as (detection index, track row) pairs, unmatched
     detection indices, unmatched track rows).
     """
-    n_det, n_trk = len(frame), len(state.tracks)
+    n_det, n_trk = len(labels), len(state.tracks)
     if n_det == 0 or n_trk == 0:
         return [], list(range(n_det)), list(range(n_trk))
 
-    det_centers = back_project(frame.boxes, frame.velocities, dt)
     threshold = state.config.distance_threshold
     if state.config.matching == "hungarian":
-        dist = planar_distances(det_centers, state.centers)
-        allowed = (frame.labels[:, None] == state.labels[None, :]) & (dist <= threshold)
+        dist = planar_distances(centers, state.centers)
+        allowed = (labels[:, None] == state.labels[None, :]) & (dist <= threshold)
         big = threshold * (min(n_det, n_trk) + 1) + 1.0  # exceeds any sum of allowed distances
         gated = np.where(allowed, dist, big)
         matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
     else:
-        matches = _nearest_first(det_centers, [n_det], frame.labels, state.centers, [n_trk], state.labels, threshold)
+        matches = _nearest_first(centers, [n_det], labels, state.centers, [n_trk], state.labels, threshold)
     matches.sort()
 
     matched_d = {di for di, _ in matches}
@@ -118,32 +130,36 @@ def match_tracks(
     return matches, unmatched_d, unmatched_t
 
 
-def step(state: TrackerState, frame: DetectionFrame, dt: float) -> list[int]:
-    """Advance the tracker one frame; returns the track id per detection.
-
-    Matched rows take their detection's center and reset ``misses``, every
-    other row adds a miss, rows past ``max_misses`` retire, and unmatched
-    detections append rows with ids ``created, created + 1, ...`` in
-    detection order.
-    """
-    matches, new, _ = match_tracks(state, frame, dt)
+def _update(state: TrackerState, centers: np.ndarray, moved_back: np.ndarray, labels: np.ndarray, dt: float):
+    """Advance one frame of detections at planar ``centers`` (N, 2), ``moved_back`` (N, 2) by the step ``dt``
+    (checked as ``back_project`` checks it when there are tracks to match) and with ``labels`` (N,); returns the
+    int64 track id per detection.  Matched rows take their detection's center and reset ``misses``, every other row
+    adds a miss, rows past ``max_misses`` retire, and unmatched detections append rows with ids ``created, ...``."""
+    if len(labels) and len(state.tracks):
+        _check_step(dt)
+    matches, new, _ = match_tracks(state, moved_back, labels)
     det, trk = np.array(matches, dtype=np.intp).reshape(-1, 2).T
     new_ids = np.arange(state.created, state.created + len(new), dtype=np.int64)
-    assigned = np.empty(len(frame), dtype=np.int64)
+    assigned = np.empty(len(labels), dtype=np.int64)
     assigned[det] = state.tracks[trk]
     assigned[new] = new_ids
 
-    centers = polar_centers(frame.boxes)
     state.centers[trk] = centers[det]
     state.misses += 1
     state.misses[trk] = 0
     keep = state.misses <= state.config.max_misses
     state.tracks = np.concatenate([state.tracks[keep], new_ids])
     state.centers = np.concatenate([state.centers[keep], centers[new]])
-    state.labels = np.concatenate([state.labels[keep], frame.labels[new]])
+    state.labels = np.concatenate([state.labels[keep], labels[new]])
     state.misses = np.concatenate([state.misses[keep], np.zeros(len(new), dtype=np.int64)])
     state.created += len(new)
-    return assigned.tolist()
+    return assigned
+
+
+def step(state: TrackerState, frame: DetectionFrame, dt: float) -> list[int]:
+    """Advance the tracker one frame by ``dt``; returns the track id per detection (the update of ``_update``)."""
+    centers = polar_centers(frame.boxes)
+    return _update(state, centers, _moved_back(centers, frame.boxes, frame.velocities, dt), frame.labels, dt).tolist()
 
 
 @dataclass(frozen=True)
@@ -162,15 +178,20 @@ class TrackingResult:
 
 
 def run_tracker(detections: DetectionSet, config: TrackerConfig = TrackerConfig()) -> TrackingResult:
-    """Run tracking-by-detection over a whole detection set."""
+    """Run tracking-by-detection over a whole detection set: every detection's center, label and center moved back
+    by its frame's step (1, then the time since the previous frame) once, then ``_update`` frame by frame."""
     state = TrackerState(config=config)
-    track_ids = []
-    prev_t = None
-    for frame in detections.frames:
-        dt = frame.t - prev_t if prev_t is not None else 1.0
-        prev_t = frame.t
-        track_ids.append(np.array(step(state, frame, dt), dtype=np.int64))
-    return TrackingResult(detections=detections, track_ids=tuple(track_ids), tracks_created=state.created)
+    counts, boxes, velocities = detections.stacked("boxes", "velocities")
+    times = detections.times.tolist()
+    steps = [1.0, *(b - a for a, b in pairwise(times))][: len(times)]
+    centers, labels = polar_centers(boxes), detections.labels
+    moved_back = _moved_back(centers, boxes, velocities, np.repeat(steps, counts)[:, None])
+    bounds = [0, *accumulate(counts.tolist())]
+    track_ids = tuple(
+        _update(state, centers[lo:hi], moved_back[lo:hi], labels[lo:hi], dt)
+        for dt, lo, hi in zip(steps, bounds, bounds[1:])
+    )
+    return TrackingResult(detections=detections, track_ids=track_ids, tracks_created=state.created)
 
 
 def count_id_switches(result: TrackingResult, scene: Scene) -> int:
@@ -182,11 +203,11 @@ def count_id_switches(result: TrackingResult, scene: Scene) -> int:
     file.  A switch is a frame where a ground-truth object's matched track
     id differs from its previous matched frame's.
     """
-    if len(result.track_ids) != len(scene.frames):
-        raise ValueError("count_id_switches: frame counts differ")
-    counts, boxes, probs = result.detections.stacked("boxes", "probs")
-    labels = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)  # one argmax, not one per frame
+    if not np.array_equal(result.detections.times, scene.times):
+        raise ValueError("count_id_switches: scene and detections disagree on frame times")
+    counts, boxes = result.detections.stacked("boxes")
     gt_counts, gt_boxes, classes, gt_ids = scene.stacked("boxes", "classes", "ids")
+    labels = result.detections.labels
     matches = _nearest_first(polar_centers(boxes), counts, labels, gt_boxes[:, :2], gt_counts, classes, 2.0)
     det, gt = np.array(matches, dtype=np.intp).reshape(-1, 2).T
     # each object's matched tracks in frame order: a switch is a change between neighbours

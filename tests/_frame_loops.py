@@ -1,19 +1,79 @@
 """References for the whole-file passes: center-distance matching, the ``assign`` and ``eval`` loops and the
 id-switch count as they ran one frame at a time, with one distance or cost matrix per frame, and the tracker's
-greedy claim as a plain loop over a dense matrix, which shares no matcher with ``polarview``.
+greedy claim as a plain loop over a dense matrix, which shares no matcher with ``polarview``; the cutting of a
+scene or detections file into frames with the checks each set made over its frames; and the tracker run one
+frame at a time, with one ``back_project`` and one distance matrix per frame.
 
-The tests hold the whole-file code to these: the same matches, documents and counts, and the same error
-message for a file whose one fault lies in some frame.
+The tests hold the whole-file code to these: the same matches, documents, counts, frames and track ids, and
+the same error message for a file whose one fault lies in some frame.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
 from polarview import assignment, cli, metrics, serialization
-from polarview.assignment import greedy_claim
+from polarview.assignment import greedy_claim, hungarian
 from polarview.geometry import planar_distances, polar_centers, polar_fields, rotate_planar
+from polarview.tracker import TrackerState, back_project
+
+
+def frame_slices(owner, times, counts, *rows):
+    """Per frame, its time and the slices of the checked ``rows`` it holds, as a ``Scene`` or ``DetectionSet``
+    (``owner``) was cut into frames one by one and then checked frame by frame: the counts, the times and, for a
+    scene whose first row array holds the object ids, ids that differ within each frame."""
+    frame = "SceneFrame" if owner == "Scene" else "DetectionFrame"
+    times = [float(t) for t in times]
+    bounds = [0, *itertools.accumulate(counts)]
+    if len(counts) != len(times) or any(c < 0 for c in counts) or bounds[-1] != len(rows[0]):
+        raise ValueError(f"{frame}: need one nonnegative row count per frame, adding up to the rows")
+    frames = [(t, [a[lo:hi] for a in rows]) for t, lo, hi in zip(times, bounds, bounds[1:])]
+    if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"{owner}: timestamps must be finite and strictly increase")
+    if owner == "Scene" and any(len(set(ids.tolist())) != len(ids) for _, (ids, *_) in frames):
+        raise ValueError("Scene: object ids must be unique within a frame")
+    return frames
+
+
+def frame_loop_track_ids(detections, config):
+    """Per frame in turn, its track-id array and the tracks spawned so far, as ``tracker.run_tracker`` gave them
+    stepping one frame at a time: the frame's labels and centers, one ``back_project`` where its detections meet
+    active tracks, one distance matrix gated by class and distance, the greedy claim of ``reference_greedy`` or
+    LSAP, and the update of the track rows."""
+    state = TrackerState(config=config)
+    prev_t = None
+    for frame in detections.frames:
+        dt = frame.t - prev_t if prev_t is not None else 1.0
+        prev_t = frame.t
+        matches = []
+        if len(frame) and len(state.tracks):
+            dist = planar_distances(back_project(frame.boxes, frame.velocities, dt), state.centers)
+            allowed = (frame.labels[:, None] == state.labels[None, :]) & (dist <= config.distance_threshold)
+            if config.matching == "hungarian":
+                big = config.distance_threshold * (min(dist.shape) + 1) + 1.0
+                gated = np.where(allowed, dist, big)
+                matches = [(di, ti) for di, ti in hungarian(gated).pairs if gated[di, ti] < big]
+            else:
+                matches = reference_greedy(dist, allowed)
+        det, trk = np.array(sorted(matches), dtype=np.intp).reshape(-1, 2).T
+        new = [di for di in range(len(frame)) if di not in set(det.tolist())]
+        new_ids = np.arange(state.created, state.created + len(new), dtype=np.int64)
+        assigned = np.empty(len(frame), dtype=np.int64)
+        assigned[det] = state.tracks[trk]
+        assigned[new] = new_ids
+        centers = polar_centers(frame.boxes)
+        state.centers[trk] = centers[det]
+        state.misses += 1
+        state.misses[trk] = 0
+        keep = state.misses <= config.max_misses
+        state.tracks = np.concatenate([state.tracks[keep], new_ids])
+        state.centers = np.concatenate([state.centers[keep], centers[new]])
+        state.labels = np.concatenate([state.labels[keep], frame.labels[new]])
+        state.misses = np.concatenate([state.misses[keep], np.zeros(len(new), dtype=np.int64)])
+        state.created += len(new)
+        yield assigned, state.created
 
 
 def frame_match_by_center_distance(pred_centers, scores, gt_centers, thresholds):
@@ -77,8 +137,8 @@ def _frames(args, command):
     """The region and, lazily per frame, (scene frame, detection frame, box rows, indices of rows in the region)."""
     scene = serialization.load_scene(args.scene)
     dets = serialization.load_detections(args.detections)
-    if len(scene.frames) != len(dets.frames):
-        raise ValueError(f"{command}: scene and detections disagree on frame count")
+    if [f.t for f in scene.frames] != [f.t for f in dets.frames]:
+        raise ValueError(f"{command}: scene and detections disagree on frame times")
     region = cli._region_from_args(args)
     rows = (f.boxes.tolist() for f in scene.frames)
     return region, ((g, d, r, _in_region(region, r)) for g, d, r in zip(scene.frames, dets.frames, rows))

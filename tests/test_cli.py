@@ -396,6 +396,28 @@ class TestTrackRefusesNonFiniteStep:
         assert len(err.splitlines()) == 1 and "dt must be positive and finite" in err
 
 
+class TestRefusesFilesAtOtherFrameTimes:
+    """``assign``, ``eval`` and ``track --scene`` refuse detections whose frame times are not the scene's."""
+
+    @pytest.mark.parametrize("command", ["assign", "eval", "track"])
+    @pytest.mark.parametrize("frames", [["--dt", "0.25"], ["--frames", "4"], ["--frames", "6"], ["--seed", "5"]],
+                             ids=["same-count", "fewer", "more", "same-times"])
+    def test_exit_one_with_one_line_and_no_output(self, capsys, tracked, tmp_path, command, frames):
+        other = {k: str(tmp_path / f"other-{k}.json") for k in ("scene", "dets")}
+        run(capsys, "simulate", "--objects", "6", "--frames", "5", "--seed", "4", "--speed-max", "2.0", *frames,
+            "--out", other["scene"])
+        run(capsys, "render", "--scene", other["scene"], "--fp-rate", "2", "--seed", "3", "--out", other["dets"])
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, command, "--scene", tracked["scene"], "--detections", other["dets"],
+                                "--out", str(out))
+        if frames[0] == "--seed":  # another scene at the same times is scored
+            assert (code, stdout, err) == (0, "", "") and out.exists()
+        else:
+            message = f"polarview: {command}: scene and detections disagree on frame times\n"
+            assert (code, stdout, err) == (1, "", message)
+            assert not out.exists()
+
+
 SCENE_KEYS = [
     ("schema_version",), ("rig",), ("frames",),
     ("rig", 0, "intrinsics"), ("rig", 0, "extrinsics"), ("rig", 0, "image_size"),

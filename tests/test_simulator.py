@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +17,15 @@ from polarview.geometry import (
     polar_fields,
     velocity_cartesian_to_polar,
 )
-from polarview.serialization import dumps_json, scene_to_dict
+from _frame_loops import frame_slices
+from polarview.serialization import (
+    dumps_json,
+    load_detections,
+    load_scene,
+    save_detections,
+    save_scene,
+    scene_to_dict,
+)
 from polarview.simulator import (
     Detection,
     DetectionFrame,
@@ -565,3 +575,119 @@ class TestSceneConfigFinite:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError):
             SceneConfig(**{field: value})
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_same_columns(got, expected, names):
+    """``got`` holds ``expected``'s times, counts and named columns, as read-only arrays, and frames that are
+    their slices."""
+    assert not any(a.flags.writeable for a in got.stacked(*names) + [got.times])
+    for a, b in zip(got.stacked(*names) + [got.times], expected.stacked(*names) + [expected.times]):
+        assert same_array(a, b)
+    bounds = np.concatenate([[0], np.cumsum(got.counts)])
+    assert [f.t for f in got.frames] == got.times.tolist()
+    for frame, lo, hi in zip(got.frames, bounds, bounds[1:]):
+        assert all(same_array(getattr(frame, name), getattr(got, name)[lo:hi]) for name in names)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def frame_rows(draw):
+    """Frame times, per-frame row counts (empty frames, one frame and no rows at all among them; sometimes not
+    adding up to the rows) and the number of rows."""
+    counts = draw(st.lists(st.integers(0, 3), max_size=4))
+    times = draw(st.sampled_from([
+        st.just([0.5 * n for n in range(len(counts))]),
+        st.lists(st.sampled_from(TIMES), min_size=len(counts), max_size=len(counts)),
+    ]).flatmap(lambda strategy: strategy))
+    n_rows = sum(counts)
+    if draw(st.integers(0, 5)) == 0:
+        counts = draw(st.sampled_from([counts[:-1], counts + [1], [c + 1 for c in counts], [-1] + counts[1:]]))
+    return times, counts, n_rows
+
+
+class TestColumnsAndFramesAgree:
+    """A set's columns, its frames, the set stacked from those frames and the set saved and loaded all agree,
+    and a fault is refused with the message that the frame-by-frame checks gave, in their order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_rows(), st.data())
+    def test_scene(self, rows, data):
+        times, counts, n = rows
+        ids = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+        classes = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+        # x, y, z, l, w, h and yaw, all valid for an object
+        boxes = np.reshape(data.draw(st.lists(st.floats(0.5, 3.0), min_size=7 * n, max_size=7 * n)), (n, 7))
+        velocities = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n)), (n, 2))
+        angles = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(times), max_size=len(times)))
+        rotations = np.reshape([rotation_about_z(a) for a in angles], (-1, 3, 3))
+        translations = np.reshape([(a, -a, 0.0) for a in angles], (-1, 3))
+        scene = outcome(lambda: Scene.from_arrays(RIG, times, counts, rotations, translations, ids, classes, boxes,
+                                                  velocities))
+        expected = outcome(lambda: frame_slices("Scene", times, counts, ids, classes, boxes, velocities))
+        if isinstance(expected, str):
+            assert scene == expected
+            return
+        names = ("ids", "classes", "boxes", "velocities")
+        assert [f.t for f in scene.frames] == [t for t, _ in expected]
+        for frame, (_, slices) in zip(scene.frames, expected):
+            assert all(same_array(getattr(frame, name), a) for name, a in zip(names, slices))
+        assert same_array(scene.pose_rotations, rotations) and same_array(scene.pose_translations, translations)
+        assert_same_columns(scene, Scene.from_arrays(RIG, times, counts, rotations, translations, ids, classes, boxes,
+                                                     velocities), names)
+        stacked = Scene(RIG, scene.frames)
+        assert_same_columns(stacked, scene, names)
+        assert same_array(stacked.pose_rotations, rotations) and same_array(stacked.pose_translations, translations)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "scene.json")
+            save_scene(scene, path)
+            loaded = load_scene(path)
+        assert_same_columns(loaded, scene, names)
+        assert np.array_equal(loaded.pose_rotations, rotations) and np.array_equal(loaded.pose_translations,
+                                                                                   translations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_rows(), st.integers(1, 3), st.data())
+    def test_detection_set(self, rows, n_classes, data):
+        times, counts, n = rows
+        angles = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n, max_size=2 * n)), (n, 2))
+        sizes = np.reshape(data.draw(st.lists(st.floats(0.5, 5.0), min_size=5 * n, max_size=5 * n)), (n, 5))
+        boxes = np.column_stack([sizes[:, 0], np.sin(angles[:, 0]), np.cos(angles[:, 0]), sizes[:, 1:],
+                                 np.sin(angles[:, 1]), np.cos(angles[:, 1])])
+        probs = np.reshape(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n * n_classes,
+                                              max_size=n * n_classes)), (n, n_classes))
+        velocities, scores = np.zeros((n, 2)), np.linspace(0.0, 1.0, n)
+        probs_kept = probs if n else np.empty((0, 0))  # a set without rows keeps no probs width, as files load
+        dets = outcome(lambda: DetectionSet.from_arrays(times, counts, boxes, probs, velocities, scores))
+        expected = outcome(lambda: frame_slices("DetectionSet", times, counts, boxes, probs_kept, velocities, scores))
+        if isinstance(expected, str):
+            assert dets == expected
+            return
+        names = ("boxes", "probs", "velocities", "scores")
+        assert same_array(dets.probs, probs_kept) and same_array(dets.labels, np.argmax(probs, axis=1))
+        assert [f.t for f in dets.frames] == [t for t, _ in expected]
+        for frame, (_, slices) in zip(dets.frames, expected):
+            assert all(same_array(getattr(frame, name), a) for name, a in zip(names, slices))
+        stacked = DetectionSet(dets.frames)
+        assert_same_columns(stacked, dets, names)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "dets.json")
+            save_detections(dets, path)
+            loaded = load_detections(path)
+        assert_same_columns(loaded, dets, names)
+
+    def test_the_same_id_in_two_frames_passes_and_twice_in_one_fails(self):
+        arrays = dict(rotations=[np.eye(3)] * 2, translations=np.zeros((2, 3)), ids=[3, 3], classes=[0, 0],
+                      boxes=[[10.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]] * 2, velocities=np.zeros((2, 2)))
+        assert Scene.from_arrays(RIG, [0.0, 0.5], [1, 1], **arrays).ids.tolist() == [3, 3]
+        with pytest.raises(ValueError, match="^Scene: object ids must be unique within a frame$"):
+            Scene.from_arrays(RIG, [0.0, 0.5], [2, 0], **arrays)

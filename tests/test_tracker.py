@@ -1,13 +1,15 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _frame_loops import frame_by_frame_id_switches, reference_greedy
+from _frame_loops import frame_by_frame_id_switches, frame_loop_track_ids, reference_greedy
+from polarview import tracker
 from polarview.assignment import hungarian
 from polarview.camera import EgoPose, make_symmetric_rig
 from polarview.geometry import (
@@ -117,6 +119,11 @@ def greedy_state(centers, labels):
     )
 
 
+def terms(det_frame, dt):
+    """A frame's detections as ``match_tracks`` takes them: back-projected centers by ``dt``, and labels."""
+    return back_project(det_frame.boxes, det_frame.velocities, dt), det_frame.labels
+
+
 def reference_matches(state, det_frame, dt):
     """Greedy ``match_tracks`` pairs as the dense reference finds them: one (N, T) matrix and mask."""
     dist = planar_distances(back_project(det_frame.boxes, det_frame.velocities, dt), state.centers)
@@ -134,20 +141,20 @@ class TestDistancesAndGreedy:
                                 for i, label in zip(rng.integers(0, len(AXIS_POINTS), size=m),
                                                     rng.integers(0, 2, size=m))))
             state = greedy_state(rng.integers(-3, 4, size=(n, 2)), rng.integers(0, 2, size=n))
-            matches, unmatched_d, unmatched_t = match_tracks(state, det_frame, 0.5)
+            matches, unmatched_d, unmatched_t = match_tracks(state, *terms(det_frame, 0.5))
             assert matches == reference_matches(state, det_frame, 0.5)
             assert unmatched_d == sorted(set(range(m)) - {di for di, _ in matches})
             assert unmatched_t == sorted(set(range(n)) - {ti for _, ti in matches})
 
     def test_greedy_empty_and_all_gated(self):
         state = greedy_state([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]], [0, 0, 1])
-        assert match_tracks(state, frame(), 0.5) == ([], [], [0, 1, 2])
-        assert match_tracks(greedy_state([], []), frame(detection_at(1.0, 0.0)), 0.5) == ([], [0], [])
+        assert match_tracks(state, *terms(frame(), 0.5)) == ([], [], [0, 1, 2])
+        assert match_tracks(greedy_state([], []), *terms(frame(detection_at(1.0, 0.0)), 0.5)) == ([], [0], [])
         # every cell is gated: the near ones by class, the same-class ones by distance
         dets = frame(detection_at(1.0, 0.0, label=1), detection_at(0.0, 3.0, label=0),
                      detection_at(-3.0, 0.0, label=0))
         assert reference_matches(state, dets, 0.5) == []
-        assert match_tracks(state, dets, 0.5) == ([], [0, 1, 2], [0, 1, 2])
+        assert match_tracks(state, *terms(dets, 0.5)) == ([], [0, 1, 2], [0, 1, 2])
 
 
 class TestGreedyMemory:
@@ -181,7 +188,7 @@ class TestMatching:
     def test_exact_overlap_matches(self):
         state = TrackerState()
         step(state, frame(detection_at(10.0, 0.0)), 0.5)
-        matches, unmatched_d, unmatched_t = match_tracks(state, frame(detection_at(10.0, 0.0)), 0.5)
+        matches, unmatched_d, unmatched_t = match_tracks(state, *terms(frame(detection_at(10.0, 0.0)), 0.5))
         assert matches == [(0, 0)]
         assert not unmatched_d and not unmatched_t
 
@@ -189,29 +196,29 @@ class TestMatching:
         config = TrackerConfig(distance_threshold=2.0)
         state = TrackerState(config=config)
         step(state, frame(detection_at(10.0, 0.0)), 0.5)
-        inside, _, _ = match_tracks(state, frame(detection_at(12.0, 0.0)), 0.5)
+        inside, _, _ = match_tracks(state, *terms(frame(detection_at(12.0, 0.0)), 0.5))
         assert inside == [(0, 0)]  # exactly at threshold counts
-        outside, ud, ut = match_tracks(state, frame(detection_at(12.0 + 1e-6, 0.0)), 0.5)
+        outside, ud, ut = match_tracks(state, *terms(frame(detection_at(12.0 + 1e-6, 0.0)), 0.5))
         assert outside == [] and ud == [0] and ut == [0]
 
     def test_class_gate(self):
         state = TrackerState()
         step(state, frame(detection_at(10.0, 0.0, label=0)), 0.5)
-        matches, ud, _ = match_tracks(state, frame(detection_at(10.0, 0.0, label=1)), 0.5)
+        matches, ud, _ = match_tracks(state, *terms(frame(detection_at(10.0, 0.0, label=1)), 0.5))
         assert matches == [] and ud == [0]
 
     def test_no_crossing_when_well_separated(self):
         state = TrackerState()
         step(state, frame(detection_at(10.0, 0.0), detection_at(20.0, 0.0)), 0.5)
         dets = frame(detection_at(20.3, 0.0), detection_at(10.3, 0.0))  # swapped order
-        matches, _, _ = match_tracks(state, dets, 0.5)
+        matches, _, _ = match_tracks(state, *terms(dets, 0.5))
         assert sorted(matches) == [(0, 1), (1, 0)]
 
     def test_greedy_prefers_closest_pair(self):
         state = TrackerState()
         step(state, frame(detection_at(10.0, 0.0), detection_at(11.0, 0.0)), 0.5)
         # one detection between both tracks, nearer the second
-        matches, _, _ = match_tracks(state, frame(detection_at(10.9, 0.0)), 0.5)
+        matches, _, _ = match_tracks(state, *terms(frame(detection_at(10.9, 0.0)), 0.5))
         assert matches == [(0, 1)]
 
     def test_hungarian_alternative_minimizes_total(self):
@@ -221,7 +228,7 @@ class TestMatching:
         # greedy would grab (det0, track1) at 1.4 and strand det1 at 4.4 total;
         # optimal pairing is det0-track0 (2.4) + det1-track1 (1.6)
         dets = frame(detection_at(12.4, 0.0), detection_at(14.6, 0.0))
-        matches, _, _ = match_tracks(state, dets, 0.5)
+        matches, _, _ = match_tracks(state, *terms(dets, 0.5))
         assert sorted(matches) == [(0, 0), (1, 1)]
 
 
@@ -355,6 +362,54 @@ class TestRowsMatchPerTrackLoop:
             expected.append(ids)
         result = run_tracker(DetectionSet(frames=frames), config)
         assert [ids.tolist() for ids in result.track_ids] == expected
+        assert result.tracks_created == created
+
+
+#: Frame times whose steps tie or differ, and frame times whose steps overflow the back-projected centers
+#: (7e307) or are infinite (from -1e308 or below to 1e308 or above).
+STEP_TIMES = [[-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.5, 4.0], [-1.7e308, -1e308, 1e308, 1.7e308]]
+
+
+@st.composite
+def tracked_sets(draw):
+    """A detection set of grid detections (empty frames included) at drawn, strictly increasing frame times."""
+    choices = draw(st.sampled_from(STEP_TIMES))
+    sequence = draw(st.lists(st.lists(grid_detection, max_size=6), max_size=len(choices)))
+    times = sorted(draw(st.lists(st.sampled_from(choices), min_size=len(sequence), max_size=len(sequence),
+                                 unique=True)))
+    rows = [(10.0 + x, float(y), label, v_rad, v_tan) for dets in sequence for x, y, label, v_rad, v_tan in dets]
+    probs = np.zeros((len(rows), 2))
+    probs[np.arange(len(rows)), [label for _, _, label, _, _ in rows]] = 1.0
+    return DetectionSet.from_arrays(
+        times, [len(dets) for dets in sequence],
+        np.reshape([polar_fields(x, y, 0.0, 4.0, 2.0, 1.5, 0.0) for x, y, *_ in rows], (-1, 9)), probs,
+        np.reshape([(v_rad, v_tan) for *_, v_rad, v_tan in rows], (-1, 2)), np.ones(len(rows)),
+    )
+
+
+class TestPerFileTrackingMatchesTheFrameLoop:
+    """``run_tracker``, with its per-file terms, gives the frame loop's track ids, or fails at its frame."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tracked_sets(), st.integers(0, 2), st.sampled_from(["greedy", "hungarian"]), st.sampled_from([1.0, 2.0]))
+    def test_same_ids_count_and_error(self, detections, max_misses, matching, threshold):
+        config = TrackerConfig(distance_threshold=threshold, max_misses=max_misses, matching=matching)
+        expected, created, error = [], 0, None
+        try:
+            for ids, created in frame_loop_track_ids(detections, config):
+                expected.append(ids.tolist())
+        except ValueError as exc:
+            error = str(exc)
+        with mock.patch.object(tracker, "match_tracks", wraps=tracker.match_tracks) as matcher:
+            try:
+                result = run_tracker(detections, config)
+            except ValueError as exc:
+                # one match_tracks call per frame before the one that fails
+                assert (str(exc), matcher.call_count) == (error, len(expected))
+                return
+        assert error is None and matcher.call_count == len(detections.times)
+        assert [ids.tolist() for ids in result.track_ids] == expected
+        assert all(ids.dtype == np.int64 for ids in result.track_ids)
         assert result.tracks_created == created
 
 
@@ -506,6 +561,14 @@ class TestWholeFileIdSwitches:
         frames[3] = DetectionFrame(t=frames[3].t, detections=())  # an empty frame's probs have no columns
         result = run_tracker(DetectionSet(frames=tuple(frames)), TrackerConfig(distance_threshold=1.0))
         assert count_id_switches(result, scene) == frame_by_frame_id_switches(result, scene)
+
+    def test_refuses_a_scene_at_other_frame_times(self):
+        scene = manual_scene([((10.0, 0.0), (0.5, 0.0))], n_frames=3)
+        result = run_tracker(render_detections(scene, NoiseModel()))
+        for other in (manual_scene([((10.0, 0.0), (0.5, 0.0))], n_frames=3, dt=0.25),
+                      manual_scene([((10.0, 0.0), (0.5, 0.0))], n_frames=2)):
+            with pytest.raises(ValueError, match="^count_id_switches: scene and detections disagree on frame times$"):
+                count_id_switches(result, other)
 
     def test_no_detections_or_no_objects_anywhere(self):
         scene = manual_scene([((10.0, 0.0), (0.5, 0.0))], n_frames=3)
