@@ -124,8 +124,11 @@ def class_cost(pred_class_probs: np.ndarray, gt_class, form: str = "negative_pro
     focal-style variant of Lin et al. (2017) at gamma = 2 and alpha =
     0.25: alpha (1-p)^gamma (-ln(p + 1e-8)) - (1-alpha) p^gamma
     (-ln(1 - p + 1e-8)) at the predicted probability p.  It is computed
-    once per (prediction, class) with ``math.log`` and float ``**``, so
-    its bits do not depend on which SIMD kernels numpy dispatches.
+    once per distinct probability (``np.unique`` and its inverse; most
+    probabilities repeat, e.g. one-hot rows hold only 0 and 1), with
+    ``math.log`` and float ``**``, so every cell has the bits of a call at
+    its own probability (``-0.0`` and ``0.0`` give the same bits), and its
+    bits do not depend on which SIMD kernels numpy dispatches.
     """
     probs, classes = np.asarray(pred_class_probs, dtype=np.float64), np.asarray(gt_class)
     if form not in CLASS_COST_FORMS:
@@ -138,7 +141,8 @@ def class_cost(pred_class_probs: np.ndarray, gt_class, form: str = "negative_pro
     if form == "negative_prob":
         table = -probs
     else:
-        table = np.reshape([_focal(p) for p in probs.ravel().tolist()], probs.shape)
+        distinct, inverse = np.unique(probs.ravel(), return_inverse=True)  # -0.0 and 0.0 give the same bits
+        table = np.array([_focal(p) for p in distinct.tolist()])[inverse].reshape(probs.shape)
     lead = probs.shape[:-1]
     rows = np.arange(math.prod(lead)).reshape(lead)  # each prediction's row of the flattened table
     return table.reshape(rows.size, c)[rows, classes][()]

@@ -19,7 +19,11 @@ round-trips float64 exactly and keeps outputs byte-stable.  The savers
 (and ``polarview track`` and ``assign``) write the per-box records of a
 file (scene objects, detections, track records, assign pairs) from one
 record table built from the file's column arrays, which the writer
-fills frame by frame from one ``%`` template.  ``scene_to_dict`` and
+fills frame by frame from one ``%`` template.  Most of a file's floats
+repeat (sizes, z and velocities in every frame, one-hot probabilities,
+scores of 1), so the table formats each distinct float once and writes
+that text at every occurrence; the same formatter runs on the same
+doubles, so the bytes do not change.  ``scene_to_dict`` and
 ``detections_to_dict`` are the saved file read back: ``json.loads`` of
 the saver's text, so a float written as an integer (``-0.0`` as ``0``)
 comes back as an ``int`` equal to it.
@@ -116,10 +120,19 @@ class _RecordTable:
 
     Frame f holds the next ``counts[f]`` records.  ``columns`` maps each
     record key, in record order, to the key's values for all records: one
-    (N,) or (N, k) array, float or integer.  Float columns are checked
-    finite once (ValueError "cannot serialize non-finite float") and
-    written at 17 significant digits, ``-0.0`` as ``0``; integer columns as
-    int64; an (N, k) column of either kind as a list of k numbers.
+    (N,) or (N, k) array; an (N, k) column's records hold lists of k
+    values.  Float columns (float16 and float32 too, each value taken as
+    the double it equals) are checked finite and written at 17 significant
+    digits, ``-0.0`` as ``0``: ``-0.0`` is made ``0.0`` first, then one
+    ``np.unique`` over the values of all float columns gives the distinct
+    doubles, which are formatted with one ``%`` call, and each float slot
+    takes its value's text through the inverse.  Integer columns, signed
+    or unsigned, are written exactly.  A column of any other dtype is
+    written value by value through the scalar path.  A table with a
+    non-finite float or such a column is first walked value by value in
+    document order, so it raises what :func:`dumps_json` raises for the
+    same records, at the same value: ``ValueError`` "cannot serialize
+    non-finite float", or ``TypeError`` for a boolean or complex value.
     Iterating gives one value per frame that :func:`dumps_json` writes as
     that frame's list of records, filled at its indentation from one item
     template with a single ``%``.
@@ -128,15 +141,20 @@ class _RecordTable:
     def __init__(self, counts, columns: dict[str, np.ndarray]) -> None:
         self.bounds = [0, *np.cumsum(counts, dtype=np.int64).tolist()]
         n = self.bounds[-1]
-        slots, parts = [], []
+        if not all(w.dtype.kind in "iu" or w.dtype.kind == "f" and np.isfinite(w).all() for w in columns.values()):
+            for value in chain.from_iterable(map(np.atleast_1d, chain.from_iterable(zip(*columns.values())))):
+                _scalar(value)  # raises the scalar path's error at the first bad value in document order
+        floats = [w.reshape(-1) + 0.0 for w in columns.values() if w.dtype.kind == "f"]  # + 0.0 canonicalizes -0.0
+        distinct, inverse = np.unique(np.concatenate([np.zeros(0), *floats]), return_inverse=True)
+        text = np.array(("%.17g " * len(distinct) % tuple(distinct.tolist())).split(), dtype=object)[inverse]
+        slots, parts, at = [], [], 0
         for whole in columns.values():
-            if whole.dtype.kind == "f":
-                if not np.isfinite(whole).all():
-                    raise ValueError("cannot serialize non-finite float")
-                whole = whole + 0.0  # canonicalizes -0.0
-            else:
-                whole = whole.astype(np.int64)
-            slot = "%.17g" if whole.dtype.kind == "f" else "%d"  # an (N, k) column's records hold lists of k
+            kind = whole.dtype.kind
+            if kind == "f":  # each distinct float formatted once
+                whole, at = text[at : at + whole.size].reshape(whole.shape), at + whole.size
+            elif kind not in "iu":
+                whole = np.array(list(map(_scalar, whole.reshape(-1))), dtype=object).reshape(whole.shape)
+            slot = "%d" if kind in "iu" else "%s"  # an (N, k) column's records hold lists of k
             slots.append("[" + ", ".join([slot] * whole.shape[1]) + "]" if whole.ndim == 2 else slot)
             parts.append(whole if whole.ndim == 2 else whole[:, None])
         rows = np.empty((n, sum(a.shape[1] for a in parts)), dtype=object)
@@ -212,7 +230,8 @@ def dumps_json(obj: Any) -> str:
     ``isinstance``, and a list holding no dict, list or tuple is written
     on one line with a single join.  Every float goes through one
     formatter, except in a frame's records of a record table (the savers'
-    files), which are written from the table's ``%`` template: ``%.17g``
+    files), which are written from the table's ``%`` template: the table
+    formats each of its distinct floats once with ``%.17g``, and ``%.17g``
     and ``%d`` give ``format``'s and ``str``'s bytes.  A
     non-finite float raises ``ValueError`` and any other type
     (``np.bool_``, ``set``, ``bytes``, ...) ``TypeError`` at the first

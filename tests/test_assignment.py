@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polarview import assignment
 from polarview.assignment import (
     Assignment,
     CircularRange,
@@ -151,6 +152,58 @@ class TestFocalClassCost:
         # the 1e-8 inside each log: 0.25 * 8 ln 10 at p = 0, -0.75 * 8 ln 10 at p = 1
         assert focal(0.0) == pytest.approx(2.0 * math.log(10.0), rel=1e-12)
         assert focal(1.0) == pytest.approx(-6.0 * math.log(10.0), rel=1e-12)
+
+
+PROBABILITIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-8, 1.0 - 2.0**-53, 5e-324]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def repeating_probs(draw):
+    """(N, C) probabilities from a pool of at most four values, so that values repeat within and across rows."""
+    pool = draw(st.lists(PROBABILITIES, min_size=1, max_size=4))
+    n, c = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n * c, max_size=n * c))).reshape(n, c)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestFocalOncePerDistinctProbability:
+    """``_focal`` runs once per distinct probability, and every cell keeps the bits of a per-cell call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(repeating_probs(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True).map(
+        lambda p: np.array(p)[None])))
+    @example(np.array([[0.0, -0.0, 1.0], [-0.0, 1.0, 0.0]]))
+    @example(np.array([[-0.0, 0.25]]))
+    def test_equals_a_per_cell_focal_table(self, probs):
+        classes = np.arange(probs.shape[1])[:, None]  # every (class, prediction) cell
+        expected = [[assignment._focal(p) for p in row] for row in probs.T.tolist()]
+        assert bits(class_cost(probs, classes, form="focal")) == bits(np.reshape(expected, (len(classes), len(probs))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(repeating_probs())
+    def test_focal_runs_once_per_distinct_value(self, probs):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assignment, "_focal", lambda p: calls.append(p) or 0.0)
+            class_cost(probs, np.zeros((3, 1), dtype=int), form="focal")
+        assert len(calls) == len(set(calls)) == len(set(probs.ravel().tolist()))
+
+    @pytest.mark.parametrize("probs, gt_class, form, message", [
+        (np.array([[math.nan, 0.5]]), 5, "nope", "unknown form 'nope'"),
+        (np.array([[math.nan, 0.5]]), 5, "focal", "probabilities must lie in [0, 1]"),
+        (np.array([[1.5, 0.5]]), 5, "focal", "probabilities must lie in [0, 1]"),
+        (np.array([[-1e-300, 0.5]]), 0, "focal", "probabilities must lie in [0, 1]"),
+        (np.array([[0.5, 0.5]]), 2, "focal", "class ids must be integers in [0, 2)"),
+        (np.array([[0.5, 0.5]]), 0.0, "focal", "class ids must be integers in [0, 2)"),
+    ])
+    def test_refusals_keep_their_message_and_order(self, monkeypatch, probs, gt_class, form, message):
+        monkeypatch.setattr(assignment, "_focal", lambda p: pytest.fail("_focal ran on refused input"))
+        with pytest.raises(ValueError) as info:
+            class_cost(probs, gt_class, form=form)
+        assert str(info.value) == "class_cost: " + message
 
 
 class TestPerceptionRange:

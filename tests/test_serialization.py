@@ -499,3 +499,107 @@ class TestRecordTable:
                                       "b": np.array([-0.0, 0.5, 2.0])})
         expected = [[{"a": [1, 2], "b": 0}, {"a": [3, 4], "b": 0.5}], [{"a": [INT64.min, INT64.max], "b": 2}]]
         assert dumps_json([{"rows": rows} for rows in table]) == reference_dumps([{"rows": r} for r in expected])
+
+    @pytest.mark.parametrize("column", [
+        np.array([True, False]),
+        np.array([1 + 2j, 3j]),
+        np.array([[True, True], [False, True]]),
+        np.array([2**63, 2**64 - 1], dtype=np.uint64),
+        np.array([[0, 2**64 - 1], [7, 2**63]], dtype=np.uint64),
+        np.array([-(2**7), 2**7 - 1], dtype=np.int8),
+        np.array(["a", "%s"]),
+    ], ids=["bool", "complex", "bool-list", "uint64", "uint64-list", "int8", "str"])
+    def test_a_column_writes_or_refuses_as_the_scalar_path(self, column):
+        assert table_bytes([2], {"a": column}) == scalar_bytes([2], {"a": column})
+
+    @pytest.mark.parametrize("columns", [
+        {"x": np.array([0.5, math.nan]), "b": np.array([True, False])},  # the bool in row 0 comes first
+        {"x": np.array([math.inf, 0.5]), "b": np.array([True, False])},  # the inf in row 0 comes first
+        {"b": np.array([3j, 1j]), "x": np.array([[math.nan, 0.5], [0.5, 0.5]])},
+        {"x": np.array([0.5, 0.25]), "y": np.array([[0.5, 0.5], [-math.inf, 0.5]])},
+    ])
+    def test_the_first_bad_value_in_document_order_decides_the_error(self, columns):
+        assert table_bytes([1, 1], columns) == scalar_bytes([1, 1], columns)
+
+    def test_no_rows_refuse_nothing(self):
+        columns = {"b": np.zeros(0, dtype=bool), "c": np.zeros((0, 2), dtype=complex)}
+        assert table_bytes([0, 0], columns) == scalar_bytes([0, 0], columns) == reference_dumps([{"rows": []}] * 2)
+
+
+def table_bytes(counts, columns):
+    """``dumps_json`` of the table's frames, or the error it raises."""
+    try:
+        return dumps_json([{"rows": rows} for rows in _RecordTable(counts, columns)])
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def frame_records(counts, columns):
+    """The table's records as per-frame lists of dicts of numpy scalars (lists of them for an (N, k) column)."""
+    rows = [{key: list(v) if np.ndim(v) else v for key, v in zip(columns, values)} for values in zip(*columns.values())]
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def scalar_bytes(counts, columns):
+    """What ``dumps_json`` writes, or raises, for the same records value by value."""
+    try:
+        return dumps_json([{"rows": rows} for rows in frame_records(counts, columns)])
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGES = [1e-4, 1e16, 1e17, 1.0, 2.0**53]
+# small pools, so that values repeat within and across columns: signed zeros, extremes, decade edges +-1 ulp,
+# integral floats
+REPEATED_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 3.0, -7.0, 1e15, 0.1, 65504.0,
+    *_EDGES, *(-x for x in _EDGES), *(math.nextafter(x, math.inf) for x in _EDGES),
+    *(math.nextafter(x, -math.inf) for x in _EDGES),
+]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def repeating_tables(draw):
+    """(counts, columns): empty frames and zero rows included; float64, float32, float16 and integer columns in
+    any order, each 1-D or (N, k), the float ones drawn from one pool of at most five values."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=5))
+    n = sum(counts)
+    pool = draw(st.lists(REPEATED_FLOATS, min_size=1, max_size=5))
+    columns = {}
+    for key in draw(st.lists(TEXT, min_size=1, max_size=5, unique=True)):
+        dtype = np.dtype(draw(st.sampled_from(["float64", "float64", "float32", "float16", "int64", "uint64"])))
+        shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(0, 3)))
+        size = math.prod(shape)
+        if dtype.kind == "f":
+            finfo = np.finfo(dtype)  # clipped to the type's range, so that the cast stays finite
+            values = np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), dtype=np.float64)
+            columns[key] = np.clip(values, finfo.min, finfo.max).astype(dtype).reshape(shape)
+        else:
+            info = np.iinfo(dtype)
+            ints = st.sampled_from([info.min, info.max, 0, 1]) | st.integers(info.min, info.max)
+            columns[key] = np.array(draw(st.lists(ints, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+    return counts, columns
+
+
+class TestRepeatedValuesSameBytes:
+    """Each distinct float of a table is formatted once; every record still gets the scalar path's bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(repeating_tables())
+    @example(([2, 0, 1], {"a": np.array([-0.0, -0.0, 0.0]), "i": np.array([1, 2, 3]),
+                          "b": np.array([[0.0, -0.0], [5e-324, -0.0], [1e17, 1e16]])}))
+    @example(([1], {"only -0.0": np.array([-0.0])}))
+    @example(([0, 0], {"no rows": np.zeros((0, 2))}))
+    def test_same_bytes_as_the_scalar_path(self, table):
+        counts, columns = table
+        document = {"frames": [{"t": 0.5, "objects": rows} for rows in _RecordTable(counts, columns)]}
+        expected = {"frames": [{"t": 0.5, "objects": rows} for rows in frame_records(counts, columns)]}
+        assert dumps_json(document) == reference_dumps(expected)
+
+    def test_all_distinct(self):
+        rng = np.random.default_rng(33)
+        columns = {"box": rng.normal(size=(300, 9)) * 20.0, "id": np.arange(300), "score": rng.uniform(size=300)}
+        assert len(np.unique(np.concatenate([columns["box"].ravel(), columns["score"]]))) == 300 * 10
+        counts = [100, 0, 150, 50]
+        assert table_bytes(counts, columns) == reference_dumps([{"rows": r} for r in frame_records(counts, columns)])
