@@ -26,7 +26,7 @@ import numpy as np
 
 from . import assignment, loss, metrics, serialization, tracker
 from .camera import make_symmetric_rig, max_rotation_discrepancy
-from .geometry import RangeConfig, polar_centers, polar_fields, rotate_planar
+from .geometry import RangeConfig, polar_boxes, polar_centers, rotate_planar
 from .simulator import NoiseModel, SceneConfig, generate_scene, render_detections
 
 __all__ = ["main", "build_parser"]
@@ -143,7 +143,7 @@ def _cmd_assign(args) -> int:
     if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
         raise ValueError("assign: --k-scaling must be finite and >= 1")
     counts, boxes, probs = dets.stacked("boxes", "probs")
-    gt_boxes = np.reshape([polar_fields(*row) for row in gt_rows.tolist()], (-1, 9))
+    gt_boxes = polar_boxes(gt_rows)
     starts, gt_starts = (np.concatenate([[0], np.cumsum(c)]) for c in (counts, gt_counts))
     frames_out, local, n_pairs = [], [], []  # local: each frame's (gt, pred) pairs, frame by frame
     for t, (lo, hi), (g_lo, g_hi) in zip(dets.times.tolist(), pairwise(starts.tolist()), pairwise(gt_starts.tolist())):
@@ -216,7 +216,7 @@ def _eval_metrics(args) -> dict:
     if matches:
         di, gj = np.array(matches).T
         di = np.flatnonzero(kept)[di]
-        gt_boxes = np.reshape([polar_fields(*r) for r in gt_rows[gj].tolist()], (-1, 9))  # only these need an azimuth
+        gt_boxes = polar_boxes(gt_rows[gj])  # only these need an azimuth
         v = gt_velocities[gj]
         gt_v = np.column_stack(rotate_planar(v[:, 0], v[:, 1], -gt_boxes[:, 1], gt_boxes[:, 2]))
         pairs = [boxes[di], velocities[di], gt_boxes, gt_v]

@@ -46,11 +46,13 @@ __all__ = [
     "polar_centers",
     "rotate_planar",
     "polar_fields",
+    "polar_boxes",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "velocity_cartesian_to_polar",
     "velocity_polar_to_cartesian",
     "wrap_angle",
+    "wrap_angles",
     "POLAR_FIELDS",
     "ENCODING_FIELDS",
 ]
@@ -425,12 +427,42 @@ def rotate_planar(u, v, sin_a, cos_a):
     return u * cos_a - v * sin_a, u * sin_a + v * cos_a
 
 
-def polar_fields(x: float, y: float, z: float, l: float, w: float, h: float, yaw: float) -> tuple[float, ...]:
-    """``POLAR_FIELDS`` values of a cartesian box row; ValueError on the ego z axis (degenerate azimuth)."""
-    r = math.hypot(x, y)
-    if r == 0.0:
+def _libm(f, *columns: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function) of each element of the 1-D float ``columns``: one libm call per element, so
+    the bits do not follow the SIMD level numpy's own loops pick; inf where ``f`` overflows."""
+    args = [c.tolist() for c in columns]
+    try:
+        return np.fromiter(map(f, *args), np.float64, len(args[0]))
+    except OverflowError:  # rare: again, one element at a time
+        return np.array([_or_inf(f, *v) for v in zip(*args)], dtype=np.float64)
+
+
+def _or_inf(f, *args: float) -> float:
+    """``f(*args)``, or inf where it overflows."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
+def polar_boxes(rows: np.ndarray) -> np.ndarray:
+    """(N, 9) ``POLAR_FIELDS`` rows of (N, 7) cartesian box rows (x, y, z, l, w, h, yaw).
+
+    r is ``math.hypot(x, y)``, the azimuth pair is (y / r, x / r) and the
+    yaw pair (sin, cos) of the yaw, each ``math`` call one per element, so
+    a row's bits depend neither on N nor on the SIMD level.  A row on the
+    ego z axis has no azimuth: ValueError.
+    """
+    x, y, z, l, w, h, yaw = np.asarray(rows, dtype=np.float64).reshape(-1, 7).T
+    r = _libm(math.hypot, x, y)
+    if (r == 0.0).any():
         raise ValueError("cartesian_to_polar: degenerate azimuth at (x, y) = (0, 0)")
-    return (r, y / r, x / r, z, l, w, h, math.sin(yaw), math.cos(yaw))
+    return np.column_stack([r, y / r, x / r, z, l, w, h, _libm(math.sin, yaw), _libm(math.cos, yaw)])
+
+
+def polar_fields(x: float, y: float, z: float, l: float, w: float, h: float, yaw: float) -> tuple[float, ...]:
+    """``POLAR_FIELDS`` values of a cartesian box row: one row of :func:`polar_boxes`."""
+    return tuple(polar_boxes(np.array([x, y, z, l, w, h, yaw]))[0].tolist())
 
 
 def cartesian_to_polar(box: CartesianBox) -> PolarBox:
@@ -465,3 +497,14 @@ def wrap_angle(a: float) -> float:
     if m == 0.0:
         return math.pi
     return m - math.pi
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of each element of a float array, with its bits (``np.remainder`` is Python's float
+    ``%``); ValueError if any element is not finite."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("wrap_angle: non-finite angle")
+    m = np.remainder(a + math.pi, 2.0 * math.pi)
+    wrapped = np.where(m == 0.0, math.pi, m - math.pi)
+    return np.where((-math.pi < a) & (a <= math.pi), a, wrapped)  # exact passthrough, no roundoff

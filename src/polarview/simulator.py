@@ -29,9 +29,11 @@ from .geometry import (
     PolarBox,
     PolarVelocity,
     RangeConfig,
-    polar_fields,
+    _libm,
+    polar_boxes,
     rotate_planar,
     wrap_angle,
+    wrap_angles,
 )
 
 __all__ = [
@@ -490,9 +492,9 @@ def generate_scene(config: SceneConfig, rig: Rig | None = None) -> Scene:
         p_world = np.stack(np.broadcast_arrays(x0 + vx0 * t, y0 + vy0 * t, z0 + 0.0 * t), axis=-1)
         p_ego = np.matmul(rz_inv[:, None], (p_world - np.array(ego_pos)[:, None])[..., None])[..., 0]
     v_ego = np.matmul(rz_inv[:, None, :2, :2], np.stack([vx0, vy0], axis=-1)[:, :, None])[..., 0]
-    yaws = [wrap_angle(a) for a in (yaw0 - np.array(psis)[:, None]).reshape(-1).tolist()]
+    yaws = wrap_angles(yaw0 - np.array(psis)[:, None])
     sizes = np.broadcast_to(np.stack([l, w, h], axis=-1), (n_frames, m, 3))
-    boxes = np.concatenate([p_ego, sizes, np.reshape(yaws, (n_frames, m, 1))], axis=-1)
+    boxes = np.concatenate([p_ego, sizes, yaws[..., None]], axis=-1)
     return Scene.from_arrays(rig, times, [m] * n_frames, rz, ego_pos, np.tile(np.arange(m), n_frames),
                              np.tile(labels, n_frames), boxes.reshape(-1, 7), v_ego.reshape(-1, 2))
 
@@ -512,25 +514,62 @@ def rotate_scene(scene: Scene, phi: float) -> Scene:
         scene.rig, scene.times, scene.counts, rz @ scene.pose_rotations @ rz.T,
         np.matmul(rz, scene.pose_translations[..., None])[..., 0], scene.ids, scene.classes,
         np.column_stack([np.matmul(rz, scene.boxes[:, :3, None])[..., 0], scene.boxes[:, 3:6],
-                         [wrap_angle(a + phi) for a in scene.boxes[:, 6].tolist()]]),
+                         wrap_angles(scene.boxes[:, 6] + phi)]),
         np.matmul(rz[:2, :2], scene.velocities[..., None])[..., 0],
     )
 
 
-def _noisy(value: float, name: str, low: float = -math.inf) -> float:
-    """``value`` if it lies in (``low``, inf), else a ValueError naming the ``NoiseModel`` std that moved it there."""
-    if not low < value < math.inf:
+def _noisy_rows(boxes: np.ndarray, velocities: np.ndarray, draws: np.ndarray, noise: NoiseModel):
+    """The (K, 9) polar boxes and (K, 2) polar velocities of K ground-truth rows, (K, 7) ``boxes`` and (K, 2)
+    ``velocities``, under ``noise`` with the (K, 9) standard-normal ``draws`` of each row.
+
+    Every formula runs once over all rows, ``sin``, ``cos``, ``atan2``, ``hypot`` and ``exp`` as one ``math``
+    call per element.  A row on the ego z axis, or one whose noise leaves the float range, is refused: a
+    ValueError for the first such row, for the first of its checks in this order: the azimuth, then the noisy
+    tangential angle, r, yaw, sizes, z and velocity.
+    """
+    x, y, _, _, _, _, yaw = boxes.T
+    d = draws.T
+    at_origin = (x == 0.0) & (y == 0.0)
+    faults = [("", at_origin)]  # (NoiseModel std, rows its noise moves out of the float range), in check order
+    with np.errstate(all="ignore"):  # a failing row computes quietly; the faults refuse it below
+        r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_boxes(np.where(at_origin[:, None], 1.0, boxes)).T
+        if noise.mode == "polar":
+            if noise.tangential_std != 0.0:  # else the azimuth pair passes through: exact, no roundoff
+                a = _libm(math.atan2, sin_a, cos_a) + d[1] * noise.tangential_std
+                faults.append(("tangential_std", ~np.isfinite(a)))
+                a[faults[-1][1]] = 0.0
+                sin_a, cos_a = _libm(math.sin, a), _libm(math.cos, a)
+            r = np.maximum(r + d[0] * noise.radial_std, 1e-6)
+        else:
+            x, y = x + d[0] * noise.radial_std, y + d[1] * noise.radial_std
+            r = np.maximum(_libm(math.hypot, x, y), 1e-6)
+            if noise.radial_std != 0.0:
+                a = _libm(math.atan2, y, x)
+                sin_a, cos_a = _libm(math.sin, a), _libm(math.cos, a)
+        faults.append(("radial_std", ~(r < math.inf)))
+        if noise.yaw_std > 0.0:
+            yaw = yaw + d[6] * noise.yaw_std
+            faults.append(("yaw_std", ~np.isfinite(yaw)))
+            yaw = wrap_angles(np.where(faults[-1][1], 0.0, yaw))
+            sin_t, cos_t = _libm(math.sin, yaw), _libm(math.cos, yaw)
+        sizes = np.stack([l, w, h])
+        if noise.size_rel_std != 0.0:  # else every scale is exp(+-0.0) = 1: the sizes pass through
+            sizes *= _libm(math.exp, (d[3:6] * noise.size_rel_std).ravel()).reshape(3, -1)
+            faults.append(("size_rel_std", ~((sizes > 0.0) & (sizes < math.inf)).all(axis=0)))
+        z = z + d[2] * noise.z_std
+        faults.append(("z_std", ~np.isfinite(z)))
+        v_rad, v_tan = rotate_planar(velocities[:, 0], velocities[:, 1], -sin_a, cos_a)
+        v_rad, v_tan = v_rad + d[7] * noise.velocity_std, v_tan + d[8] * noise.velocity_std
+        faults.append(("velocity_std", ~(np.isfinite(v_rad) & np.isfinite(v_tan))))
+    table = np.stack([rows for _, rows in faults])
+    failing = table.any(axis=0)
+    if failing.any():
+        i = int(failing.argmax())
+        polar_boxes(boxes[i])  # a row on the ego z axis is refused here, as polar_fields refuses it
+        name = faults[int(table[:, i].argmax())][0]
         raise ValueError(f"NoiseModel: {name} is too large to render: a noisy value leaves the float range")
-    return value
-
-
-def _noisy_size(size: float, draw: float, std: float) -> float:
-    """``size * exp(draw * std)``, refused by ``_noisy`` unless finite and positive."""
-    try:
-        scale = math.exp(draw * std)
-    except OverflowError:
-        scale = math.inf
-    return _noisy(size * scale, "size_rel_std", low=0.0)
+    return np.column_stack([r, sin_a, cos_a, z, *sizes, sin_t, cos_t]), np.column_stack([v_rad, v_tan])
 
 
 def render_detections(
@@ -543,57 +582,48 @@ def render_detections(
     With all stds, drop probability and false-positive rate at zero the
     detections are the exact polar transforms of the ground truth in
     either noise frame, with one-hot class probabilities and score 1.
-    False positives are placed uniformly inside the perception range with
-    score drawn from U(0.1, 0.9).  Class probabilities have one entry per
-    class id up to the largest in the scene (one entry for a scene without objects).
+    False positives have r ~ U(2, r_max) and azimuth ~ U(-pi, pi), so they
+    are uniform in (r, azimuth), not in area, with score drawn from
+    U(0.1, 0.9).  Class probabilities have one entry per class id up to
+    the largest in the scene (one entry for a scene without objects).
+
+    Only the random draws run object by object, in a fixed order: per
+    frame, a drop draw and nine normals for each object (dropped or not),
+    then the frame's false positives.  The noise and the checks then run
+    once over all kept rows (see ``_noisy_rows``).
     """
     if noise.false_positive_rate > 0.0 and range_config.r_max < _PLACEMENT_FLOOR:
         raise ValueError(f"render_detections: false positives need r_max >= the {_PLACEMENT_FLOOR:g} m "
                          "placement floor")
     n_classes = int(scene.classes.max()) + 1 if len(scene.classes) else 1
     rng = np.random.default_rng(noise.seed)
-    objects = zip(scene.classes.tolist(), scene.boxes.tolist(), scene.velocities.tolist())
-    boxes, labels, velocities, scores, counts = [], [], [], [], []
-    for count in scene.counts.tolist():
-        start = len(scores)
-        for label, box, (v_x, v_y) in itertools.islice(objects, count):
-            # keep RNG consumption independent of the drop outcome
-            dropped = rng.uniform() < noise.drop_prob
-            draws = rng.normal(0.0, 1.0, size=9).tolist()  # floats: an overflow is refused below, not warned
-            if dropped:
-                continue
-            r, sin_a, cos_a, z, l, w, h, sin_t, cos_t = polar_fields(*box)
-            if noise.mode == "polar":
-                a = _noisy(math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std, "tangential_std")
-                r = _noisy(max(r + draws[0] * noise.radial_std, 1e-6), "radial_std")
-            else:
-                x = box[0] + draws[0] * noise.radial_std
-                y = box[1] + draws[1] * noise.radial_std
-                r = _noisy(max(math.hypot(x, y), 1e-6), "radial_std")
-                a = math.atan2(y, x)
-            if (noise.tangential_std if noise.mode == "polar" else noise.radial_std) != 0.0:  # else exact, no roundoff
-                sin_a, cos_a = math.sin(a), math.cos(a)
-            if noise.yaw_std > 0.0:
-                yaw = wrap_angle(_noisy(box[6] + draws[6] * noise.yaw_std, "yaw_std"))
-                sin_t, cos_t = math.sin(yaw), math.cos(yaw)
-            v_rad, v_tan = rotate_planar(v_x, v_y, -sin_a, cos_a)
-            l, w, h = (_noisy_size(s, d, noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
-            boxes.append((r, sin_a, cos_a, _noisy(z + draws[2] * noise.z_std, "z_std"), l, w, h, sin_t, cos_t))
-            labels.append(label)
-            v_std = noise.velocity_std
-            v_rad, v_tan = v_rad + draws[7] * v_std, v_tan + draws[8] * v_std
-            velocities.append((_noisy(v_rad, "velocity_std"), _noisy(v_tan, "velocity_std")))
-            scores.append(1.0)
+    random, standard_normal, uniform = rng.random, rng.standard_normal, rng.uniform
+    drop_draws, draws = [], np.empty((len(scene.ids), 9))
+    fp_frames, fp_fields, fp_labels, fp_scores = [], [], [], []  # fields: r, azimuth, yaw, z, l, w, h
+    rows = iter(draws)
+    for f, count in enumerate(scene.counts.tolist()):
+        for row in itertools.islice(rows, count):
+            drop_draws.append(random())  # the double of uniform()
+            standard_normal(out=row)  # normal(0.0, 1.0, size=9) once 0.0 is added below
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
-            r = rng.uniform(_PLACEMENT_FLOOR, range_config.r_max)
-            a = rng.uniform(-math.pi, math.pi)
-            yaw = rng.uniform(-math.pi, math.pi)
-            z = rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)
-            l, w, h = (rng.uniform(low, high) for low, high in _SIZE_RANGES)
-            boxes.append((r, math.sin(a), math.cos(a), z, l, w, h, math.sin(yaw), math.cos(yaw)))
-            labels.append(int(rng.integers(0, n_classes)))
-            velocities.append((0.0, 0.0))
-            scores.append(rng.uniform(0.1, 0.9))
-        counts.append(len(scores) - start)
-    return DetectionSet.from_arrays(scene.times, counts, np.reshape(boxes, (-1, 9)),
-                                    np.eye(n_classes)[labels], np.reshape(velocities, (-1, 2)), scores)
+            fp_fields.append([uniform(_PLACEMENT_FLOOR, range_config.r_max), uniform(-math.pi, math.pi),
+                              uniform(-math.pi, math.pi), uniform(range_config.z_min + 0.1, range_config.z_max - 0.1),
+                              *(uniform(low, high) for low, high in _SIZE_RANGES)])
+            fp_labels.append(int(rng.integers(0, n_classes)))
+            fp_scores.append(uniform(0.1, 0.9))
+            fp_frames.append(f)
+    kept = np.array(drop_draws) >= noise.drop_prob
+    boxes, velocities = _noisy_rows(scene.boxes[kept], scene.velocities[kept], draws[kept] + 0.0, noise)
+    r, a, yaw, z, l, w, h = np.reshape(fp_fields, (-1, 7)).T
+    fp_boxes = np.column_stack([r, _libm(math.sin, a), _libm(math.cos, a), z, l, w, h,
+                                _libm(math.sin, yaw), _libm(math.cos, yaw)])
+    # each frame's kept objects, then its false positives
+    frames = np.concatenate([np.repeat(np.arange(len(scene.counts)), scene.counts)[kept],
+                             np.array(fp_frames, dtype=np.intp)])
+    order = np.argsort(frames, kind="stable")
+    labels = np.concatenate([scene.classes[kept], np.array(fp_labels, dtype=np.int64)])[order]
+    return DetectionSet.from_arrays(
+        scene.times, np.bincount(frames, minlength=len(scene.counts)), np.concatenate([boxes, fp_boxes])[order],
+        np.eye(n_classes)[labels], np.concatenate([velocities, np.zeros((len(fp_scores), 2))])[order],
+        np.concatenate([np.ones(len(boxes)), fp_scores])[order],
+    )

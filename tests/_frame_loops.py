@@ -2,7 +2,8 @@
 id-switch count as they ran one frame at a time, with one distance or cost matrix per frame, and the tracker's
 greedy claim as a plain loop over a dense matrix, which shares no matcher with ``polarview``; the cutting of a
 scene or detections file into frames with the checks each set made over its frames; and the tracker run one
-frame at a time, with one ``back_project`` and one distance matrix per frame.
+frame at a time, with one ``back_project`` and one distance matrix per frame; and ``render`` drawing, noising
+and checking one object at a time.
 
 The tests hold the whole-file code to these: the same matches, documents, counts, frames and track ids, and
 the same error message for a file whose one fault lies in some frame.
@@ -16,7 +17,8 @@ import numpy as np
 
 from polarview import assignment, cli, metrics, serialization
 from polarview.assignment import greedy_claim, hungarian
-from polarview.geometry import planar_distances, polar_centers, polar_fields, rotate_planar
+from polarview.geometry import planar_distances, polar_centers, polar_fields, rotate_planar, wrap_angle
+from polarview.simulator import DetectionSet
 from polarview.tracker import TrackerState, back_project
 
 
@@ -227,3 +229,89 @@ def frame_loop_eval_metrics(args) -> dict:
             report["maae"] = args.maae
             report["nds"] = metrics.nds(m_ap, [*report["tp_errors"].values(), args.maae])
     return report
+
+
+def _noisy(value, name, low=-math.inf):
+    """``value`` if it lies in (``low``, inf), else the ValueError naming the ``NoiseModel`` std that moved it."""
+    if not low < value < math.inf:
+        raise ValueError(f"NoiseModel: {name} is too large to render: a noisy value leaves the float range")
+    return value
+
+
+def _noisy_size(size, draw, std):
+    """``size * exp(draw * std)``, refused by ``_noisy`` unless finite and positive."""
+    try:
+        scale = math.exp(draw * std)
+    except OverflowError:
+        scale = math.inf
+    return _noisy(size * scale, "size_rel_std", low=0.0)
+
+
+def _polar_row(x, y, z, l, w, h, yaw):
+    """One box row's ``POLAR_FIELDS`` values, one ``math`` call per value; ValueError on the ego z axis."""
+    r = math.hypot(x, y)
+    if r == 0.0:
+        raise ValueError("cartesian_to_polar: degenerate azimuth at (x, y) = (0, 0)")
+    return r, y / r, x / r, z, l, w, h, math.sin(yaw), math.cos(yaw)
+
+
+def object_noisy_row(box, velocity, draws, noise):
+    """One kept object's noisy detection row, its polar box and polar velocity, under the nine normal ``draws``,
+    every check on floats in ``render_detections``' order (the first that fails raises)."""
+    (v_x, v_y), (r, sin_a, cos_a, z, l, w, h, sin_t, cos_t) = velocity, _polar_row(*box)
+    if noise.mode == "polar":
+        a = _noisy(math.atan2(sin_a, cos_a) + draws[1] * noise.tangential_std, "tangential_std")
+        r = _noisy(max(r + draws[0] * noise.radial_std, 1e-6), "radial_std")
+    else:
+        x = box[0] + draws[0] * noise.radial_std
+        y = box[1] + draws[1] * noise.radial_std
+        r = _noisy(max(math.hypot(x, y), 1e-6), "radial_std")
+        a = math.atan2(y, x)
+    if (noise.tangential_std if noise.mode == "polar" else noise.radial_std) != 0.0:
+        sin_a, cos_a = math.sin(a), math.cos(a)
+    if noise.yaw_std > 0.0:
+        yaw = wrap_angle(_noisy(box[6] + draws[6] * noise.yaw_std, "yaw_std"))
+        sin_t, cos_t = math.sin(yaw), math.cos(yaw)
+    v_rad, v_tan = rotate_planar(v_x, v_y, -sin_a, cos_a)
+    l, w, h = (_noisy_size(s, d, noise.size_rel_std) for s, d in zip((l, w, h), draws[3:6]))
+    box = (r, sin_a, cos_a, _noisy(z + draws[2] * noise.z_std, "z_std"), l, w, h, sin_t, cos_t)
+    v_std = noise.velocity_std
+    v_rad, v_tan = v_rad + draws[7] * v_std, v_tan + draws[8] * v_std
+    return box, (_noisy(v_rad, "velocity_std"), _noisy(v_tan, "velocity_std"))
+
+
+def object_loop_render(scene, noise, range_config):
+    """``render_detections`` one object at a time: per frame, each object's ``uniform()`` drop draw and
+    ``normal(0.0, 1.0, size=9)`` draws, then its noisy row (``object_noisy_row``; the first failing row
+    raises), then the frame's false positives."""
+    if noise.false_positive_rate > 0.0 and range_config.r_max < 2.0:
+        raise ValueError("render_detections: false positives need r_max >= the 2 m placement floor")
+    n_classes = int(scene.classes.max()) + 1 if len(scene.classes) else 1
+    rng = np.random.default_rng(noise.seed)
+    objects = zip(scene.classes.tolist(), scene.boxes.tolist(), scene.velocities.tolist())
+    boxes, labels, velocities, scores, counts = [], [], [], [], []
+    for count in scene.counts.tolist():
+        start = len(scores)
+        for label, box, velocity in itertools.islice(objects, count):
+            dropped = rng.uniform() < noise.drop_prob
+            draws = rng.normal(0.0, 1.0, size=9).tolist()
+            if dropped:
+                continue
+            box, velocity = object_noisy_row(box, velocity, draws, noise)
+            boxes.append(box)
+            labels.append(label)
+            velocities.append(velocity)
+            scores.append(1.0)
+        for _ in range(int(rng.poisson(noise.false_positive_rate))):
+            r = rng.uniform(2.0, range_config.r_max)
+            a = rng.uniform(-math.pi, math.pi)
+            yaw = rng.uniform(-math.pi, math.pi)
+            z = rng.uniform(range_config.z_min + 0.1, range_config.z_max - 0.1)
+            l, w, h = (rng.uniform(low, high) for low, high in ((3.0, 5.0), (1.5, 2.2), (1.3, 2.0)))
+            boxes.append((r, math.sin(a), math.cos(a), z, l, w, h, math.sin(yaw), math.cos(yaw)))
+            labels.append(int(rng.integers(0, n_classes)))
+            velocities.append((0.0, 0.0))
+            scores.append(rng.uniform(0.1, 0.9))
+        counts.append(len(scores) - start)
+    return DetectionSet.from_arrays(scene.times, counts, np.reshape(boxes, (-1, 9)),
+                                    np.eye(n_classes)[labels], np.reshape(velocities, (-1, 2)), scores)

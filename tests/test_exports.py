@@ -25,7 +25,6 @@ DEFAULTED_PARAMETERS = [
     ("loss.loss_gradient", "kink_tol"),
     ("serialization._number_rows", "width"),
     ("simulator.DetectionFrame.__init__", "detections"),
-    ("simulator._noisy", "low"),
     ("simulator.generate_scene", "rig"),
     ("simulator.render_detections", "range_config"),
     ("tracker.run_tracker", "config"),
@@ -45,6 +44,7 @@ PRIVATE_IMPORTS = [
     ("loss", "geometry._require_unit_pair"),
     ("simulator", "camera._check_poses"),
     ("simulator", "geometry._PAIR_TOL"),
+    ("simulator", "geometry._libm"),
 ]
 
 

@@ -35,7 +35,7 @@ from polarview.simulator import (
     SceneConfig,
     SceneFrame,
     SceneObject,
-    _noisy_size,
+    _noisy_rows,
     generate_scene,
     render_detections,
     rotate_scene,
@@ -232,9 +232,12 @@ class TestRendering:
     @pytest.mark.parametrize("draw", [1.0, -1.0], ids=["overflow", "underflow"])
     def test_size_noise_out_of_float_range_names_size_rel_std(self, draw):
         # exp(1000) overflows, exp(-1000) underflows to a zero size
+        box, velocity, draws = np.array([[3.0, 4.0, 0.0, 4.0, 2.0, 1.5, 0.0]]), np.zeros((1, 2)), np.zeros((1, 9))
+        draws[0, 3] = draw  # the length's draw
         with pytest.raises(ValueError, match=r"^NoiseModel: size_rel_std "):
-            _noisy_size(4.0, draw, 1000.0)
-        assert _noisy_size(4.0, draw, 0.5) == 4.0 * math.exp(draw * 0.5)
+            _noisy_rows(box, velocity, draws, NoiseModel(size_rel_std=1000.0))
+        boxes, _ = _noisy_rows(box, velocity, draws, NoiseModel(size_rel_std=0.5))
+        assert boxes[0, 4] == 4.0 * math.exp(draw * 0.5)
 
     def test_radial_noise_that_overflows_below_zero_still_clamps(self):
         # the one object's radial draw at seed 3 is -2.56: r - 2.56e308 overflows to -inf, which clamps to 1e-6
