@@ -97,13 +97,15 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, k_scaling: float) -> np.ndarray:
     The last axis holds boxes in ``geometry.POLAR_FIELDS`` order (only r,
     sin_a and cos_a are read); leading axes broadcast, so (N, 9)
     predictions against (M, 1, 9) ground truths give the (M, N) matrix.
-    A huge ``k_scaling`` gives inf without a warning; the assignment
-    refuses a non-finite cost matrix.
+    Each of the three channels is differenced into a plane of its own, not
+    into one strided (..., 3) block; every cell sees the same ops in the
+    same order, so the bits are the same.  A huge ``k_scaling`` gives inf
+    without a warning; the assignment refuses a non-finite cost matrix.
     """
     pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
-    d = np.abs(pred[..., :3] - gt[..., :3])
+    dr, ds, dc = (np.abs(pred[..., c] - gt[..., c]) for c in range(3))
     with np.errstate(over="ignore"):
-        return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
+        return (dr + k_scaling * (ds + dc))[()]
 
 
 CLASS_COST_FORMS = ("negative_prob", "focal")  # the first is the default
@@ -154,18 +156,31 @@ def build_cost_matrix(
     k_scaling: float,
     class_cost_form: str = "negative_prob",
 ) -> np.ndarray:
-    """(M, N) cost matrix: rows are ground truths, columns predictions.
+    """(..., M, N) cost matrices: rows are ground truths, columns predictions.
 
-    ``preds`` is (boxes (N, 9), probs (N, C)) and ``gts`` is (boxes
-    (M, 9), integer classes (M,)), boxes in ``geometry.POLAR_FIELDS`` order.
+    ``preds`` is (boxes (..., N, 9), probs (..., N, C)) and ``gts`` is
+    (boxes (..., M, 9), integer classes (..., M)), boxes in
+    ``geometry.POLAR_FIELDS`` order.  Leading axes stack frames of one
+    shape: (G, N, 9) predictions against (G, M, 9) ground truths give G
+    (M, N) matrices, each with the bits of its own one-frame call, as
+    both cost terms are computed cell by cell.  A matrix with no rows or
+    no columns is zeros, with no term computed.
     """
     (pred_boxes, probs), (gt_boxes, classes) = preds, gts
-    m, n = len(gt_boxes), len(pred_boxes)
+    pred_boxes, gt_boxes = np.asarray(pred_boxes), np.asarray(gt_boxes)
+    m, n = gt_boxes.shape[-2], pred_boxes.shape[-2]
     if m == 0 or n == 0:
-        return np.zeros((m, n))
-    return box_cost(pred_boxes, np.asarray(gt_boxes)[:, None], k_scaling) + class_cost(
-        probs, np.asarray(classes)[:, None], form=class_cost_form
+        return np.zeros((*np.broadcast_shapes(gt_boxes.shape[:-2], pred_boxes.shape[:-2]), m, n))
+    return box_cost(pred_boxes[..., None, :, :], gt_boxes[..., :, None, :], k_scaling) + class_cost(
+        np.asarray(probs)[..., None, :, :], np.asarray(classes)[..., :, None], form=class_cost_form
     )
+
+
+def _index(v) -> int:
+    """``v`` as a Python int if it is a Python or numpy integer (a bool is not one)."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError("Assignment: indices must be integers")
 
 
 @dataclass(frozen=True)
@@ -175,14 +190,15 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(j), int(i)) for j, i in self.pairs)
-        gt_idx = [j for j, _ in pairs]
-        pred_idx = [i for _, i in pairs]
+        pairs = tuple(self.pairs)
+        gt_idx, pred_idx = [j for j, _ in pairs], [i for _, i in pairs]
+        if not {*map(type, gt_idx), *map(type, pred_idx)} <= {int}:  # the plain ints of tolist() pass as they are
+            gt_idx, pred_idx = [*map(_index, gt_idx)], [*map(_index, pred_idx)]
         if len(set(gt_idx)) != len(gt_idx) or len(set(pred_idx)) != len(pred_idx):
             raise ValueError("Assignment: indices must not repeat")
         if any(j < 0 for j in gt_idx) or any(i < 0 for i in pred_idx):
             raise ValueError("Assignment: indices must be nonnegative")
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(zip(gt_idx, pred_idx)))
 
     def __len__(self) -> int:
         return len(self.pairs)

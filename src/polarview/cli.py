@@ -20,7 +20,6 @@ import functools
 import io
 import math
 import sys
-from itertools import pairwise
 
 import numpy as np
 
@@ -138,6 +137,50 @@ def _ground_truth(args, command: str, *names: str):
     return region, dets, [_kept_counts(counts, kept), boxes[kept], *(a[kept] for a in rows)]
 
 
+#: Most cost cells one stacked ``build_cost_matrix`` call builds; a larger frame is a call of its own.
+_STACK_CELLS = 1 << 16
+
+
+def _frame_costs(preds, gts, starts, gt_starts, k_scaling: float, form: str):
+    """Each frame's (M, N) cost matrix, in frame order, from one ``build_cost_matrix`` call per run of frames.
+
+    ``preds`` and ``gts`` are the whole file's (boxes, probs) and (boxes, classes) rows; frame f holds rows
+    ``starts[f]:starts[f + 1]`` and ``gt_starts[f]:gt_starts[f + 1]``.  A run holds frames of one (M, N)
+    shape, in file order, up to ``_STACK_CELLS`` cells.  It is built when its first frame is reached and
+    dropped after its last, so a frame above the limit is built alone, at its turn.  A run whose call
+    raises is built again frame by frame, so a fault raises the error of the first failing frame.
+    """
+    def build(run):
+        def rows(array, first, k):  # the k rows of each frame of the run, as one (len(run), k, ...) array
+            return array[(first[run][:, None] + np.arange(k)).ravel()].reshape(len(run), k, *array.shape[1:])
+
+        (boxes, probs), (gt_boxes, classes), f = preds, gts, run[0]
+        n, m = starts[f + 1] - starts[f], gt_starts[f + 1] - gt_starts[f]
+        return assignment.build_cost_matrix(
+            (rows(boxes, starts, n), rows(probs, starts, n)),
+            (rows(gt_boxes, gt_starts, m), rows(classes, gt_starts, m)),
+            k_scaling,
+            class_cost_form=form,
+        )
+
+    runs, run_of, open_run = [], [], {}  # open_run: the run that takes the next frame of each shape
+    for f, shape in enumerate(zip(np.diff(gt_starts).tolist(), np.diff(starts).tolist())):
+        r = open_run.get(shape)
+        if r is None or (len(runs[r]) + 1) * math.prod(shape) > _STACK_CELLS:
+            r = open_run[shape] = len(runs)
+            runs.append([])
+        runs[r].append(f)
+        run_of.append(r)
+    pending = {}  # the matrices still to come of each run reached, dropped with the run's last frame
+    for f, r in enumerate(run_of):
+        if r not in pending:
+            try:
+                pending[r] = iter(build(runs[r]))
+            except ValueError:  # build its frames alone, so the first failing one raises its error
+                pending[r] = (build([g])[0] for g in runs[r])
+        yield next(pending[r] if f < runs[r][-1] else pending.pop(r))
+
+
 def _cmd_assign(args) -> int:
     _, dets, (gt_counts, gt_rows, gt_classes, gt_ids) = _ground_truth(args, "assign", "classes", "ids")
     if not (math.isfinite(args.k_scaling) and args.k_scaling >= 1.0):
@@ -145,21 +188,19 @@ def _cmd_assign(args) -> int:
     counts, boxes, probs = dets.stacked("boxes", "probs")
     gt_boxes = polar_boxes(gt_rows)
     starts, gt_starts = (np.concatenate([[0], np.cumsum(c)]) for c in (counts, gt_counts))
+    costs = _frame_costs((boxes, probs), (gt_boxes, gt_classes), starts, gt_starts, args.k_scaling, args.class_cost)
     frames_out, local, n_pairs = [], [], []  # local: each frame's (gt, pred) pairs, frame by frame
-    for t, (lo, hi), (g_lo, g_hi) in zip(dets.times.tolist(), pairwise(starts.tolist()), pairwise(gt_starts.tolist())):
-        costs = assignment.build_cost_matrix(
-            (boxes[lo:hi], probs[lo:hi]), (gt_boxes[g_lo:g_hi], gt_classes[g_lo:g_hi]), args.k_scaling,
-            class_cost_form=args.class_cost,
-        )
-        result = assignment.hungarian(costs)
+    for t, frame_costs in zip(dets.times.tolist(), costs):
+        result = assignment.hungarian(frame_costs)
+        m, n = frame_costs.shape
         local += result.pairs
         n_pairs.append(len(result))
         frames_out.append(
             {
                 "t": t,
                 "pairs": None,  # filled from the table of all frames' pairs below
-                "unmatched_gts": sorted(set(range(g_hi - g_lo)) - result.matched_gts()),
-                "unmatched_preds": sorted(set(range(hi - lo)) - result.matched_preds()),
+                "unmatched_gts": sorted(set(range(m)) - result.matched_gts()),
+                "unmatched_preds": sorted(set(range(n)) - result.matched_preds()),
             }
         )
     gts, preds = np.array(local, dtype=np.intp).reshape(-1, 2).T

@@ -322,6 +322,81 @@ class TestCostMatrix:
                     assert costs[j, i] == pytest.approx(cls + box, rel=1e-14)
 
 
+def strided_box_cost(pred, gt, k_scaling):
+    """``box_cost`` as it was written before the plane-wise form: one (..., 3) difference, read strided."""
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    d = np.abs(pred[..., :3] - gt[..., :3])
+    with np.errstate(over="ignore"):
+        return (d[..., 0] + k_scaling * (d[..., 1] + d[..., 2]))[()]
+
+
+#: Box values from [-1e307, 1e307], so that no difference overflows; 1e308 scales a sum of two to inf.
+BOX_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e307, -1e307]) | st.floats(-1e307, 1e307)
+K_SCALINGS = st.sampled_from([1.0, 20.0, 1e300, 1e308]) | st.floats(1.0, 1e308)
+
+
+def arrays(draw, values, shape):
+    return np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+
+def drawn_boxes(draw, shape):
+    """(..., 9) boxes with drawn r, sin_a and cos_a; the six fields the box term does not read are 0."""
+    return np.concatenate([arrays(draw, BOX_VALUES, (*shape, 3)), np.zeros((*shape, 6))], axis=-1)
+
+
+@st.composite
+def stacked_frames(draw):
+    """G frames of one shape: (G, N, 9) boxes and (G, N, C) probabilities, (G, M, 9) boxes and (G, M) classes."""
+    g, m, n = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    c = draw(st.integers(0 if m * n == 0 else 1, 4))  # no class: only with no cell
+    pool = draw(st.lists(PROBABILITIES, min_size=1, max_size=4))
+    classes = np.array(draw(st.lists(st.integers(0, max(c - 1, 0)), min_size=g * m, max_size=g * m)), dtype=np.int64)
+    probs = arrays(draw, st.sampled_from(pool), (g, n, c))
+    return (drawn_boxes(draw, (g, n)), probs), (drawn_boxes(draw, (g, m)), classes.reshape(g, m))
+
+
+class TestStackedCostMatrix:
+    """Leading axes stack frames of one shape: each matrix has the bits of its own one-frame call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_frames(), K_SCALINGS, st.sampled_from(assignment.CLASS_COST_FORMS))
+    @example(((np.zeros((2, 0, 9)), np.zeros((2, 0, 0))), (np.zeros((2, 3, 9)), np.zeros((2, 3), dtype=np.int64))),
+             20.0, "focal")
+    @example(((np.zeros((3, 2, 9)), np.zeros((3, 2, 0))), (np.zeros((3, 0, 9)), np.zeros((3, 0), dtype=np.int64))),
+             20.0, "negative_prob")
+    @example(((np.full((2, 1, 9), -0.0), np.full((2, 1, 2), -0.0)),
+              (np.array([[[1.0] * 9], [[-1.0] * 9]]), np.array([[1], [0]]))), 1e308, "focal")
+    def test_equals_one_call_per_frame(self, frames, k_scaling, form):
+        (boxes, probs), (gt_boxes, classes) = frames
+        stacked = build_cost_matrix((boxes, probs), (gt_boxes, classes), k_scaling, class_cost_form=form)
+        assert stacked.dtype == np.float64 and stacked.shape == (len(boxes), gt_boxes.shape[1], boxes.shape[1])
+        for g in range(len(boxes)):
+            one = build_cost_matrix((boxes[g], probs[g]), (gt_boxes[g], classes[g]), k_scaling, class_cost_form=form)
+            assert (one.dtype, one.shape) == (stacked[g].dtype, stacked[g].shape)
+            assert one.tobytes() == stacked[g].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_leading_axes_broadcast_with_or_without_cells(self, n):
+        costs = build_cost_matrix((np.zeros((2, n, 9)), np.ones((2, n, 1))), (np.zeros((3, 9)), np.zeros(3, dtype=int)),
+                                  20.0)
+        assert costs.shape == (2, 3, n)
+
+    def test_a_huge_scaling_gives_inf_in_its_frame_only(self):
+        near, far = polar(10.0, 0.0).as_array(), polar(10.0, math.pi).as_array()
+        costs = build_cost_matrix((np.array([[near], [far]]), np.ones((2, 1, 1))),
+                                  (np.array([[near], [near]]), np.zeros((2, 1), dtype=int)), 1e308)
+        assert costs.tolist() == [[[-1.0]], [[math.inf]]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.lists(st.integers(1, 3), max_size=3), K_SCALINGS)
+    def test_planes_give_the_strided_form_bits(self, data, lead, k_scaling):
+        pred = arrays(data.draw, BOX_VALUES, (*lead, data.draw(st.integers(3, 4))))
+        gt = arrays(data.draw, BOX_VALUES, (*[data.draw(st.sampled_from([1, d])) for d in lead], pred.shape[-1]))
+        got, expected = box_cost(pred, gt, k_scaling), strided_box_cost(pred, gt, k_scaling)
+        assert (np.shape(got), np.asarray(got).dtype) == (np.shape(expected), np.asarray(expected).dtype)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 class TestHungarian:
     def test_two_by_two(self):
         costs = np.array([[1.0, 2.0], [3.0, 1.0]])
@@ -467,3 +542,22 @@ class TestAssignmentType:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Assignment(((-1, 0),))
+
+    @pytest.mark.parametrize("index", [0.7, 1.9, 1.0, True, False, np.True_, math.inf, -math.inf, math.nan,
+                                       np.float64(1.0), "1", None, 1 + 0j])
+    def test_rejects_non_integer_indices(self, index):
+        for pairs in (((index, 0),), ((0, index),), ((1, 1), (0, index))):
+            with pytest.raises(ValueError) as info:
+                Assignment(pairs)
+            assert str(info.value) == "Assignment: indices must be integers"
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        pairs = Assignment(((np.int64(2), np.uint8(1)), (np.intp(0), 3))).pairs
+        assert pairs == ((2, 1), (0, 3))
+        assert {type(v) for pair in pairs for v in pair} == {int}
+
+    def test_integer_refusals_keep_their_order(self):
+        with pytest.raises(ValueError, match="integers"):
+            Assignment(((0, 0), (0, 0.5)))  # a repeat and a float: the type is checked first
+        with pytest.raises(ValueError, match="repeat"):
+            Assignment(((np.int64(-1), 0), (-1, 1)))

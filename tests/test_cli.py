@@ -1814,3 +1814,81 @@ class TestErrorsSurfaceFrameByFrame:
         argv = ["assign", "--scene", scene, "--detections", dets, "--k-scaling", "1e308", "--out", out]
         assert run(capsys, *argv)[2] == "polarview: cost matrix must be finite\n"
         same_outcome_and_bytes(argv, out)
+
+
+def one_class_frames(shapes):
+    """Scene and detection frames of the given (M, N) shapes, one class, objects and detections on a line."""
+    scene_frames = [[(j, 0, 1.0 + j, 0.5, 0.0, 0.0) for j in range(m)] for m, _ in shapes]
+    det_frames = [[((1.25 + i, 0.5 + 0.25 * i), [1.0], 1.0, (0.0, 0.0)) for i in range(n)] for _, n in shapes]
+    return scene_frames, det_frames
+
+
+# same-shape frames apart from each other, and frames with no objects or no detections
+SHAPES = [(2, 3), (1, 1), (2, 3), (0, 2), (2, 3), (2, 0), (0, 2), (1, 1), (0, 0), (2, 3)]
+
+
+class TestAssignStacksFramesOfOneShape:
+    """``assign`` builds the cost matrices of same-shape frames in one call, and still writes the frame loop's
+    bytes, or fails with the first failing frame's message."""
+
+    def check(self, directory, scene_frames, det_frames, n_classes, *flags):
+        scene, dets = write_files(directory, scene_frames, det_frames, n_classes)
+        out = os.path.join(directory, "out")
+        argv = ["assign", "--scene", scene, "--detections", dets, *flags, "--out", out]
+        for form in assignment.CLASS_COST_FORMS:
+            same_outcome_and_bytes([*argv, "--class-cost", form], out)
+        return argv
+
+    @pytest.mark.parametrize("cells", [0, 1, 6, 12, 13, cli._STACK_CELLS])
+    @pytest.mark.parametrize("shapes", [SHAPES, SHAPES[::-1], [(0, 3)] * 3, [(3, 0)] * 3, [(0, 0)] * 2, []],
+                             ids=["apart", "reversed", "no-objects", "no-detections", "neither", "no-frames"])
+    def test_fixed_files(self, monkeypatch, tmp_path, shapes, cells):
+        monkeypatch.setattr(cli, "_STACK_CELLS", cells)
+        self.check(str(tmp_path), *one_class_frames(shapes), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scene_and_detections(), st.sampled_from([0, 1, 4, 12, 1 << 16]))
+    def test_hypothesis_files(self, files, cells):
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(cli, "_STACK_CELLS", cells):
+            self.check(directory, *files)
+
+    @pytest.mark.parametrize("cells", [1, cli._STACK_CELLS])
+    @pytest.mark.parametrize("inf_first, message", [
+        (True, "cost matrix must be finite"), (False, "class_cost: class ids must be integers in [0, 2)"),
+    ])
+    def test_the_first_failing_frame_raises(self, capsys, monkeypatch, tmp_path, inf_first, message, cells):
+        # one frame shape throughout: an object of class 5 of 2 fails the class term, and an object opposite
+        # its detection overflows at --k-scaling 1e308; the frame of each is set by the order
+        monkeypatch.setattr(cli, "_STACK_CELLS", cells)
+        ok, inf, bad = (0, 0, 1.0, 0.0, 0.0, 0.0), (0, 0, -1.0, 0.0, 0.0, 0.0), (0, 5, 1.0, 0.0, 0.0, 0.0)
+        scene_frames = [[ok], [inf], [ok], [bad], [ok]] if inf_first else [[ok], [bad], [ok], [inf], [ok]]
+        det = ((2.0, 0.0), [0.75, 0.25], 1.0, (0.0, 0.0))
+        argv = self.check(str(tmp_path), scene_frames, [[det]] * 5, 2, "--k-scaling", "1e308")
+        assert run(capsys, *argv)[2] == f"polarview: {message}\n"
+
+    @pytest.mark.parametrize("cells, runs, first_frames", [
+        (cli._STACK_CELLS, [(4, 2, 3), (2, 1, 1), (2, 0, 2), (1, 2, 0), (1, 0, 0)], [0, 1, 3, 5, 8]),
+        (12, [(2, 2, 3), (2, 1, 1), (2, 0, 2), (2, 2, 3), (1, 2, 0), (1, 0, 0)], [0, 1, 3, 4, 5, 8]),
+        (6, [(1, 2, 3), (2, 1, 1), (1, 2, 3), (2, 0, 2), (1, 2, 3), (1, 2, 0), (1, 0, 0), (1, 2, 3)],
+         [0, 1, 2, 3, 4, 5, 8, 9]),
+    ])
+    def test_one_build_per_shape_run_and_one_hungarian_per_frame(self, monkeypatch, tmp_path, cells, runs,
+                                                                 first_frames):
+        monkeypatch.setattr(cli, "_STACK_CELLS", cells)
+        events = []  # ("build", stacked shape) and ("solve", frame shape), in call order
+        build, solve = assignment.build_cost_matrix, assignment.hungarian
+
+        def counted_build(*args, **kwargs):
+            costs = build(*args, **kwargs)
+            events.append(("build", costs.shape))
+            return costs
+
+        monkeypatch.setattr(assignment, "build_cost_matrix", counted_build)
+        monkeypatch.setattr(assignment, "hungarian", lambda costs: events.append(("solve", costs.shape)) or solve(costs))
+        scene, dets = write_files(str(tmp_path), *one_class_frames(SHAPES), 1)
+        assert main(["assign", "--scene", scene, "--detections", dets, "--out", str(tmp_path / "out")]) == 0
+        assert [shape for kind, shape in events if kind == "build"] == runs
+        assert [shape for kind, shape in events if kind == "solve"] == SHAPES
+        # a run is built when its first frame comes up, so no matrix is held before its run is reached
+        solved_before = [sum(kind == "solve" for kind, _ in events[:i]) for i, (kind, _) in enumerate(events)]
+        assert [n for n, (kind, _) in zip(solved_before, events) if kind == "build"] == first_frames
